@@ -110,7 +110,7 @@ std::vector<SeedInput> WireSegmentV3Seeds() {
   EPI_CHECK(r1.Delete("beta").ok());
 
   PropagationResponseView view;
-  wire::MakeResponseView(resp, &view, /*fill_tail_indices=*/true);
+  wire::MakeResponseView(resp, &view);
 
   std::string body;
   wire::EncodeShardSegmentBodyV3(view, r1.dbvv(), wire::V3SegmentOptions{},

@@ -9,7 +9,9 @@
 #   scripts/check.sh --lint-ast  # protocol_lint + epilint (AST rules when
 #                                # libclang is available; lexical rule always)
 #   scripts/check.sh --model  # build + exhaustive epicheck model runs
-#   scripts/check.sh --bench-smoke  # build + one fast benchmark pass (JSON)
+#   scripts/check.sh --bench-smoke  # build + one fast benchmark pass (JSON);
+#                                   # fails if the E2 exchange grows >3x
+#                                   # from N=1,024 to N=262,144
 #   scripts/check.sh --net-smoke    # build + TCP pipeline tests + a short
 #                                   # multi-process loopback cluster run
 #   scripts/check.sh --fuzz-smoke   # short fuzz run of every decode target:

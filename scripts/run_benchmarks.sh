@@ -5,7 +5,8 @@
 # performance claims and, with --json, merges their machine-readable
 # outputs into one artifact:
 #   - bench_propagation      µs/item and allocs/exchange, owned vs view path,
-#                            plus the sharded v2-vs-v3 wire exchange
+#                            plus the sharded v2-vs-v3 wire exchange, and
+#                            the E2 N-sweep ends (m=64, N=1,024 vs 262,144)
 #   - bench_message_size     bytes/exchange and control bytes, v2 vs v3 (W1)
 #   - bench_sharded_parallel pull rounds/sec under write load
 #   - bench_tcp_cluster      multi-process loopback cluster, pooled vs
@@ -13,6 +14,9 @@
 #
 # Usage: scripts/run_benchmarks.sh [--json] [--smoke] [output.json]
 #   --json   write the merged JSON artifact (default name BENCH_PR10.json)
+#            and exit 1 if the E2 exchange at N=262,144 took more than 3x
+#            the one at N=1,024: the paper's O(m) exchange (§6) must not
+#            grow with the database size
 #   --smoke  cut measurement time (CI shape check, not a measurement)
 #
 # Binaries are expected under $BUILD_DIR/bench (default: build/bench),
@@ -65,8 +69,10 @@ if [ ! -x "$EPIDEMICD" ]; then
 fi
 
 # Restrict bench_propagation to the headline cases: the m=4096 sweep points
-# (owned vs fast) and the sharded wire exchange pair.
+# (owned vs fast), the sharded wire exchange pair, and both ends of the E2
+# database-size sweep (m=64 at N=1,024 and N=262,144).
 filter='BM_SweepDirtyItems(Fast)?/4096$|BM_ShardedWireExchangeV[23]$'
+filter+='|BM_SweepDatabaseSize/(1024|262144)$'
 gb_args=("--benchmark_filter=${filter}")
 # 4s rows: on a contended 1-core host, 1s rows swing ±50% (a handful of
 # multi-ms CFS deschedules dominate); 4s rows are stable to a few percent.
@@ -104,7 +110,7 @@ trap 'rm -rf "$tmpdir"' EXIT
     > "$tmpdir/cluster.json"
 
 SMOKE="$smoke" OUT="$out" TMPDIR_BENCH="$tmpdir" python3 - <<'PY'
-import json, os
+import json, os, sys
 
 tmp = os.environ["TMPDIR_BENCH"]
 prop = json.load(open(os.path.join(tmp, "prop.json")))
@@ -131,6 +137,11 @@ owned = exchange("BM_SweepDirtyItems/4096")
 fast = exchange("BM_SweepDirtyItemsFast/4096")
 v2 = exchange("BM_ShardedWireExchangeV2")
 v3 = exchange("BM_ShardedWireExchangeV3")
+small_db = exchange("BM_SweepDatabaseSize/1024")
+large_db = exchange("BM_SweepDatabaseSize/262144")
+# E2 (§6): an exchange of m=64 items must cost the same whatever N is.
+E2_MAX_GROWTH = 3.0
+e2_growth = round(large_db["us_per_exchange"] / small_db["us_per_exchange"], 2)
 
 def pct_faster(a, b):
     return round(100.0 * (1.0 - b / a), 2) if a else None
@@ -165,6 +176,13 @@ result = {
             v2["us_per_exchange"], v3["us_per_exchange"]),
         "frame_bytes_reduction_pct": pct_faster(
             v2["frame_bytes_per_exchange"], v3["frame_bytes_per_exchange"]),
+    },
+    "database_size_e2": {
+        "m_dirty": 64,
+        "n_1024": small_db,
+        "n_262144": large_db,
+        "growth_x": e2_growth,
+        "max_growth_x": E2_MAX_GROWTH,
     },
     "message_size_w1": msg["w1_rows"],
     "sharded_parallel": par,
@@ -211,4 +229,11 @@ print(f"  tcp-cluster ({cluster['nodes']} nodes, {cluster['rounds']} "
       f"{cu['rounds_per_sec']:.0f} rounds/s "
       f"(speedup {cluster['pooled_speedup']:.2f}x); "
       f"serve cache hit rate {cluster['serve_cache_hit_rate']:.3f}")
+print(f"  E2 exchange (m=64) N=1024 {small_db['us_per_exchange']} us, "
+      f"N=262144 {large_db['us_per_exchange']} us ({e2_growth}x)")
+if e2_growth > E2_MAX_GROWTH:
+    print(f"E2 gate: the m=64 exchange grew {e2_growth}x from N=1,024 to "
+          f"N=262,144 (limit {E2_MAX_GROWTH}x); accept cost depends on N",
+          file=sys.stderr)
+    sys.exit(1)
 PY

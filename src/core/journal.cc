@@ -1,6 +1,8 @@
 #include "core/journal.h"
 
 #include <sys/stat.h>
+#include <sys/types.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
@@ -98,9 +100,11 @@ Status ReplayRecord(Replica& replica, std::string_view payload) {
 
 }  // namespace
 
-Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data) {
+Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data,
+                                    size_t* good_prefix) {
   uint64_t replayed = 0;
   ByteReader frames(data);
+  size_t good = 0;
   while (!frames.AtEnd()) {
     auto len = frames.GetVarint64();
     if (!len.ok() || frames.remaining() < *len + 4) break;  // torn tail
@@ -119,7 +123,9 @@ Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data) {
       return Status::Corruption("journal replay failed: " + s.ToString());
     }
     ++replayed;
+    good = frames.position();
   }
+  if (good_prefix != nullptr) *good_prefix = good;
   return replayed;
 }
 
@@ -158,9 +164,12 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
 
   // 2. Replay the journal suffix. A torn final record (crash mid-append)
   // terminates the replay cleanly; everything before it was applied with
-  // write-ahead discipline.
+  // write-ahead discipline. The torn bytes are cut off before appending
+  // resumes: records written after them would be unreachable, lost at the
+  // next recovery although acknowledged.
   uint64_t replayed = 0;
-  std::FILE* f = std::fopen(JournalPath(dir).c_str(), "rb");
+  const std::string journal_path = JournalPath(dir);
+  std::FILE* f = std::fopen(journal_path.c_str(), "rb");
   if (f != nullptr) {
     std::string data;
     char buf[1 << 16];
@@ -168,9 +177,15 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
     std::fclose(f);
 
-    auto count = ReplayJournalBytes(*replica, data);
+    size_t good_prefix = 0;
+    auto count = ReplayJournalBytes(*replica, data, &good_prefix);
     if (!count.ok()) return count.status();
     replayed = *count;
+    if (good_prefix < data.size() &&
+        truncate(journal_path.c_str(), static_cast<off_t>(good_prefix)) != 0) {
+      return Status::IOError("cannot cut the torn tail off '" + journal_path +
+                             "'");
+    }
   }
 
   auto jr = std::unique_ptr<JournaledReplica>(
@@ -232,30 +247,31 @@ Status JournaledReplica::ResolveConflict(std::string_view name,
   return replica_->ResolveConflict(name, remote_vv, value);
 }
 
+// Propagation inputs are journaled from the replica's before-apply hook:
+// after the response has been validated against the current state, before
+// it changes anything. A response the replica rejects therefore never
+// reaches the journal, where it would fail replay and block recovery; a
+// you-are-current reply changes nothing and is not journaled either.
 Status JournaledReplica::AcceptPropagation(const PropagationResponse& resp) {
-  if (resp.you_are_current) {
-    // No state change; nothing worth journaling.
-    return replica_->AcceptPropagation(resp);
-  }
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(RecordTag::kPropagation));
-  wire::EncodePropagationResponseBody(w, resp);
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->AcceptPropagation(resp);
+  return replica_->AcceptPropagation(resp, [this, &resp] {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagation));
+    wire::EncodePropagationResponseBody(w, resp);
+    return AppendRecord(w.Release());
+  });
 }
 
 Status JournaledReplica::AcceptPropagationSegmentV3(std::string_view body) {
-  // Decode (and thereby fully validate) before journaling, so a corrupt
-  // body is rejected without leaving an unreplayable record behind.
   wire::SegmentViewStorage storage;
   PropagationResponseView view;
   EPI_RETURN_NOT_OK(wire::DecodeShardSegmentBodyV3(body, &storage, &view));
-  ByteWriter w;
-  w.Reserve(body.size() + 1);
-  w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
-  w.PutBytes(body.data(), body.size());
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->AcceptPropagation(view);
+  return replica_->AcceptPropagation(view, [this, &body] {
+    ByteWriter w;
+    w.Reserve(body.size() + 1);
+    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
+    w.PutBytes(body.data(), body.size());
+    return AppendRecord(w.Release());
+  });
 }
 
 Status JournaledReplica::AcceptOobResponse(const OobResponse& resp) {

@@ -30,19 +30,24 @@ namespace epidemic {
 ///
 /// Record framing: varint length + payload, where the payload is a one-byte
 /// record tag followed by the same binary encodings the wire codec uses.
-/// A torn final record (crash mid-append) is detected and ignored.
-/// Replays a raw journal byte stream (varint-length + payload + CRC-32C
-/// frames) into `replica` through the ordinary code paths. A torn or
-/// checksum-failing frame ends the replay at the last good prefix — that
-/// is the crash-recovery contract, not an error. Returns the number of
-/// records applied, or Corruption when a checksummed record fails to
-/// apply (a record that passed CRC must replay; anything else means the
-/// journal and the code disagree).
+/// A torn final record (crash mid-append) is detected, ignored and cut off
+/// before the journal is appended to again.
+///
+/// ReplayJournalBytes replays a raw journal byte stream (varint-length +
+/// payload + CRC-32C frames) into `replica` through the ordinary code
+/// paths. A torn or checksum-failing frame ends the replay at the last
+/// good prefix — that is the crash-recovery contract, not an error.
+/// Returns the number of records applied, or Corruption when a checksummed
+/// record fails to apply (a record that passed CRC must replay; anything
+/// else means the journal and the code disagree).
 ///
 /// This is the exact loop JournaledReplica::Open runs over journal.log,
 /// exposed so recovery tests and the fuzz harness can drive the same
-/// decode-then-apply path on arbitrary bytes.
-Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data)
+/// decode-then-apply path on arbitrary bytes. `good_prefix`, when given,
+/// receives the byte length of the frames replayed; Open truncates the
+/// file to it before appending again.
+Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data,
+                                    size_t* good_prefix = nullptr)
     REQUIRES_SHARD_CONTEXT;
 
 class JournaledReplica {
@@ -70,10 +75,11 @@ class JournaledReplica {
   Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
 
   /// Journaled accept of a raw wire-v3 segment body: the body is decoded
-  /// zero-copy (which also validates it *before* anything is journaled),
-  /// appended verbatim under its own record tag, and applied through the
-  /// view path — the owned PropagationResponse is never materialized, on
-  /// the live path or on replay.
+  /// zero-copy and validated by the replica *before* anything is
+  /// journaled, appended verbatim under its own record tag, and applied
+  /// through the view path — the owned PropagationResponse is never
+  /// materialized, on the live path or on replay. Like AcceptPropagation,
+  /// a rejected body leaves no record behind.
   Status AcceptPropagationSegmentV3(std::string_view body)
       REQUIRES_SHARD_CONTEXT;
 

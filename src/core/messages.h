@@ -83,9 +83,10 @@ struct WireLogRecordView {
   std::string_view item_name;
   UpdateCount seq = 0;
   /// Index of the record's item within the response's item set S. The v3
-  /// encoder writes this index instead of repeating the name (validation
-  /// requires every tail name to be in S anyway); decoders of both
-  /// versions fill it in.
+  /// encoder writes this index instead of repeating the name. Every view
+  /// producer fills it in (the serve path, both decoders,
+  /// MakeResponseView), and the accept resolves the record's item through
+  /// it, checked against the name.
   uint32_t item_index = 0;
 };
 

@@ -243,35 +243,75 @@ const PropagationResponseView& Replica::HandlePropagationView(
 }
 
 Status Replica::ValidatePropagationResponse(
-    const PropagationResponseView& resp) const {
+    const PropagationResponseView& resp, std::vector<Item*>* resolved) {
   if (resp.tails.size() != num_nodes_) {
     return Status::InvalidArgument(
         "tail vector has " + std::to_string(resp.tails.size()) +
         " components, expected " + std::to_string(num_nodes_));
   }
-  // The item set S must carry well-formed IVVs and no duplicates.
-  std::unordered_set<std::string_view> item_names;
+  // The item set S must carry well-formed IVVs and no duplicates. Each item
+  // costs one store lookup; a stored item is marked with its IsSelected
+  // flag (§6) — serve and accept never overlap on a replica — so a repeat
+  // is caught without hashing. Only names not stored yet need a set.
+  resolved->clear();
+  resolved->reserve(resp.items.size());
+  std::unordered_set<std::string_view> fresh_names;
+  Status status = Status::OK();
   for (const WireItemView& wi : resp.items) {
     if (wi.name.empty()) {
-      return Status::InvalidArgument("empty item name in response");
+      status = Status::InvalidArgument("empty item name in response");
+      break;
     }
     if (wi.ivv == nullptr || wi.ivv->size() != num_nodes_) {
-      return Status::InvalidArgument("received IVV of wrong width for item '" +
-                                     std::string(wi.name) + "'");
+      status = Status::InvalidArgument(
+          "received IVV of wrong width for item '" + std::string(wi.name) +
+          "'");
+      break;
     }
-    if (!item_names.insert(wi.name).second) {
-      return Status::InvalidArgument("duplicate item '" + std::string(wi.name) +
-                                     "' in response");
+    Item* item = store_.Find(wi.name);
+    const bool repeat = item != nullptr
+                            ? std::exchange(item->is_selected, true)
+                            : !fresh_names.insert(wi.name).second;
+    if (repeat) {
+      status = Status::InvalidArgument("duplicate item '" +
+                                       std::string(wi.name) + "' in response");
+      break;
     }
+    resolved->push_back(item);
   }
-  // Tails must be proper suffixes: strictly increasing sequence numbers,
-  // all beyond our per-origin horizon (our DBVV component — exactly what
-  // the source's CollectTail selects against), and every record must name
-  // an item shipped in S. A response violating any of these cannot have
-  // come from a correct SendPropagation, and applying it could break the
-  // log-order invariant.
+  for (Item* item : *resolved) {
+    if (item != nullptr) item->is_selected = false;
+  }
+  EPI_RETURN_NOT_OK(status);
+
+  // Tails must be strictly increasing, and every record must name an item
+  // shipped in S — resolved through the index the v3 wire carries. A
+  // record at or below our per-origin horizon V_i[k] (what the source's
+  // CollectTail selects against) is one we may already hold: a source
+  // answering an older request re-ships it. It is legitimate only if
+  // P_k(x) already holds that seq or a newer one; the accept then skips
+  // it. A response violating any of this cannot have come from a correct
+  // SendPropagation, and applying it could break the log-order invariant.
+  //
+  // The horizon is necessary but not sufficient: DBVV[k] is a sum of
+  // item-IVV components, and after a conflict drops records it falls below
+  // the largest seq already in L[k]. A forged tail can then claim a seq
+  // L[k] already holds for a *different* item and, past the adoption
+  // filter, insert a duplicate that breaks origin order (found by fuzzing
+  // the v3 segment decoder). Each origin seq names exactly one update of
+  // one item, so an equal seq is legitimate only when it names the same
+  // item (a re-shipped record, replaced in place via P(x)). Only the r
+  // records of L[k] above the horizon can collide with a record above it,
+  // so the merge-scan of the sorted log against the sorted tail starts
+  // there, found by walking back from the log's tail.
   for (NodeId k = 0; k < num_nodes_; ++k) {
-    UpdateCount prev = dbvv_[k];
+    const UpdateCount horizon = dbvv_[k];
+    const LogRecord* existing = nullptr;
+    for (const LogRecord* r = logs_.ForOrigin(k).tail();
+         r != nullptr && r->seq > horizon; r = r->prev) {
+      existing = r;
+    }
+    UpdateCount prev = 0;
     for (const WireLogRecordView& rec : resp.tails[k]) {
       if (rec.seq <= prev) {
         return Status::InvalidArgument(
@@ -279,29 +319,29 @@ Status Replica::ValidatePropagationResponse(
             " is not an ordered suffix beyond our horizon");
       }
       prev = rec.seq;
-      if (!item_names.contains(rec.item_name)) {
+      if (rec.item_index >= resp.items.size() ||
+          resp.items[rec.item_index].name != rec.item_name) {
         return Status::InvalidArgument("tail record references item '" +
                                        std::string(rec.item_name) +
                                        "' not shipped in S");
       }
-    }
-    // The DBVV horizon above is necessary but not sufficient: DBVV[k] is a
-    // sum of item-IVV components, and after a conflict drops records it
-    // falls below the largest seq already in L[k]. A forged tail can then
-    // claim a seq L[k] already holds for a *different* item and, past the
-    // adoption filter, insert a duplicate that breaks origin order (found
-    // by fuzzing the v3 segment decoder). Each origin seq names exactly
-    // one update of one item, so an equal seq is legitimate only when it
-    // names the same item (a re-shipped record, replaced in place via
-    // P(x)). Merge-scan the sorted log against the sorted tail to reject
-    // the rest.
-    const LogRecord* existing = logs_.ForOrigin(k).head();
-    for (const WireLogRecordView& rec : resp.tails[k]) {
+      const Item* item = (*resolved)[rec.item_index];
+      if (rec.seq <= horizon) {
+        const LogRecord* held = item != nullptr ? item->p[k] : nullptr;
+        if (held == nullptr || held->seq < rec.seq) {
+          return Status::InvalidArgument(
+              "tail for origin " + std::to_string(k) + " re-ships seq " +
+              std::to_string(rec.seq) + " of item '" +
+              std::string(rec.item_name) +
+              "', at or below our horizon but not held");
+        }
+        continue;
+      }
       while (existing != nullptr && existing->seq < rec.seq) {
         existing = existing->next;
       }
       if (existing != nullptr && existing->seq == rec.seq &&
-          store_.Get(existing->item).name != rec.item_name) {
+          (item == nullptr || existing->item != item->id)) {
         return Status::InvalidArgument(
             "tail record for origin " + std::to_string(k) + " reuses seq " +
             std::to_string(rec.seq) + " held by item '" +
@@ -312,7 +352,8 @@ Status Replica::ValidatePropagationResponse(
   return Status::OK();
 }
 
-Status Replica::AcceptPropagation(const PropagationResponse& resp) {
+Status Replica::AcceptPropagation(const PropagationResponse& resp,
+                                  const BeforeApply& before_apply) {
   if (resp.you_are_current) return Status::OK();
   // The staged pipeline handed us one owned string per name/value; charge
   // them (the mirror image of the serve-side counter), then run the view
@@ -322,27 +363,35 @@ Status Replica::AcceptPropagation(const PropagationResponse& resp) {
     stats_.accept_staging_allocs += tail.size();
   }
   wire::MakeResponseView(resp, &scratch_.accept_view);
-  return AcceptPropagation(scratch_.accept_view);
+  return AcceptPropagation(scratch_.accept_view, before_apply);
 }
 
-Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
+Status Replica::AcceptPropagation(const PropagationResponseView& resp,
+                                  const BeforeApply& before_apply) {
   if (resp.you_are_current) return Status::OK();
 
   // Validate the whole response before touching any state, so malformed or
   // malicious input is rejected atomically (the paper assumes correct
-  // peers; a production receiver cannot).
-  EPI_RETURN_NOT_OK(ValidatePropagationResponse(resp));
+  // peers; a production receiver cannot). `copied[i]` is S[i]'s stored
+  // copy, or nullptr for a name not stored yet.
+  std::vector<Item*> copied;
+  EPI_RETURN_NOT_OK(ValidatePropagationResponse(resp, &copied));
+  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
+  // Tail records at or below the horizon were validated as already held.
+  const VersionVector horizon = dbvv_;
 
   // Step 2 (Fig. 3): adopt every received copy that strictly dominates the
   // local regular copy. Items whose copies were not adopted (conflicts, and
   // the defensively handled impossible cases) have their records dropped
-  // from the tails, as the paper prescribes for conflicts. Adoption copies
-  // each name and value exactly once — from the view's backing bytes into
-  // the store; nothing else is materialized.
-  std::vector<Item*> copied;
-  std::unordered_set<std::string_view> dropped;
-  for (const WireItemView& wi : resp.items) {
-    Item& item = store_.GetOrCreate(wi.name);
+  // from the tails, as the paper prescribes for conflicts: their `copied`
+  // entry becomes nullptr. Adoption copies each name and value exactly
+  // once — from the view's backing bytes into the store; nothing else is
+  // materialized.
+  for (size_t i = 0; i < resp.items.size(); ++i) {
+    const WireItemView& wi = resp.items[i];
+    Item& item =
+        copied[i] != nullptr ? *copied[i] : store_.GetOrCreate(wi.name);
+    copied[i] = nullptr;
     ++stats_.item_ivv_comparisons;
     switch (VersionVector::Compare(*wi.ivv, item.ivv)) {
       case VvOrder::kDominates:
@@ -351,19 +400,17 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
         item.value = wi.value;
         item.deleted = wi.deleted;
         item.ivv = *wi.ivv;
-        copied.push_back(&item);
+        copied[i] = &item;
         ++stats_.items_adopted;
         break;
       case VvOrder::kConcurrent:
         ReportConflict(item, *wi.ivv, ConflictSource::kPropagation);
-        dropped.insert(wi.name);
         break;
       case VvOrder::kEqual:
         // Cannot arise under the protocol's ordering guarantees (§7);
         // tolerated defensively — nothing to adopt, and the records must be
         // dropped so our logs never advertise updates twice.
         ++stats_.redundant_items_received;
-        dropped.insert(wi.name);
         break;
       case VvOrder::kDominatedBy:
         // Impossible in conflict-free executions (§7); after a partial
@@ -372,25 +419,25 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
         EPI_LOG(kDebug) << "node " << id_ << ": received older copy of '"
                         << wi.name << "' during propagation";
         ++stats_.redundant_items_received;
-        dropped.insert(wi.name);
         break;
     }
   }
 
   // Append the surviving tails to our log vector, oldest first, preserving
   // origin order (AddLogRecord keeps at most one record per item).
+  // Re-shipped records at or below the horizon are already held: skipped.
   for (NodeId k = 0; k < num_nodes_; ++k) {
     for (const WireLogRecordView& rec : resp.tails[k]) {
-      if (!dropped.empty() && dropped.contains(rec.item_name)) continue;
-      Item& item = store_.GetOrCreate(rec.item_name);
-      logs_.ForOrigin(k).AddLogRecord(item.id, rec.seq, &item.p[k]);
+      Item* item = copied[rec.item_index];
+      if (item == nullptr || rec.seq <= horizon[k]) continue;
+      logs_.ForOrigin(k).AddLogRecord(item->id, rec.seq, &item->p[k]);
       ++stats_.records_appended;
     }
   }
 
   // Step 3: intra-node propagation (Fig. 4) for every item just copied.
   for (Item* item : copied) {
-    IntraNodePropagation(*item);
+    if (item != nullptr) IntraNodePropagation(*item);
   }
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 #define EPIDEMIC_CORE_REPLICA_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -234,18 +235,31 @@ class Replica {
   const PropagationResponseView& HandlePropagationView(
       const PropagationRequest& req) REQUIRES_SHARD_CONTEXT;
 
+  /// Runs between validation and the first state change of an accept; see
+  /// AcceptPropagation.
+  using BeforeApply = std::function<Status()>;
+
   /// AcceptPropagation (Fig. 3) followed by IntraNodePropagation (Fig. 4)
   /// over the items copied, executed at the recipient. The owned form
   /// wraps the view form below.
-  Status AcceptPropagation(const PropagationResponse& resp)
+  ///
+  /// `before_apply`, when set, runs once the whole response has been
+  /// validated and resolved and before anything changes; if it fails, the
+  /// accept returns its status and changes nothing. The journal appends
+  /// its write-ahead record there, so only accepted responses reach disk.
+  Status AcceptPropagation(const PropagationResponse& resp,
+                           const BeforeApply& before_apply = {})
       REQUIRES_SHARD_CONTEXT;
 
   /// Zero-copy AcceptPropagation: applies a borrowed response (views into
   /// a decode buffer or a peer replica's store). Each adopted name/value
   /// is copied exactly once, into this store; nothing else is
   /// materialized. The backing storage only needs to stay alive for the
-  /// duration of the call.
-  Status AcceptPropagation(const PropagationResponseView& resp)
+  /// duration of the call. Costs O(m + r): one store lookup per shipped
+  /// item, O(1) per tail record, plus the r records of L[k] above the
+  /// horizon V_i[k] (non-zero only after conflicts dropped records).
+  Status AcceptPropagation(const PropagationResponseView& resp,
+                           const BeforeApply& before_apply = {})
       REQUIRES_SHARD_CONTEXT;
 
   /// Runs the Fig. 4 intra-node propagation loop over every out-of-bound
@@ -351,9 +365,14 @@ class Replica {
   Status ApplyUserWrite(std::string_view name, std::string_view value,
                         bool deleted) REQUIRES_SHARD_CONTEXT;
 
-  /// Read-only structural validation of a propagation response, run before
-  /// any state is touched so malformed input is rejected atomically.
-  Status ValidatePropagationResponse(const PropagationResponseView& resp) const;
+  /// Validates a propagation response before any state is touched, so
+  /// malformed input is rejected atomically, and resolves each item of S
+  /// with one store lookup: `(*resolved)[i]` is the stored copy of
+  /// `resp.items[i]`, or nullptr when the name is not stored yet. Changes
+  /// nothing but the transient IsSelected marks, cleared on every path.
+  Status ValidatePropagationResponse(const PropagationResponseView& resp,
+                                     std::vector<Item*>* resolved)
+      REQUIRES_SHARD_CONTEXT;
 
   /// Runs the Fig. 4 loop for one item that was copied by AcceptPropagation.
   void IntraNodePropagation(Item& item) REQUIRES_SHARD_CONTEXT;

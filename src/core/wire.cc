@@ -420,12 +420,27 @@ void EncodeShardSegmentBodyV3Into(ByteWriter& w,
 
 namespace {
 
-/// Shared tail/item body of both view decoders, reading from `r` whose
-/// backing bytes the produced views borrow. `dense_ivvs` selects the v2
-/// (dense) or v3 (delta vs `base`) IVV layout; `base` is unused for v2.
-/// `indexed_tails` selects v3 (item-index) vs v2 (item-name) tails.
-Status DecodeViewItemsAndTails(ByteReader& r, bool dense_ivvs,
-                               bool indexed_tails, const VersionVector& base,
+/// Resolves every tail record's `item_index` by name, for responses that
+/// identify tail items by name only (v2 bodies, owned responses). A name
+/// missing from S keeps index 0; the accept rejects it, the names differ.
+void FillTailIndicesByName(PropagationResponseView* out) {
+  std::unordered_map<std::string_view, uint32_t> index;
+  index.reserve(out->items.size());
+  for (size_t i = 0; i < out->items.size(); ++i) {
+    index.emplace(out->items[i].name, static_cast<uint32_t>(i));
+  }
+  for (auto& tail : out->tails) {
+    for (WireLogRecordView& rec : tail) {
+      auto it = index.find(rec.item_name);
+      rec.item_index = it != index.end() ? it->second : 0;
+    }
+  }
+}
+
+/// Item set and tails of a v3 segment body, reading from `r` whose backing
+/// bytes the produced views borrow: delta IVVs against `base`, and tail
+/// records naming their item by index into S.
+Status DecodeViewItemsAndTails(ByteReader& r, const VersionVector& base,
                                SegmentViewStorage* storage,
                                PropagationResponseView* out) {
   auto num_items = r.GetVarint64();
@@ -451,8 +466,7 @@ Status DecodeViewItemsAndTails(ByteReader& r, bool dense_ivvs,
     auto deleted = r.GetU8();
     if (!deleted.ok()) return deleted.status();
     item.deleted = (*deleted != 0);
-    auto vv = dense_ivvs ? DecodeVersionVector(&r)
-                         : DecodeVersionVectorDelta(&r, base);
+    auto vv = DecodeVersionVectorDelta(&r, base);
     if (!vv.ok()) return vv.status();
     // reserve() above makes these pushes stable, so the pointer into the
     // arena survives the loop.
@@ -477,27 +491,18 @@ Status DecodeViewItemsAndTails(ByteReader& r, bool dense_ivvs,
     UpdateCount prev = 0;
     for (uint64_t i = 0; i < *count; ++i) {
       WireLogRecordView rec;
-      if (indexed_tails) {
-        auto idx = r.GetVarint64();
-        if (!idx.ok()) return idx.status();
-        if (*idx >= out->items.size()) {
-          return Status::Corruption("tail item index out of range");
-        }
-        rec.item_index = static_cast<uint32_t>(*idx);
-        rec.item_name = out->items[rec.item_index].name;
-        auto seq = r.GetVarint64();
-        if (!seq.ok()) return seq.status();
-        rec.seq = (i == 0) ? *seq : prev + 1 + *seq;
-        if (rec.seq < prev) {
-          return Status::Corruption("tail seq overflow");
-        }
-      } else {
-        auto name = r.GetStringView();
-        if (!name.ok()) return name.status();
-        rec.item_name = *name;
-        auto seq = r.GetVarint64();
-        if (!seq.ok()) return seq.status();
-        rec.seq = *seq;
+      auto idx = r.GetVarint64();
+      if (!idx.ok()) return idx.status();
+      if (*idx >= out->items.size()) {
+        return Status::Corruption("tail item index out of range");
+      }
+      rec.item_index = static_cast<uint32_t>(*idx);
+      rec.item_name = out->items[rec.item_index].name;
+      auto seq = r.GetVarint64();
+      if (!seq.ok()) return seq.status();
+      rec.seq = (i == 0) ? *seq : prev + 1 + *seq;
+      if (rec.seq < prev) {
+        return Status::Corruption("tail seq overflow");
       }
       prev = rec.seq;
       tail.push_back(rec);
@@ -539,9 +544,7 @@ Status DecodeShardSegmentBodyV3(std::string_view body,
   out->you_are_current = false;
   auto base = DecodeVersionVector(&r);
   if (!base.ok()) return base.status();
-  Status s = DecodeViewItemsAndTails(r, /*dense_ivvs=*/false,
-                                     /*indexed_tails=*/true, *base, storage,
-                                     out);
+  Status s = DecodeViewItemsAndTails(r, *base, storage, out);
   if (!s.ok()) return s;
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after v3 segment body");
@@ -618,25 +621,18 @@ Status DecodePropagationResponseBodyView(std::string_view body,
     item.ivv = &storage->ivvs.back();
     out->items.push_back(item);
   }
+  FillTailIndicesByName(out);
   return Status::OK();
 }
 
 void MakeResponseView(const PropagationResponse& m,
-                      PropagationResponseView* out,
-                      bool fill_tail_indices) {
+                      PropagationResponseView* out) {
   out->you_are_current = m.you_are_current;
   out->items.clear();
   out->items.reserve(m.items.size());
   for (const WireItem& item : m.items) {
     out->items.push_back(
         WireItemView{item.name, item.value, item.deleted, &item.ivv});
-  }
-  std::unordered_map<std::string_view, uint32_t> index;
-  if (fill_tail_indices) {
-    index.reserve(m.items.size());
-    for (size_t i = 0; i < m.items.size(); ++i) {
-      index.emplace(m.items[i].name, static_cast<uint32_t>(i));
-    }
   }
   if (out->tails.size() > m.tails.size()) out->tails.resize(m.tails.size());
   for (auto& tail : out->tails) tail.clear();
@@ -645,16 +641,10 @@ void MakeResponseView(const PropagationResponse& m,
     auto& tail = out->tails[k];
     tail.reserve(m.tails[k].size());
     for (const WireLogRecord& rec : m.tails[k]) {
-      WireLogRecordView rv;
-      rv.item_name = rec.item_name;
-      rv.seq = rec.seq;
-      if (fill_tail_indices) {
-        auto it = index.find(rec.item_name);
-        if (it != index.end()) rv.item_index = it->second;
-      }
-      tail.push_back(rv);
+      tail.push_back(WireLogRecordView{rec.item_name, rec.seq});
     }
   }
+  FillTailIndicesByName(out);
 }
 
 PropagationResponse MaterializeResponse(const PropagationResponseView& m) {

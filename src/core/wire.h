@@ -146,22 +146,22 @@ Status DecodeShardSegmentBodyV3(std::string_view body,
 
 /// Zero-copy decode of a *v2* response body (the view-based variant of
 /// DecodePropagationResponseBody): names and values become views into
-/// `body`, IVVs are decoded dense into `storage->ivvs`. Tail records keep
-/// `item_index` unset — v2 bodies identify tail items by name only.
+/// `body`, IVVs are decoded dense into `storage->ivvs`. v2 bodies identify
+/// tail items by name; each record's `item_index` is resolved by name, as
+/// MakeResponseView does.
 Status DecodePropagationResponseBodyView(std::string_view body,
                                          SegmentViewStorage* storage,
                                          PropagationResponseView* out);
 
 /// Borrow an owned response as a view (string views and IVV pointers into
-/// `m`, which must outlive `*out`). With `fill_tail_indices` the tail
-/// records' `item_index` is resolved by name — required before v3-encoding
-/// a view that was not built by the serve path.
+/// `m`, which must outlive `*out`). Each tail record's `item_index` is
+/// resolved by name, so the view can be v3-encoded or accepted like a
+/// decoded one; a name missing from S keeps index 0, which the accept
+/// rejects because the names differ.
 void MakeResponseView(const PropagationResponse& m,
-                      PropagationResponseView* out,
-                      bool fill_tail_indices = false);
+                      PropagationResponseView* out);
 // A temporary would leave every view dangling the moment the call returns.
-void MakeResponseView(PropagationResponse&&, PropagationResponseView*,
-                      bool = false) = delete;
+void MakeResponseView(PropagationResponse&&, PropagationResponseView*) = delete;
 
 /// Deep-copies a view into an owned response (test / journal helper).
 PropagationResponse MaterializeResponse(const PropagationResponseView& m);

@@ -773,8 +773,9 @@ ReplicaStats ReplicaServer::TotalStats(bool reset) {
 Status ReplicaServer::PullFrom(NodeId peer) {
   // Snapshot the per-shard DBVV handshake as one scheduler batch, release
   // everything for the RPC, and merge the response per shard. Shards
-  // mutated between build and accept simply make the peer ship a little
-  // extra; AcceptPropagation is idempotent about duplicates.
+  // mutated between build and accept (by a concurrent pull, say) simply
+  // make the peer ship a little extra; AcceptPropagation skips re-shipped
+  // records it already holds.
   ShardedReplica& rep = sharded();
   const size_t num_shards = rep.num_shards();
   ShardedPropagationRequest req;

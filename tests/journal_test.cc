@@ -161,6 +161,47 @@ TEST_F(JournalTest, CorruptV3SegmentIsRejectedBeforeJournaling) {
   EXPECT_TRUE((*jr)->Read("x").status().IsNotFound());
 }
 
+// A body that decodes but that the replica rejects must not be journaled
+// either: replay would reject it again and refuse to recover the node.
+TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
+  std::string canonical_before;
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 3);
+    ASSERT_TRUE(jr.ok());
+    Replica b(1, 3);
+    ASSERT_TRUE((*jr)->Update("alpha", "a0").ok());
+    ASSERT_TRUE((*jr)->Update("beta", "b0").ok());
+    ASSERT_TRUE(b.Update("beta", "b1").ok());   // conflicts at the journal
+    ASSERT_TRUE(b.Update("gamma", "g1").ok());  // origin seq 2
+    ASSERT_TRUE(Pull(b, **jr).ok());
+    // The dropped beta record leaves the horizon below gamma's seq.
+    ASSERT_EQ((*jr)->replica().dbvv()[1], 1u);
+    const uint64_t records = (*jr)->records_since_checkpoint();
+    canonical_before = (*jr)->replica().CanonicalState();
+
+    // The seq-reuse forgery of TailSeqReuseForDifferentItemRejected
+    // (replica_test), as a well-formed v3 segment.
+    PropagationResponse forged;
+    forged.tails.resize(3);
+    forged.tails[1].push_back(WireLogRecord{"evil", 2});  // L[1] holds gamma
+    forged.items.push_back(
+        WireItem{"evil", "v", false, VersionVector({0, 1, 0})});
+    PropagationResponseView view;
+    wire::MakeResponseView(forged, &view);
+    std::string body;
+    wire::EncodeShardSegmentBodyV3(view, b.dbvv(), wire::V3SegmentOptions{},
+                                   nullptr, &body);
+    EXPECT_TRUE((*jr)->AcceptPropagationSegmentV3(body).IsInvalidArgument());
+    EXPECT_TRUE((*jr)->AcceptPropagation(forged).IsInvalidArgument());
+    EXPECT_EQ((*jr)->records_since_checkpoint(), records);
+  }
+
+  auto recovered = JournaledReplica::Open(dir_, 0, 3);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
+  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+}
+
 TEST_F(JournalTest, CheckpointTruncatesJournal) {
   {
     auto jr = JournaledReplica::Open(dir_, 0, 2);
@@ -211,6 +252,68 @@ TEST_F(JournalTest, TornFinalRecordIgnored) {
   // The torn second record is gone, but the replica is consistent.
   EXPECT_TRUE((*recovered)->Read("y").status().IsNotFound());
   EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+}
+
+// Appends a frame cut short by a crash: a length prefix promising more
+// bytes than follow.
+void AppendTornFrame(const std::string& journal_path) {
+  std::FILE* f = std::fopen(journal_path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char torn[] = {0x10, 0x01, 0x02};
+  ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
+  std::fclose(f);
+}
+
+// Recovery cuts a torn tail off before appending again. Records written
+// after the garbage would otherwise be acknowledged, then lost at the next
+// recovery, which stops at the same torn frame.
+TEST_F(JournalTest, TornTailIsCutBeforeAppending) {
+  const std::string path = dir_ + "/journal.log";
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok());
+    ASSERT_TRUE((*jr)->Update("a", "1").ok());
+  }
+  const auto good_size = std::filesystem::file_size(path);
+  AppendTornFrame(path);
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok()) << jr.status().ToString();
+    EXPECT_EQ(std::filesystem::file_size(path), good_size);
+    ASSERT_TRUE((*jr)->Update("b", "2").ok());
+  }
+  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*(*recovered)->Read("a"), "1");
+  EXPECT_EQ(*(*recovered)->Read("b"), "2");
+  EXPECT_EQ((*recovered)->records_since_checkpoint(), 2u);
+  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+}
+
+TEST_F(JournalTest, ShardedTornTailIsCutBeforeAppending) {
+  constexpr size_t kShards = 4;
+  std::string shard_journal;
+  {
+    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    ASSERT_TRUE(js.ok());
+    ASSERT_TRUE((*js)->Update("a", "1").ok());
+    char name[32];
+    std::snprintf(name, sizeof(name), "/shard-%03zu/journal.log",
+                  (*js)->view().ShardOf("b"));
+    shard_journal = dir_ + name;
+  }
+  AppendTornFrame(shard_journal);
+  {
+    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    ASSERT_TRUE(js.ok()) << js.status().ToString();
+    ASSERT_TRUE((*js)->Update("b", "2").ok());
+  }
+  auto recovered = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*(*recovered)->view().Read("a"), "1");
+  EXPECT_EQ(*(*recovered)->view().Read("b"), "2");
+  EXPECT_EQ((*recovered)->records_since_checkpoint(), 2u);
+  EXPECT_TRUE((*recovered)->view().CheckInvariants().ok());
 }
 
 TEST_F(JournalTest, CorruptedMiddleRecordStopsReplayAtGoodPrefix) {

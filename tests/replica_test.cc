@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "core/wire.h"
+
 namespace epidemic {
 namespace {
 
@@ -174,6 +176,24 @@ TEST(PropagationTest, PropagateOnceHelper) {
   auto again = PropagateOnce(b, a);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, 0u);
+}
+
+// A source answering an older request re-ships records the recipient has
+// received since: they are skipped, and the rest of the response lands.
+TEST(PropagationTest, StaleRequestSkipsReshippedRecordsAndDeliversTheRest) {
+  Replica a(0, 2), b(1, 2);
+  const PropagationRequest old_request = a.BuildPropagationRequest();
+  ASSERT_TRUE(a.Update("y", "vy").ok());
+  ASSERT_TRUE(PropagateOnce(/*source=*/a, /*recipient=*/b).ok());
+  ASSERT_TRUE(b.Update("z", "vz").ok());
+
+  PropagationResponse resp = b.HandlePropagationRequest(old_request);
+  ASSERT_EQ(resp.tails[0].size(), 1u);  // (y, 1): a's own update, held
+  ASSERT_TRUE(a.AcceptPropagation(resp).ok());
+  EXPECT_EQ(*a.Read("z"), "vz");
+  EXPECT_EQ(a.dbvv(), b.dbvv());
+  EXPECT_EQ(a.CanonicalState(), b.CanonicalState());
+  EXPECT_TRUE(a.CheckInvariants().ok());
 }
 
 TEST(PropagationTest, OnlyLatestVersionShipped) {
@@ -392,12 +412,35 @@ TEST(RobustnessTest, OutOfOrderTailRejected) {
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
 
-TEST(RobustnessTest, TailRecordBelowHorizonRejected) {
+// A record at or below the horizon that P_k(x) already covers is a
+// re-shipment (a source answering an older request): skipped, no change.
+TEST(RobustnessTest, TailRecordBelowHorizonCoveredIsNoop) {
   Replica a(0, 2), b(1, 2);
   ASSERT_TRUE(b.Update("x", "v").ok());
   ASSERT_TRUE(PropagateOnce(b, a).ok());  // a's horizon for origin 1 is 1
+  const std::string before = a.CanonicalState();
   PropagationResponse stale = OneItemResponse(2, "x", 1, 1);  // seq == horizon
-  EXPECT_TRUE(a.AcceptPropagation(stale).IsInvalidArgument());
+  EXPECT_TRUE(a.AcceptPropagation(stale).ok());
+  EXPECT_EQ(a.CanonicalState(), before);
+  EXPECT_EQ(a.stats().redundant_items_received, 1u);
+  EXPECT_TRUE(a.CheckInvariants().ok());
+}
+
+// Below the horizon, a record P_k(x) does not cover cannot come from a
+// correct source: rejected whole, before anything changes.
+TEST(RobustnessTest, TailRecordBelowHorizonUncoveredRejected) {
+  Replica a(0, 2), b(1, 2);
+  ASSERT_TRUE(b.Update("x", "v").ok());
+  ASSERT_TRUE(b.Update("y", "w").ok());
+  ASSERT_TRUE(PropagateOnce(b, a).ok());  // horizon 2: x at 1, y at 2
+  const std::string before = a.CanonicalState();
+  // P_1(z) is absent.
+  EXPECT_TRUE(
+      a.AcceptPropagation(OneItemResponse(2, "z", 1, 1)).IsInvalidArgument());
+  // P_1(x) holds seq 1, older than the record's 2.
+  EXPECT_TRUE(
+      a.AcceptPropagation(OneItemResponse(2, "x", 2, 1)).IsInvalidArgument());
+  EXPECT_EQ(a.CanonicalState(), before);
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
 
@@ -459,6 +502,34 @@ TEST(RobustnessTest, DuplicateItemInResponseRejected) {
   PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
   resp.items.push_back(resp.items[0]);
   EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+}
+
+// A repeated name that is already stored is caught by its IsSelected mark,
+// which the rejection must leave down again.
+TEST(RobustnessTest, DuplicateStoredItemRejectedAndMarkCleared) {
+  Replica a(0, 2);
+  ASSERT_TRUE(a.Update("x", "mine").ok());
+  PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
+  resp.items.push_back(resp.items[0]);
+  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_FALSE(a.FindItem("x")->is_selected);
+  EXPECT_EQ(*a.Read("x"), "mine");
+  EXPECT_TRUE(a.CheckInvariants().ok());
+}
+
+// Tail records resolve through their index into S; an index naming a
+// different item than the record is a forgery.
+TEST(RobustnessTest, TailIndexNamingAnotherItemRejected) {
+  Replica a(0, 2);
+  PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
+  resp.items.push_back(OneItemResponse(2, "y", 1, 0).items[0]);
+  PropagationResponseView view;
+  wire::MakeResponseView(resp, &view);
+  ASSERT_EQ(view.tails[1][0].item_index, 0u);
+  view.tails[1][0].item_index = 1;  // S[1] is y, the record names x
+  EXPECT_TRUE(a.AcceptPropagation(view).IsInvalidArgument());
+  EXPECT_EQ(a.dbvv(), Vv({0, 0}));
+  EXPECT_TRUE(a.CheckInvariants().ok());
 }
 
 TEST(RobustnessTest, EmptyItemNameRejected) {

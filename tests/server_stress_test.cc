@@ -178,6 +178,46 @@ TEST(ServerStressTest, DisjointWritersConvergeWithoutConflicts) {
   }
 }
 
+// Two pulls from the same source racing on one node: the later accept
+// meets records the earlier one applied after the later request was built.
+// Those re-shipped records are skipped, so every pull must succeed.
+TEST(ServerStressTest, ConcurrentPullsOnOneNodeAllSucceed) {
+  constexpr int kPullsPerThread = 300;
+  StressCluster cluster(/*num_shards=*/4, /*ae_workers=*/2);
+  cluster.StopAntiEntropy();
+
+  std::atomic<bool> pulling{true};
+  std::thread writer([&cluster, &pulling] {
+    ReplicaClient client(&cluster.transport(), 0);
+    for (int u = 0; pulling.load(); ++u) {
+      const std::string key = "k" + std::to_string(u % 40);
+      EXPECT_TRUE(client.Update(key, key + "=" + std::to_string(u)).ok());
+    }
+  });
+  std::vector<std::thread> pullers;
+  for (int t = 0; t < 2; ++t) {
+    pullers.emplace_back([&cluster] {
+      for (int p = 0; p < kPullsPerThread; ++p) {
+        const Status s = cluster.server(1).PullFrom(0);
+        ASSERT_TRUE(s.ok()) << "pull " << p << ": " << s.ToString();
+      }
+    });
+  }
+  for (auto& t : pullers) t.join();
+  pulling.store(false);
+  writer.join();
+
+  ASSERT_TRUE(cluster.server(1).PullFrom(0).ok());
+  VersionVector source, puller;
+  cluster.server(0).WithReplica(
+      [&source](const ShardedReplica& r) { source = r.AggregateDbvv(); });
+  cluster.server(1).WithReplica(
+      [&puller](const ShardedReplica& r) { puller = r.AggregateDbvv(); });
+  EXPECT_EQ(puller, source);
+  EXPECT_EQ(cluster.server(1).Scan(""), cluster.server(0).Scan(""));
+  cluster.CheckInvariantsEverywhere();
+}
+
 TEST(ServerStressTest, OverlappingWritersConflictAndResolve) {
   constexpr int kUpdatesPerWriter = 60;
   constexpr int kSharedKeys = 5;

@@ -227,7 +227,7 @@ VersionVector SampleBase() { return Vv({7, 2, 2}); }
 TEST(WireV3Test, SegmentBodyRoundTrip) {
   PropagationResponse m = SampleResponse();
   PropagationResponseView view;
-  MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+  MakeResponseView(m, &view);
 
   std::string body;
   EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
@@ -248,7 +248,7 @@ TEST(WireV3Test, SegmentBodyCompressedRoundTrip) {
   PropagationResponse m = SampleResponse();
   m.items[0].value = std::string(4096, 'x');  // compressible payload
   PropagationResponseView view;
-  MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+  MakeResponseView(m, &view);
 
   std::string plain;
   EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
@@ -272,7 +272,7 @@ TEST(WireV3Test, SegmentBodyCompressedRoundTrip) {
 TEST(WireV3Test, SegmentBodySkipsCompressionBelowThreshold) {
   PropagationResponse m = SampleResponse();  // must outlive the view
   PropagationResponseView view;
-  MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+  MakeResponseView(m, &view);
   V3SegmentOptions opts;
   opts.compress = true;
   opts.min_compress_bytes = 1 << 20;
@@ -284,7 +284,7 @@ TEST(WireV3Test, SegmentBodySkipsCompressionBelowThreshold) {
 TEST(WireV3Test, SegmentBodyRejectsTrailingAndUnknownFlags) {
   PropagationResponse m = SampleResponse();  // must outlive the view
   PropagationResponseView view;
-  MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+  MakeResponseView(m, &view);
   std::string body;
   EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
                            &body);
@@ -303,7 +303,7 @@ TEST(WireV3Test, SegmentBodyRejectsTrailingAndUnknownFlags) {
 TEST(WireV3Test, SegmentBodyRejectsOutOfRangeTailIndex) {
   PropagationResponse m = SampleResponse();
   PropagationResponseView view;
-  MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+  MakeResponseView(m, &view);
   view.tails[0][0].item_index = 99;  // S has 2 entries
   std::string body;
   EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
@@ -320,6 +320,11 @@ TEST(WireV3Test, MakeResponseViewMaterializeRoundTrip) {
   PropagationResponseView view;
   MakeResponseView(m, &view);
   ExpectResponsesEqual(MaterializeResponse(view), m);
+  // Tail records always come out indexed into S, like decoded v3 ones, so
+  // every view takes the same accept path.
+  EXPECT_EQ(view.tails[0][0].item_index, 0u);
+  EXPECT_EQ(view.tails[0][1].item_index, 1u);
+  EXPECT_EQ(view.tails[2][0].item_index, 0u);
 
   PropagationResponse current;
   current.you_are_current = true;
@@ -343,6 +348,9 @@ TEST(WireV3Test, V2ViewDecodeMatchesOwnedDecode) {
   PropagationResponseView view;
   ASSERT_TRUE(DecodePropagationResponseBodyView(body, &storage, &view).ok());
   ExpectResponsesEqual(MaterializeResponse(view), *owned);
+  // v2 tails name their items; the decoder resolves the index into S.
+  EXPECT_EQ(view.tails[0][1].item_index, 1u);
+  EXPECT_EQ(view.tails[2][0].item_index, 0u);
   // Views really are zero-copy: they point into the caller's buffer.
   ASSERT_FALSE(view.items.empty());
   const char* data_begin = body.data();
@@ -386,7 +394,7 @@ TEST(WireV3Test, SegmentBodyPropertyRoundTrip) {
     }
 
     PropagationResponseView view;
-    MakeResponseView(m, &view, /*fill_tail_indices=*/true);
+    MakeResponseView(m, &view);
     V3SegmentOptions opts;
     opts.compress = trial % 2 == 0;
     opts.min_compress_bytes = 16;

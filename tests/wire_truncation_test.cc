@@ -39,7 +39,7 @@ std::string EncodeV3SegmentBody(bool compressed) {
   PropagationResponse resp = MakePropagationResponse();
   if (compressed) resp.items[0].value = std::string(2048, 'x');
   PropagationResponseView view;
-  wire::MakeResponseView(resp, &view, /*fill_tail_indices=*/true);
+  wire::MakeResponseView(resp, &view);
   VersionVector base(3);
   base[0] = 100;
   base[1] = 100;
