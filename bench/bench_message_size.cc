@@ -7,11 +7,10 @@
 // separating metadata from payload.
 //
 // Experiment W1 (DESIGN.md §10): the same accounting for the sharded
-// exchange under wire v2 (dense IVVs, owned bodies, tag 15) vs wire v3
-// (delta IVVs against the shard DBVV, indexed tails, tag 18). The v3
-// claim is about CONTROL bytes — payload is identical by construction —
-// so the table separates the two and reports the control-byte reduction.
-// `--json` emits the W1 rows as a JSON object for scripts/run_benchmarks.sh.
+// wire-v3 exchange (delta IVVs against the shard DBVV, indexed tails,
+// tag 18). The v3 claim is about CONTROL bytes, so the table separates
+// them from the payload. `--json` emits the W1 rows as a JSON object for
+// scripts/run_benchmarks.sh.
 
 #include <cstdio>
 #include <cstring>
@@ -27,7 +26,6 @@ namespace {
 using epidemic::PropagationRequest;
 using epidemic::PropagationResponse;
 using epidemic::Replica;
-using epidemic::ShardedPropagationRequest;
 using epidemic::ShardedPropagationResponse;
 using epidemic::ShardedReplica;
 
@@ -57,19 +55,15 @@ void RunRow(int64_t m, size_t value_len, size_t num_nodes) {
 }
 
 // One W1 measurement: a sharded source with m single-origin updates serves
-// a cold recipient under both wire formats. Payload (the item values) is
-// identical on both wires, so control = frame - payload isolates the
-// format's own cost: envelope, names, IVVs, tails.
+// a cold recipient. Payload is the item values, so control = frame -
+// payload isolates the format's own cost: envelope, names, IVVs, tails.
 struct W1Row {
   size_t nodes = 0;
   int64_t m = 0;
   size_t value_len = 0;
-  size_t v2_frame = 0;
-  size_t v3_frame = 0;
+  size_t frame = 0;
   size_t payload = 0;
-  size_t v2_control = 0;
-  size_t v3_control = 0;
-  double control_reduction_pct = 0;
+  size_t control = 0;
 };
 
 W1Row RunW1Row(size_t nodes, int64_t m, size_t value_len) {
@@ -79,26 +73,16 @@ W1Row RunW1Row(size_t nodes, int64_t m, size_t value_len) {
     (void)src.Update("item" + std::to_string(i),
                      std::string(value_len, 'x'));
   }
-
-  ShardedPropagationResponse v2 =
-      src.HandlePropagationRequest(dst.BuildPropagationRequest());
-  ShardedPropagationResponse v3 =
+  ShardedPropagationResponse resp =
       src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3());
 
   W1Row row;
   row.nodes = nodes;
   row.m = m;
   row.value_len = value_len;
-  row.v2_frame = epidemic::net::Encode(epidemic::net::Message(v2)).size();
-  row.v3_frame = epidemic::net::Encode(epidemic::net::Message(v3)).size();
+  row.frame = epidemic::net::Encode(epidemic::net::Message(resp)).size();
   row.payload = static_cast<size_t>(m) * value_len;
-  row.v2_control = row.v2_frame - row.payload;
-  row.v3_control = row.v3_frame - row.payload;
-  row.control_reduction_pct =
-      row.v2_control > 0
-          ? 100.0 * (1.0 - static_cast<double>(row.v3_control) /
-                               static_cast<double>(row.v2_control))
-          : 0.0;
+  row.control = row.frame - row.payload;
   return row;
 }
 
@@ -107,23 +91,21 @@ constexpr int64_t kW1Items[] = {64, 256, 4096};
 
 void PrintW1Table() {
   std::printf(
-      "\nW1: sharded exchange, wire v2 vs v3 (8 shards, 64-byte values,\n"
-      "single origin, cold recipient); control = frame - payload\n\n");
-  std::printf("%7s %8s %10s %10s %10s %12s %12s %10s\n", "nodes", "m_items",
-              "v2_frame", "v3_frame", "payload", "v2_control", "v3_control",
-              "saved");
+      "\nW1: sharded exchange, wire v3 (8 shards, 64-byte values, single\n"
+      "origin, cold recipient); control = frame - payload\n\n");
+  std::printf("%7s %8s %10s %10s %10s %14s\n", "nodes", "m_items", "frame",
+              "payload", "control", "control/item");
   for (size_t nodes : kW1Nodes) {
     for (int64_t m : kW1Items) {
       W1Row r = RunW1Row(nodes, m, /*value_len=*/64);
-      std::printf("%7zu %8lld %10zu %10zu %10zu %12zu %12zu %9.1f%%\n",
-                  r.nodes, static_cast<long long>(r.m), r.v2_frame, r.v3_frame,
-                  r.payload, r.v2_control, r.v3_control,
-                  r.control_reduction_pct);
+      std::printf("%7zu %8lld %10zu %10zu %10zu %14.1f\n", r.nodes,
+                  static_cast<long long>(r.m), r.frame, r.payload, r.control,
+                  static_cast<double>(r.control) / static_cast<double>(r.m));
     }
   }
   std::printf(
-      "\nshape check: the reduction grows with the replica count (dense\n"
-      "IVVs cost one varint per node; deltas cost one pair per WRITER).\n");
+      "\nshape check: control bytes are flat in the replica count (a delta\n"
+      "IVV costs one pair per WRITER, not one varint per node).\n");
 }
 
 void PrintW1Json() {
@@ -134,12 +116,10 @@ void PrintW1Json() {
       W1Row r = RunW1Row(nodes, m, /*value_len=*/64);
       std::printf(
           "%s    {\"nodes\": %zu, \"m_items\": %lld, \"value_len\": %zu, "
-          "\"v2_frame_bytes\": %zu, \"v3_frame_bytes\": %zu, "
-          "\"payload_bytes\": %zu, \"v2_control_bytes\": %zu, "
-          "\"v3_control_bytes\": %zu, \"control_reduction_pct\": %.2f}",
+          "\"frame_bytes\": %zu, \"payload_bytes\": %zu, "
+          "\"control_bytes\": %zu}",
           first ? "" : ",\n", r.nodes, static_cast<long long>(r.m),
-          r.value_len, r.v2_frame, r.v3_frame, r.payload, r.v2_control,
-          r.v3_control, r.control_reduction_pct);
+          r.value_len, r.frame, r.payload, r.control);
       first = false;
     }
   }

@@ -7,7 +7,7 @@
 //
 // Part C (wire v3, DESIGN.md §10) measures the same exchange through the
 // zero-copy view pipeline (PropagateOnceFast) against the owned baseline,
-// and the sharded exchange through the real v2 vs v3 wire codecs. The
+// and the sharded exchange through the real wire-v3 codec. The
 // `serve_allocs`/`accept_allocs` counters are ReplicaStats'
 // *_staging_allocs: owned-string materializations per exchange, which the
 // view path must drive to zero.
@@ -120,9 +120,8 @@ void BM_SweepDatabaseSize(benchmark::State& state) {
 
 // One sharded anti-entropy exchange through the REAL wire codec: build the
 // handshake, encode+decode the request frame, serve, encode+decode the
-// response frame, accept. `wire_version` selects tags 14/15 (v2, owned)
-// or 17/18 (v3, delta segments + zero-copy accept).
-void MeasureShardedWire(benchmark::State& state, int wire_version) {
+// response frame, accept (tags 17/18: delta segments + zero-copy accept).
+void BM_ShardedWireExchangeV3(benchmark::State& state) {
   constexpr int64_t kDbItems = 65536;  // database size N
   constexpr int64_t kDirty = 4096;     // m dirty items per exchange
   constexpr size_t kShards = 8;
@@ -132,8 +131,8 @@ void MeasureShardedWire(benchmark::State& state, int wire_version) {
   for (int64_t i = 0; i < kDbItems; ++i) {
     (void)src.Update("k" + std::to_string(i), preload_value);
   }
-  (void)PropagateOnceSharded(src, dst);
   BufferPool pool;
+  (void)PropagateOnceShardedV3(src, dst, &pool);
   int tick = 0;
   uint64_t bytes = 0;
   uint64_t exchanges = 0;
@@ -147,23 +146,15 @@ void MeasureShardedWire(benchmark::State& state, int wire_version) {
     }
     state.ResumeTiming();
 
-    ShardedPropagationRequest req =
-        wire_version >= 3 ? dst.BuildPropagationRequestV3()
-                          : dst.BuildPropagationRequest();
+    ShardedPropagationRequest req = dst.BuildPropagationRequestV3();
     auto req2 = epidemic::net::Decode(
         epidemic::net::Encode(epidemic::net::Message(req)));
-    ShardedPropagationResponse resp =
-        wire_version >= 3
-            ? src.HandlePropagationRequestV3(
-                  std::get<ShardedPropagationRequest>(*req2), &pool)
-            : src.HandlePropagationRequest(
-                  std::get<ShardedPropagationRequest>(*req2));
+    ShardedPropagationResponse resp = src.HandlePropagationRequestV3(
+        std::get<ShardedPropagationRequest>(*req2), &pool);
     std::string frame = epidemic::net::Encode(epidemic::net::Message(resp));
     bytes += frame.size();
     ++exchanges;
-    if (wire_version >= 3) {
-      for (auto& seg : resp.segments) pool.Put(std::move(seg.body));
-    }
+    for (auto& seg : resp.segments) pool.Put(std::move(seg.body));
     auto resp2 = epidemic::net::Decode(frame);
     benchmark::DoNotOptimize(
         dst.AcceptPropagation(std::get<ShardedPropagationResponse>(*resp2)));
@@ -171,18 +162,9 @@ void MeasureShardedWire(benchmark::State& state, int wire_version) {
 
   state.counters["N_items"] = static_cast<double>(kDbItems);
   state.counters["m_dirty"] = static_cast<double>(kDirty);
-  state.counters["wire_version"] = static_cast<double>(wire_version);
   state.counters["frame_bytes"] = exchanges > 0
       ? static_cast<double>(bytes) / static_cast<double>(exchanges)
       : 0.0;
-}
-
-void BM_ShardedWireExchangeV2(benchmark::State& state) {
-  MeasureShardedWire(state, /*wire_version=*/2);
-}
-
-void BM_ShardedWireExchangeV3(benchmark::State& state) {
-  MeasureShardedWire(state, /*wire_version=*/3);
 }
 
 }  // namespace
@@ -199,7 +181,6 @@ BENCHMARK(BM_SweepDatabaseSize)
     ->RangeMultiplier(8)
     ->Range(1 << 10, 1 << 18)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ShardedWireExchangeV2)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardedWireExchangeV3)->Unit(benchmark::kMicrosecond);
 
 // Custom main so the JSON context says what build produced OUR code. The

@@ -54,7 +54,7 @@ std::unique_ptr<ShardedReplica> MakeSeededShardedReplica() {
   EPI_CHECK(r1.Update("beta", "b1").ok());
   EPI_CHECK(r1.Update("gamma", "g1").ok());
   ShardedPropagationResponse resp =
-      r1.HandlePropagationRequest(r0->BuildPropagationRequest());
+      r1.HandlePropagationRequestV3(r0->BuildPropagationRequestV3());
   Status s = r0->AcceptPropagation(resp);
   EPI_CHECK(s.ok() || s.IsConflict()) << s.ToString();
   EPI_CHECK(r0->CheckInvariants().ok());

@@ -79,10 +79,7 @@ std::vector<SeedInput> CodecSeeds() {
   Add(&out, "client_reply",
       net::Encode(net::Message(net::ClientReply{0, "payload"})));
 
-  ShardedPropagationRequest req_v2 = sharded->BuildPropagationRequest();
-  Add(&out, "sharded_request_v2", net::Encode(net::Message(req_v2)));
-  ShardedPropagationRequest req_v3 = sharded->BuildPropagationRequestV3(
-      /*accept_compressed=*/true);
+  ShardedPropagationRequest req_v3 = sharded->BuildPropagationRequestV3();
   Add(&out, "sharded_request_v3", net::Encode(net::Message(req_v3)));
 
   ShardedPropagationRequest probe = req_v3;
@@ -94,10 +91,14 @@ std::vector<SeedInput> CodecSeeds() {
   ShardedReplica source(1, kFuzzNodes, kFuzzShards);
   EPI_CHECK(source.Update("beta", "b1").ok());
   EPI_CHECK(source.Update("gamma", "g1").ok());
-  Add(&out, "sharded_response_v2",
-      net::Encode(net::Message(source.HandlePropagationRequest(req_v2))));
   Add(&out, "sharded_response_v3",
       net::Encode(net::Message(source.HandlePropagationRequestV3(req_v3))));
+
+  // Regression: the mini fuzzer's find in the v1 response decoder. A tail
+  // claiming 2^35 - 1 records made it reserve them before reading any,
+  // and the process died of std::bad_alloc.
+  Add(&out, "prop_response_huge_tail_count",
+      std::string("\x02\x00\x03\xff\xff\xff\xff\x7f\x61\x03\x00\x02", 12));
   return out;
 }
 
@@ -112,20 +113,19 @@ std::vector<SeedInput> WireSegmentV3Seeds() {
   PropagationResponseView view;
   wire::MakeResponseView(resp, &view);
 
-  std::string body;
-  wire::EncodeShardSegmentBodyV3(view, r1.dbvv(), wire::V3SegmentOptions{},
-                                 nullptr, &body);
+  ByteWriter w;
+  wire::EncodeShardSegmentBodyV3Into(w, view, r1.dbvv());
+  const std::string body = w.Release();
   Add(&out, "segment_plain", body);
 
-  wire::V3SegmentOptions compress;
-  compress.compress = true;
-  compress.min_compress_bytes = 0;
-  wire::EncodeShardSegmentBodyV3(view, r1.dbvv(), compress, nullptr, &body);
-  Add(&out, "segment_compressed", body);
+  // The flags byte an older build set on a compressed segment: rejected
+  // now as an unknown flag, before anything else is read.
+  std::string retired_flag = body;
+  retired_flag[0] = '\x01';
+  Add(&out, "segment_retired_compressed_flag", retired_flag);
 
-  Add(&out, "segment_v2", wire::EncodeShardSegmentBody(resp));
-  Add(&out, "segment_truncated",
-      wire::EncodeShardSegmentBody(resp).substr(0, 7));
+  Add(&out, "segment_truncated", body.substr(0, 7));
+  Add(&out, "segment_trailing_byte", body + '\x00');
 
   // Regression: the mini fuzzer's first find. A segment shipping a fresh
   // item whose tail record reuses an origin seq the seeded replica's L[1]

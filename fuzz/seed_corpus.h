@@ -13,7 +13,7 @@ struct SeedInput {
 
 /// Deterministic seed corpus for one target, built by running the real
 /// encoders over small live replicas: valid frames of every version and
-/// flavor (v1/v2/v3, compressed, epoch probes, conflicts, tombstones)
+/// flavor (v1/v3, epoch probes, conflicts, tombstones)
 /// plus a few canonical near-miss inputs (truncations, bad magic). The
 /// same inputs are exported to tests/testdata/fuzz/<target>/ by
 /// fuzz_export_corpus and replayed in-memory by fuzz_corpus_test.

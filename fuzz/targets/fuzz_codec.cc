@@ -7,7 +7,9 @@
 namespace epidemic::fuzz {
 
 /// Boundary: net::Decode — every tagged frame the transport delivers
-/// (wire v1 tags 1-13, v2 tags 14-16, v3 tags 17-18).
+/// (wire v1 tags 1-13, the stats reset tag 16, v3 tags 17-18; numbers
+/// 14 and 15 belonged to the retired sharded wire v2 and must be
+/// rejected as unknown).
 ///
 /// Oracle beyond sanitizers: any frame the decoder accepts must survive an
 /// encode/decode round trip, and the re-encoding must be a fixed point.

@@ -6,8 +6,8 @@
 namespace epidemic::fuzz {
 
 /// Boundary: wire::DecodeShardSegmentBodyV3 — the zero-copy v3 segment
-/// decoder (flags byte, optional LZ compression, base DBVV, delta-IVV
-/// items, indexed tails), straight into a live replica's accept path.
+/// decoder (flags byte, base DBVV, delta-IVV items, indexed tails),
+/// straight into a live replica's accept path.
 ///
 /// Oracle: whatever the decoder accepts, the replica either rejects with a
 /// clean Status or absorbs while keeping the §4.1/§5.2 invariants.
@@ -29,17 +29,6 @@ int Target_wire_segment_v3(const uint8_t* data, size_t size) {
   (void)replica->AcceptPropagation(view);
   OracleExpectOk(replica->CheckInvariants(), "wire_segment_v3",
                  "invariants after v3 segment accept");
-
-  // The v2 view decoder shares the storage plumbing; feed it the same
-  // bytes for free coverage of the non-delta layout.
-  wire::SegmentViewStorage storage2;
-  PropagationResponseView view2;
-  if (wire::DecodePropagationResponseBodyView(body, &storage2, &view2).ok()) {
-    auto replica2 = MakeSeededReplica();
-    (void)replica2->AcceptPropagation(view2);
-    OracleExpectOk(replica2->CheckInvariants(), "wire_segment_v3",
-                   "invariants after v2 view accept");
-  }
   return 0;
 }
 

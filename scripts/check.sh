@@ -79,16 +79,13 @@ case "$mode" in
     cmake --build "$build_dir" -j"$(nproc)" --target epicheck epicheck_test
     # The reference configurations from DESIGN.md §9: every interleaving
     # of the action alphabet up to the stated depth, against the real
-    # replica code. The sharded legs exercise the real wire segments —
-    # the default drives v3 delta segments (tags 17/18), the explicit
-    # --wire 2 leg keeps the legacy owned path (tags 14/15) covered. Then
-    # the ctest leg replays the checked-in trace fixtures (seeded defects
-    # must still reproduce, clean traces must still pass).
+    # replica code. The sharded leg exercises the real wire-v3 segments
+    # (tags 17/18). Then the ctest leg replays the checked-in trace
+    # fixtures (seeded defects must still reproduce, clean traces must
+    # still pass).
     "$build_dir"/tools/epicheck --nodes 2 --items 2 --depth 8 "$@"
     "$build_dir"/tools/epicheck --nodes 3 --items 2 --depth 6 "$@"
     "$build_dir"/tools/epicheck --nodes 2 --items 2 --depth 6 --shards 2 "$@"
-    "$build_dir"/tools/epicheck --nodes 2 --items 2 --depth 6 --shards 2 \
-        --wire 2 "$@"
     ctest --test-dir "$build_dir" --output-on-failure -R epicheck
     exit 0
     ;;

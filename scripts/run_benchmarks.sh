@@ -5,9 +5,9 @@
 # performance claims and, with --json, merges their machine-readable
 # outputs into one artifact:
 #   - bench_propagation      µs/item and allocs/exchange, owned vs view path,
-#                            plus the sharded v2-vs-v3 wire exchange, and
-#                            the E2 N-sweep ends (m=64, N=1,024 vs 262,144)
-#   - bench_message_size     bytes/exchange and control bytes, v2 vs v3 (W1)
+#                            plus the sharded wire-v3 exchange, and the E2
+#                            N-sweep ends (m=64, N=1,024 vs 262,144)
+#   - bench_message_size     bytes/exchange and control bytes, wire v3 (W1)
 #   - bench_sharded_parallel pull rounds/sec under write load
 #   - bench_tcp_cluster      multi-process loopback cluster, pooled vs
 #                            connect-per-call transport (N1)
@@ -69,9 +69,9 @@ if [ ! -x "$EPIDEMICD" ]; then
 fi
 
 # Restrict bench_propagation to the headline cases: the m=4096 sweep points
-# (owned vs fast), the sharded wire exchange pair, and both ends of the E2
+# (owned vs fast), the sharded wire exchange, and both ends of the E2
 # database-size sweep (m=64 at N=1,024 and N=262,144).
-filter='BM_SweepDirtyItems(Fast)?/4096$|BM_ShardedWireExchangeV[23]$'
+filter='BM_SweepDirtyItems(Fast)?/4096$|BM_ShardedWireExchangeV3$'
 filter+='|BM_SweepDatabaseSize/(1024|262144)$'
 gb_args=("--benchmark_filter=${filter}")
 # 4s rows: on a contended 1-core host, 1s rows swing ±50% (a handful of
@@ -135,7 +135,6 @@ def exchange(name):
 
 owned = exchange("BM_SweepDirtyItems/4096")
 fast = exchange("BM_SweepDirtyItemsFast/4096")
-v2 = exchange("BM_ShardedWireExchangeV2")
 v3 = exchange("BM_ShardedWireExchangeV3")
 small_db = exchange("BM_SweepDatabaseSize/1024")
 large_db = exchange("BM_SweepDatabaseSize/262144")
@@ -170,12 +169,7 @@ result = {
             fast["accept_allocs_per_exchange"]),
     },
     "sharded_wire": {
-        "v2": v2,
         "v3": v3,
-        "us_per_exchange_improvement_pct": pct_faster(
-            v2["us_per_exchange"], v3["us_per_exchange"]),
-        "frame_bytes_reduction_pct": pct_faster(
-            v2["frame_bytes_per_exchange"], v3["frame_bytes_per_exchange"]),
     },
     "database_size_e2": {
         "m_dirty": 64,
@@ -195,19 +189,15 @@ with open(out, "w") as f:
     f.write("\n")
 print(f"wrote {out}")
 
-sw = result["sharded_wire"]
-print(f"  wire exchange us/item (N=65536, m=4096) v2={v2['us_per_item']} "
-      f"v3={v3['us_per_item']} ({sw['us_per_exchange_improvement_pct']}% "
-      f"faster)")
+print(f"  wire exchange us/item (N=65536, m=4096) v3={v3['us_per_item']}")
 p = result["propagation"]
 print(f"  in-process us/item owned={owned['us_per_item']} "
       f"fast={fast['us_per_item']} "
       f"({p['us_per_item_improvement_pct']}% faster)")
 print(f"  accept allocs/exchange owned={owned['accept_allocs_per_exchange']} "
       f"fast={fast['accept_allocs_per_exchange']}")
-w1 = [r for r in msg["w1_rows"] if r["nodes"] >= 16 and r["m_items"] >= 64]
-worst = min(r["control_reduction_pct"] for r in w1)
-print(f"  W1 control-byte reduction at n>=16, m>=64: worst {worst:.1f}%")
+w1 = [r["control_bytes"] / r["m_items"] for r in msg["w1_rows"]]
+print(f"  W1 control bytes/item: {min(w1):.1f}-{max(w1):.1f}")
 loaded = {(r["shards"], r["workers"]): r
           for r in par["rows"] if r["writers"] > 0}
 base = loaded.get((1, 0))

@@ -8,7 +8,7 @@
 namespace epidemic {
 
 namespace {
-uint64_t StringWireSize(const std::string& s) { return 1 + s.size(); }
+uint64_t StringWireSize(std::string_view s) { return 1 + s.size(); }
 uint64_t VvWireSize(size_t n) { return 8 * n; }
 }  // namespace
 
@@ -23,13 +23,13 @@ Status ShardedEpidemicNode::SyncWith(ProtocolNode& peer) {
   auto& source = static_cast<ShardedEpidemicNode&>(peer);
   ++sync_stats_.exchanges;
 
-  ShardedPropagationRequest req = replica_.BuildPropagationRequest();
+  ShardedPropagationRequest req = replica_.BuildPropagationRequestV3();
   for (const VersionVector& vv : req.shard_dbvvs) {
     sync_stats_.control_bytes += VvWireSize(vv.size());
   }
 
   ShardedPropagationResponse resp =
-      source.replica_.HandlePropagationRequest(req);
+      source.replica_.HandlePropagationRequestV3(req);
   if (resp.you_are_current()) {
     ++sync_stats_.noop_exchanges;
     sync_stats_.control_bytes += 2;  // shard count + empty segment list
@@ -37,24 +37,26 @@ Status ShardedEpidemicNode::SyncWith(ProtocolNode& peer) {
   }
 
   // Unchanged shards cost one byte of "nothing here" each; shipped shards
-  // are accounted from their decoded per-shard bodies, matching the
+  // are accounted from their decoded per-shard v3 segments, matching the
   // unsharded node's model record for record.
   sync_stats_.control_bytes +=
       resp.num_shards - resp.segments.size();
+  wire::SegmentViewStorage storage;
+  PropagationResponseView body;
   for (const ShardedPropagationSegment& seg : resp.segments) {
-    Result<PropagationResponse> body = wire::DecodeShardSegmentBody(seg.body);
-    if (!body.ok()) return body.status();
-    for (const auto& tail : body->tails) {
-      for (const WireLogRecord& rec : tail) {
+    EPI_RETURN_NOT_OK(
+        wire::DecodeShardSegmentBodyV3(seg.body, &storage, &body));
+    for (const auto& tail : body.tails) {
+      for (const WireLogRecordView& rec : tail) {
         ++sync_stats_.records_shipped;
         sync_stats_.control_bytes += StringWireSize(rec.item_name) + 8;
       }
     }
-    for (const WireItem& item : body->items) {
+    for (const WireItemView& item : body.items) {
       ++sync_stats_.items_examined;
       ++sync_stats_.version_comparisons;
       sync_stats_.control_bytes +=
-          StringWireSize(item.name) + VvWireSize(item.ivv.size());
+          StringWireSize(item.name) + VvWireSize(item.ivv->size());
       sync_stats_.data_bytes += StringWireSize(item.value);
     }
   }

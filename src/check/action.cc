@@ -127,7 +127,6 @@ std::string EncodeTrace(const TraceFile& trace) {
   out += "nodes " + std::to_string(trace.nodes) + "\n";
   out += "items " + std::to_string(trace.items) + "\n";
   out += "shards " + std::to_string(trace.shards) + "\n";
-  out += "wire " + std::to_string(trace.wire) + "\n";
   out += "mutate " + trace.mutation + "\n";
   for (const Action& action : trace.actions) {
     out += FormatAction(action) + "\n";
@@ -148,8 +147,7 @@ Result<TraceFile> DecodeTrace(std::string_view text) {
     std::vector<std::string> tokens = Tokenize(line);
     if (tokens.empty() || tokens[0][0] == '#') continue;
     const std::string& verb = tokens[0];
-    if (verb == "nodes" || verb == "items" || verb == "shards" ||
-        verb == "wire") {
+    if (verb == "nodes" || verb == "items" || verb == "shards") {
       if (tokens.size() != 2) {
         return Status::InvalidArgument("'" + verb + "' takes one argument");
       }
@@ -158,7 +156,6 @@ Result<TraceFile> DecodeTrace(std::string_view text) {
       if (verb == "nodes") trace.nodes = *v;
       if (verb == "items") trace.items = *v;
       if (verb == "shards") trace.shards = *v;
-      if (verb == "wire") trace.wire = *v;
       continue;
     }
     if (verb == "mutate") {

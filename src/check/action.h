@@ -53,11 +53,6 @@ struct TraceFile {
   uint32_t nodes = 2;
   uint32_t items = 2;
   uint32_t shards = 1;
-  /// Wire format for the sharded path: 3 = v3 delta segments, 2 = v2
-  /// owned segments (WorldConfig::wire_version). Traces written before
-  /// the directive existed decode as 3 — the protocol outcomes are
-  /// identical across formats, so replay stays faithful either way.
-  uint32_t wire = 3;
   std::string mutation = "none";
   std::vector<Action> actions;
 };

@@ -238,19 +238,16 @@ Status World::ApplySync(size_t recipient, size_t source) {
   // Sharded: the owned-shard path, exactly the server's task structure —
   // snapshot the handshake as one batch on the recipient's scheduler,
   // serve each stale shard as a task on the source's scheduler (encoding
-  // the real wire segment body: v3 delta segments, tags 17/18, by
-  // default; the owned v2 bodies, tags 14/15, under --wire 2), then
-  // decode and accept each segment as a task on the recipient. The manual
-  // pump drains every batch in ascending shard order, so the whole
-  // exchange is a pure function of the schedule.
+  // the real wire-v3 segment body, tags 17/18), then decode and accept
+  // each segment as a task on the recipient. The manual pump drains every
+  // batch in ascending shard order, so the whole exchange is a pure
+  // function of the schedule.
   ShardedReplica& rrep = *r.sharded;
   ShardedReplica& srep = *s.sharded;
   const size_t num_shards = rrep.num_shards();
-  const bool v3 = config_.wire_version >= 3;
 
   ShardedPropagationRequest req;
   req.requester = rrep.id();
-  if (v3) req.wire_version = kWireV3;
   req.shard_dbvvs.resize(num_shards);
   {
     std::vector<runtime::ShardScheduler::BatchItem> work;
@@ -265,73 +262,52 @@ Status World::ApplySync(size_t recipient, size_t source) {
   }
 
   std::vector<std::string> bodies(num_shards);
-  std::vector<char> has_body(num_shards, 0);
-  wire::V3SegmentOptions opts;  // no compression in the model checker
   {
     std::vector<runtime::ShardScheduler::BatchItem> work;
     work.reserve(num_shards);
     for (size_t k = 0; k < num_shards; ++k) {
       work.push_back(
           {k, runtime::TaskKind::kServe, /*mutates=*/false,
-           [this, &srep, &req, &opts, &bodies, &has_body, v3,
-            k](const runtime::ShardToken& token) {
+           [this, &srep, &req, &bodies, k](const runtime::ShardToken& token) {
              runtime::AssertShardContext(token);
-             const PropagationRequest shard_req{req.requester,
-                                                req.shard_dbvvs[k]};
-             if (v3) {
-               const PropagationResponseView& view =
-                   srep.HandleShardPropagationView(k, shard_req);
-               if (view.you_are_current) return;
-               bodies[k] = buffer_pool_.Get();
-               wire::EncodeShardSegmentBodyV3(view, srep.shard(k).dbvv(),
-                                              opts, &buffer_pool_,
-                                              &bodies[k]);
-             } else {
-               PropagationResponse shard_resp =
-                   srep.HandleShardPropagation(k, shard_req);
-               if (shard_resp.you_are_current) return;
-               bodies[k] = wire::EncodeShardSegmentBody(shard_resp);
-             }
-             has_body[k] = 1;
+             const PropagationResponseView& view =
+                 srep.HandleShardPropagationView(
+                     k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
+             if (view.you_are_current) return;
+             ByteWriter w(buffer_pool_.Get());
+             wire::EncodeShardSegmentBodyV3Into(w, view, srep.shard(k).dbvv());
+             bodies[k] = w.Release();
            }});
     }
     s.sched->ExecuteBatch(std::move(work));
   }
 
+  // A stale shard's body is never empty (it carries at least the flags
+  // byte), so an empty slot means "current, nothing to accept".
   std::vector<Status> statuses(num_shards);
-  std::vector<wire::SegmentViewStorage> storages(v3 ? num_shards : 0);
+  std::vector<wire::SegmentViewStorage> storages(num_shards);
   {
     std::vector<runtime::ShardScheduler::BatchItem> work;
     work.reserve(num_shards);
     for (size_t k = 0; k < num_shards; ++k) {
-      if (has_body[k] == 0) continue;
+      if (bodies[k].empty()) continue;
       work.push_back(
           {k, runtime::TaskKind::kAccept, /*mutates=*/true,
-           [&rrep, &bodies, &statuses, &storages, v3,
+           [&rrep, &bodies, &statuses, &storages,
             k](const runtime::ShardToken& token) {
              runtime::AssertShardContext(token);
-             if (v3) {
-               PropagationResponseView view;
-               Status st = wire::DecodeShardSegmentBodyV3(bodies[k],
-                                                          &storages[k], &view);
-               statuses[k] =
-                   st.ok() ? rrep.AcceptShardPropagation(k, view) : st;
-               return;
-             }
-             Result<PropagationResponse> decoded =
-                 wire::DecodeShardSegmentBody(bodies[k]);
-             statuses[k] = decoded.ok()
-                               ? rrep.AcceptShardPropagation(k, *decoded)
-                               : decoded.status();
+             PropagationResponseView view;
+             Status st =
+                 wire::DecodeShardSegmentBodyV3(bodies[k], &storages[k], &view);
+             statuses[k] = st.ok() ? rrep.AcceptShardPropagation(k, view) : st;
            }});
     }
     r.sched->ExecuteBatch(std::move(work));
   }
   for (size_t k = 0; k < num_shards; ++k) {
-    if (has_body[k] != 0) {
-      buffer_pool_.Put(std::move(bodies[k]));
-      if (!statuses[k].ok()) return statuses[k];
-    }
+    if (bodies[k].empty()) continue;
+    buffer_pool_.Put(std::move(bodies[k]));
+    if (!statuses[k].ok()) return statuses[k];
   }
   return Status::OK();
 }

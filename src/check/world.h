@@ -47,15 +47,11 @@ struct WorldConfig {
   size_t num_nodes = 2;
   size_t num_items = 2;
   /// 1 = drive the plain Replica core; >1 = drive ShardedReplica through
-  /// the real per-shard wire segment encode/decode.
+  /// the real per-shard wire-v3 segment encode, zero-copy decode and view
+  /// accept.
   size_t num_shards = 1;
   /// Include tombstone writes in the alphabet.
   bool with_deletes = false;
-  /// Wire format driven by the sharded path: 3 (default) checks the v3
-  /// delta-encoded segments (tags 17/18) end to end — encode, zero-copy
-  /// decode, view accept; 2 checks the owned v2 path (tags 14/15).
-  /// Ignored when num_shards == 1 (the plain core has no wire step).
-  size_t wire_version = 3;
   Mutation mutation = Mutation::kNone;
 };
 

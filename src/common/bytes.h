@@ -199,17 +199,6 @@ class ByteReader {
     return s;
   }
 
-  /// GetString whose length prefix is a padded backpatch slot (the v3
-  /// direct-to-frame serve writes segment lengths that way).
-  Result<std::string> GetStringPadded() {
-    auto len = GetVarint64Padded();
-    if (!len.ok()) return len.status();
-    if (pos_ + *len > data_.size()) return Truncated("string body");
-    std::string s(data_.substr(pos_, *len));
-    pos_ += *len;
-    return s;
-  }
-
   /// Zero-copy variant of GetString: the returned view borrows the bytes
   /// the reader was constructed over, so it is valid exactly as long as
   /// that buffer. Used by the view-based wire decoders, whose backing
@@ -223,8 +212,8 @@ class ByteReader {
     return s;
   }
 
-  /// GetStringView whose length prefix is a padded backpatch slot (see
-  /// GetStringPadded).
+  /// GetStringView whose length prefix is a padded backpatch slot (the
+  /// sharded serve writes segment lengths that way).
   Result<std::string_view> GetStringViewPadded() {
     auto len = GetVarint64Padded();
     if (!len.ok()) return len.status();

@@ -26,9 +26,8 @@ enum class RecordTag : uint8_t {
   kOob = 4,
   kResolve = 5,
   // A raw wire-v3 segment body, journaled verbatim (so the journal pays
-  // the same delta/compression savings as the wire) and replayed through
-  // the zero-copy decode + view accept. Old journals (tags 1-5) replay
-  // unchanged.
+  // the same delta savings as the wire) and replayed through the zero-copy
+  // decode + view accept. Old journals (tags 1-5) replay unchanged.
   kPropagationSegV3 = 6,
 };
 
@@ -401,15 +400,7 @@ Status JournaledShardedReplica::AcceptPropagation(
       }
       continue;
     }
-    Status s;
-    if (resp.wire_version >= kWireV3) {
-      s = shards_[seg.shard]->AcceptPropagationSegmentV3(seg.body);
-    } else {
-      Result<PropagationResponse> decoded =
-          wire::DecodeShardSegmentBody(seg.body);
-      s = decoded.ok() ? shards_[seg.shard]->AcceptPropagation(*decoded)
-                       : decoded.status();
-    }
+    Status s = shards_[seg.shard]->AcceptPropagationSegmentV3(seg.body);
     if (!s.ok() && first_error.ok()) first_error = s;
   }
   return first_error;

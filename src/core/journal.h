@@ -161,10 +161,6 @@ class JournaledShardedReplica {
     return shards_[view_->ShardOf(name)]->ResolveConflict(name, remote_vv,
                                                           value);
   }
-  Status AcceptShardPropagation(size_t shard, const PropagationResponse& r)
-      REQUIRES_SHARD_CONTEXT {
-    return shards_[shard]->AcceptPropagation(r);
-  }
   /// Journaled accept of one shard's raw v3 segment body (see
   /// JournaledReplica::AcceptPropagationSegmentV3).
   Status AcceptShardPropagationSegmentV3(size_t shard, std::string_view body)
@@ -175,7 +171,7 @@ class JournaledShardedReplica {
     return shards_[view_->ShardOf(resp.item_name)]->AcceptOobResponse(resp);
   }
 
-  /// Applies a full sharded response, journaling each segment to its
+  /// Applies a full sharded response, journaling each v3 segment to its
   /// shard. Applies every segment even if one fails; first error wins.
   Status AcceptPropagation(const ShardedPropagationResponse& resp)
       REQUIRES_SHARD_CONTEXT;

@@ -10,20 +10,16 @@
 
 namespace epidemic {
 
-/// Wire protocol versions of the sharded propagation exchange. v2 (tags
-/// 14/15) ships dense per-item IVVs and owned strings; v3 (tags 17/18)
-/// delta-encodes IVVs against the segment's base DBVV, references tail
-/// items by index, and supports zero-copy decode plus optional segment
-/// compression (DESIGN.md §10). v1 is the unsharded exchange (tags 1/2).
-inline constexpr uint8_t kWireV2 = 2;
+// The sharded propagation exchange speaks one format, wire v3 (tags
+// 17/18): IVVs delta-encoded against the segment's base DBVV, tail items
+// referenced by index, zero-copy decode (DESIGN.md §10). v1 is the
+// unsharded exchange (tags 1/2). Request flag bit 0x01 once asked for
+// compressed segments; sources ignore it and never compress.
+
+/// Kept only because perfbench/src/layers.cc names it.
 inline constexpr uint8_t kWireV3 = 3;
 
-/// v3 request flag: the requester is willing to receive compressed
-/// segment bodies (negotiated per exchange; a v3 source never compresses
-/// unless the recipient asked).
-inline constexpr uint8_t kPropFlagAcceptCompressed = 0x01;
-
-/// v3 request flag: the request is an epoch probe — it carries no shard
+/// Request flag: the request is an epoch probe — it carries no shard
 /// DBVVs, only `last_epoch`, the source mutation epoch the requester saw
 /// on its last completed pull. If the source's epoch still matches, the
 /// reply is the O(1) "you-are-current"; otherwise the source answers
@@ -32,7 +28,7 @@ inline constexpr uint8_t kPropFlagAcceptCompressed = 0x01;
 /// DBVV dominance check: a quiescent round costs O(1), not O(S).
 inline constexpr uint8_t kPropFlagEpochProbe = 0x02;
 
-/// v3 response flag: the probe's epoch no longer matches — resend the
+/// Response flag: the probe's epoch no longer matches — resend the
 /// handshake with shard DBVVs. Carries no segments; the requester must
 /// not cache the attached epoch (no data was served under it).
 inline constexpr uint8_t kPropRespFlagResend = 0x01;
@@ -114,7 +110,7 @@ struct PropagationResponseView {
   }
 };
 
-/// Sharded handshake (wire format v2): one round trip carries the DBVV of
+/// Sharded handshake (wire v3, tag 17): one round trip carries the DBVV of
 /// every shard, so a recipient lagging on any subset of shards pulls all of
 /// them in a single exchange. Each shard is a complete instance of the
 /// paper's protocol state, so the per-shard semantics (Fig. 2-4) are
@@ -123,25 +119,21 @@ struct PropagationResponseView {
 struct ShardedPropagationRequest {
   NodeId requester = 0;
   std::vector<VersionVector> shard_dbvvs;  // indexed by shard
-  /// Which wire tag this request travels under (kWireV2 → tag 14,
-  /// kWireV3 → tag 17). Not itself serialized — implied by the tag.
-  uint8_t wire_version = kWireV2;
-  /// v3 only: kPropFlag* negotiation bits (serialized on the v3 wire).
+  /// kPropFlag* bits.
   uint8_t flags = 0;
-  /// v3 only: with kPropFlagEpochProbe, the source mutation epoch this
-  /// requester recorded from its last completed pull (0 = never pulled).
+  /// With kPropFlagEpochProbe, the source mutation epoch this requester
+  /// recorded from its last completed pull (0 = never pulled).
   uint64_t last_epoch = 0;
 };
 
 /// One shard's segment of a sharded reply: the shard index plus the
-/// *encoded* PropagationResponse body (core/wire.h). Bodies stay opaque at
-/// the envelope layer so each shard can be encoded at the source and
-/// decoded at the recipient independently — in parallel, under that shard's
-/// lock only.
+/// encoded v3 segment body (wire::EncodeShardSegmentBodyV3Into). Bodies
+/// stay opaque at the envelope layer so each shard can be encoded at the
+/// source and decoded at the recipient independently — in parallel, inside
+/// that shard's single-writer section only.
 struct ShardedPropagationSegment {
   uint32_t shard = 0;
-  std::string body;  // v2: EncodePropagationResponseBody bytes;
-                     // v3: EncodeShardSegmentBodyV3 bytes (self-framed)
+  std::string body;
 };
 
 /// Source reply to a sharded handshake. Shards found current by the O(1)
@@ -151,15 +143,14 @@ struct ShardedPropagationSegment {
 struct ShardedPropagationResponse {
   uint32_t num_shards = 0;
   std::vector<ShardedPropagationSegment> segments;
-  /// Segment body format (kWireV2 or kWireV3); selects the net tag
-  /// (15 vs 18) and the per-segment decoder. Implied by the tag on the
-  /// wire, never serialized.
-  uint8_t wire_version = kWireV2;
-  /// v3 only: kPropRespFlag* bits (serialized on the v3 wire).
+  /// Never read or serialized: every sharded reply is v3. Kept only
+  /// because perfbench/src/layers.cc assigns it.
+  uint8_t wire_version = kWireV3;
+  /// kPropRespFlag* bits.
   uint8_t resp_flags = 0;
-  /// v3 only: the source's mutation epoch sampled *before* serving, so
-  /// anything the segments miss has a later epoch. The requester caches
-  /// it after a successful accept and probes with it next round.
+  /// The source's mutation epoch sampled *before* serving, so anything
+  /// the segments miss has a later epoch. The requester caches it after a
+  /// successful accept and probes with it next round.
   uint64_t epoch = 0;
 
   bool you_are_current() const { return segments.empty(); }

@@ -62,7 +62,7 @@ std::vector<std::pair<std::string, std::string>> ShardedReplica::Scan(
   return out;
 }
 
-ShardedPropagationRequest ShardedReplica::BuildPropagationRequest() const {
+ShardedPropagationRequest ShardedReplica::BuildPropagationRequestV3() const {
   ShardedPropagationRequest req;
   req.requester = id();
   req.shard_dbvvs.reserve(shards_.size());
@@ -72,59 +72,27 @@ ShardedPropagationRequest ShardedReplica::BuildPropagationRequest() const {
   return req;
 }
 
-ShardedPropagationRequest ShardedReplica::BuildPropagationRequestV3(
-    bool accept_compressed) const {
-  ShardedPropagationRequest req = BuildPropagationRequest();
-  req.wire_version = kWireV3;
-  if (accept_compressed) req.flags |= kPropFlagAcceptCompressed;
-  return req;
-}
-
-ShardedPropagationResponse ShardedReplica::HandlePropagationRequest(
-    const ShardedPropagationRequest& req) {
-  ShardedPropagationResponse resp;
-  resp.num_shards = static_cast<uint32_t>(shards_.size());
-  if (req.shard_dbvvs.size() != shards_.size()) {
-    // Topology mismatch: reply "current" with our shard count so the
-    // requester can diagnose; it must not apply anything.
-    return resp;
-  }
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    PropagationResponse shard_resp = shards_[k]->HandlePropagationRequest(
-        PropagationRequest{req.requester, req.shard_dbvvs[k]});
-    if (shard_resp.you_are_current) continue;
-    resp.segments.push_back(ShardedPropagationSegment{
-        static_cast<uint32_t>(k), wire::EncodeShardSegmentBody(shard_resp)});
-  }
-  return resp;
-}
-
 ShardedPropagationResponse ShardedReplica::HandlePropagationRequestV3(
     const ShardedPropagationRequest& req, BufferPool* pool) {
   ShardedPropagationResponse resp;
-  resp.wire_version = kWireV3;
   resp.num_shards = static_cast<uint32_t>(shards_.size());
   if (req.shard_dbvvs.size() != shards_.size()) {
     // Topology mismatch: reply "current" with our shard count so the
     // requester can diagnose; it must not apply anything.
     return resp;
   }
-  wire::V3SegmentOptions opts;
-  opts.compress = (req.flags & kPropFlagAcceptCompressed) != 0;
   for (size_t k = 0; k < shards_.size(); ++k) {
     const PropagationResponseView& view = shards_[k]->HandlePropagationView(
         PropagationRequest{req.requester, req.shard_dbvvs[k]});
     // A current shard produces no segment and constructs nothing — the
     // O(1) DBVV check is the only work done.
     if (view.you_are_current) continue;
-    ShardedPropagationSegment seg;
-    seg.shard = static_cast<uint32_t>(k);
-    seg.body = pool != nullptr ? pool->Get() : std::string();
+    ByteWriter w(pool != nullptr ? pool->Get() : std::string());
     // The delta base is this shard's DBVV: §4.1 gives ivv(x)[j] ≤ V[j]
     // for every item in the shard, so complement deltas never underflow.
-    wire::EncodeShardSegmentBodyV3(view, shards_[k]->dbvv(), opts, pool,
-                                   &seg.body);
-    resp.segments.push_back(std::move(seg));
+    wire::EncodeShardSegmentBodyV3Into(w, view, shards_[k]->dbvv());
+    resp.segments.push_back(
+        ShardedPropagationSegment{static_cast<uint32_t>(k), w.Release()});
   }
   return resp;
 }
@@ -137,8 +105,8 @@ Status ShardedReplica::AcceptPropagation(
         " shards, this replica " + std::to_string(shards_.size()));
   }
   Status first_error = Status::OK();
-  // v3 decode state shared (and reused) across segments: the views live
-  // only for the duration of each shard's accept call.
+  // Decode state shared (and reused) across segments: the views live only
+  // for the duration of each shard's accept call.
   wire::SegmentViewStorage storage;
   PropagationResponseView view;
   for (const ShardedPropagationSegment& seg : resp.segments) {
@@ -148,16 +116,8 @@ Status ShardedReplica::AcceptPropagation(
       }
       continue;
     }
-    Status s;
-    if (resp.wire_version >= kWireV3) {
-      s = wire::DecodeShardSegmentBodyV3(seg.body, &storage, &view);
-      if (s.ok()) s = shards_[seg.shard]->AcceptPropagation(view);
-    } else {
-      Result<PropagationResponse> decoded =
-          wire::DecodeShardSegmentBody(seg.body);
-      s = decoded.ok() ? shards_[seg.shard]->AcceptPropagation(*decoded)
-                       : decoded.status();
-    }
+    Status s = wire::DecodeShardSegmentBodyV3(seg.body, &storage, &view);
+    if (s.ok()) s = shards_[seg.shard]->AcceptPropagation(view);
     if (!s.ok() && first_error.ok()) first_error = s;
   }
   return first_error;
@@ -269,22 +229,10 @@ std::string ShardedReplica::DebugString() const {
   return out;
 }
 
-Result<size_t> PropagateOnceSharded(ShardedReplica& source,
-                                    ShardedReplica& recipient) {
-  ShardedPropagationRequest req = recipient.BuildPropagationRequest();
-  ShardedPropagationResponse resp = source.HandlePropagationRequest(req);
-  uint64_t adopted_before = recipient.TotalStats().items_adopted;
-  Status s = recipient.AcceptPropagation(resp);
-  if (!s.ok()) return s;
-  return static_cast<size_t>(recipient.TotalStats().items_adopted -
-                             adopted_before);
-}
-
 Result<size_t> PropagateOnceShardedV3(ShardedReplica& source,
                                       ShardedReplica& recipient,
-                                      bool compress, BufferPool* pool) {
-  ShardedPropagationRequest req =
-      recipient.BuildPropagationRequestV3(compress);
+                                      BufferPool* pool) {
+  ShardedPropagationRequest req = recipient.BuildPropagationRequestV3();
   ShardedPropagationResponse resp =
       source.HandlePropagationRequestV3(req, pool);
   uint64_t adopted_before = recipient.TotalStats().items_adopted;

@@ -98,47 +98,36 @@ class ShardedReplica {
   // ---------------------------------------------------------------------
   // Sharded update propagation: one round trip for all shards.
 
-  /// Step (1): every shard's DBVV in one handshake message.
-  ShardedPropagationRequest BuildPropagationRequest() const;
+  /// Step (1): every shard's DBVV in one wire-v3 handshake message. The
+  /// V3 suffix is kept only because perfbench/src/layers.cc calls it.
+  ShardedPropagationRequest BuildPropagationRequestV3() const;
 
-  /// Step (1), wire v3: same handshake, tagged v3 and carrying the
-  /// negotiation flags byte (`accept_compressed` advertises that the
-  /// source may LZ77-compress large segments).
-  ShardedPropagationRequest BuildPropagationRequestV3(
-      bool accept_compressed = false) const;
-
-  /// Source side: runs SendPropagation (Fig. 2) per shard; shards the
-  /// requester is current on are omitted from the reply. Touches every
-  /// shard. The server layer instead calls HandleShardPropagation per shard
-  /// under striped locks; this serial form serves single-threaded callers
-  /// (simulator, benchmarks, tests).
-  ShardedPropagationResponse HandlePropagationRequest(
-      const ShardedPropagationRequest& req) REQUIRES_SHARD_CONTEXT;
-
-  /// Source side, wire v3: each stale shard is served zero-copy
-  /// (HandlePropagationView) and encoded straight into a v3 segment body —
-  /// delta IVVs against the shard's DBVV, indexed tails, compression when
-  /// the request's flags allow. Shards the requester is current on
-  /// construct nothing at all. `pool` (nullable) supplies the segment and
-  /// compression buffers; bodies are moved into the reply, so callers that
-  /// want reuse return them to the pool after the frame is encoded.
+  /// Source side: runs SendPropagation (Fig. 2) per shard; each stale shard
+  /// is served zero-copy (HandlePropagationView) and encoded straight into
+  /// a v3 segment body — delta IVVs against the shard's DBVV, indexed
+  /// tails. Shards the requester is current on are omitted from the reply
+  /// and construct nothing at all. Touches every shard. `pool` (nullable)
+  /// supplies the segment buffers; bodies are moved into the reply, so
+  /// callers that want reuse return them to the pool after the frame is
+  /// encoded. The server serves each shard as its own task instead; this
+  /// serial form serves single-threaded callers (simulator, benchmarks,
+  /// tests).
   ShardedPropagationResponse HandlePropagationRequestV3(
       const ShardedPropagationRequest& req, BufferPool* pool = nullptr)
       REQUIRES_SHARD_CONTEXT;
 
-  /// Recipient side: AcceptPropagation (Fig. 3-4) per received segment.
-  /// Touches the shards named by the response. Applies every segment even
-  /// if one fails; returns the first error. Dispatches on
-  /// `resp.wire_version`: v3 segments decode zero-copy (views into the
-  /// segment bytes, applied directly); v2 segments take the historical
-  /// owned decode.
+  /// Recipient side: AcceptPropagation (Fig. 3-4) per received segment,
+  /// each decoded zero-copy (views into the segment bytes, applied
+  /// directly). Touches the shards named by the response. Applies every
+  /// segment even if one fails; returns the first error.
   Status AcceptPropagation(const ShardedPropagationResponse& resp)
       REQUIRES_SHARD_CONTEXT;
 
-  // Per-shard building blocks for callers that hold per-shard locks.
+  // Per-shard building blocks for callers inside that shard's section.
 
-  /// Fig. 2 for one shard; `req.dbvv` is the requester's DBVV *of this
-  /// shard*.
+  /// Fig. 2 for one shard, owned; `req.dbvv` is the requester's DBVV *of
+  /// this shard*. Serves the whole-database v1 handshake of a single-shard
+  /// server.
   PropagationResponse HandleShardPropagation(size_t shard,
                                              const PropagationRequest& req)
       REQUIRES_SHARD_CONTEXT {
@@ -151,13 +140,6 @@ class ShardedReplica {
   const PropagationResponseView& HandleShardPropagationView(
       size_t shard, const PropagationRequest& req) REQUIRES_SHARD_CONTEXT {
     return shards_[shard]->HandlePropagationView(req);
-  }
-
-  /// Fig. 3-4 for one shard.
-  Status AcceptShardPropagation(size_t shard,
-                                const PropagationResponse& resp)
-      REQUIRES_SHARD_CONTEXT {
-    return shards_[shard]->AcceptPropagation(resp);
   }
 
   /// Fig. 3-4 for one shard over a borrowed response view.
@@ -239,18 +221,12 @@ class ShardedReplica {
 
 /// Runs one full sharded anti-entropy exchange (all shards, one logical
 /// round trip) pulling from `source` into `recipient`, both in-process,
-/// through the real wire encoding of the per-shard segments. Returns the
-/// number of items copied.
-Result<size_t> PropagateOnceSharded(ShardedReplica& source,
-                                    ShardedReplica& recipient)
-    REQUIRES_SHARD_CONTEXT;
-
-/// PropagateOnceSharded over wire v3: the source serves zero-copy into v3
-/// segment bodies (optionally compressed) and the recipient applies them
+/// through the real wire-v3 encoding of the per-shard segments: the source
+/// serves zero-copy into segment bodies and the recipient applies them
 /// through the view decoder. `pool` (nullable) backs the segment buffers.
+/// Returns the number of items copied.
 Result<size_t> PropagateOnceShardedV3(ShardedReplica& source,
                                       ShardedReplica& recipient,
-                                      bool compress = false,
                                       BufferPool* pool = nullptr)
     REQUIRES_SHARD_CONTEXT;
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/compress.h"
 #include "vv/vv_codec.h"
 
 namespace epidemic::wire {
@@ -76,6 +75,11 @@ Result<PropagationResponse> DecodePropagationResponseBody(ByteReader& r) {
   for (auto& tail : m.tails) {
     auto count = r.GetVarint64();
     if (!count.ok()) return count.status();
+    // Every record costs at least two bytes, so a count beyond the
+    // remaining bytes is corrupt — checked before reserving anything.
+    if (*count > r.remaining()) {
+      return Status::Corruption("tail record count exceeds body size");
+    }
     tail.reserve(static_cast<size_t>(*count));
     for (uint64_t i = 0; i < *count; ++i) {
       WireLogRecord rec;
@@ -91,6 +95,9 @@ Result<PropagationResponse> DecodePropagationResponseBody(ByteReader& r) {
 
   auto num_items = r.GetVarint64();
   if (!num_items.ok()) return num_items.status();
+  if (*num_items > r.remaining()) {
+    return Status::Corruption("item count exceeds body size");
+  }
   m.items.reserve(static_cast<size_t>(*num_items));
   for (uint64_t i = 0; i < *num_items; ++i) {
     WireItem item;
@@ -111,105 +118,6 @@ Result<PropagationResponse> DecodePropagationResponseBody(ByteReader& r) {
   return m;
 }
 
-void EncodeShardedPropagationRequestBody(ByteWriter& w,
-                                         const ShardedPropagationRequest& m) {
-  w.PutVarint64(m.requester);
-  w.PutVarint64(m.shard_dbvvs.size());
-  for (const VersionVector& vv : m.shard_dbvvs) {
-    EncodeVersionVector(&w, vv);
-  }
-}
-
-void EncodeShardedPropagationResponseBody(
-    ByteWriter& w, const ShardedPropagationResponse& m) {
-  // Segment bodies dominate the frame; reserving their sum up front turns
-  // the stitch into one allocation instead of a doubling series that
-  // re-copies megabytes.
-  size_t total = 24;
-  for (const ShardedPropagationSegment& seg : m.segments) {
-    total += seg.body.size() + 12;
-  }
-  w.Reserve(w.size() + total);
-  w.PutVarint64(m.num_shards);
-  w.PutVarint64(m.segments.size());
-  for (const ShardedPropagationSegment& seg : m.segments) {
-    w.PutVarint64(seg.shard);
-    w.PutString(seg.body);
-  }
-}
-
-Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBody(
-    ByteReader& r) {
-  ShardedPropagationRequest m;
-  auto requester = r.GetVarint64();
-  if (!requester.ok()) return requester.status();
-  m.requester = static_cast<NodeId>(*requester);
-  auto count = r.GetVarint64();
-  if (!count.ok()) return count.status();
-  if (*count > (1u << 16)) return Status::Corruption("absurd shard count");
-  m.shard_dbvvs.reserve(static_cast<size_t>(*count));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto vv = DecodeVersionVector(&r);
-    if (!vv.ok()) return vv.status();
-    m.shard_dbvvs.push_back(std::move(*vv));
-  }
-  return m;
-}
-
-Result<ShardedPropagationResponse> DecodeShardedPropagationResponseBody(
-    ByteReader& r) {
-  ShardedPropagationResponse m;
-  auto num_shards = r.GetVarint64();
-  if (!num_shards.ok()) return num_shards.status();
-  if (*num_shards > (1u << 16)) return Status::Corruption("absurd shard count");
-  m.num_shards = static_cast<uint32_t>(*num_shards);
-  // The segment count and each segment's length prefix are padded-varint
-  // backpatch slots in the direct-to-frame serve path
-  // (ServeShardedPropagationFrameV3), so these two fields — and only
-  // these — decode with the padded getters.
-  auto count = r.GetVarint64Padded();
-  if (!count.ok()) return count.status();
-  if (*count > *num_shards) {
-    return Status::Corruption("more segments than shards");
-  }
-  m.segments.reserve(static_cast<size_t>(*count));
-  uint64_t prev_shard = 0;
-  for (uint64_t i = 0; i < *count; ++i) {
-    ShardedPropagationSegment seg;
-    auto shard = r.GetVarint64();
-    if (!shard.ok()) return shard.status();
-    // Strictly increasing shard indices < num_shards: rejects duplicates
-    // and out-of-range segments before any shard state is touched.
-    if (*shard >= *num_shards || (i > 0 && *shard <= prev_shard)) {
-      return Status::Corruption("segment shard indices not strictly "
-                                "increasing within the shard count");
-    }
-    prev_shard = *shard;
-    seg.shard = static_cast<uint32_t>(*shard);
-    auto body = r.GetStringPadded();
-    if (!body.ok()) return body.status();
-    seg.body = std::move(*body);
-    m.segments.push_back(std::move(seg));
-  }
-  return m;
-}
-
-std::string EncodeShardSegmentBody(const PropagationResponse& m) {
-  ByteWriter w;
-  EncodePropagationResponseBody(w, m);
-  return w.Release();
-}
-
-Result<PropagationResponse> DecodeShardSegmentBody(std::string_view body) {
-  ByteReader r(body);
-  auto resp = DecodePropagationResponseBody(r);
-  if (!resp.ok()) return resp.status();
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after shard segment body");
-  }
-  return resp;
-}
-
 // ---------------------------------------------------------------------------
 // Wire format v3
 // ---------------------------------------------------------------------------
@@ -228,7 +136,6 @@ void EncodeShardedPropagationRequestBodyV3(
 Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBodyV3(
     ByteReader& r) {
   ShardedPropagationRequest m;
-  m.wire_version = kWireV3;
   auto requester = r.GetVarint64();
   if (!requester.ok()) return requester.status();
   m.requester = static_cast<NodeId>(*requester);
@@ -255,28 +162,37 @@ Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBodyV3(
 
 void EncodeShardedPropagationResponseBodyV3(
     ByteWriter& w, const ShardedPropagationResponse& m) {
+  // Segment bodies dominate the frame; reserving their sum up front turns
+  // the stitch into one allocation instead of a doubling series that
+  // re-copies megabytes.
+  size_t total = 24;
+  for (const ShardedPropagationSegment& seg : m.segments) {
+    total += seg.body.size() + 12;
+  }
+  w.Reserve(w.size() + total);
   w.PutU8(m.resp_flags);
   w.PutVarint64(m.epoch);
-  EncodeShardedPropagationResponseBody(w, m);
+  w.PutVarint64(m.num_shards);
+  w.PutVarint64(m.segments.size());
+  for (const ShardedPropagationSegment& seg : m.segments) {
+    w.PutVarint64(seg.shard);
+    w.PutString(seg.body);
+  }
 }
 
 Result<ShardedPropagationResponse> DecodeShardedPropagationResponseBodyV3(
     ByteReader& r) {
-  auto resp_flags = r.GetU8();
-  if (!resp_flags.ok()) return resp_flags.status();
-  auto epoch = r.GetVarint64();
-  if (!epoch.ok()) return epoch.status();
-  auto m = DecodeShardedPropagationResponseBody(r);
-  if (!m.ok()) return m.status();
-  if ((*resp_flags & ~kPropRespFlagResend) != 0) {
-    return Status::Corruption("unknown sharded response flags");
+  ShardedResponseEnvelopeView env;
+  EPI_RETURN_NOT_OK(DecodeShardedPropagationResponseEnvelopeV3(r, &env));
+  ShardedPropagationResponse m;
+  m.resp_flags = env.resp_flags;
+  m.epoch = env.epoch;
+  m.num_shards = env.num_shards;
+  m.segments.reserve(env.segments.size());
+  for (const ShardedSegmentView& seg : env.segments) {
+    m.segments.push_back(
+        ShardedPropagationSegment{seg.shard, std::string(seg.body)});
   }
-  if ((*resp_flags & kPropRespFlagResend) != 0 && !m->segments.empty()) {
-    return Status::Corruption("resend reply carrying segments");
-  }
-  m->wire_version = kWireV3;
-  m->resp_flags = *resp_flags;
-  m->epoch = *epoch;
   return m;
 }
 
@@ -293,7 +209,9 @@ Status DecodeShardedPropagationResponseEnvelopeV3(
   auto num_shards = r.GetVarint64();
   if (!num_shards.ok()) return num_shards.status();
   if (*num_shards > (1u << 16)) return Status::Corruption("absurd shard count");
-  // Padded backpatch slot (see DecodeShardedPropagationResponseBody).
+  // The segment count and each segment's length prefix are padded-varint
+  // backpatch slots in the serve (ReplicaServer::ServeShardedPropagation),
+  // so these two fields — and only these — decode with the padded getters.
   auto count = r.GetVarint64Padded();
   if (!count.ok()) return count.status();
   if (*count > *num_shards) {
@@ -310,6 +228,8 @@ Status DecodeShardedPropagationResponseEnvelopeV3(
   for (uint64_t i = 0; i < *count; ++i) {
     auto shard = r.GetVarint64();
     if (!shard.ok()) return shard.status();
+    // Strictly increasing shard indices < num_shards: rejects duplicates
+    // and out-of-range segments before any shard state is touched.
     if (*shard >= *num_shards || (i > 0 && *shard <= prev_shard)) {
       return Status::Corruption("segment shard indices not strictly "
                                 "increasing within the shard count");
@@ -370,59 +290,31 @@ void EncodeSegmentInnerV3(ByteWriter& w, const PropagationResponseView& m,
 
 }  // namespace
 
-void EncodeShardSegmentBodyV3(const PropagationResponseView& m,
-                              const VersionVector& base,
-                              const V3SegmentOptions& opts, BufferPool* pool,
-                              std::string* out) {
-  // Current shards never reach the encoder: the O(1) DBVV check skips
-  // them before any buffer is constructed.
-  assert(!m.you_are_current);
-  const size_t estimate = EstimateSegmentInnerSize(m, base);
-  if (opts.compress && estimate >= opts.min_compress_bytes) {
-    PooledBuffer inner(pool, estimate);
-    {
-      ByteWriter iw(std::move(*inner));
-      iw.Reserve(estimate);
-      EncodeSegmentInnerV3(iw, m, base);
-      *inner = iw.Release();
-    }
-    PooledBuffer packed(pool, inner->size() / 2 + 16);
-    CompressTo(*inner, &*packed);
-    ByteWriter w(std::move(*out));
-    if (packed->size() + 6 < inner->size()) {
-      w.Reserve(packed->size() + 8);
-      w.PutU8(kSegFlagCompressed);
-      w.PutVarint64(inner->size());
-      w.PutBytes(packed->data(), packed->size());
-    } else {
-      w.Reserve(inner->size() + 1);
-      w.PutU8(0);
-      w.PutBytes(inner->data(), inner->size());
-    }
-    *out = w.Release();
-  } else {
-    ByteWriter w(std::move(*out));
-    w.Reserve(estimate + 1);
-    w.PutU8(0);
-    EncodeSegmentInnerV3(w, m, base);
-    *out = w.Release();
-  }
-}
-
 void EncodeShardSegmentBodyV3Into(ByteWriter& w,
                                   const PropagationResponseView& m,
                                   const VersionVector& base) {
+  // Current shards never reach the encoder: the O(1) DBVV check skips
+  // them before any buffer is constructed.
   assert(!m.you_are_current);
   w.Reserve(w.size() + EstimateSegmentInnerSize(m, base) + 1);
-  w.PutU8(0);
+  w.PutU8(0);  // flags: none defined
   EncodeSegmentInnerV3(w, m, base);
+}
+
+void EncodeShardSegmentBodyV3(const PropagationResponseView& m,
+                              const VersionVector& base,
+                              const V3SegmentOptions& /*opts*/,
+                              BufferPool* /*pool*/, std::string* out) {
+  ByteWriter w(std::move(*out));
+  EncodeShardSegmentBodyV3Into(w, m, base);
+  *out = w.Release();
 }
 
 namespace {
 
-/// Resolves every tail record's `item_index` by name, for responses that
-/// identify tail items by name only (v2 bodies, owned responses). A name
-/// missing from S keeps index 0; the accept rejects it, the names differ.
+/// Resolves every tail record's `item_index` by name, for owned responses,
+/// which identify tail items by name only. A name missing from S keeps
+/// index 0; the accept rejects it, the names differ.
 void FillTailIndicesByName(PropagationResponseView* out) {
   std::unordered_map<std::string_view, uint32_t> index;
   index.reserve(out->items.size());
@@ -516,31 +408,10 @@ Status DecodeViewItemsAndTails(ByteReader& r, const VersionVector& base,
 Status DecodeShardSegmentBodyV3(std::string_view body,
                                 SegmentViewStorage* storage,
                                 PropagationResponseView* out) {
-  ByteReader fr(body);
-  auto flags = fr.GetU8();
+  ByteReader r(body);
+  auto flags = r.GetU8();
   if (!flags.ok()) return flags.status();
-  if ((*flags & ~kSegFlagCompressed) != 0) {
-    return Status::Corruption("unknown v3 segment flags");
-  }
-  std::string_view inner;
-  if (*flags & kSegFlagCompressed) {
-    auto raw_len = fr.GetVarint64();
-    if (!raw_len.ok()) return raw_len.status();
-    if (*raw_len > kMaxSegmentBytes) {
-      return Status::Corruption("absurd decompressed segment size");
-    }
-    Status s = DecompressTo(body.substr(fr.position()), &storage->backing,
-                            static_cast<size_t>(*raw_len));
-    if (!s.ok()) return s;
-    if (storage->backing.size() != *raw_len) {
-      return Status::Corruption("segment raw length mismatch");
-    }
-    inner = storage->backing;
-  } else {
-    inner = body.substr(fr.position());
-  }
-
-  ByteReader r(inner);
+  if (*flags != 0) return Status::Corruption("unknown v3 segment flags");
   out->you_are_current = false;
   auto base = DecodeVersionVector(&r);
   if (!base.ok()) return base.status();
@@ -549,79 +420,6 @@ Status DecodeShardSegmentBodyV3(std::string_view body,
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after v3 segment body");
   }
-  return Status::OK();
-}
-
-Status DecodePropagationResponseBodyView(std::string_view body,
-                                         SegmentViewStorage* storage,
-                                         PropagationResponseView* out) {
-  ByteReader r(body);
-  auto current = r.GetU8();
-  if (!current.ok()) return current.status();
-  out->you_are_current = (*current != 0);
-  if (out->you_are_current) {
-    out->Reset(0);
-    out->you_are_current = true;
-    if (!r.AtEnd()) {
-      return Status::Corruption("trailing bytes after you-are-current");
-    }
-    return Status::OK();
-  }
-
-  // v2 bodies put tails before items; decode tails into a temporary
-  // layout is not needed — re-read in order.
-  auto num_tails = r.GetVarint64();
-  if (!num_tails.ok()) return num_tails.status();
-  if (*num_tails > (1u << 20)) return Status::Corruption("absurd tail count");
-  if (out->tails.size() > *num_tails) out->tails.resize(*num_tails);
-  for (auto& tail : out->tails) tail.clear();
-  if (out->tails.size() < *num_tails) out->tails.resize(*num_tails);
-  for (auto& tail : out->tails) {
-    auto count = r.GetVarint64();
-    if (!count.ok()) return count.status();
-    if (*count > r.remaining()) {
-      return Status::Corruption("tail record count exceeds body size");
-    }
-    tail.reserve(static_cast<size_t>(*count));
-    for (uint64_t i = 0; i < *count; ++i) {
-      WireLogRecordView rec;
-      auto name = r.GetStringView();
-      if (!name.ok()) return name.status();
-      rec.item_name = *name;
-      auto seq = r.GetVarint64();
-      if (!seq.ok()) return seq.status();
-      rec.seq = *seq;
-      tail.push_back(rec);
-    }
-  }
-
-  auto num_items = r.GetVarint64();
-  if (!num_items.ok()) return num_items.status();
-  if (*num_items > r.remaining()) {
-    return Status::Corruption("item count exceeds body size");
-  }
-  storage->ivvs.clear();
-  storage->ivvs.reserve(static_cast<size_t>(*num_items));
-  out->items.clear();
-  out->items.reserve(static_cast<size_t>(*num_items));
-  for (uint64_t i = 0; i < *num_items; ++i) {
-    WireItemView item;
-    auto name = r.GetStringView();
-    if (!name.ok()) return name.status();
-    item.name = *name;
-    auto value = r.GetStringView();
-    if (!value.ok()) return value.status();
-    item.value = *value;
-    auto deleted = r.GetU8();
-    if (!deleted.ok()) return deleted.status();
-    item.deleted = (*deleted != 0);
-    auto vv = DecodeVersionVector(&r);
-    if (!vv.ok()) return vv.status();
-    storage->ivvs.push_back(std::move(*vv));
-    item.ivv = &storage->ivvs.back();
-    out->items.push_back(item);
-  }
-  FillTailIndicesByName(out);
   return Status::OK();
 }
 

@@ -64,22 +64,11 @@ void EncodeBody(ByteWriter& w, const ClientSyncRequest& m) {
 void EncodeBody(ByteWriter&, const ClientCheckpointRequest&) {}
 
 void EncodeBody(ByteWriter& w, const ShardedPropagationRequest& m) {
-  if (m.wire_version >= kWireV3) {
-    wire::EncodeShardedPropagationRequestBodyV3(w, m);
-  } else {
-    wire::EncodeShardedPropagationRequestBody(w, m);
-  }
+  wire::EncodeShardedPropagationRequestBodyV3(w, m);
 }
 
 void EncodeBody(ByteWriter& w, const ShardedPropagationResponse& m) {
-  // The v3 response envelope prefixes the v2 layout (num_shards + opaque
-  // segments) with a flags byte and the source's mutation epoch; the
-  // segment body format differs too, which the tag announces.
-  if (m.wire_version >= kWireV3) {
-    wire::EncodeShardedPropagationResponseBodyV3(w, m);
-  } else {
-    wire::EncodeShardedPropagationResponseBody(w, m);
-  }
+  wire::EncodeShardedPropagationResponseBodyV3(w, m);
 }
 
 void EncodeBody(ByteWriter&, const ClientResetStatsRequest&) {}
@@ -113,13 +102,9 @@ MessageType TagOf(const Message& msg) {
     case 12:
       return MessageType::kClientCheckpoint;
     case 13:
-      return std::get<ShardedPropagationRequest>(msg).wire_version >= kWireV3
-                 ? MessageType::kShardedPropagationRequestV3
-                 : MessageType::kShardedPropagationRequest;
+      return MessageType::kShardedPropagationRequestV3;
     case 14:
-      return std::get<ShardedPropagationResponse>(msg).wire_version >= kWireV3
-                 ? MessageType::kShardedPropagationResponseV3
-                 : MessageType::kShardedPropagationResponse;
+      return MessageType::kShardedPropagationResponseV3;
     default:
       return MessageType::kClientResetStats;
   }
@@ -282,12 +267,6 @@ Result<Message> Decode(std::string_view frame) {
     }
     case MessageType::kClientCheckpoint:
       result = Message(ClientCheckpointRequest{});
-      break;
-    case MessageType::kShardedPropagationRequest:
-      result = Wrap(wire::DecodeShardedPropagationRequestBody(r));
-      break;
-    case MessageType::kShardedPropagationResponse:
-      result = Wrap(wire::DecodeShardedPropagationResponseBody(r));
       break;
     case MessageType::kClientResetStats:
       result = Message(ClientResetStatsRequest{});

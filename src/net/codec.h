@@ -86,13 +86,12 @@ using Message =
                  ShardedPropagationResponse, ClientResetStatsRequest>;
 
 /// Wire tags; stable across versions, one byte on the wire.
-/// Tags 14-16 are the wire-format v2 additions (sharded anti-entropy and
-/// atomic stats reset); tags 17-18 are the wire-format v3 exchange
-/// (delta-encoded IVVs, indexed tails, optional segment compression —
-/// DESIGN.md §10). Older peers reject newer tags as unknown, which is
-/// exactly the signal the requester's version fallback keys off.
-/// Tags 17-31 are reserved for v3; enum entries named *V3 must live in
-/// that range (enforced by tools/protocol_lint.py wire-tag-duplicate).
+/// Tag 16 is the atomic stats reset; tags 17-18 are the sharded exchange,
+/// wire format v3 (delta-encoded IVVs, indexed tails — DESIGN.md §10).
+/// Numbers 14 and 15 belonged to the retired sharded wire v2 and must
+/// never be reused: a pre-v3 peer would misparse them (docs/PROTOCOL.md
+/// §6). Tags 17-31 are reserved for v3; enum entries named *V3 must live
+/// in that range (enforced by tools/protocol_lint.py wire-tag-v3-range).
 enum class MessageType : uint8_t {
   kPropagationRequest = 1,
   kPropagationResponse = 2,
@@ -107,8 +106,7 @@ enum class MessageType : uint8_t {
   kClientScan = 11,
   kClientSync = 12,
   kClientCheckpoint = 13,
-  kShardedPropagationRequest = 14,
-  kShardedPropagationResponse = 15,
+  // 14, 15: retired (sharded wire v2); never reuse.
   kClientResetStats = 16,
   kShardedPropagationRequestV3 = 17,
   kShardedPropagationResponseV3 = 18,

@@ -82,6 +82,10 @@ Status RecvAll(int fd, char* data, size_t n) {
 // Payloads this small are never worth compressing.
 constexpr size_t kCompressionThreshold = 512;
 
+// The receive buffer grows as payload bytes arrive, never ahead of them by
+// more than max(this, bytes already received).
+constexpr size_t kMinReadStep = size_t{1} << 20;  // 1 MiB
+
 constexpr uint8_t kFlagCompressed = 0x01;
 constexpr size_t kFrameHeaderBytes = 5;  // fixed32 length + flags byte
 
@@ -130,8 +134,7 @@ Status WriteFrameV(int fd, const struct iovec* iov, size_t iovcnt) {
   }
   // Header plus the caller's pieces in one gathered send. No transparent
   // compression on this path: compressing would force assembling the
-  // contiguous payload this function exists to avoid (v3 already
-  // negotiates per-segment compression where links want it).
+  // contiguous payload this function exists to avoid.
   char header[kFrameHeaderBytes];
   BuildFrameHeader(static_cast<uint32_t>(total), /*flags=*/0, header);
   std::vector<struct iovec> vec(iovcnt + 1);
@@ -151,10 +154,21 @@ Status ReadFrameInto(int fd, std::string* payload) {
   if ((flags & ~kFlagCompressed) != 0) {
     return Status::Corruption("unknown frame flags");
   }
-  // resize() reuses the string's capacity: a pooled or connection-local
-  // buffer makes steady-state reads allocation-free.
-  payload->resize(len);
-  EPI_RETURN_NOT_OK(RecvAll(fd, payload->data(), len));
+  // The header is the peer's claim, not a fact: grow the buffer in steps
+  // of at most max(1 MiB, bytes already received), so a peer announcing
+  // 256 MiB and sending ten bytes costs 1 MiB, not 256. Frames up to 1 MiB
+  // take one resize; larger ones double as they arrive. resize() reuses
+  // the string's capacity: a pooled or connection-local buffer makes
+  // steady-state reads allocation-free.
+  size_t got = 0;
+  payload->resize(0);
+  while (got < len) {
+    const size_t step =
+        std::min<size_t>(len - got, std::max(kMinReadStep, got));
+    payload->resize(got + step);
+    EPI_RETURN_NOT_OK(RecvAll(fd, payload->data() + got, step));
+    got += step;
+  }
   if (flags & kFlagCompressed) {
     Result<std::string> plain = Decompress(*payload, kMaxFrameBytes);
     if (!plain.ok()) return plain.status();
@@ -213,6 +227,7 @@ void TcpServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener closed by Stop()
     }
+    ReapFinishedWorkers();
     MutexLock lock(workers_mu_);
     if (!running_.load()) {
       ::close(fd);
@@ -221,6 +236,27 @@ void TcpServer::AcceptLoop() {
     conn_fds_.insert(fd);
     workers_.emplace_back([this, fd] { ServeConnection(fd); });
   }
+}
+
+void TcpServer::ReapFinishedWorkers() {
+  std::vector<std::thread> done;
+  {
+    MutexLock lock(workers_mu_);
+    for (std::thread::id id : finished_) {
+      auto it = std::find_if(
+          workers_.begin(), workers_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      // Absent only when Stop() already took the thread to join it.
+      if (it == workers_.end()) continue;
+      done.push_back(std::move(*it));
+      *it = std::move(workers_.back());
+      workers_.pop_back();
+    }
+    finished_.clear();
+  }
+  // Each of these has left ServeConnection's last critical section, so the
+  // joins wait at most for a thread's own exit.
+  for (std::thread& t : done) t.join();
 }
 
 void TcpServer::ServeConnection(int fd) {
@@ -247,6 +283,7 @@ void TcpServer::ServeConnection(int fd) {
   MutexLock lock(workers_mu_);
   conn_fds_.erase(fd);
   ::close(fd);
+  finished_.push_back(std::this_thread::get_id());
 }
 
 void TcpServer::Stop() {
@@ -263,6 +300,7 @@ void TcpServer::Stop() {
     // to return so the workers can exit and be joined.
     for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     workers.swap(workers_);
+    finished_.clear();
   }
   for (std::thread& t : workers) {
     if (t.joinable()) t.join();

@@ -27,9 +27,9 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;  // 256 MiB
 /// WriteFrame transparently LZ-compresses large payloads when that shrinks
 /// them (flag bit 0). WriteFrameV sends the payload as the iovec pieces
 /// verbatim (header + pieces in one sendmsg train — no stitch copy, no
-/// transparent compression; the v3 wire negotiates segment-level
-/// compression separately). ReadFrameInto reuses `payload`'s capacity, so
-/// a long-lived connection reads every frame allocation-free once warm.
+/// transparent compression). ReadFrameInto reuses `payload`'s capacity, so
+/// a long-lived connection reads every frame allocation-free once warm,
+/// and grows it only as payload bytes actually arrive.
 Status WriteFrame(int fd, std::string_view payload);
 Status WriteFrameV(int fd, const struct iovec* iov, size_t iovcnt);
 Status ReadFrameInto(int fd, std::string* payload);
@@ -37,7 +37,10 @@ Result<std::string> ReadFrame(int fd);
 
 /// Minimal threaded TCP RPC server: an accept loop plus one thread per
 /// connection; each connection carries a sequence of framed
-/// request/response pairs handled by the registered RequestHandler.
+/// request/response pairs handled by the registered RequestHandler. The
+/// accept loop joins the threads of ended connections before it starts
+/// the next one, so short-lived clients leave no thread (and no stack
+/// mapping) behind.
 /// Replies are sent vectored (HandleRequestV + writev), so a handler that
 /// produces its reply as pieces never assembles a contiguous frame.
 ///
@@ -66,6 +69,8 @@ class TcpServer {
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
+  /// Joins every worker whose connection has ended.
+  void ReapFinishedWorkers() EXCLUDES(workers_mu_);
 
   RequestHandler* handler_;
   std::atomic<bool> running_{false};
@@ -78,6 +83,9 @@ class TcpServer {
   /// the owning worker just before it closes them; Stop() shuts these
   /// down (never closes — the owner does) to unblock parked reads.
   std::unordered_set<int> conn_fds_ GUARDED_BY(workers_mu_);
+  /// Workers that have closed their connection and are about to exit;
+  /// the accept loop joins them (ReapFinishedWorkers).
+  std::vector<std::thread::id> finished_ GUARDED_BY(workers_mu_);
 };
 
 /// Transport that maps NodeIds to TCP endpoints, keeping one long-lived

@@ -185,14 +185,6 @@ class ShardScheduler {
     return mutation_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// True when tasks can actually run on other threads (owner workers
-  /// exist and the host has >1 hardware thread). When false, callers may
-  /// prefer shard-at-a-time Execute loops over batch fan-out: there is no
-  /// parallelism to lose, and sequential execution lets them share
-  /// caller-local state across tasks (e.g. encoding every serve segment
-  /// into one response frame).
-  bool Parallel() const { return parallel_; }
-
   SchedulerStats Stats(bool reset = false) const;
 
  private:

@@ -66,9 +66,8 @@ ReplicaServer::ReplicaServer(NodeId id, size_t num_nodes,
   sched_ = std::make_unique<runtime::ShardScheduler>(SchedulerOptions(
       memory_->num_shards(), options_.ae_workers, options_.read_cache_slots));
   InitShardList();
-  peer_wire_count_ = num_nodes;
-  peer_wire_ = std::make_unique<std::atomic<uint8_t>[]>(peer_wire_count_);
-  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_wire_count_);
+  peer_epoch_count_ = num_nodes;
+  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
 }
 
 ReplicaServer::ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
@@ -80,9 +79,8 @@ ReplicaServer::ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
   sched_ = std::make_unique<runtime::ShardScheduler>(SchedulerOptions(
       durable_->num_shards(), options_.ae_workers, options_.read_cache_slots));
   InitShardList();
-  peer_wire_count_ = durable_->view().num_nodes();
-  peer_wire_ = std::make_unique<std::atomic<uint8_t>[]>(peer_wire_count_);
-  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_wire_count_);
+  peer_epoch_count_ = durable_->view().num_nodes();
+  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
 }
 
 ReplicaServer::~ReplicaServer() { Stop(); }
@@ -151,110 +149,58 @@ void ReplicaServer::AntiEntropyLoop() {
   }
 }
 
-ShardedPropagationResponse ReplicaServer::ServeShardedPropagation(
-    const ShardedPropagationRequest& req) {
+void ReplicaServer::ServeShardedPropagation(
+    const ShardedPropagationRequest& req, uint64_t epoch,
+    std::vector<std::string>* parts) {
   ShardedReplica& rep = sharded();
   const size_t num_shards = rep.num_shards();
-  const bool v3 = req.wire_version >= kWireV3;
-  ShardedPropagationResponse resp;
-  if (v3) resp.wire_version = kWireV3;
-  resp.num_shards = static_cast<uint32_t>(num_shards);
-  if (v3) {
-    // Sampled *before* any shard is served: a mutation racing with the
-    // serve lands with a later epoch, so the requester's next probe
-    // mismatches and re-pulls — stale probes are conservative, never
-    // lossy (every mutation goes through a mutating task, which is
-    // exactly what bumps the epoch).
-    resp.epoch = sched_->MutationEpoch();
-    if ((req.flags & kPropFlagEpochProbe) != 0) {
-      if (req.last_epoch == resp.epoch) return resp;  // O(1) quiescent round
-      resp.resp_flags = kPropRespFlagResend;
-      return resp;
-    }
-  }
-  if (req.shard_dbvvs.size() != num_shards) {
-    // Topology mismatch: reply "current" carrying our shard count so the
-    // requester rejects it instead of applying garbage.
-    return resp;
-  }
-  // One anti-entropy round is S tasks fanned out to the shard owners and
-  // joined — not S lock acquisitions. Each shard builds and encodes its
-  // reply inside its own single-writer section; the per-shard bodies are
-  // then stitched together serially. On the v3 path each task serves its
-  // shard zero-copy (the view borrows the shard's store, so encoding
-  // completes inside that shard's section — the §4.1/§8 discipline the
-  // views rely on) straight into a pooled buffer.
-  wire::V3SegmentOptions opts;
-  opts.compress = v3 && (req.flags & kPropFlagAcceptCompressed) != 0;
-  std::vector<std::string> bodies(num_shards);
-  std::vector<char> has_body(num_shards, 0);
-  sched_->ExecuteBatchIndexed(
-      AllShardsList(), TaskKind::kServe, /*mutates=*/false,
-      [this, &rep, &req, &opts, &bodies, &has_body, v3](const ShardToken& token,
-                                                        size_t k) {
-        AssertShardContext(token);
-        if (v3) {
-          const PropagationResponseView& view = rep.HandleShardPropagationView(
-              k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
-          if (view.you_are_current) return;
-          bodies[k] = buffer_pool_.Get();
-          wire::EncodeShardSegmentBodyV3(view, rep.shard(k).dbvv(), opts,
-                                         &buffer_pool_, &bodies[k]);
-        } else {
-          PropagationResponse shard_resp = rep.HandleShardPropagation(
-              k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
-          if (shard_resp.you_are_current) return;
-          bodies[k] = wire::EncodeShardSegmentBody(shard_resp);
-        }
-        has_body[k] = 1;
-      });
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (has_body[k] != 0) {
-      resp.segments.push_back(ShardedPropagationSegment{
-          static_cast<uint32_t>(k), std::move(bodies[k])});
-    }
-  }
-  return resp;
-}
-
-void ReplicaServer::ServeShardedPropagationPartsV3(
-    const ShardedPropagationRequest& req, std::vector<std::string>* parts) {
-  ShardedReplica& rep = sharded();
-  const size_t num_shards = rep.num_shards();
-  parts->clear();
-  parts->reserve(1 + num_shards);
-  // parts[0]: the envelope. The segment count precedes the segments but is
-  // only known after the serve; reserve a padded-varint slot and patch it
-  // in at the end. Same trick for each segment's length prefix (5 bytes
-  // covers the 1 GiB segment cap). The decoders read exactly these two
-  // fields with the padded getters (GetVarint64Padded/GetStringViewPadded)
-  // — every other wire varint is canonical-only.
+  const bool probe = (req.flags & kPropFlagEpochProbe) != 0;
+  // parts[0]: the envelope, tag byte included. `epoch` was sampled before
+  // any shard serves: a mutation racing with the serve lands with a later
+  // epoch, so the requester's next probe mismatches and re-pulls — stale
+  // probes are conservative, never lossy (every mutation goes through a
+  // mutating task, which is exactly what bumps the epoch).
   ByteWriter env(buffer_pool_.Get());
   env.PutU8(
       static_cast<uint8_t>(net::MessageType::kShardedPropagationResponseV3));
-  env.PutU8(0);                              // resp_flags: plain full reply
-  env.PutVarint64(sched_->MutationEpoch());  // sampled before any shard serves
+  env.PutU8(probe && req.last_epoch != epoch ? kPropRespFlagResend : 0);
+  env.PutVarint64(epoch);
   env.PutVarint64(num_shards);
+  parts->clear();
+  if (!WantsSegments(req)) {
+    // No segments, canonical one-byte count: a matching probe (the O(1)
+    // quiescent round), a missed probe (resend), or a topology mismatch,
+    // which carries our shard count so the requester rejects it instead
+    // of applying garbage.
+    env.PutVarint64(0);
+    parts->push_back(env.Release());
+    return;
+  }
+  // The segment count precedes the segments but is only known after the
+  // serve; reserve a padded-varint slot and patch it in at the end. Same
+  // trick for each segment's length prefix (5 bytes covers the 1 GiB
+  // segment cap). The decoders read exactly these two fields with the
+  // padded getters (GetVarint64Padded/GetStringViewPadded) — every other
+  // wire varint is canonical-only.
   const size_t count_pos = env.size();
   env.PutPaddedVarint(0, 3);
-  uint64_t count = 0;
-  size_t k = 0;
-  // Each stale shard's piece is self-contained — [shard varint][padded
-  // length][body] — built in a pooled buffer inside that shard's
-  // single-writer section, so a vectored transport sends the pieces with
-  // no stitch copy and Flatten() reproduces the contiguous frame bytes.
-  // Execute runs the tasks one at a time (serial scheduler: inline behind
-  // the gate, or joined before the loop advances), so sharing `parts`,
-  // `count` and `k` across them is sound. One std::function is reused for
-  // every shard (it reads `k` through the reference capture), so the loop
-  // allocates nothing beyond the pooled chunk buffers.
-  const std::function<void(const ShardToken&)> serve_one =
-      [&](const ShardToken& token) {
+  // One anti-entropy round is S tasks fanned out to the shard owners and
+  // joined — not S lock acquisitions. Each stale shard encodes its
+  // self-contained piece — [shard varint][padded length][body] — into its
+  // own pooled slot parts[1 + k] inside its single-writer section (the
+  // view borrows the shard's store, so encoding must complete there — the
+  // §4.1/§8 discipline the views rely on). The slots are disjoint, so the
+  // owners fill them in parallel; a vectored transport then sends the
+  // pieces with no stitch copy, and Flatten() reproduces the contiguous
+  // frame bytes.
+  parts->resize(1 + num_shards);
+  sched_->ExecuteBatchIndexed(
+      AllShardsList(), TaskKind::kServe, /*mutates=*/false,
+      [this, &rep, &req, parts](const ShardToken& token, size_t k) {
         AssertShardContext(token);
         const PropagationResponseView& view = rep.HandleShardPropagationView(
             k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
         if (view.you_are_current) return;
-        ++count;
         ByteWriter cw(buffer_pool_.Get());
         cw.PutVarint64(k);
         const size_t len_pos = cw.size();
@@ -262,13 +208,15 @@ void ReplicaServer::ServeShardedPropagationPartsV3(
         const size_t body_start = cw.size();
         wire::EncodeShardSegmentBodyV3Into(cw, view, rep.shard(k).dbvv());
         cw.OverwritePaddedVarint(len_pos, cw.size() - body_start, 5);
-        parts->push_back(cw.Release());
-      };
-  for (k = 0; k < num_shards; ++k) {
-    sched_->Execute(k, TaskKind::kServe, /*mutates=*/false, serve_one);
-  }
-  env.OverwritePaddedVarint(count_pos, count, 3);
-  parts->insert(parts->begin(), env.Release());
+        (*parts)[1 + k] = cw.Release();
+      });
+  // Current shards left their slot empty; drop those slots, keeping the
+  // stale ones in shard order.
+  parts->erase(std::remove_if(parts->begin() + 1, parts->end(),
+                              [](const std::string& p) { return p.empty(); }),
+               parts->end());
+  env.OverwritePaddedVarint(count_pos, parts->size() - 1, 3);
+  (*parts)[0] = env.Release();
 }
 
 uint64_t ReplicaServer::ServeDigest(const ShardedPropagationRequest& req) {
@@ -321,20 +269,9 @@ void ReplicaServer::InsertServeCache(
   serve_cache_[slot] = std::move(entry);
 }
 
-Status ReplicaServer::AcceptShardedPropagation(
-    const ShardedPropagationResponse& resp) {
-  std::vector<wire::ShardedSegmentView> segments;
-  segments.reserve(resp.segments.size());
-  for (const ShardedPropagationSegment& seg : resp.segments) {
-    segments.push_back(wire::ShardedSegmentView{seg.shard, seg.body});
-  }
-  return AcceptShardedSegments(resp.num_shards, segments,
-                               resp.wire_version >= kWireV3);
-}
-
 Status ReplicaServer::AcceptShardedSegments(
-    uint32_t num_shards, const std::vector<wire::ShardedSegmentView>& segments,
-    bool v3) {
+    uint32_t num_shards,
+    const std::vector<wire::ShardedSegmentView>& segments) {
   ShardedReplica& rep = sharded();
   if (num_shards != rep.num_shards()) {
     return Status::InvalidArgument(
@@ -348,12 +285,12 @@ Status ReplicaServer::AcceptShardedSegments(
   }
   // Each segment decodes and applies as one task on its shard; the
   // segments name distinct shards (the codec enforces strictly increasing
-  // indices), so the tasks share nothing but the join. v3 segments decode
+  // indices), so the tasks share nothing but the join. Segments decode
   // zero-copy: the views (string_views into the segment bytes, IVVs in
   // the per-segment storage) are consumed by the shard's accept inside
   // the task, so nothing outlives its backing.
   std::vector<Status> statuses(segments.size());
-  std::vector<wire::SegmentViewStorage> storages(v3 ? segments.size() : 0);
+  std::vector<wire::SegmentViewStorage> storages(segments.size());
   std::vector<size_t> shards;
   shards.reserve(segments.size());
   for (const wire::ShardedSegmentView& seg : segments) {
@@ -361,32 +298,19 @@ Status ReplicaServer::AcceptShardedSegments(
   }
   sched_->ExecuteBatchIndexed(
       shards, TaskKind::kAccept, /*mutates=*/true,
-      [this, &rep, &segments, &statuses, &storages, v3](const ShardToken& token,
-                                                        size_t i) {
+      [this, &rep, &segments, &statuses, &storages](const ShardToken& token,
+                                                    size_t i) {
         AssertShardContext(token);
         const wire::ShardedSegmentView& seg = segments[i];
-        if (v3) {
-          if (durable_ != nullptr) {
-            statuses[i] =
-                durable_->AcceptShardPropagationSegmentV3(seg.shard, seg.body);
-            return;
-          }
-          PropagationResponseView view;
-          Status s =
-              wire::DecodeShardSegmentBodyV3(seg.body, &storages[i], &view);
+        if (durable_ != nullptr) {
           statuses[i] =
-              s.ok() ? rep.AcceptShardPropagation(seg.shard, view) : s;
+              durable_->AcceptShardPropagationSegmentV3(seg.shard, seg.body);
           return;
         }
-        Result<PropagationResponse> decoded =
-            wire::DecodeShardSegmentBody(seg.body);
-        if (!decoded.ok()) {
-          statuses[i] = decoded.status();
-          return;
-        }
-        statuses[i] = durable_ != nullptr
-                          ? durable_->AcceptShardPropagation(seg.shard, *decoded)
-                          : rep.AcceptShardPropagation(seg.shard, *decoded);
+        PropagationResponseView view;
+        Status s =
+            wire::DecodeShardSegmentBodyV3(seg.body, &storages[i], &view);
+        statuses[i] = s.ok() ? rep.AcceptShardPropagation(seg.shard, view) : s;
       });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
@@ -426,71 +350,52 @@ void ReplicaServer::HandleRequestV(std::string_view request,
             Status::InvalidArgument("shard DBVV of wrong width")));
       }
     }
-    if (sharded_req->wire_version >= kWireV3 && !options_.enable_wire_v3) {
-      // Emulate a pre-v3 node: its codec would have failed on tag 17 with
-      // exactly this error reply — the requester's fallback signal.
-      return respond(
-          EncodeStatusReply(Status::Corruption("unknown message tag 17")));
-    }
-    if (sharded_req->wire_version >= kWireV3 && !sched_->Parallel() &&
-        (sharded_req->flags &
-         (kPropFlagEpochProbe | kPropFlagAcceptCompressed)) == 0 &&
-        sharded_req->shard_dbvvs.size() == sharded().num_shards()) {
-      // Serial scheduler, plain uncompressed full serve: encode as reply
-      // pieces. Probes, topology mismatches and compressed serves keep
-      // the generic owned-response path below.
-      //
-      // Fan-out serve cache: the reply is a pure function of (request
-      // flags + shard DBVVs, mutation epoch) — serves are read-only
-      // tasks, so they never bump the epoch, and every mutation does.
-      // Sample the epoch FIRST: a mutation racing with the lookup can
-      // only make the epochs mismatch (miss), never produce a stale hit.
-      // A hit skips the serve entirely, which also skips the §4.1
-      // requester-frontier recording the serve would have done — that
-      // only *lags* the peer-DBVV frontier (stability detection,
-      // Theorem 5), it never affects what is shipped, so it is
-      // conservative, and the next miss from that peer catches it up.
-      const uint64_t epoch0 = sched_->MutationEpoch();
-      const uint64_t digest = ServeDigest(*sharded_req);
-      if (LookupServeCache(digest, epoch0, reply)) {
-        // relaxed: monotonic stats counter, read only for reporting.
-        serve_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // relaxed: monotonic stats counter (see above).
-      serve_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      auto entry = std::make_shared<CachedServeFrame>();
-      entry->digest = digest;
-      entry->epoch = epoch0;
-      ServeShardedPropagationPartsV3(*sharded_req, &entry->parts);
-      if (sched_->MutationEpoch() == epoch0) {
-        // No mutating task completed across the serve: the pieces are the
-        // epoch0 reply, byte for byte (the epoch is monotonic, so equal
-        // endpoints pin every sample in between). Publish for replay.
-        const std::vector<std::string>* parts = &entry->parts;
-        reply->shared = std::shared_ptr<const std::vector<std::string>>(
-            entry, parts);
-        InsertServeCache(std::move(entry));
-      } else {
-        // A mutation raced the serve; the reply is still a correct
-        // snapshot to send once, but caching it under epoch0 would be
-        // wrong and under the new epoch unverifiable. Send and recycle.
-        reply->owned = std::move(entry->parts);
-        reply->recycle_pool = &buffer_pool_;
-      }
+    // Sample the epoch FIRST: a mutation racing with the serve can only
+    // make a later probe or cache lookup mismatch, never produce a stale
+    // "current" answer or a stale hit.
+    const uint64_t epoch0 = sched_->MutationEpoch();
+    if (!WantsSegments(*sharded_req)) {
+      // Probe or topology mismatch: a zero-segment envelope, never cached.
+      ServeShardedPropagation(*sharded_req, epoch0, &reply->owned);
+      reply->recycle_pool = &buffer_pool_;
       return;
     }
-    Message served_msg(ServeShardedPropagation(*sharded_req));
-    std::string frame = net::Encode(served_msg);
-    // v3 segment bodies came from the buffer pool; recycle their capacity
-    // now that the frame owns a copy.
-    auto& served = std::get<ShardedPropagationResponse>(served_msg);
-    if (served.wire_version >= kWireV3) {
-      for (ShardedPropagationSegment& seg : served.segments) {
-        buffer_pool_.Put(std::move(seg.body));
-      }
+    // Fan-out serve cache: a full serve's reply is a pure function of
+    // (request flags + shard DBVVs, mutation epoch) — serves are read-only
+    // tasks, so they never bump the epoch, and every mutation does. A hit
+    // skips the serve entirely, which also skips the §4.1
+    // requester-frontier recording the serve would have done — that only
+    // *lags* the peer-DBVV frontier (stability detection, Theorem 5), it
+    // never affects what is shipped, so it is conservative, and the next
+    // miss from that peer catches it up.
+    const uint64_t digest = ServeDigest(*sharded_req);
+    if (LookupServeCache(digest, epoch0, reply)) {
+      // relaxed: monotonic stats counter, read only for reporting.
+      serve_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-    return respond(std::move(frame));
+    // relaxed: monotonic stats counter (see above).
+    serve_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    auto entry = std::make_shared<CachedServeFrame>();
+    entry->digest = digest;
+    entry->epoch = epoch0;
+    ServeShardedPropagation(*sharded_req, epoch0, &entry->parts);
+    if (sched_->MutationEpoch() == epoch0) {
+      // No mutating task completed across the serve: the pieces are the
+      // epoch0 reply, byte for byte (the epoch is monotonic, so equal
+      // endpoints pin every sample in between). Publish for replay.
+      const std::vector<std::string>* parts = &entry->parts;
+      reply->shared =
+          std::shared_ptr<const std::vector<std::string>>(entry, parts);
+      InsertServeCache(std::move(entry));
+    } else {
+      // A mutation raced the serve; the reply is still a correct snapshot
+      // to send once, but caching it under epoch0 would be wrong and under
+      // the new epoch unverifiable. Send and recycle.
+      reply->owned = std::move(entry->parts);
+      reply->recycle_pool = &buffer_pool_;
+    }
+    return;
   }
   if (auto* prop_req = std::get_if<PropagationRequest>(&msg)) {
     if (prop_req->dbvv.size() != sharded().num_nodes()) {
@@ -790,16 +695,6 @@ Status ReplicaServer::PullFrom(NodeId peer) {
                                   req.shard_dbvvs[k] = rep.shard(k).dbvv();
                                 });
   };
-  // Version negotiation: try v3 unless disabled or the sticky cache says
-  // this peer already rejected it; a v3 rejection (the error reply an old
-  // node's codec sends for tag 17) downgrades the cache and retries the
-  // same handshake as v2.
-  // relaxed: sticky negotiation cache; a stale read only costs one extra
-  // rejected v3 attempt before the downgrade is re-learned.
-  const bool peer_known_v2 =
-      peer < peer_wire_count_ &&
-      peer_wire_[peer].load(std::memory_order_relaxed) == kWireV2;
-  bool trying_v3 = options_.enable_wire_v3 && !peer_known_v2;
   // Probe first when this peer's mutation epoch is cached from a previous
   // completed pull: if the source is unchanged, the round is O(1) — no
   // DBVV snapshots built, shipped, or compared. A changed source costs
@@ -807,108 +702,69 @@ Status ReplicaServer::PullFrom(NodeId peer) {
   // relaxed: conservative epoch cache; a stale epoch makes the probe miss
   // and fall back to the full handshake — never lossy.
   const uint64_t cached_epoch =
-      trying_v3 && peer < peer_wire_count_
+      peer < peer_epoch_count_
           ? peer_epoch_[peer].load(std::memory_order_relaxed)
           : 0;
   bool probing = cached_epoch != 0;
-  if (trying_v3) {
-    req.wire_version = kWireV3;
-    if (options_.accept_compressed_segments) {
-      req.flags |= kPropFlagAcceptCompressed;
-    }
-    if (probing) {
-      req.flags |= kPropFlagEpochProbe;
-      req.last_epoch = cached_epoch;
-    }
+  if (probing) {
+    req.flags = kPropFlagEpochProbe;
+    req.last_epoch = cached_epoch;
+  } else {
+    snapshot_dbvvs();
   }
-  if (!probing) snapshot_dbvvs();
   // Response frames land in a pooled buffer reused across pulls (and
-  // across the probe→resend / v3→v2 retries inside this call) through
-  // CallInto, so the steady-state round no longer allocates a fresh
-  // frame-sized string per round trip. The zero-copy accept below borrows
-  // views into it; the buffer outlives them (returned to the pool only at
-  // scope exit).
+  // across the probe→resend retry inside this call) through CallInto, so
+  // the steady-state round never allocates a fresh frame-sized string per
+  // round trip. The zero-copy accept below borrows views into it; the
+  // buffer outlives them (returned to the pool only at scope exit).
   PooledBuffer wire(&buffer_pool_);
   for (;;) {
     Status call_status =
         transport_->CallInto(peer, net::Encode(Message(req)), &*wire);
     if (!call_status.ok()) return call_status;
-    // v3 reply fast path: decode the envelope as views into the received
-    // frame (`*wire` outlives the accept below), so the segment bodies —
-    // the bulk of the frame — are never copied out of it.
-    if (trying_v3 && !wire->empty() &&
-        static_cast<uint8_t>((*wire)[0]) ==
+    if (wire->empty() ||
+        static_cast<uint8_t>((*wire)[0]) !=
             static_cast<uint8_t>(
                 net::MessageType::kShardedPropagationResponseV3)) {
-      ByteReader reader(std::string_view(*wire).substr(1));
-      wire::ShardedResponseEnvelopeView env;
-      Status ds = wire::DecodeShardedPropagationResponseEnvelopeV3(reader,
-                                                                   &env);
-      if (!ds.ok()) return ds;
-      if (!reader.AtEnd()) {
-        return Status::Corruption("trailing bytes after message body");
+      // Not a propagation reply. An error ClientReply is the peer refusing
+      // the handshake (a shard DBVV of the wrong width, say): return its
+      // status as is.
+      Result<Message> decoded = net::Decode(*wire);
+      if (!decoded.ok()) return decoded.status();
+      const auto* refusal = std::get_if<ClientReply>(&*decoded);
+      if (refusal != nullptr && refusal->code != 0) {
+        return ReplyToResult(*refusal).status();
       }
-      if (peer < peer_wire_count_) {
-        // relaxed: sticky negotiation cache (see the load above).
-        peer_wire_[peer].store(kWireV3, std::memory_order_relaxed);
-      }
-      if (env.resend_requested()) {
-        // Probe missed: repeat the round as the full per-shard handshake.
-        probing = false;
-        req.flags &= static_cast<uint8_t>(~kPropFlagEpochProbe);
-        req.last_epoch = 0;
-        snapshot_dbvvs();
-        continue;
-      }
-      if (probing) return Status::OK();  // current by epoch; nothing to apply
-      Status s = AcceptShardedSegments(env.num_shards, env.segments,
-                                       /*v3=*/true);
-      if (s.ok() && env.epoch != 0 && peer < peer_wire_count_) {
-        // relaxed: conservative epoch cache; stale probes re-pull.
-        peer_epoch_[peer].store(env.epoch, std::memory_order_relaxed);
-      }
-      return s;
+      return Status::Corruption("peer sent a non-propagation reply");
     }
-    Result<Message> decoded = net::Decode(*wire);
-    if (!decoded.ok()) return decoded.status();
-    if (auto* resp = std::get_if<ShardedPropagationResponse>(&*decoded)) {
-      if (trying_v3 && peer < peer_wire_count_) {
-        // relaxed: sticky negotiation cache (see the load above).
-        peer_wire_[peer].store(kWireV3, std::memory_order_relaxed);
-      }
-      if (resp->resend_requested()) {
-        // Probe missed: repeat the round as the full per-shard handshake.
-        probing = false;
-        req.flags &= static_cast<uint8_t>(~kPropFlagEpochProbe);
-        req.last_epoch = 0;
-        snapshot_dbvvs();
-        continue;
-      }
-      if (probing) return Status::OK();  // current by epoch; nothing to apply
-      Status s = AcceptShardedPropagation(*resp);
-      if (s.ok() && resp->wire_version >= kWireV3 && resp->epoch != 0 &&
-          peer < peer_wire_count_) {
-        // relaxed: conservative epoch cache; stale probes re-pull.
-        peer_epoch_[peer].store(resp->epoch, std::memory_order_relaxed);
-      }
-      return s;
+    // Decode the envelope as views into the received frame (`*wire`
+    // outlives the accept below), so the segment bodies — the bulk of the
+    // frame — are never copied out of it.
+    ByteReader reader(std::string_view(*wire).substr(1));
+    wire::ShardedResponseEnvelopeView env;
+    EPI_RETURN_NOT_OK(
+        wire::DecodeShardedPropagationResponseEnvelopeV3(reader, &env));
+    if (!reader.AtEnd()) {
+      return Status::Corruption("trailing bytes after message body");
     }
-    if (trying_v3 && std::get_if<ClientReply>(&*decoded) != nullptr) {
-      if (peer < peer_wire_count_) {
-        // relaxed: sticky negotiation cache downgrade (see the load above).
-        peer_wire_[peer].store(kWireV2, std::memory_order_relaxed);
-      }
-      trying_v3 = false;
-      req.wire_version = kWireV2;
+    if (env.resend_requested()) {
+      // Only a probe can miss; a resend answering the full handshake would
+      // loop forever.
+      if (!probing) return Status::Corruption("resend reply to a handshake");
+      // Probe missed: repeat the round as the full per-shard handshake.
+      probing = false;
       req.flags = 0;
       req.last_epoch = 0;
-      if (probing) {
-        probing = false;
-        snapshot_dbvvs();
-      }
+      snapshot_dbvvs();
       continue;
     }
-    return Status::Corruption("peer sent a non-propagation reply");
+    if (probing) return Status::OK();  // current by epoch; nothing to apply
+    Status s = AcceptShardedSegments(env.num_shards, env.segments);
+    if (s.ok() && env.epoch != 0 && peer < peer_epoch_count_) {
+      // relaxed: conservative epoch cache; stale probes re-pull.
+      peer_epoch_[peer].store(env.epoch, std::memory_order_relaxed);
+    }
+    return s;
   }
 }
 

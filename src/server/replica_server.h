@@ -98,19 +98,6 @@ class ReplicaServer : public net::RequestHandler {
     /// Per-shard optimistic read-cache slots (0 disables the lock-free
     /// read path; reads then always run as shard tasks).
     size_t read_cache_slots = 256;
-
-    /// Speak wire v3 (tags 17/18: delta-encoded IVVs, indexed tails,
-    /// zero-copy serve/accept, pooled buffers — DESIGN.md §10). Pulls try
-    /// v3 first and fall back per peer when the v3 handshake is rejected
-    /// (the sticky per-peer cache remembers). When false the server
-    /// emulates a pre-v3 node: it neither sends v3 nor serves v3 requests
-    /// (they get the same error reply an old binary's codec would send),
-    /// which is what mixed-version interop tests key off.
-    bool enable_wire_v3 = true;
-
-    /// With v3: advertise in the handshake that this node accepts
-    /// LZ77-compressed segment bodies (kPropFlagAcceptCompressed).
-    bool accept_compressed_segments = false;
   };
 
   /// In-memory server. `transport` must outlive the server.
@@ -146,10 +133,11 @@ class ReplicaServer : public net::RequestHandler {
   /// real dispatcher, so every transport exercises the same paths.)
   std::string HandleRequest(std::string_view request) override;
 
-  /// Vectored dispatch: v3 propagation serves produce the reply as pieces
-  /// (envelope + pooled per-shard chunks, or a replayed cached frame) that
-  /// a vectored transport writes without assembling a contiguous string;
-  /// every other message type replies as one owned piece.
+  /// Vectored dispatch: sharded propagation serves produce the reply as
+  /// pieces (envelope + pooled per-shard chunks, or a replayed cached
+  /// frame) that a vectored transport writes without assembling a
+  /// contiguous string; every other message type replies as one owned
+  /// piece.
   void HandleRequestV(std::string_view request,
                       net::VectoredReply* reply) override;
 
@@ -215,26 +203,31 @@ class ReplicaServer : public net::RequestHandler {
     return durable_ ? durable_->view() : *memory_;
   }
 
-  /// Serves a sharded handshake: every shard builds and encodes its
-  /// segment inside its own single-writer section, fanned out as one
-  /// scheduler batch.
-  ShardedPropagationResponse ServeShardedPropagation(
-      const ShardedPropagationRequest& req);
+  /// True when `req` asks for segments: not an epoch probe, and one DBVV
+  /// per local shard. Only such serves touch the shards or the cache.
+  bool WantsSegments(const ShardedPropagationRequest& req) const {
+    return (req.flags & kPropFlagEpochProbe) == 0 &&
+           req.shard_dbvvs.size() == sharded().num_shards();
+  }
 
-  /// Serial-scheduler fast path of the serve: encodes every stale shard's
-  /// v3 segment as one self-contained piece ([shard varint][padded length
-  /// slot][body]) in a pooled buffer inside that shard's single-writer
-  /// section, plus a backpatched envelope piece in front — no per-segment
-  /// staging buffers and no segment→frame stitch copy (a vectored
-  /// transport sends the pieces as-is; Flatten() reproduces the exact
-  /// frame bytes of the contiguous encoder for everything else). Only
-  /// valid when the scheduler is not parallel — the shard-at-a-time
-  /// Execute loop serializes the tasks — and only for uncompressed v3
-  /// replies. Fills `parts`; parts[0] is the envelope (tag byte included).
-  void ServeShardedPropagationPartsV3(const ShardedPropagationRequest& req,
-                                      std::vector<std::string>* parts);
+  /// The one sharded serve (wire v3, every scheduler mode): fills `parts`
+  /// with the reply frame as pieces. parts[0] is the envelope (tag byte
+  /// included) stamped with `epoch`, which the caller sampled before
+  /// serving. A request that wants no segments gets the envelope alone,
+  /// with a canonical zero count: a probe answer (current or resend) or a
+  /// topology mismatch. Otherwise every stale shard encodes its
+  /// self-contained piece ([shard varint][padded length slot][body]) into
+  /// its own pooled slot inside one ExecuteBatchIndexed fan-out — disjoint
+  /// slots, so owner workers fill them in parallel — and after the join
+  /// the empty slots are dropped and the padded segment count is
+  /// backpatched. A vectored transport sends the pieces as-is; Flatten()
+  /// reproduces the exact frame bytes for everything else. Every piece
+  /// comes from `buffer_pool_`.
+  void ServeShardedPropagation(const ShardedPropagationRequest& req,
+                               uint64_t epoch,
+                               std::vector<std::string>* parts);
 
-  /// Fan-out serve cache. A full v3 serve's reply is a pure function of
+  /// Fan-out serve cache. A full serve's reply is a pure function of
   /// (request flags + shard DBVVs, scheduler mutation epoch): the epoch is
   /// bumped by every mutating task, so equal epochs mean bytewise-equal
   /// replies. When N peers pull the same tail from a quiescent node, the
@@ -259,16 +252,13 @@ class ReplicaServer : public net::RequestHandler {
   void InsertServeCache(std::shared_ptr<const CachedServeFrame> entry)
       EXCLUDES(serve_cache_mu_);
 
-  /// Applies a sharded response: every segment decoded and accepted as a
-  /// task on its shard (journaled when durable), fanned out as one batch.
-  Status AcceptShardedPropagation(const ShardedPropagationResponse& resp);
-
-  /// Shared core of the accept path: segment bodies are borrowed views —
-  /// into an owned response, or directly into the received wire frame
-  /// (PullFrom's zero-copy v3 path). The backing must outlive the call.
-  Status AcceptShardedSegments(uint32_t num_shards,
-                               const std::vector<wire::ShardedSegmentView>& segments,
-                               bool v3);
+  /// The one accept path: every segment is decoded zero-copy and accepted
+  /// as a task on its shard (journaled when durable), fanned out as one
+  /// batch. Segment bodies are views into the received wire frame, which
+  /// must outlive the call.
+  Status AcceptShardedSegments(
+      uint32_t num_shards,
+      const std::vector<wire::ShardedSegmentView>& segments);
 
   /// Appends the scheduler/optimistic-read health line to a stats summary.
   void AppendSchedulerSummary(std::string* out) const;
@@ -303,20 +293,15 @@ class ReplicaServer : public net::RequestHandler {
   /// shard section). Folded into TotalStats().reads.
   mutable std::atomic<uint64_t> optimistic_read_hits_{0};
 
-  /// Recycles v3 segment and compression buffers across exchanges
+  /// Recycles reply pieces and receive buffers across exchanges
   /// (internally synchronized; shared by all shard tasks).
   BufferPool buffer_pool_;
 
-  /// Sticky per-peer wire-version cache for PullFrom: 0 = unknown (try
-  /// v3), kWireV2 after a peer rejected the v3 handshake, kWireV3 after
-  /// one succeeded. Lock-free — a stale read only costs one extra
-  /// fallback round trip.
-  std::unique_ptr<std::atomic<uint8_t>[]> peer_wire_;
-  size_t peer_wire_count_ = 0;
   /// Last mutation epoch observed per peer (0 = never pulled). Lets
   /// PullFrom open with an O(1) epoch probe instead of the full per-shard
   /// DBVV handshake; a stale value only costs one resend round trip.
   std::unique_ptr<std::atomic<uint64_t>[]> peer_epoch_;
+  size_t peer_epoch_count_ = 0;
 
   /// Fan-out serve cache slots (direct-mapped by digest). Entries are
   /// immutable; the mutex only guards the slot pointers, never the bytes,

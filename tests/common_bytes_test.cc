@@ -280,12 +280,6 @@ TEST(BytesTest, PaddedStringGetters) {
   w.OverwritePaddedVarint(slot, 5, 5);
   {
     ByteReader r(w.data());
-    auto s = r.GetStringPadded();
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(*s, "hello");
-  }
-  {
-    ByteReader r(w.data());
     auto s = r.GetStringViewPadded();
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(*s, "hello");

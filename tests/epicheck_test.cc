@@ -37,7 +37,6 @@ CheckReport ReplayFixture(const std::string& name) {
   world.num_nodes = trace->nodes;
   world.num_items = trace->items;
   world.num_shards = trace->shards;
-  world.wire_version = trace->wire;
   auto mutation = ParseMutation(trace->mutation);
   EXPECT_TRUE(mutation.ok()) << mutation.status().message();
   world.mutation = *mutation;
@@ -57,8 +56,8 @@ TEST(EpicheckTest, SmallExplorationIsClean) {
   EXPECT_GT(report.transitions, report.states_explored);
 }
 
-// The sharded core must pass the same bar, through the default v3 wire
-// segments (delta-encoded IVVs, zero-copy decode — tags 17/18).
+// The sharded core must pass the same bar, through the wire-v3 segments
+// (delta-encoded IVVs, zero-copy decode — tags 17/18).
 TEST(EpicheckTest, ShardedExplorationIsClean) {
   CheckerConfig config;
   config.world.num_nodes = 2;
@@ -70,24 +69,9 @@ TEST(EpicheckTest, ShardedExplorationIsClean) {
       << report.violation->description;
 }
 
-// And again pinned to the legacy owned v2 segments (tags 14/15), so both
-// wire generations stay model-checked.
-TEST(EpicheckTest, ShardedExplorationV2IsClean) {
-  CheckerConfig config;
-  config.world.num_nodes = 2;
-  config.world.num_items = 2;
-  config.world.num_shards = 2;
-  config.world.wire_version = 2;
-  config.max_depth = 4;
-  CheckReport report = RunCheck(config);
-  EXPECT_FALSE(report.violation.has_value())
-      << report.violation->description;
-}
-
 // The healthy-schedule fixtures replay with zero violations.
 TEST(EpicheckTest, CleanFixturesReplayClean) {
-  for (const char* name :
-       {"clean.trace", "clean_sharded.trace", "clean_sharded_v2.trace"}) {
+  for (const char* name : {"clean.trace", "clean_sharded.trace"}) {
     CheckReport report = ReplayFixture(name);
     EXPECT_FALSE(report.violation.has_value())
         << name << ": " << report.violation->description;
@@ -134,7 +118,6 @@ TEST(EpicheckTest, TraceFileRoundTrips) {
   file.nodes = 3;
   file.items = 2;
   file.shards = 2;
-  file.wire = 2;
   file.mutation = "amnesia";
   file.actions.push_back(*ParseAction("update 2 1"));
   file.actions.push_back(*ParseAction("oob 0 2 1"));
@@ -145,7 +128,6 @@ TEST(EpicheckTest, TraceFileRoundTrips) {
   EXPECT_EQ(decoded->nodes, file.nodes);
   EXPECT_EQ(decoded->items, file.items);
   EXPECT_EQ(decoded->shards, file.shards);
-  EXPECT_EQ(decoded->wire, file.wire);
   EXPECT_EQ(decoded->mutation, file.mutation);
   ASSERT_EQ(decoded->actions.size(), file.actions.size());
   for (size_t i = 0; i < file.actions.size(); ++i) {

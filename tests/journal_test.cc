@@ -124,10 +124,9 @@ TEST_F(JournalTest, V3SegmentInputsSurviveRestart) {
     // peer's DBVV, and journal-accept the raw body.
     PropagationRequest req = (*jr)->BuildPropagationRequest();
     const PropagationResponseView& view = peer.HandlePropagationView(req);
-    std::string body;
-    wire::EncodeShardSegmentBodyV3(view, peer.dbvv(), wire::V3SegmentOptions{},
-                                   nullptr, &body);
-    ASSERT_TRUE((*jr)->AcceptPropagationSegmentV3(body).ok());
+    ByteWriter w;
+    wire::EncodeShardSegmentBodyV3Into(w, view, peer.dbvv());
+    ASSERT_TRUE((*jr)->AcceptPropagationSegmentV3(w.data()).ok());
     EXPECT_EQ((*jr)->records_since_checkpoint(), 2u);
     canonical_before = (*jr)->replica().CanonicalState();
   }  // "crash": destructor, no checkpoint
@@ -150,9 +149,9 @@ TEST_F(JournalTest, CorruptV3SegmentIsRejectedBeforeJournaling) {
 
   PropagationRequest req = (*jr)->BuildPropagationRequest();
   const PropagationResponseView& view = peer.HandlePropagationView(req);
-  std::string body;
-  wire::EncodeShardSegmentBodyV3(view, peer.dbvv(), wire::V3SegmentOptions{},
-                                 nullptr, &body);
+  ByteWriter w;
+  wire::EncodeShardSegmentBodyV3Into(w, view, peer.dbvv());
+  std::string body = w.Release();
   body[0] = static_cast<char>(body[0] | 0x80);  // unknown flag bit
   EXPECT_FALSE((*jr)->AcceptPropagationSegmentV3(body).ok());
   // Validation happens before the append: the journal holds no record of
@@ -188,10 +187,10 @@ TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
         WireItem{"evil", "v", false, VersionVector({0, 1, 0})});
     PropagationResponseView view;
     wire::MakeResponseView(forged, &view);
-    std::string body;
-    wire::EncodeShardSegmentBodyV3(view, b.dbvv(), wire::V3SegmentOptions{},
-                                   nullptr, &body);
-    EXPECT_TRUE((*jr)->AcceptPropagationSegmentV3(body).IsInvalidArgument());
+    ByteWriter w;
+    wire::EncodeShardSegmentBodyV3Into(w, view, b.dbvv());
+    EXPECT_TRUE(
+        (*jr)->AcceptPropagationSegmentV3(w.data()).IsInvalidArgument());
     EXPECT_TRUE((*jr)->AcceptPropagation(forged).IsInvalidArgument());
     EXPECT_EQ((*jr)->records_since_checkpoint(), records);
   }

@@ -5,17 +5,21 @@
 // CanonicalState must be byte-identical — at S=1, at S=16 with inline
 // gates (workers=0, the old striped configuration), and at S=16 with
 // owner worker threads. Read results are compared op-by-op too, which
-// pins the optimistic read path to the authoritative map.
+// pins the optimistic read path to the authoritative map, and so are the
+// bytes of one full sharded serve: the one serve path must produce the
+// same frame in every scheduler mode.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/random.h"
 #include "core/sharded_replica.h"
+#include "net/codec.h"
 #include "net/inproc_transport.h"
 #include "server/replica_server.h"
 
@@ -82,10 +86,12 @@ std::string RunBaseline(const std::vector<Op>& ops, size_t num_shards,
 }
 
 /// Runs the same workload through a ReplicaServer (every op a scheduler
-/// task; reads take the optimistic path when they can).
+/// task; reads take the optimistic path when they can), then serves one
+/// fixed full handshake — a requester holding nothing — into `serve_reply`.
 std::string RunServer(const std::vector<Op>& ops, size_t num_shards,
                       size_t workers, size_t read_cache_slots,
-                      std::vector<std::string>* reads) {
+                      std::vector<std::string>* reads,
+                      std::string* serve_reply) {
   net::InProcHub hub(kNumNodes);
   net::InProcTransport transport(&hub);
   ReplicaServer::Options options;
@@ -119,6 +125,11 @@ std::string RunServer(const std::vector<Op>& ops, size_t num_shards,
     }
   }
 
+  ShardedPropagationRequest full;
+  full.requester = 1;
+  full.shard_dbvvs.assign(num_shards, VersionVector(kNumNodes));
+  *serve_reply = server.HandleRequest(net::Encode(net::Message(full)));
+
   std::string state;
   server.WithReplica(
       [&state](const ShardedReplica& r) { state = r.CanonicalState(); });
@@ -145,12 +156,25 @@ TEST_P(SchedulerEquivalenceTest, ServerMatchesBareCoreAcrossConfigs) {
       {0, 256, "inline gates, optimistic reads"},
       {2, 256, "owner workers, optimistic reads"},
   };
+  std::string first_reply;
   for (const Config& config : configs) {
     std::vector<std::string> server_reads;
-    const std::string state = RunServer(ops, num_shards, config.workers,
-                                        config.cache_slots, &server_reads);
+    std::string serve_reply;
+    const std::string state =
+        RunServer(ops, num_shards, config.workers, config.cache_slots,
+                  &server_reads, &serve_reply);
     EXPECT_EQ(state, baseline) << config.label;
     EXPECT_EQ(server_reads, baseline_reads) << config.label;
+    if (first_reply.empty()) {
+      Result<net::Message> decoded = net::Decode(serve_reply);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      const auto* resp = std::get_if<ShardedPropagationResponse>(&*decoded);
+      ASSERT_NE(resp, nullptr) << config.label;
+      EXPECT_FALSE(resp->segments.empty()) << config.label;
+      first_reply = serve_reply;
+    } else {
+      EXPECT_EQ(serve_reply, first_reply) << config.label;
+    }
   }
 }
 

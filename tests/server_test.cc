@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -15,6 +16,22 @@
 
 namespace epidemic::server {
 namespace {
+
+/// Counts Call()s, so tests can pin the number of round trips a pull takes.
+class CountingTransport : public net::Transport {
+ public:
+  explicit CountingTransport(net::Transport* inner) : inner_(inner) {}
+  Result<std::string> Call(NodeId dest, std::string_view request) override {
+    calls_.fetch_add(1);
+    return inner_->Call(dest, request);
+  }
+  uint64_t calls() const { return calls_.load(); }
+  void Reset() { calls_.store(0); }
+
+ private:
+  net::Transport* inner_;
+  std::atomic<uint64_t> calls_{0};
+};
 
 /// Three replica servers wired through an in-process hub.
 class InProcClusterTest : public ::testing::Test {
@@ -262,6 +279,140 @@ TEST(ShardedServerTest, MismatchedShardCountsRefuseToSync) {
   EXPECT_TRUE(s1.Read("x").status().IsNotFound());
   hub.Register(0, nullptr);
   hub.Register(1, nullptr);
+}
+
+// A peer that refuses the handshake answers with an error ClientReply; the
+// pull returns that status in one round trip and changes nothing sticky,
+// so the next pull is again one round trip with the same answer.
+TEST(ShardedServerTest, PeerRefusalIsReturnedInOneCall) {
+  net::InProcHub hub(3);
+  net::InProcTransport inner(&hub);
+  CountingTransport transport(&inner);
+  ReplicaServer two(0, /*num_nodes=*/2, &transport, {});
+  ReplicaServer three(1, /*num_nodes=*/3, &transport, {});
+  hub.Register(0, &two);
+  hub.Register(1, &three);
+
+  ASSERT_TRUE(two.Update("x", "v").ok());
+  for (int pull = 0; pull < 2; ++pull) {
+    transport.Reset();
+    Status s = three.PullFrom(0);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_EQ(s.message(), "shard DBVV of wrong width");
+    EXPECT_EQ(transport.calls(), 1u) << "pull " << pull;
+  }
+  EXPECT_TRUE(three.Read("x").status().IsNotFound());
+  hub.Register(0, nullptr);
+  hub.Register(1, nullptr);
+}
+
+// "Resend" is only a valid answer to an epoch probe. A peer that answers
+// the full handshake with it gets a Corruption after one round trip
+// instead of an endless resend loop.
+TEST(ShardedServerTest, ResendAnsweringAFullHandshakeIsRejected) {
+  class ResendForever : public net::RequestHandler {
+   public:
+    std::string HandleRequest(std::string_view) override {
+      ShardedPropagationResponse resend;
+      resend.num_shards = ShardedReplica::kDefaultShards;
+      resend.resp_flags = kPropRespFlagResend;
+      resend.epoch = 5;
+      return net::Encode(net::Message(resend));
+    }
+  };
+  net::InProcHub hub(2);
+  net::InProcTransport inner(&hub);
+  CountingTransport transport(&inner);
+  ResendForever liar;
+  ReplicaServer puller(1, 2, &transport, {});
+  hub.Register(0, &liar);
+
+  Status s = puller.PullFrom(0);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(transport.calls(), 1u);
+  hub.Register(0, nullptr);
+}
+
+// A pull is one round trip, and the serve side really runs zero-copy:
+// items ship without a single owned-string staging copy.
+TEST(ShardedServerTest, ServesZeroCopyInOneCall) {
+  net::InProcHub hub(2);
+  net::InProcTransport inner(&hub);
+  CountingTransport transport(&inner);
+  ReplicaServer::Options opts;
+  opts.num_shards = 4;
+  ReplicaServer a(0, 2, &transport, opts);
+  ReplicaServer b(1, 2, &transport, opts);
+  hub.Register(0, &a);
+  hub.Register(1, &b);
+
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(a.Update("item" + std::to_string(i), "value").ok());
+  }
+  transport.Reset();
+  ASSERT_TRUE(b.PullFrom(0).ok());
+  EXPECT_EQ(transport.calls(), 1u);
+
+  ReplicaStats served = a.TotalStats();
+  EXPECT_GT(served.items_shipped, 0u);
+  EXPECT_EQ(served.serve_staging_allocs, 0u);  // view path end to end
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(*b.Read("item" + std::to_string(i)), "value");
+  }
+  hub.Register(0, nullptr);
+  hub.Register(1, nullptr);
+}
+
+// A single-shard server answers the whole-database v1 handshake (tag 1)
+// with a v1 response (tag 2).
+TEST(ShardedServerTest, V1HandshakeServedBySingleShardServer) {
+  net::InProcHub hub(3);
+  net::InProcTransport transport(&hub);
+  ReplicaServer::Options opts;
+  opts.num_shards = 1;
+  ReplicaServer server(0, 3, &transport, opts);
+  ASSERT_TRUE(server.Update("legacy", "payload").ok());
+
+  PropagationRequest req;
+  req.requester = 1;
+  req.dbvv = VersionVector(3);
+  Result<net::Message> reply =
+      net::Decode(server.HandleRequest(net::Encode(net::Message(req))));
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  auto* resp = std::get_if<PropagationResponse>(&*reply);
+  ASSERT_NE(resp, nullptr);
+  EXPECT_FALSE(resp->you_are_current);
+  ASSERT_EQ(resp->items.size(), 1u);
+  EXPECT_EQ(resp->items[0].name, "legacy");
+  EXPECT_EQ(resp->items[0].value, "payload");
+}
+
+// The fan-out serve cache works in every scheduler mode: with owner
+// workers, two pullers asking for the same tail at the same epoch cost one
+// serve and one replay.
+TEST(ShardedServerTest, ServeCacheHitsWithOwnerWorkers) {
+  net::InProcHub hub(3);
+  net::InProcTransport transport(&hub);
+  ReplicaServer::Options source_opts;
+  source_opts.ae_workers = 4;
+  ReplicaServer source(0, 3, &transport, source_opts);
+  ReplicaServer p1(1, 3, &transport, {});
+  ReplicaServer p2(2, 3, &transport, {});
+  hub.Register(0, &source);
+
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(source.Update("k" + std::to_string(i), "v").ok());
+  }
+  Status s1 = p1.PullFrom(0);
+  ASSERT_TRUE(s1.ok()) << s1.ToString();
+  Status s2 = p2.PullFrom(0);
+  ASSERT_TRUE(s2.ok()) << s2.ToString();
+  const ReplicaStats stats = source.TotalStats();
+  EXPECT_EQ(stats.serve_cache_misses, 1u);
+  EXPECT_EQ(stats.serve_cache_hits, 1u);
+  EXPECT_EQ(p1.Scan(""), source.Scan(""));
+  EXPECT_EQ(p2.Scan(""), source.Scan(""));
+  hub.Register(0, nullptr);
 }
 
 TEST(ShardedServerTest, ShardedServerRejectsLegacyHandshake) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,6 +122,26 @@ TEST(TcpFrameTest, PeerClosingMidFrameIsIOError) {
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
 }
 
+// A hostile header promises 200 MiB, then ten bytes arrive and the peer
+// closes: the read fails without having allocated for the claim.
+TEST(TcpFrameTest, HostileLengthGrowsBufferOnlyWithArrivingBytes) {
+  SocketPair sp;
+  const uint32_t len = 200u << 20;
+  char header[5];
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+  header[4] = 0;
+  ASSERT_EQ(::send(sp.fds[0], header, 5, 0), 5);
+  ASSERT_EQ(::send(sp.fds[0], "0123456789", 10, 0), 10);
+  ::close(sp.fds[0]);
+  sp.fds[0] = -1;
+  std::string payload;
+  Status s = ReadFrameInto(sp.fds[1], &payload);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_LT(payload.capacity(), size_t{2} << 20);
+}
+
 // ---------------------------------------------------------------------------
 // Connection pool.
 
@@ -160,6 +181,43 @@ TEST(TcpPoolTest, ConnectPerCallWhenPoolingDisabled) {
   EXPECT_EQ(s.calls, 5u);
   EXPECT_EQ(s.connections_opened, 5u);  // the churn the pool removes
   EXPECT_EQ(s.connections_reused, 0u);
+  server.Stop();
+}
+
+/// This process's virtual size in bytes, from /proc/self/status (0 when
+/// unavailable).
+uint64_t VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    std::getline(status, key);
+  }
+  return 0;
+}
+
+// Short-lived clients must not leave one exited thread — and its stack
+// mapping — behind per connection: the server joins ended connections.
+TEST(TcpPoolTest, ConnectPerCallClientsLeaveNoThreadStacks) {
+  EchoHandler h;
+  TcpServer server(&h);
+  ASSERT_TRUE(server.Start(0).ok());
+  TcpTransport::Options options;
+  options.pool_connections = false;
+  TcpTransport transport(1, options);
+  transport.SetPeerPort(0, server.port());
+
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(transport.Call(0, "warm").ok());
+  const uint64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(transport.Call(0, "x").ok());
+  const uint64_t after = VmSizeBytes();
+  EXPECT_LT(after, before + (uint64_t{256} << 20))
+      << "VmSize grew from " << before << " to " << after << " bytes";
   server.Stop();
 }
 

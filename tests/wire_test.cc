@@ -104,6 +104,25 @@ TEST(WireTest, BodiesComposeInOneBuffer) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+// A count that claims more records or items than there are bytes left is
+// rejected before anything is reserved: a 12-byte frame once made the
+// decoder reserve 2^35 records and die of std::bad_alloc.
+TEST(WireTest, ResponseBodyCountsBeyondTheBytesAreRejected) {
+  ByteWriter tails;
+  tails.PutU8(0);                // not current
+  tails.PutVarint64(3);          // three tails
+  tails.PutVarint64(uint64_t{1} << 35);  // the first claims 2^35 records
+  ByteReader r1(tails.data());
+  EXPECT_TRUE(DecodePropagationResponseBody(r1).status().IsCorruption());
+
+  ByteWriter items;
+  items.PutU8(0);
+  items.PutVarint64(0);                  // no tails
+  items.PutVarint64(uint64_t{1} << 35);  // 2^35 items
+  ByteReader r2(items.data());
+  EXPECT_TRUE(DecodePropagationResponseBody(r2).status().IsCorruption());
+}
+
 TEST(WireTest, TruncatedBodiesFail) {
   PropagationResponse m;
   m.tails.resize(1);
@@ -224,14 +243,19 @@ PropagationResponse SampleResponse() {
 /// segments: the shard DBVV is the per-origin sum of its item IVVs).
 VersionVector SampleBase() { return Vv({7, 2, 2}); }
 
+/// Encodes one segment body through the serve path's encoder.
+std::string EncodeSegment(const PropagationResponseView& view,
+                          const VersionVector& base) {
+  ByteWriter w;
+  EncodeShardSegmentBodyV3Into(w, view, base);
+  return w.Release();
+}
+
 TEST(WireV3Test, SegmentBodyRoundTrip) {
   PropagationResponse m = SampleResponse();
   PropagationResponseView view;
   MakeResponseView(m, &view);
-
-  std::string body;
-  EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
-                           &body);
+  const std::string body = EncodeSegment(view, SampleBase());
 
   SegmentViewStorage storage;
   PropagationResponseView decoded;
@@ -240,54 +264,24 @@ TEST(WireV3Test, SegmentBodyRoundTrip) {
   // v3 tails carry indices; the decoder resolves both index and name.
   EXPECT_EQ(decoded.tails[0][1].item_index, 1u);
   EXPECT_EQ(decoded.tails[0][1].item_name, "beta");
-}
+  // Views really are zero-copy: they point into the caller's buffer.
+  ASSERT_FALSE(decoded.items.empty());
+  EXPECT_GE(decoded.items[0].name.data(), body.data());
+  EXPECT_LT(decoded.items[0].name.data(), body.data() + body.size());
 
-// Compression is kept only when it wins, round-trips bit-exactly, and is
-// visible in the segment's flags byte.
-TEST(WireV3Test, SegmentBodyCompressedRoundTrip) {
-  PropagationResponse m = SampleResponse();
-  m.items[0].value = std::string(4096, 'x');  // compressible payload
-  PropagationResponseView view;
-  MakeResponseView(m, &view);
-
-  std::string plain;
+  // The buffer-filling form writes the same bytes.
+  std::string filled = "stale contents";
   EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
-                           &plain);
-  V3SegmentOptions opts;
-  opts.compress = true;
-  std::string packed;
-  EncodeShardSegmentBodyV3(view, SampleBase(), opts, nullptr, &packed);
-
-  EXPECT_LT(packed.size(), plain.size());
-  EXPECT_EQ(static_cast<uint8_t>(packed[0]) & kSegFlagCompressed,
-            kSegFlagCompressed);
-
-  SegmentViewStorage storage;
-  PropagationResponseView decoded;
-  ASSERT_TRUE(DecodeShardSegmentBodyV3(packed, &storage, &decoded).ok());
-  ExpectResponsesEqual(MaterializeResponse(decoded), m);
-}
-
-// Tiny bodies skip the compression attempt even when negotiated.
-TEST(WireV3Test, SegmentBodySkipsCompressionBelowThreshold) {
-  PropagationResponse m = SampleResponse();  // must outlive the view
-  PropagationResponseView view;
-  MakeResponseView(m, &view);
-  V3SegmentOptions opts;
-  opts.compress = true;
-  opts.min_compress_bytes = 1 << 20;
-  std::string body;
-  EncodeShardSegmentBodyV3(view, SampleBase(), opts, nullptr, &body);
-  EXPECT_EQ(static_cast<uint8_t>(body[0]) & kSegFlagCompressed, 0);
+                           &filled);
+  EXPECT_EQ(filled, body);
 }
 
 TEST(WireV3Test, SegmentBodyRejectsTrailingAndUnknownFlags) {
   PropagationResponse m = SampleResponse();  // must outlive the view
   PropagationResponseView view;
   MakeResponseView(m, &view);
-  std::string body;
-  EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
-                           &body);
+  const std::string body = EncodeSegment(view, SampleBase());
+  EXPECT_EQ(body[0], '\0');  // no flag is defined
 
   SegmentViewStorage storage;
   PropagationResponseView decoded;
@@ -297,6 +291,13 @@ TEST(WireV3Test, SegmentBodyRejectsTrailingAndUnknownFlags) {
   std::string bad_flags = body;
   bad_flags[0] = static_cast<char>(bad_flags[0] | 0x80);
   EXPECT_FALSE(DecodeShardSegmentBodyV3(bad_flags, &storage, &decoded).ok());
+
+  // 0x01 was the compression flag; no build sends it unasked, and a
+  // segment carrying it is now an unknown flag like any other.
+  std::string retired = body;
+  retired[0] = '\x01';
+  EXPECT_TRUE(DecodeShardSegmentBodyV3(retired, &storage, &decoded)
+                  .IsCorruption());
 }
 
 // A tail index pointing past the item set is corruption, not a crash.
@@ -305,9 +306,7 @@ TEST(WireV3Test, SegmentBodyRejectsOutOfRangeTailIndex) {
   PropagationResponseView view;
   MakeResponseView(m, &view);
   view.tails[0][0].item_index = 99;  // S has 2 entries
-  std::string body;
-  EncodeShardSegmentBodyV3(view, SampleBase(), V3SegmentOptions{}, nullptr,
-                           &body);
+  const std::string body = EncodeSegment(view, SampleBase());
   SegmentViewStorage storage;
   PropagationResponseView decoded;
   EXPECT_FALSE(DecodeShardSegmentBodyV3(body, &storage, &decoded).ok());
@@ -333,34 +332,8 @@ TEST(WireV3Test, MakeResponseViewMaterializeRoundTrip) {
   EXPECT_TRUE(MaterializeResponse(view).you_are_current);
 }
 
-// The zero-copy v2 decoder agrees with the owned one on the same bytes.
-TEST(WireV3Test, V2ViewDecodeMatchesOwnedDecode) {
-  PropagationResponse m = SampleResponse();
-  ByteWriter w;
-  EncodePropagationResponseBody(w, m);
-  const std::string body = w.Release();
-
-  ByteReader r(body);
-  auto owned = DecodePropagationResponseBody(r);
-  ASSERT_TRUE(owned.ok());
-
-  SegmentViewStorage storage;
-  PropagationResponseView view;
-  ASSERT_TRUE(DecodePropagationResponseBodyView(body, &storage, &view).ok());
-  ExpectResponsesEqual(MaterializeResponse(view), *owned);
-  // v2 tails name their items; the decoder resolves the index into S.
-  EXPECT_EQ(view.tails[0][1].item_index, 1u);
-  EXPECT_EQ(view.tails[2][0].item_index, 0u);
-  // Views really are zero-copy: they point into the caller's buffer.
-  ASSERT_FALSE(view.items.empty());
-  const char* data_begin = body.data();
-  const char* data_end = body.data() + body.size();
-  EXPECT_GE(view.items[0].name.data(), data_begin);
-  EXPECT_LT(view.items[0].name.data(), data_end);
-}
-
-// Random segments round-trip through the v3 codec, with and without
-// compression: the full-pipeline property test.
+// Random segments round-trip through the v3 codec: the full-pipeline
+// property test.
 TEST(WireV3Test, SegmentBodyPropertyRoundTrip) {
   std::mt19937 rng(0x5EC3E247);
   for (int trial = 0; trial < 200; ++trial) {
@@ -395,12 +368,7 @@ TEST(WireV3Test, SegmentBodyPropertyRoundTrip) {
 
     PropagationResponseView view;
     MakeResponseView(m, &view);
-    V3SegmentOptions opts;
-    opts.compress = trial % 2 == 0;
-    opts.min_compress_bytes = 16;
-    std::string body;
-    EncodeShardSegmentBodyV3(view, VersionVector(base_counts), opts, nullptr,
-                             &body);
+    const std::string body = EncodeSegment(view, VersionVector(base_counts));
 
     SegmentViewStorage storage;
     PropagationResponseView decoded;
@@ -413,8 +381,9 @@ TEST(WireV3Test, SegmentBodyPropertyRoundTrip) {
 TEST(WireV3Test, EpochProbeRequestRoundTrip) {
   ShardedPropagationRequest m;
   m.requester = 4;
-  m.wire_version = kWireV3;
-  m.flags = kPropFlagEpochProbe | kPropFlagAcceptCompressed;
+  // 0x01 is the retired accept-compressed bit: it still round-trips, and
+  // sources ignore it.
+  m.flags = kPropFlagEpochProbe | 0x01;
   m.last_epoch = 123456789;
   ByteWriter w;
   EncodeShardedPropagationRequestBodyV3(w, m);
@@ -432,7 +401,6 @@ TEST(WireV3Test, EpochProbeWithDbvvsRejected) {
   // A probe by definition carries no per-shard handshake; a frame that
   // claims both is malformed, not "a probe with extra hints".
   ShardedPropagationRequest m;
-  m.wire_version = kWireV3;
   m.flags = kPropFlagEpochProbe;
   m.last_epoch = 7;
   m.shard_dbvvs.push_back(Vv({1}));
@@ -444,7 +412,6 @@ TEST(WireV3Test, EpochProbeWithDbvvsRejected) {
 
 TEST(WireV3Test, ResponseEnvelopeCarriesEpochAndFlags) {
   ShardedPropagationResponse m;
-  m.wire_version = kWireV3;
   m.num_shards = 4;
   m.epoch = 42;
   m.resp_flags = kPropRespFlagResend;
@@ -453,7 +420,6 @@ TEST(WireV3Test, ResponseEnvelopeCarriesEpochAndFlags) {
   ByteReader r(w.data());
   auto out = DecodeShardedPropagationResponseBodyV3(r);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->wire_version, kWireV3);
   EXPECT_EQ(out->num_shards, 4u);
   EXPECT_EQ(out->epoch, 42u);
   EXPECT_TRUE(out->resend_requested());
@@ -464,7 +430,6 @@ TEST(WireV3Test, ResponseEnvelopeRejectsBadFlagCombos) {
   // Unknown flag bits must fail decode (forward-compat discipline).
   {
     ShardedPropagationResponse m;
-    m.wire_version = kWireV3;
     m.num_shards = 1;
     m.resp_flags = 0x80;
     ByteWriter w;
@@ -477,7 +442,6 @@ TEST(WireV3Test, ResponseEnvelopeRejectsBadFlagCombos) {
   // mean the source is confused (or the frame was tampered with).
   {
     ShardedPropagationResponse m;
-    m.wire_version = kWireV3;
     m.num_shards = 2;
     m.resp_flags = kPropRespFlagResend;
     ShardedPropagationSegment seg;

@@ -1,5 +1,5 @@
-// Wire-robustness: a frame of every message type (tags 1-18), truncated at
-// every byte boundary, must come back from Decode as a clean Status error —
+// Wire-robustness: a frame of every message type (tags 1-13 and 16-18),
+// truncated at every byte boundary, must come back from Decode as a clean Status error —
 // never a crash, never an out-of-range read (the ASan/UBSan CI jobs run
 // this test under both sanitizers), and never a silent success.
 
@@ -33,27 +33,23 @@ PropagationResponse MakePropagationResponse() {
   return resp;
 }
 
-/// A populated v3 segment body (optionally LZ77-compressed) over the same
-/// sample response, with the base chosen to dominate every item IVV.
-std::string EncodeV3SegmentBody(bool compressed) {
+/// A populated v3 segment body over the same sample response, with the base
+/// chosen to dominate every item IVV.
+std::string EncodeV3SegmentBody() {
   PropagationResponse resp = MakePropagationResponse();
-  if (compressed) resp.items[0].value = std::string(2048, 'x');
   PropagationResponseView view;
   wire::MakeResponseView(resp, &view);
   VersionVector base(3);
   base[0] = 100;
   base[1] = 100;
   base[2] = 1000;
-  wire::V3SegmentOptions opts;
-  opts.compress = compressed;
-  opts.min_compress_bytes = 16;
-  std::string body;
-  wire::EncodeShardSegmentBodyV3(view, base, opts, nullptr, &body);
-  return body;
+  ByteWriter w;
+  wire::EncodeShardSegmentBodyV3Into(w, view, base);
+  return w.Release();
 }
 
 // One fully populated representative of every net::Message alternative, in
-// wire-tag order 1..18.
+// variant order (tags 1..13, then 17, 18, 16).
 std::vector<net::Message> RepresentativeMessages() {
   std::vector<net::Message> msgs;
   msgs.push_back(PropagationRequest{2, MakeVv()});      // tag 1
@@ -70,40 +66,26 @@ std::vector<net::Message> RepresentativeMessages() {
   msgs.push_back(net::ClientSyncRequest{1});            // tag 12
   msgs.push_back(net::ClientCheckpointRequest{});       // tag 13
 
-  ShardedPropagationRequest sharded_req;                // tag 14
+  ShardedPropagationRequest sharded_req;                // tag 17
   sharded_req.requester = 2;
   sharded_req.shard_dbvvs = {MakeVv(), MakeVv()};
   msgs.push_back(sharded_req);
 
-  ShardedPropagationResponse sharded_resp;              // tag 15
+  ShardedPropagationResponse sharded_resp;              // tag 18
   sharded_resp.num_shards = 2;
-  sharded_resp.segments.push_back(ShardedPropagationSegment{
-      0, wire::EncodeShardSegmentBody(MakePropagationResponse())});
   sharded_resp.segments.push_back(
-      ShardedPropagationSegment{1, wire::EncodeShardSegmentBody({})});
+      ShardedPropagationSegment{0, EncodeV3SegmentBody()});
+  sharded_resp.segments.push_back(
+      ShardedPropagationSegment{1, EncodeV3SegmentBody()});
   msgs.push_back(sharded_resp);
 
   msgs.push_back(net::ClientResetStatsRequest{});       // tag 16
-
-  ShardedPropagationRequest sharded_req_v3 = sharded_req;  // tag 17
-  sharded_req_v3.wire_version = kWireV3;
-  sharded_req_v3.flags = kPropFlagAcceptCompressed;
-  msgs.push_back(sharded_req_v3);
-
-  ShardedPropagationResponse sharded_resp_v3;           // tag 18
-  sharded_resp_v3.wire_version = kWireV3;
-  sharded_resp_v3.num_shards = 2;
-  sharded_resp_v3.segments.push_back(
-      ShardedPropagationSegment{0, EncodeV3SegmentBody(false)});
-  sharded_resp_v3.segments.push_back(
-      ShardedPropagationSegment{1, EncodeV3SegmentBody(true)});
-  msgs.push_back(sharded_resp_v3);
   return msgs;
 }
 
 TEST(WireTruncationTest, EveryPrefixOfEveryMessageIsRejected) {
   const std::vector<net::Message> msgs = RepresentativeMessages();
-  ASSERT_EQ(msgs.size(), 18u);
+  ASSERT_EQ(msgs.size(), 16u);
   for (size_t m = 0; m < msgs.size(); ++m) {
     const std::string frame = net::Encode(msgs[m]);
     ASSERT_FALSE(frame.empty());
@@ -122,49 +104,31 @@ TEST(WireTruncationTest, EveryPrefixOfEveryMessageIsRejected) {
   }
 }
 
-// The opaque per-shard segment bodies of a sharded reply are decoded by a
-// separate entry point (under the shard's lock); they get the same
-// treatment.
-TEST(WireTruncationTest, EveryPrefixOfShardSegmentBodyIsRejected) {
-  const std::string body = wire::EncodeShardSegmentBody(
-      MakePropagationResponse());
-  ASSERT_FALSE(body.empty());
-  ASSERT_TRUE(wire::DecodeShardSegmentBody(body).ok());
-  for (size_t cut = 0; cut < body.size(); ++cut) {
-    auto r = wire::DecodeShardSegmentBody(
-        std::string_view(body.data(), cut));
-    EXPECT_FALSE(r.ok()) << "segment body decoded OK from a " << cut
-                         << "-byte prefix of " << body.size() << " bytes";
-  }
-}
-
-// Flipping the tag byte to values outside 1..18 must be rejected cleanly.
+// Flipping the tag byte to an unknown value must be rejected cleanly —
+// including 14 and 15, the retired sharded wire v2.
 TEST(WireTruncationTest, UnknownTagIsRejected) {
   std::string frame = net::Encode(net::ClientReadRequest{"k0"});
-  for (int tag : {0, 19, 42, 255}) {
+  for (int tag : {0, 14, 15, 19, 42, 255}) {
     frame[0] = static_cast<char>(tag);
     auto r = net::Decode(frame);
     EXPECT_FALSE(r.ok()) << "tag " << tag << " decoded OK";
   }
 }
 
-// v3 segment bodies — plain and compressed — get the same every-prefix
-// treatment through their zero-copy decoder.
+// The opaque per-shard v3 segment bodies of a sharded reply are decoded by
+// a separate entry point (inside the shard's task); they get the same
+// every-prefix treatment through their zero-copy decoder.
 TEST(WireTruncationTest, EveryPrefixOfV3SegmentBodyIsRejected) {
-  for (bool compressed : {false, true}) {
-    const std::string body = EncodeV3SegmentBody(compressed);
-    ASSERT_FALSE(body.empty());
-    wire::SegmentViewStorage storage;
-    PropagationResponseView view;
-    ASSERT_TRUE(wire::DecodeShardSegmentBodyV3(body, &storage, &view).ok());
-    for (size_t cut = 0; cut < body.size(); ++cut) {
-      Status s = wire::DecodeShardSegmentBodyV3(
-          std::string_view(body.data(), cut), &storage, &view);
-      EXPECT_FALSE(s.ok())
-          << (compressed ? "compressed" : "plain") << " v3 segment body "
-          << "decoded OK from a " << cut << "-byte prefix of " << body.size()
-          << " bytes";
-    }
+  const std::string body = EncodeV3SegmentBody();
+  ASSERT_FALSE(body.empty());
+  wire::SegmentViewStorage storage;
+  PropagationResponseView view;
+  ASSERT_TRUE(wire::DecodeShardSegmentBodyV3(body, &storage, &view).ok());
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    Status s = wire::DecodeShardSegmentBodyV3(
+        std::string_view(body.data(), cut), &storage, &view);
+    EXPECT_FALSE(s.ok()) << "v3 segment body decoded OK from a " << cut
+                         << "-byte prefix of " << body.size() << " bytes";
   }
 }
 

@@ -2,7 +2,6 @@
 //
 //   epicheck --nodes 2 --items 2 --depth 8            # explore, expect clean
 //   epicheck --nodes 3 --items 2 --depth 6 --shards 2 # sharded core + wire v3
-//   epicheck --nodes 2 --items 2 --depth 6 --shards 2 --wire 2  # legacy v2
 //   epicheck --nodes 2 --items 1 --depth 4 --mutate amnesia
 //            --trace-out amnesia.trace                # seeded-defect self-test
 //   epicheck --replay amnesia.trace                   # deterministic replay
@@ -43,8 +42,6 @@ void Usage(const char* argv0) {
       "  --depth <D>        max schedule length (default 8)\n"
       "  --shards <S>       shards per replica; >1 drives the sharded core\n"
       "                     through the real wire segments (default 1)\n"
-      "  --wire <V>         wire format for the sharded path: 3 = v3 delta\n"
-      "                     segments (default), 2 = legacy owned segments\n"
       "  --mutate <m>       seeded defect for checker self-test:\n"
       "                     none | amnesia | mute-conflicts | tamper-ivv\n"
       "  --actions <list>   comma list of optional actions to enable:\n"
@@ -94,7 +91,6 @@ int ReportResult(const CheckReport& report, const WorldConfig& world,
   file.nodes = static_cast<uint32_t>(world.num_nodes);
   file.items = static_cast<uint32_t>(world.num_items);
   file.shards = static_cast<uint32_t>(world.num_shards);
-  file.wire = static_cast<uint32_t>(world.wire_version);
   file.mutation = std::string(epidemic::check::MutationName(world.mutation));
   file.actions = trace;
   PrintTrace(file);
@@ -151,9 +147,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--shards") {
       const char* v = value();
       ok = v != nullptr && ParseSize(v, &config.world.num_shards);
-    } else if (flag == "--wire") {
-      const char* v = value();
-      ok = v != nullptr && ParseSize(v, &config.world.wire_version);
     } else if (flag == "--mutate") {
       const char* v = value();
       if (v == nullptr) {
@@ -226,7 +219,6 @@ int main(int argc, char** argv) {
     world.num_nodes = trace->nodes;
     world.num_items = trace->items;
     world.num_shards = trace->shards;
-    world.wire_version = trace->wire;
     auto m = epidemic::check::ParseMutation(trace->mutation);
     if (!m.ok()) {
       std::fprintf(stderr, "bad trace file: %s\n",
@@ -235,10 +227,9 @@ int main(int argc, char** argv) {
     }
     world.mutation = *m;
     std::printf("replaying %zu actions (nodes=%zu items=%zu shards=%zu "
-                "wire=%zu mutate=%s)\n",
+                "mutate=%s)\n",
                 trace->actions.size(), world.num_nodes, world.num_items,
-                world.num_shards, world.wire_version,
-                trace->mutation.c_str());
+                world.num_shards, trace->mutation.c_str());
     CheckReport report =
         epidemic::check::ReplayTrace(world, trace->actions);
     return ReportResult(report, world, /*trace_out=*/"", /*minimize=*/false);
@@ -246,8 +237,7 @@ int main(int argc, char** argv) {
 
   if (config.world.num_nodes < 2 || config.world.num_nodes > 4 ||
       config.world.num_items < 1 || config.world.num_items > 4 ||
-      config.world.num_shards < 1 || config.max_depth < 1 ||
-      config.world.wire_version < 2 || config.world.wire_version > 3) {
+      config.world.num_shards < 1 || config.max_depth < 1) {
     Usage(argv[0]);
     return 2;
   }
@@ -260,10 +250,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("epicheck: nodes=%zu items=%zu depth=%zu shards=%zu "
-              "wire=%zu mutate=%s\n",
+              "mutate=%s\n",
               config.world.num_nodes, config.world.num_items,
               config.max_depth, config.world.num_shards,
-              config.world.wire_version,
               std::string(epidemic::check::MutationName(config.world.mutation))
                   .c_str());
   CheckReport report = epidemic::check::RunCheck(config);
