@@ -16,7 +16,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/compress.h"
 #include "core/replica.h"
 #include "core/sharded_replica.h"
 #include "net/codec.h"
@@ -43,15 +42,12 @@ void RunRow(int64_t m, size_t value_len, size_t num_nodes) {
   size_t payload = 0;
   for (const auto& item : resp.items) payload += item.value.size();
   const size_t metadata = frame.size() - payload;
-  // What the TCP transport would actually ship on a dial-up link.
-  const size_t compressed = epidemic::Compress(frame).size();
 
-  std::printf("%8lld %10zu %7zu %12zu %12zu %12zu %14.1f %12zu\n",
+  std::printf("%8lld %10zu %7zu %12zu %12zu %12zu %14.1f\n",
               static_cast<long long>(m), value_len, num_nodes, frame.size(),
               payload, metadata,
               m > 0 ? static_cast<double>(metadata) / static_cast<double>(m)
-                    : 0.0,
-              compressed);
+                    : 0.0);
 }
 
 // One W1 measurement: a sharded source with m single-origin updates serves
@@ -139,9 +135,9 @@ int main(int argc, char** argv) {
   std::printf(
       "E9: encoded propagation-message size; metadata must be constant "
       "per shipped item (§6)\n\n");
-  std::printf("%8s %10s %7s %12s %12s %12s %14s %12s\n", "m_items",
+  std::printf("%8s %10s %7s %12s %12s %12s %14s\n", "m_items",
               "value_len", "nodes", "frame_bytes", "payload", "metadata",
-              "meta/item", "compressed");
+              "meta/item");
   for (int64_t m : {1, 16, 256, 4096}) {
     RunRow(m, /*value_len=*/64, /*num_nodes=*/4);
   }

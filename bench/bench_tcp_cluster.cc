@@ -5,23 +5,17 @@
 // burst to a fixed source node, then makes every other node pull from it
 // (TriggerSync → probe + full v3 handshake), then sweeps a few quiescent
 // probe rounds — the paper's anti-entropy cadence, where most exchanges
-// find nothing new. Two legs A/B the network pipeline end to end:
+// find nothing new. Daemons keep one persistent connection per peer, so
+// after warmup a round opens zero connections.
 //
-//   pooled    — daemons keep one persistent connection per peer (default);
-//               after warmup a round opens zero connections.
-//   unpooled  — daemons run --no-conn-pool (connect-per-call, the legacy
-//               shape); every probe and every transfer pays a TCP connect
-//               plus a server accept/thread spawn.
-//
-// The pooled leg doubles as the fan-out serve-cache leg: the N-1 pullers
-// are byte-identical requesters (same DBVVs, same flags), so per round the
+// The run doubles as the fan-out serve-cache check: the N-1 pullers are
+// byte-identical requesters (same DBVVs, same flags), so per round the
 // source encodes the reply once and replays it N-2 times — the
 // `serve_cache:` counters from the source's ResetStats are reported as the
 // hit rate.
 //
 // Latency percentiles cover the sync phase only (write bursts are
-// untimed): that is the propagation pipeline under test, and it is
-// identical in both legs except for connection handling.
+// untimed): that is the propagation pipeline under test.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -160,7 +154,7 @@ std::vector<uint16_t> PickFreePorts(size_t n) {
 /// One forked epidemicd cluster plus the driver-side client plumbing.
 class Cluster {
  public:
-  Cluster(const Config& cfg, bool pool_connections) : cfg_(cfg) {
+  explicit Cluster(const Config& cfg) : cfg_(cfg) {
     ports_ = PickFreePorts(static_cast<size_t>(cfg.nodes));
     if (ports_.size() != static_cast<size_t>(cfg.nodes)) {
       std::fprintf(stderr, "cannot reserve %d loopback ports\n", cfg.nodes);
@@ -179,7 +173,6 @@ class Cluster {
         args.push_back("--peer=" + std::to_string(j) + ":" +
                        std::to_string(ports_[j]));
       }
-      if (!pool_connections) args.push_back("--no-conn-pool");
       pids_.push_back(Spawn(args));
     }
     // The driver's own admin transport: short backoff so readiness polling
@@ -248,17 +241,17 @@ class Cluster {
   std::vector<ReplicaClient> clients_;
 };
 
-struct LegResult {
+struct RunResult {
   double rounds_per_sec = 0;
   Percentiles sync_us;
   double bytes_per_round = 0;
   DaemonNetStats net;  // summed across daemons (cache from the source)
 };
 
-/// One measured leg: fresh cluster, warmup, R rounds of
+/// One measured run: fresh cluster, warmup, R rounds of
 /// write-burst → full sync sweep → quiescent probe sweeps.
-LegResult RunLeg(const Config& cfg, bool pool_connections) {
-  Cluster cluster(cfg, pool_connections);
+RunResult Run(const Config& cfg) {
+  Cluster cluster(cfg);
   epidemic::sim::WorkloadConfig wcfg;
   wcfg.num_items = 2000;
   wcfg.zipf_s = 0.99;
@@ -317,7 +310,7 @@ LegResult RunLeg(const Config& cfg, bool pool_connections) {
                                     bench_start)
           .count();
 
-  LegResult result;
+  RunResult result;
   result.rounds_per_sec = cfg.rounds / total_s;
   result.sync_us = ComputePercentiles(sync_us);
   for (int i = 0; i < cluster.nodes(); ++i) {
@@ -339,9 +332,10 @@ LegResult RunLeg(const Config& cfg, bool pool_connections) {
   return result;
 }
 
-void PrintLegJson(const char* name, const LegResult& r, bool last) {
+/// The run's object, under the key "pooled" that earlier artifacts used.
+void PrintRunJson(const RunResult& r) {
   std::printf(
-      "  \"%s\": {\n"
+      "  \"pooled\": {\n"
       "    \"rounds_per_sec\": %.1f,\n"
       "    \"sync_p50_us\": %.1f,\n"
       "    \"sync_p95_us\": %.1f,\n"
@@ -353,14 +347,14 @@ void PrintLegJson(const char* name, const LegResult& r, bool last) {
       "    \"net_reconnects\": %llu,\n"
       "    \"serve_cache_hits\": %llu,\n"
       "    \"serve_cache_misses\": %llu\n"
-      "  }%s\n",
-      name, r.rounds_per_sec, r.sync_us.p50, r.sync_us.p95, r.sync_us.p99,
+      "  },\n",
+      r.rounds_per_sec, r.sync_us.p50, r.sync_us.p95, r.sync_us.p99,
       r.bytes_per_round, static_cast<unsigned long long>(r.net.calls),
       static_cast<unsigned long long>(r.net.opened),
       static_cast<unsigned long long>(r.net.reused),
       static_cast<unsigned long long>(r.net.reconnects),
       static_cast<unsigned long long>(r.net.cache_hits),
-      static_cast<unsigned long long>(r.net.cache_misses), last ? "" : ",");
+      static_cast<unsigned long long>(r.net.cache_misses));
 }
 
 }  // namespace
@@ -399,17 +393,12 @@ int main(int argc, char** argv) {
   // order; the Cluster destructor still collects them.
   std::signal(SIGPIPE, SIG_IGN);
 
-  const LegResult pooled = RunLeg(cfg, /*pool_connections=*/true);
-  const LegResult unpooled = RunLeg(cfg, /*pool_connections=*/false);
-  const double speedup =
-      unpooled.rounds_per_sec > 0
-          ? pooled.rounds_per_sec / unpooled.rounds_per_sec
-          : 0;
+  const RunResult result = Run(cfg);
   const uint64_t fanout_total =
-      pooled.net.cache_hits + pooled.net.cache_misses;
+      result.net.cache_hits + result.net.cache_misses;
   const double hit_rate =
       fanout_total > 0
-          ? static_cast<double>(pooled.net.cache_hits) / fanout_total
+          ? static_cast<double>(result.net.cache_hits) / fanout_total
           : 0;
 
   if (cfg.json) {
@@ -421,9 +410,7 @@ int main(int argc, char** argv) {
     std::printf("  \"writes_per_round\": %d,\n  \"probes_per_round\": %d,\n",
                 cfg.writes_per_round, cfg.probes_per_round);
     std::printf("  \"shards\": %d,\n", cfg.shards);
-    PrintLegJson("pooled", pooled, /*last=*/false);
-    PrintLegJson("unpooled", unpooled, /*last=*/false);
-    std::printf("  \"pooled_speedup\": %.2f,\n", speedup);
+    PrintRunJson(result);
     std::printf("  \"serve_cache_hit_rate\": %.3f\n}\n", hit_rate);
   } else {
     std::printf(
@@ -431,21 +418,16 @@ int main(int argc, char** argv) {
         "sweeps (build=%s)\n",
         cfg.nodes, cfg.rounds, cfg.writes_per_round, cfg.probes_per_round,
         EPI_BUILD_TYPE);
-    std::printf(
-        "%-9s %12s %10s %10s %10s %12s %8s %8s\n", "leg", "rounds/s",
-        "p50(us)", "p95(us)", "p99(us)", "bytes/round", "opened", "reused");
-    for (const auto& [name, leg] :
-         {std::pair<const char*, const LegResult&>{"pooled", pooled},
-          {"unpooled", unpooled}}) {
-      std::printf("%-9s %12.1f %10.1f %10.1f %10.1f %12.1f %8llu %8llu\n",
-                  name, leg.rounds_per_sec, leg.sync_us.p50, leg.sync_us.p95,
-                  leg.sync_us.p99, leg.bytes_per_round,
-                  static_cast<unsigned long long>(leg.net.opened),
-                  static_cast<unsigned long long>(leg.net.reused));
-    }
-    std::printf("pooled speedup: %.2fx; serve cache hit rate %.3f (%llu/%llu)\n",
-                speedup, hit_rate,
-                static_cast<unsigned long long>(pooled.net.cache_hits),
+    std::printf("%12s %10s %10s %10s %12s %8s %8s\n", "rounds/s",
+                "p50(us)", "p95(us)", "p99(us)", "bytes/round", "opened",
+                "reused");
+    std::printf("%12.1f %10.1f %10.1f %10.1f %12.1f %8llu %8llu\n",
+                result.rounds_per_sec, result.sync_us.p50, result.sync_us.p95,
+                result.sync_us.p99, result.bytes_per_round,
+                static_cast<unsigned long long>(result.net.opened),
+                static_cast<unsigned long long>(result.net.reused));
+    std::printf("serve cache hit rate %.3f (%llu/%llu)\n", hit_rate,
+                static_cast<unsigned long long>(result.net.cache_hits),
                 static_cast<unsigned long long>(fanout_total));
   }
   return 0;

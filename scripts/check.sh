@@ -103,9 +103,9 @@ case "$mode" in
     shift
     # The network-pipeline leg (DESIGN.md §14 / EXPERIMENTS.md N1): the
     # TCP framing + connection-pool unit tests, then a short real
-    # multi-process cluster — N epidemicd daemons forked on loopback,
-    # pooled vs connect-per-call — so a transport regression that only
-    # shows up across process boundaries fails here, not in a paper run.
+    # multi-process cluster — N epidemicd daemons forked on loopback over
+    # pooled connections — so a transport regression that only shows up
+    # across process boundaries fails here, not in a paper run.
     build_dir=build
     cmake -B "$build_dir" -S . > /dev/null
     cmake --build "$build_dir" -j"$(nproc)" --target \

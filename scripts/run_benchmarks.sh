@@ -9,8 +9,8 @@
 #                            N-sweep ends (m=64, N=1,024 vs 262,144)
 #   - bench_message_size     bytes/exchange and control bytes, wire v3 (W1)
 #   - bench_sharded_parallel pull rounds/sec under write load
-#   - bench_tcp_cluster      multi-process loopback cluster, pooled vs
-#                            connect-per-call transport (N1)
+#   - bench_tcp_cluster      multi-process loopback cluster over the pooled
+#                            transport (N1)
 #
 # Usage: scripts/run_benchmarks.sh [--json] [--smoke] [output.json]
 #   --json   write the merged JSON artifact (default name BENCH_PR10.json)
@@ -77,9 +77,8 @@ gb_args=("--benchmark_filter=${filter}")
 # 4s rows: on a contended 1-core host, 1s rows swing ±50% (a handful of
 # multi-ms CFS deschedules dominate); 4s rows are stable to a few percent.
 par_seconds=4.0
-# 200 measured rounds/leg keeps the unpooled leg's ephemeral-port churn
-# well under the loopback TIME_WAIT budget while the percentiles are
-# already stable; smoke just checks the harness shape.
+# 200 measured rounds keep the percentiles stable; smoke just checks the
+# harness shape.
 cluster_rounds=200
 if [ "$smoke" -eq 1 ]; then
   gb_args+=("--benchmark_min_time=0.02")
@@ -211,13 +210,10 @@ if base and owned:
           f"update p99 {base['update_p99_us']:.0f} -> "
           f"{owned['update_p99_us']:.0f} us")
 cp = cluster["pooled"]
-cu = cluster["unpooled"]
 print(f"  tcp-cluster ({cluster['nodes']} nodes, {cluster['rounds']} "
-      f"rounds): pooled {cp['rounds_per_sec']:.0f} rounds/s "
+      f"rounds): {cp['rounds_per_sec']:.0f} rounds/s "
       f"(opened={cp['net_connections_opened']}, "
-      f"reused={cp['net_connections_reused']}), unpooled "
-      f"{cu['rounds_per_sec']:.0f} rounds/s "
-      f"(speedup {cluster['pooled_speedup']:.2f}x); "
+      f"reused={cp['net_connections_reused']}); "
       f"serve cache hit rate {cluster['serve_cache_hit_rate']:.3f}")
 print(f"  E2 exchange (m=64) N=1024 {small_db['us_per_exchange']} us, "
       f"N=262144 {large_db['us_per_exchange']} us ({e2_growth}x)")

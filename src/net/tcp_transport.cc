@@ -12,25 +12,11 @@
 #include <cstring>
 
 #include "common/bytes.h"
-#include "common/compress.h"
 #include "common/logging.h"
 
 namespace epidemic::net {
 
 namespace {
-
-Status SendAll(int fd, const char* data, size_t n) {
-  size_t sent = 0;
-  while (sent < n) {
-    ssize_t rc = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(rc);
-  }
-  return Status::OK();
-}
 
 /// Gathered send: one sendmsg train over the iovec list, advancing the
 /// (mutable, caller-local) entries across partial writes. sendmsg rather
@@ -79,51 +65,28 @@ Status RecvAll(int fd, char* data, size_t n) {
   return Status::OK();
 }
 
-// Payloads this small are never worth compressing.
-constexpr size_t kCompressionThreshold = 512;
-
 // The receive buffer grows as payload bytes arrive, never ahead of them by
 // more than max(this, bytes already received).
 constexpr size_t kMinReadStep = size_t{1} << 20;  // 1 MiB
 
-constexpr uint8_t kFlagCompressed = 0x01;
 constexpr size_t kFrameHeaderBytes = 5;  // fixed32 length + flags byte
 
-/// Builds the 5-byte header into `header`. The length is encoded through
+/// Builds the 5-byte header into `header`: the length through
 /// ByteWriter::PutFixed32, so the wire bytes are little-endian on every
-/// host — the old memcpy of a uint32_t leaked the host's byte order into
-/// the frame format.
-void BuildFrameHeader(uint32_t len, uint8_t flags,
-                      char header[kFrameHeaderBytes]) {
+/// host, then the flags byte. Every frame's flags byte is 0; bit 0x01
+/// (transparent LZ) is retired and must never be reused.
+void BuildFrameHeader(uint32_t len, char header[kFrameHeaderBytes]) {
   ByteWriter w;
   w.PutFixed32(len);
-  w.PutU8(flags);
+  w.PutU8(0);
   std::memcpy(header, w.data().data(), kFrameHeaderBytes);
 }
 
 }  // namespace
 
 Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame too large");
-  }
-  // Transparent compression (the dial-up links of §1): used only when it
-  // actually shrinks the payload.
-  uint8_t flags = 0;
-  std::string compressed;
-  std::string_view body = payload;
-  if (payload.size() >= kCompressionThreshold) {
-    compressed = Compress(payload);
-    if (compressed.size() < payload.size()) {
-      flags |= kFlagCompressed;
-      body = compressed;
-    }
-  }
-
-  char header[kFrameHeaderBytes];
-  BuildFrameHeader(static_cast<uint32_t>(body.size()), flags, header);
-  EPI_RETURN_NOT_OK(SendAll(fd, header, kFrameHeaderBytes));
-  return SendAll(fd, body.data(), body.size());
+  struct iovec iov = {const_cast<char*>(payload.data()), payload.size()};
+  return WriteFrameV(fd, &iov, 1);
 }
 
 Status WriteFrameV(int fd, const struct iovec* iov, size_t iovcnt) {
@@ -132,11 +95,9 @@ Status WriteFrameV(int fd, const struct iovec* iov, size_t iovcnt) {
   if (total > kMaxFrameBytes) {
     return Status::InvalidArgument("frame too large");
   }
-  // Header plus the caller's pieces in one gathered send. No transparent
-  // compression on this path: compressing would force assembling the
-  // contiguous payload this function exists to avoid.
+  // Header plus the caller's pieces in one gathered send.
   char header[kFrameHeaderBytes];
-  BuildFrameHeader(static_cast<uint32_t>(total), /*flags=*/0, header);
+  BuildFrameHeader(static_cast<uint32_t>(total), header);
   std::vector<struct iovec> vec(iovcnt + 1);
   vec[0].iov_base = header;
   vec[0].iov_len = kFrameHeaderBytes;
@@ -151,9 +112,9 @@ Status ReadFrameInto(int fd, std::string* payload) {
   const uint32_t len = *hr.GetFixed32();   // 5 bytes present by construction
   const uint8_t flags = *hr.GetU8();
   if (len > kMaxFrameBytes) return Status::Corruption("oversized frame");
-  if ((flags & ~kFlagCompressed) != 0) {
-    return Status::Corruption("unknown frame flags");
-  }
+  // No flag is defined, and 0x01 (a retired LZ encoding) must not be
+  // decoded: refuse before reading or allocating for the payload.
+  if (flags != 0) return Status::Corruption("unknown frame flags");
   // The header is the peer's claim, not a fact: grow the buffer in steps
   // of at most max(1 MiB, bytes already received), so a peer announcing
   // 256 MiB and sending ten bytes costs 1 MiB, not 256. Frames up to 1 MiB
@@ -169,18 +130,7 @@ Status ReadFrameInto(int fd, std::string* payload) {
     EPI_RETURN_NOT_OK(RecvAll(fd, payload->data() + got, step));
     got += step;
   }
-  if (flags & kFlagCompressed) {
-    Result<std::string> plain = Decompress(*payload, kMaxFrameBytes);
-    if (!plain.ok()) return plain.status();
-    *payload = std::move(*plain);
-  }
   return Status::OK();
-}
-
-Result<std::string> ReadFrame(int fd) {
-  std::string payload;
-  EPI_RETURN_NOT_OK(ReadFrameInto(fd, &payload));
-  return payload;
 }
 
 Status TcpServer::Start(uint16_t port) {
@@ -368,33 +318,10 @@ Status TcpTransport::CallInto(NodeId dest, std::string_view request,
   // relaxed: monotonic stats counter, read only for reporting.
   calls_.fetch_add(1, std::memory_order_relaxed);
 
-  if (!options_.pool_connections) {
-    // Legacy connect-per-call shape, kept as the benchmark baseline: one
-    // socket/connect/close cycle per request.
-    Result<int> fd = ConnectTo(ports_[dest]);
-    if (!fd.ok()) return fd.status();
-    // relaxed: monotonic stats counter (see above).
-    connections_opened_.fetch_add(1, std::memory_order_relaxed);
-    Status s = WriteFrame(*fd, request);
-    if (s.ok()) s = ReadFrameInto(*fd, response);
-    ::close(*fd);
-    if (s.ok()) {
-      // relaxed: monotonic byte counters, approximate wire accounting.
-      bytes_sent_.fetch_add(request.size() + 5, std::memory_order_relaxed);
-      bytes_received_.fetch_add(response->size() + 5,
-                                std::memory_order_relaxed);
-    }
-    return s;
-  }
-  return CallPooled(*conns_[dest], ports_[dest], request, response);
-}
-
-Status TcpTransport::CallPooled(PeerConn& pc, uint16_t port,
-                                std::string_view request,
-                                std::string* response) {
   // One caller per peer at a time: the frame stream has no multiplexing,
   // so the connection carries exactly one request/response pair at once.
   // Different peers use different PeerConns and proceed in parallel.
+  PeerConn& pc = *conns_[dest];
   MutexLock lock(pc.mu);
   bool fresh = false;
   for (int attempt = 0;; ++attempt) {
@@ -407,7 +334,7 @@ Status TcpTransport::CallPooled(PeerConn& pc, uint16_t port,
         backoff_skips_.fetch_add(1, std::memory_order_relaxed);
         return Status::Unavailable("peer in connect backoff");
       }
-      Result<int> fd = ConnectTo(port);
+      Result<int> fd = ConnectTo(ports_[dest]);
       if (!fd.ok()) {
         pc.backoff_micros =
             pc.backoff_micros == 0
@@ -430,10 +357,10 @@ Status TcpTransport::CallPooled(PeerConn& pc, uint16_t port,
         // relaxed: monotonic stats counter (see above).
         connections_reused_.fetch_add(1, std::memory_order_relaxed);
       }
-      // relaxed: monotonic byte counters, approximate wire accounting
-      // (header included; transparent compression may send fewer).
-      bytes_sent_.fetch_add(request.size() + 5, std::memory_order_relaxed);
-      bytes_received_.fetch_add(response->size() + 5,
+      // relaxed: monotonic byte counters, header included.
+      bytes_sent_.fetch_add(request.size() + kFrameHeaderBytes,
+                            std::memory_order_relaxed);
+      bytes_received_.fetch_add(response->size() + kFrameHeaderBytes,
                                 std::memory_order_relaxed);
       return Status::OK();
     }

@@ -21,19 +21,19 @@ namespace epidemic::net {
 /// hostile peer, not a legitimate exchange.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;  // 256 MiB
 
-/// Frame helpers shared by server and client: 4-byte little-endian length
-/// prefix, 1 flags byte, then the payload. Exposed for tests.
+/// Frame helpers shared by server and client. A frame is a 4-byte
+/// little-endian payload length, a flags byte that is always 0, then the
+/// raw payload (docs/PROTOCOL.md). Exposed for tests.
 ///
-/// WriteFrame transparently LZ-compresses large payloads when that shrinks
-/// them (flag bit 0). WriteFrameV sends the payload as the iovec pieces
-/// verbatim (header + pieces in one sendmsg train — no stitch copy, no
-/// transparent compression). ReadFrameInto reuses `payload`'s capacity, so
-/// a long-lived connection reads every frame allocation-free once warm,
-/// and grows it only as payload bytes actually arrive.
+/// WriteFrameV sends the header and the iovec pieces in one sendmsg train,
+/// with no stitch copy; WriteFrame is its one-piece case. ReadFrameInto
+/// refuses a non-zero flags byte before it reads the payload. It reuses
+/// `payload`'s capacity, so a long-lived connection reads every frame
+/// allocation-free once warm, and grows it only as payload bytes actually
+/// arrive.
 Status WriteFrame(int fd, std::string_view payload);
 Status WriteFrameV(int fd, const struct iovec* iov, size_t iovcnt);
 Status ReadFrameInto(int fd, std::string* payload);
-Result<std::string> ReadFrame(int fd);
 
 /// Minimal threaded TCP RPC server: an accept loop plus one thread per
 /// connection; each connection carries a sequence of framed
@@ -93,11 +93,8 @@ class TcpServer {
 /// back over the reused socket, a dead socket is reconnected and the call
 /// retried once, and a peer that refuses connections is put in a sticky
 /// exponential backoff window (calls inside the window fail fast with
-/// Unavailable instead of re-dialing). `Options::pool_connections=false`
-/// restores the legacy connect-per-call behavior — kept as the benchmark
-/// baseline.
+/// Unavailable instead of re-dialing).
 struct TcpTransportOptions {
-  bool pool_connections = true;
   /// First backoff window after a failed connect; doubles per
   /// consecutive failure up to the max. A successful connect resets it.
   TimeMicros backoff_initial_micros = 50 * 1000;
@@ -132,9 +129,6 @@ class TcpTransport : public Transport {
     TimeMicros backoff_until GUARDED_BY(mu) = 0;
     TimeMicros backoff_micros GUARDED_BY(mu) = 0;
   };
-
-  Status CallPooled(PeerConn& pc, uint16_t port, std::string_view request,
-                    std::string* response);
 
   std::vector<uint16_t> ports_;
   Options options_;

@@ -444,22 +444,7 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     return respond(EncodeStatusReply(Status::OK(), Stats()));
   }
   if (std::get_if<net::ClientResetStatsRequest>(&msg) != nullptr) {
-    // Snapshot the summary and zero the counters inside one cross-shard
-    // barrier, so no concurrent operation falls between the two.
-    std::string summary;
-    sched_->ExecuteExclusive(
-        /*mutates=*/false, [this, &summary](const ExclusiveToken& token) {
-          AssertShardContext(token);
-          summary = sharded().DebugString();
-          sharded().ResetStats();
-        });
-    AppendSchedulerSummary(&summary);
-    AppendNetSummary(&summary, /*reset=*/true);
-    sched_->Stats(/*reset=*/true);
-    // relaxed: stats counter reset; an optimistic hit racing the reset lands
-    // on one side or the other, both acceptable for reporting.
-    optimistic_read_hits_.store(0, std::memory_order_relaxed);
-    return respond(EncodeStatusReply(Status::OK(), std::move(summary)));
+    return respond(EncodeStatusReply(Status::OK(), Stats(/*reset=*/true)));
   }
   if (auto* scan = std::get_if<net::ClientScanRequest>(&msg)) {
     auto items = Scan(scan->prefix, static_cast<size_t>(scan->limit));
@@ -588,14 +573,20 @@ std::vector<std::pair<std::string, std::string>> ReplicaServer::Scan(
   return out;
 }
 
-void ReplicaServer::AppendSchedulerSummary(std::string* out) const {
-  const runtime::SchedulerStats s = sched_->Stats(false);
+void ReplicaServer::AppendSchedulerSummary(std::string* out,
+                                           bool reset) const {
+  const runtime::SchedulerStats s = sched_->Stats(reset);
+  // relaxed: monotonic stats counter folded into a report; a hit racing the
+  // read lands in this report or the next, both acceptable.
+  const uint64_t opt_read_hits =
+      reset ? optimistic_read_hits_.exchange(0, std::memory_order_relaxed)
+            : optimistic_read_hits_.load(std::memory_order_relaxed);
   out->append("\nsched: tasks=" + std::to_string(s.TotalTasks()) +
               " inline=" + std::to_string(s.inline_tasks) +
               " fast_path=" + std::to_string(s.fast_path_runs) +
               " barriers=" + std::to_string(s.exclusive_barriers) +
               " queue_peak=" + std::to_string(s.queue_depth_peak) +
-              " opt_read_hits=" + std::to_string(optimistic_read_hits()));
+              " opt_read_hits=" + std::to_string(opt_read_hits));
   for (size_t w = 0; w < s.workers.size(); ++w) {
     out->append(" w" + std::to_string(w) + "=" +
                 std::to_string(s.workers[w].tasks_executed) + "/" +
@@ -622,15 +613,20 @@ void ReplicaServer::AppendNetSummary(std::string* out, bool reset) const {
               " misses=" + std::to_string(take(serve_cache_misses_)));
 }
 
-std::string ReplicaServer::Stats() const {
-  const ShardedReplica& rep = sharded();
+std::string ReplicaServer::Stats(bool reset) {
+  ShardedReplica& rep = sharded();
   std::string summary;
-  sched_->ExecuteExclusive(/*mutates=*/false,
-                           [&rep, &summary](const ExclusiveToken&) {
-                             summary = rep.DebugString();
-                           });
-  AppendSchedulerSummary(&summary);
-  AppendNetSummary(&summary, /*reset=*/false);
+  // The shard counters are read and zeroed inside one cross-shard barrier,
+  // so no shard task falls between the two. The counters outside the
+  // shards are each taken once, by a load or by an exchange with zero.
+  sched_->ExecuteExclusive(
+      /*mutates=*/false, [&rep, &summary, reset](const ExclusiveToken& token) {
+        AssertShardContext(token);
+        summary = rep.DebugString();
+        if (reset) rep.ResetStats();
+      });
+  AppendSchedulerSummary(&summary, reset);
+  AppendNetSummary(&summary, reset);
   return summary;
 }
 

@@ -151,7 +151,11 @@ class ReplicaServer : public net::RequestHandler {
                          std::string_view value);
   std::vector<std::pair<std::string, std::string>> Scan(
       std::string_view prefix, size_t limit = 0) const;
-  std::string Stats() const;
+
+  /// The text stats summary (`replica`, `stats:`, `sched:`, `net:` and
+  /// `serve_cache:` lines). With `reset`, every counter is zeroed in the
+  /// same read that reports it, so an event lands in exactly one summary.
+  std::string Stats(bool reset = false);
 
   /// Atomic read of the aggregated protocol counters (taken under the
   /// cross-shard barrier); optionally resets them in the same critical
@@ -186,10 +190,6 @@ class ReplicaServer : public net::RequestHandler {
   /// Scheduler health, as surfaced through `epidemic_cli stats`.
   runtime::SchedulerStats SchedulerHealth() const {
     return sched_->Stats(false);
-  }
-  uint64_t optimistic_read_hits() const {
-    // relaxed: monotonic stats counter; no payload is ordered behind it.
-    return optimistic_read_hits_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -260,8 +260,10 @@ class ReplicaServer : public net::RequestHandler {
       uint32_t num_shards,
       const std::vector<wire::ShardedSegmentView>& segments);
 
-  /// Appends the scheduler/optimistic-read health line to a stats summary.
-  void AppendSchedulerSummary(std::string* out) const;
+  /// Appends the scheduler/optimistic-read health line to a stats
+  /// summary, optionally resetting the underlying counters in the same
+  /// pass.
+  void AppendSchedulerSummary(std::string* out, bool reset) const;
 
   /// Appends the transport + serve-cache lines ("net: ...",
   /// "serve_cache: ...") to a stats summary, optionally resetting the

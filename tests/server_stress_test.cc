@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -280,6 +281,70 @@ TEST(ServerStressTest, OverlappingWritersConflictAndResolve) {
   }
   // The whole point of the overlap: the protocol must have noticed.
   EXPECT_GT(conflicts, 0u);
+}
+
+/// The counter `key` on the summary line that starts with `line` (never
+/// the first line), or 0.
+uint64_t SummaryCounter(const std::string& summary, const std::string& line,
+                        const std::string& key) {
+  const size_t start = summary.find("\n" + line);
+  const size_t at = summary.find(" " + key + "=", start);
+  if (at == std::string::npos || at > summary.find('\n', start + 1)) {
+    return 0;
+  }
+  return std::strtoull(summary.c_str() + at + key.size() + 2, nullptr, 10);
+}
+
+// ResetStats zeroes exactly what it reports: while readers hammer the
+// lock-free read path, every read lands in exactly one summary, counted
+// either as a shard read or as an optimistic hit.
+TEST(ServerStressTest, StatsResetReportsEveryRead) {
+  constexpr int kReaders = 3;
+  constexpr int kResets = 200;
+  constexpr int kKeys = 4;
+  StressCluster cluster(/*num_shards=*/4, /*ae_workers=*/2);
+  cluster.StopAntiEntropy();
+  ReplicaServer& server = cluster.server(0);
+  for (int k = 0; k < kKeys; ++k) {
+    const std::string key = "hot-" + std::to_string(k);
+    ASSERT_TRUE(server.Update(key, key + "=v").ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> issued{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&server, &stop, &issued, r] {
+      for (int i = r; !stop.load(); ++i) {
+        const std::string key = "hot-" + std::to_string(i % kKeys);
+        EXPECT_TRUE(server.Read(key).ok());
+        issued.fetch_add(1);
+      }
+    });
+  }
+  while (issued.load() < 1000) std::this_thread::yield();
+
+  ReplicaClient client(&cluster.transport(), 0);
+  uint64_t reported = 0;
+  const auto add = [&reported](const std::string& summary) {
+    reported += SummaryCounter(summary, "stats:", "reads") +
+                SummaryCounter(summary, "sched:", "opt_read_hits");
+  };
+  for (int i = 0; i < kResets; ++i) {
+    Result<std::string> summary = client.ResetStats();
+    EXPECT_TRUE(summary.ok()) << summary.status().ToString();
+    if (summary.ok()) add(*summary);
+    // Hand the cores to the readers between resets, so each reset lands
+    // in the middle of a read stream even on a host with fewer free cores
+    // than threads.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  Result<std::string> last = client.Stats();
+  ASSERT_TRUE(last.ok());
+  add(*last);
+  EXPECT_EQ(reported, issued.load());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,7 +57,7 @@ TEST(TcpFrameTest, HeaderBytesAreLittleEndian) {
   EXPECT_EQ(raw[1], 0);
   EXPECT_EQ(raw[2], 0);
   EXPECT_EQ(raw[3], 0);
-  EXPECT_EQ(raw[4], 0);  // flags: uncompressed
+  EXPECT_EQ(raw[4], 0);  // flags: always 0
   EXPECT_EQ(std::string(raw + 5, 3), "abc");
 }
 
@@ -69,9 +70,9 @@ TEST(TcpFrameTest, VectoredWriteMatchesContiguousRead) {
                          {b.data(), b.size()},
                          {c.data(), c.size()}};
   ASSERT_TRUE(WriteFrameV(sp.fds[0], iov, 3).ok());
-  Result<std::string> got = ReadFrame(sp.fds[1]);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, a + b + c);
+  std::string got;
+  ASSERT_TRUE(ReadFrameInto(sp.fds[1], &got).ok());
+  EXPECT_EQ(got, a + b + c);
 }
 
 TEST(TcpFrameTest, ReadBufferCapacityIsReused) {
@@ -102,11 +103,40 @@ TEST(TcpFrameTest, OversizedFrameRejected) {
 }
 
 TEST(TcpFrameTest, UnknownFrameFlagsRejected) {
+  // 0x80 was never defined; 0x01 is the retired LZ flag.
+  for (char flags : {char(0x80), char(0x01)}) {
+    SocketPair sp;
+    const char frame[6] = {1, 0, 0, 0, flags, 'x'};
+    ASSERT_EQ(::send(sp.fds[0], frame, 6, 0), 6);
+    std::string payload;
+    EXPECT_TRUE(ReadFrameInto(sp.fds[1], &payload).IsCorruption())
+        << "flags " << static_cast<int>(static_cast<uint8_t>(flags));
+  }
+}
+
+// A 64 KiB frame flagged 0x01 carries one literal and 32 767 longest
+// matches at distance 1, which the retired LZ decoder expanded to
+// 4 259 711 bytes. The flag is refused from the header alone: the payload
+// stays unread and nothing is allocated for it.
+TEST(TcpFrameTest, RetiredLzFlagRefusedBeforePayload) {
   SocketPair sp;
-  const char header[5] = {1, 0, 0, 0, char(0x80)};  // undefined flag bit
-  ASSERT_EQ(::send(sp.fds[0], header, 5, 0), 5);
+  constexpr size_t kPayload = 65536;
+  std::string frame = {0, 0, 1, 0, 0x01};  // length 65 536, flags 0x01
+  frame += std::string{0x00, 'x'};         // a literal run of one byte
+  while (frame.size() < 5 + kPayload) {
+    frame += std::string{char(0xfe), 0x01};  // 130-byte match, distance 1
+  }
+  ASSERT_EQ(::send(sp.fds[0], frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
   std::string payload;
-  EXPECT_TRUE(ReadFrameInto(sp.fds[1], &payload).IsCorruption());
+  Status s = ReadFrameInto(sp.fds[1], &payload);
+  EXPECT_TRUE(s.IsCorruption())
+      << s.ToString() << " with a " << payload.size() << "-byte payload";
+  EXPECT_LT(payload.capacity(), size_t{2} << 20);
+  std::string unread(kPayload, '\0');
+  ASSERT_EQ(::recv(sp.fds[1], unread.data(), unread.size(), MSG_DONTWAIT),
+            static_cast<ssize_t>(kPayload));
+  EXPECT_TRUE(unread == frame.substr(5)) << "payload bytes were consumed";
 }
 
 TEST(TcpFrameTest, PeerClosingMidFrameIsIOError) {
@@ -165,59 +195,49 @@ TEST(TcpPoolTest, CallsReuseOneConnection) {
   server.Stop();
 }
 
-TEST(TcpPoolTest, ConnectPerCallWhenPoolingDisabled) {
-  EchoHandler h;
-  TcpServer server(&h);
-  ASSERT_TRUE(server.Start(0).ok());
-  TcpTransport::Options options;
-  options.pool_connections = false;
-  TcpTransport transport(1, options);
-  transport.SetPeerPort(0, server.port());
-
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(transport.Call(0, "x").ok());
-  }
-  const TransportStats s = transport.Stats(false);
-  EXPECT_EQ(s.calls, 5u);
-  EXPECT_EQ(s.connections_opened, 5u);  // the churn the pool removes
-  EXPECT_EQ(s.connections_reused, 0u);
-  server.Stop();
-}
-
-/// This process's virtual size in bytes, from /proc/self/status (0 when
-/// unavailable).
-uint64_t VmSizeBytes() {
+/// The number after `key` ("VmSize:" in kB, "Threads:") in
+/// /proc/self/status, or 0 when unavailable.
+uint64_t ProcStatus(const std::string& key) {
   std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmSize:") {
-      uint64_t kb = 0;
-      status >> kb;
-      return kb * 1024;
+  std::string word;
+  while (status >> word) {
+    if (word == key) {
+      uint64_t value = 0;
+      status >> value;
+      return value;
     }
-    std::getline(status, key);
+    std::getline(status, word);
   }
   return 0;
 }
 
-// Short-lived clients must not leave one exited thread — and its stack
-// mapping — behind per connection: the server joins ended connections.
-TEST(TcpPoolTest, ConnectPerCallClientsLeaveNoThreadStacks) {
+// Short-lived clients must not leave one thread — live, or exited with its
+// stack still mapped — behind per connection: the server joins ended
+// connections. Each call dials through a fresh transport, which closes its
+// connection when destroyed.
+TEST(TcpPoolTest, ShortLivedClientsLeaveNoThreadStacks) {
   EchoHandler h;
   TcpServer server(&h);
   ASSERT_TRUE(server.Start(0).ok());
-  TcpTransport::Options options;
-  options.pool_connections = false;
-  TcpTransport transport(1, options);
-  transport.SetPeerPort(0, server.port());
+  const auto call_once = [&server](std::string_view request) {
+    TcpTransport transport(1);
+    transport.SetPeerPort(0, server.port());
+    return transport.Call(0, request).ok();
+  };
 
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(transport.Call(0, "warm").ok());
-  const uint64_t before = VmSizeBytes();
-  ASSERT_GT(before, 0u);
-  for (int i = 0; i < 500; ++i) ASSERT_TRUE(transport.Call(0, "x").ok());
-  const uint64_t after = VmSizeBytes();
-  EXPECT_LT(after, before + (uint64_t{256} << 20))
-      << "VmSize grew from " << before << " to " << after << " bytes";
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(call_once("warm"));
+  const uint64_t vm_before = ProcStatus("VmSize:") * 1024;
+  const uint64_t threads_before = ProcStatus("Threads:");
+  ASSERT_GT(vm_before, 0u);
+  ASSERT_GT(threads_before, 0u);
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(call_once("x"));
+  const uint64_t vm_after = ProcStatus("VmSize:") * 1024;
+  const uint64_t threads_after = ProcStatus("Threads:");
+  EXPECT_LT(vm_after, vm_before + (uint64_t{256} << 20))
+      << "VmSize grew from " << vm_before << " to " << vm_after << " bytes";
+  // At most the last connection or two are still winding down.
+  EXPECT_LE(threads_after, threads_before + 2)
+      << "threads grew from " << threads_before << " to " << threads_after;
   server.Stop();
 }
 

@@ -38,8 +38,6 @@ struct Options {
   long ae_interval_ms = 500;
   int shards = 16;      // every node of a cluster must agree
   int ae_workers = 0;   // shard-owner worker threads (0 = callers inline)
-  bool conn_pool = true;  // persistent peer connections (off = legacy
-                          // connect-per-call, the cluster bench baseline)
   std::string data_dir;  // empty = in-memory
   std::vector<std::pair<int, int>> peers;  // (id, port)
 };
@@ -49,7 +47,7 @@ void Usage(const char* argv0) {
                "usage: %s --id=<node id> --nodes=<count> --port=<port>\n"
                "          [--peer=<id>:<port>]... [--ae-interval-ms=<ms>]\n"
                "          [--shards=<count>] [--ae-workers=<threads>]\n"
-               "          [--data-dir=<dir>] [--no-conn-pool]\n",
+               "          [--data-dir=<dir>]\n",
                argv0);
 }
 
@@ -68,8 +66,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->shards = std::atoi(arg + 9);
     } else if (std::strncmp(arg, "--ae-workers=", 13) == 0) {
       opts->ae_workers = std::atoi(arg + 13);
-    } else if (std::strcmp(arg, "--no-conn-pool") == 0) {
-      opts->conn_pool = false;
     } else if (std::strncmp(arg, "--data-dir=", 11) == 0) {
       opts->data_dir = arg + 11;
     } else if (std::strncmp(arg, "--peer=", 7) == 0) {
@@ -105,10 +101,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  epidemic::net::TcpTransport::Options transport_opts;
-  transport_opts.pool_connections = opts.conn_pool;
-  epidemic::net::TcpTransport transport(static_cast<size_t>(opts.nodes),
-                                        transport_opts);
+  epidemic::net::TcpTransport transport(static_cast<size_t>(opts.nodes));
   epidemic::server::ReplicaServer::Options server_opts;
   for (const auto& [peer_id, peer_port] : opts.peers) {
     if (peer_id < 0 || peer_id >= opts.nodes || peer_id == opts.id) {
