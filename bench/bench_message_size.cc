@@ -2,49 +2,53 @@
 //
 // §6: the propagation message contains the shipped data items "plus a
 // constant amount of information per data item" (the IVV and one log
-// record per origin that updated it). This table encodes actual
-// PropagationResponse messages for growing m and measures bytes/item,
-// separating metadata from payload.
+// record per origin that updated it). This table encodes the actual reply
+// frame of a one-shard wire-v3 exchange (tag 18, what an epidemicd with
+// --shards=1 sends) for growing m and measures bytes/item, separating
+// metadata from payload.
 //
-// Experiment W1 (DESIGN.md §10): the same accounting for the sharded
-// wire-v3 exchange (delta IVVs against the shard DBVV, indexed tails,
-// tag 18). The v3 claim is about CONTROL bytes, so the table separates
-// them from the payload. `--json` emits the W1 rows as a JSON object for
-// scripts/run_benchmarks.sh.
+// Experiment W1 (DESIGN.md §10): the same accounting at 8 shards (delta
+// IVVs against the shard DBVV, indexed tails). The v3 claim is about
+// CONTROL bytes, so the table separates them from the payload. `--json`
+// emits the W1 rows as a JSON object for scripts/run_benchmarks.sh.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "core/replica.h"
 #include "core/sharded_replica.h"
 #include "net/codec.h"
 
 namespace {
 
-using epidemic::PropagationRequest;
-using epidemic::PropagationResponse;
-using epidemic::Replica;
 using epidemic::ShardedPropagationResponse;
 using epidemic::ShardedReplica;
 
-void RunRow(int64_t m, size_t value_len, size_t num_nodes) {
-  Replica src(0, num_nodes), dst(1, num_nodes);
+size_t FrameBytes(const ShardedPropagationResponse& resp) {
+  return epidemic::net::Encode(epidemic::net::Message(resp)).size();
+}
+
+// The v3 reply frame a `shards`-shard source holding m single-origin
+// updates of `value_len`-byte values sends a cold recipient, in bytes.
+size_t ColdReplyFrameBytes(size_t shards, size_t nodes, int64_t m,
+                           size_t value_len) {
+  ShardedReplica src(0, nodes, shards), dst(1, nodes, shards);
   for (int64_t i = 0; i < m; ++i) {
     (void)src.Update("item" + std::to_string(i),
                      std::string(value_len, 'x'));
   }
-  PropagationRequest req = dst.BuildPropagationRequest();
-  PropagationResponse resp = src.HandlePropagationRequest(req);
+  return FrameBytes(
+      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3()));
+}
 
-  const std::string frame = epidemic::net::Encode(epidemic::net::Message(resp));
+void RunRow(int64_t m, size_t value_len, size_t num_nodes) {
+  const size_t frame = ColdReplyFrameBytes(1, num_nodes, m, value_len);
   // Payload bytes: the raw values. Everything else is protocol metadata.
-  size_t payload = 0;
-  for (const auto& item : resp.items) payload += item.value.size();
-  const size_t metadata = frame.size() - payload;
+  const size_t payload = static_cast<size_t>(m) * value_len;
+  const size_t metadata = frame - payload;
 
   std::printf("%8lld %10zu %7zu %12zu %12zu %12zu %14.1f\n",
-              static_cast<long long>(m), value_len, num_nodes, frame.size(),
+              static_cast<long long>(m), value_len, num_nodes, frame,
               payload, metadata,
               m > 0 ? static_cast<double>(metadata) / static_cast<double>(m)
                     : 0.0);
@@ -64,19 +68,11 @@ struct W1Row {
 
 W1Row RunW1Row(size_t nodes, int64_t m, size_t value_len) {
   constexpr size_t kShards = 8;
-  ShardedReplica src(0, nodes, kShards), dst(1, nodes, kShards);
-  for (int64_t i = 0; i < m; ++i) {
-    (void)src.Update("item" + std::to_string(i),
-                     std::string(value_len, 'x'));
-  }
-  ShardedPropagationResponse resp =
-      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3());
-
   W1Row row;
   row.nodes = nodes;
   row.m = m;
   row.value_len = value_len;
-  row.frame = epidemic::net::Encode(epidemic::net::Message(resp)).size();
+  row.frame = ColdReplyFrameBytes(kShards, nodes, m, value_len);
   row.payload = static_cast<size_t>(m) * value_len;
   row.control = row.frame - row.payload;
   return row;
@@ -133,8 +129,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "E9: encoded propagation-message size; metadata must be constant "
-      "per shipped item (§6)\n\n");
+      "E9: encoded propagation-message size, one-shard wire v3; metadata "
+      "must be constant per shipped item (§6)\n\n");
   std::printf("%8s %10s %7s %12s %12s %12s %14s\n", "m_items",
               "value_len", "nodes", "frame_bytes", "payload", "metadata",
               "meta/item");
@@ -151,18 +147,18 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nshape check: metadata/item is flat in m and in value size, and\n"
-      "grows only with the replica count (one IVV entry and potentially\n"
-      "one log record per origin node).\n");
+      "with one writer nearly flat in the replica count (a delta IVV costs\n"
+      "one pair per writer; the base DBVV costs one varint per node per\n"
+      "segment).\n");
 
   // The no-op exchange: a "you-are-current" reply is a handful of bytes,
   // independent of everything.
-  Replica a(0, 4), b(1, 4);
+  ShardedReplica a(0, 4, 1), b(1, 4, 1);
   for (int i = 0; i < 1000; ++i) (void)b.Update("k" + std::to_string(i), "v");
-  (void)epidemic::PropagateOnce(b, a);
-  PropagationResponse current = b.HandlePropagationRequest(
-      a.BuildPropagationRequest());
+  (void)epidemic::PropagateOnceShardedV3(b, a);
   std::printf("\n'you-are-current' reply over a 1000-item database: %zu bytes\n",
-              epidemic::net::Encode(epidemic::net::Message(current)).size());
+              FrameBytes(b.HandlePropagationRequestV3(
+                  a.BuildPropagationRequestV3())));
 
   PrintW1Table();
   return 0;

@@ -16,6 +16,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/replica.h"
 #include "core/sharded_replica.h"
@@ -90,18 +91,20 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
       benchmark::Counter::kAvgIterations);
 
   // Untimed: the wire frame one such exchange would produce, so these rows
-  // report frame_bytes like the sharded-wire rows do (the JSON artifact
-  // used to carry null here). Dirty the same m items again — the replicas
-  // are converged after the loop, so a fresh burst reproduces the shape.
+  // report frame_bytes like the sharded-wire rows do — the one-shard v3
+  // reply (tag 18) of one-shard views over the two replicas. Dirty the
+  // same m items again — the replicas are converged after the loop, so a
+  // fresh burst reproduces the shape.
   {
     const std::string value(kValueLen, 'z');
     for (int64_t i = 0; i < m; ++i) {
       (void)src.Update("k" + std::to_string(i), value);
     }
-    const epidemic::PropagationResponse resp =
-        src.HandlePropagationRequest(dst.BuildPropagationRequest());
-    const std::string frame =
-        epidemic::net::Encode(epidemic::net::Message(resp));
+    ShardedReplica src_view(std::vector<Replica*>{&src});
+    ShardedReplica dst_view(std::vector<Replica*>{&dst});
+    const std::string frame = epidemic::net::Encode(
+        epidemic::net::Message(src_view.HandlePropagationRequestV3(
+            dst_view.BuildPropagationRequestV3())));
     state.counters["frame_bytes"] = static_cast<double>(frame.size());
   }
 }

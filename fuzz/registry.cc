@@ -10,7 +10,6 @@ const std::vector<TargetInfo>& AllTargets() {
       {"snapshot", Target_snapshot},
       {"journal", Target_journal},
       {"server_frame", Target_server_frame},
-      {"multidb", Target_multidb},
       {"tokens", Target_tokens},
       // The seeded-defect demo decoder, last: not a production boundary.
       {"fixture", Target_fixture},

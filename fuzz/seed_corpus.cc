@@ -10,7 +10,6 @@
 #include "core/snapshot.h"
 #include "core/wire.h"
 #include "fuzz/harness.h"
-#include "multidb/multi_db_server.h"
 #include "net/codec.h"
 #include "net/inproc_transport.h"
 #include "server/replica_server.h"
@@ -37,6 +36,22 @@ PropagationResponse ServedResponse() {
   return r1.HandlePropagationRequest(r0.BuildPropagationRequest());
 }
 
+/// ServedResponse as a v3 segment body, encoded against its source's DBVV:
+/// the body a daemon journals and a wire-v3 reply carries.
+std::string PlainSegmentBody() {
+  PropagationResponse resp = ServedResponse();
+  Replica r1(1, kFuzzNodes);  // rebuild the source for its base DBVV
+  EPI_CHECK(r1.Update("beta", "b1").ok());
+  EPI_CHECK(r1.Update("alpha", "a1").ok());
+  EPI_CHECK(r1.Delete("beta").ok());
+
+  PropagationResponseView view;
+  wire::MakeResponseView(resp, &view);
+  ByteWriter w;
+  wire::EncodeShardSegmentBodyV3Into(w, view, r1.dbvv());
+  return w.Release();
+}
+
 std::string JournalFrame(std::string_view payload) {
   ByteWriter framed;
   framed.PutVarint64(payload.size());
@@ -50,9 +65,6 @@ std::vector<SeedInput> CodecSeeds() {
   auto replica = MakeSeededReplica();
   auto sharded = MakeSeededShardedReplica();
 
-  Add(&out, "prop_request",
-      net::Encode(net::Message(replica->BuildPropagationRequest())));
-  Add(&out, "prop_response", net::Encode(net::Message(ServedResponse())));
   Add(&out, "oob_request",
       net::Encode(net::Message(replica->BuildOobRequest("alpha"))));
   Add(&out, "oob_response",
@@ -93,29 +105,12 @@ std::vector<SeedInput> CodecSeeds() {
   EPI_CHECK(source.Update("gamma", "g1").ok());
   Add(&out, "sharded_response_v3",
       net::Encode(net::Message(source.HandlePropagationRequestV3(req_v3))));
-
-  // Regression: the mini fuzzer's find in the v1 response decoder. A tail
-  // claiming 2^35 - 1 records made it reserve them before reading any,
-  // and the process died of std::bad_alloc.
-  Add(&out, "prop_response_huge_tail_count",
-      std::string("\x02\x00\x03\xff\xff\xff\xff\x7f\x61\x03\x00\x02", 12));
   return out;
 }
 
 std::vector<SeedInput> WireSegmentV3Seeds() {
   std::vector<SeedInput> out;
-  PropagationResponse resp = ServedResponse();
-  Replica r1(1, kFuzzNodes);  // rebuild the source for its base DBVV
-  EPI_CHECK(r1.Update("beta", "b1").ok());
-  EPI_CHECK(r1.Update("alpha", "a1").ok());
-  EPI_CHECK(r1.Delete("beta").ok());
-
-  PropagationResponseView view;
-  wire::MakeResponseView(resp, &view);
-
-  ByteWriter w;
-  wire::EncodeShardSegmentBodyV3Into(w, view, r1.dbvv());
-  const std::string body = w.Release();
+  const std::string body = PlainSegmentBody();
   Add(&out, "segment_plain", body);
 
   // The flags byte an older build set on a compressed segment: rejected
@@ -198,10 +193,20 @@ std::vector<SeedInput> JournalSeeds() {
   del.PutString("alpha");
   Add(&out, "delete", JournalFrame(del.data()));
 
+  // The two records a peer causes on a daemon: an accepted v3 segment and
+  // an accepted out-of-bound copy.
   ByteWriter prop;
-  prop.PutU8(3);  // RecordTag::kPropagation
-  wire::EncodePropagationResponseBody(prop, ServedResponse());
-  Add(&out, "propagation", JournalFrame(prop.data()));
+  prop.PutU8(6);  // RecordTag::kPropagationSegV3
+  const std::string body = PlainSegmentBody();
+  prop.PutBytes(body.data(), body.size());
+  Add(&out, "propagation_seg_v3", JournalFrame(prop.data()));
+
+  Replica r2(2, kFuzzNodes);
+  EPI_CHECK(r2.Update("delta", "d2").ok());
+  ByteWriter oob;
+  oob.PutU8(4);  // RecordTag::kOob
+  wire::EncodeOobResponseBody(oob, r2.HandleOobRequest(OobRequest{0, "delta"}));
+  Add(&out, "oob", JournalFrame(oob.data()));
 
   ByteWriter resolve;
   resolve.PutU8(5);  // RecordTag::kResolve
@@ -243,32 +248,6 @@ std::vector<SeedInput> ServerFrameSeeds() {
   std::string reply = server.HandleRequest(net::Encode(
       net::Message(requester.BuildPropagationRequestV3())));
   Add(&out, "served_v3_response_frame", reply);
-  return out;
-}
-
-std::vector<SeedInput> MultidbSeeds() {
-  std::vector<SeedInput> out;
-  Add(&out, "summary_request", multidb::SummaryRequestFrame());
-  Add(&out, "routed_update",
-      multidb::WrapRouted("db-a", net::Encode(net::Message(
-                                      net::ClientUpdateRequest{"alpha", "v"}))));
-  Add(&out, "routed_read",
-      multidb::WrapRouted("db-a", net::Encode(net::Message(
-                                      net::ClientReadRequest{"alpha"}))));
-  Add(&out, "routed_delete",
-      multidb::WrapRouted("db-b", net::Encode(net::Message(
-                                      net::ClientDeleteRequest{"beta"}))));
-
-  Replica peer(1, kFuzzNodes);
-  EPI_CHECK(peer.Update("alpha", "a1").ok());
-  Add(&out, "routed_prop_request",
-      multidb::WrapRouted("db-a", net::Encode(net::Message(
-                                      peer.BuildPropagationRequest()))));
-  Add(&out, "routed_oob_request",
-      multidb::WrapRouted("db-a", net::Encode(net::Message(
-                                      peer.BuildOobRequest("alpha")))));
-  std::string routed = out.back().bytes;
-  Add(&out, "routed_truncated", routed.substr(0, routed.size() / 2));
   return out;
 }
 
@@ -325,7 +304,6 @@ std::vector<SeedInput> BuildSeedCorpus(const std::string& target) {
   if (target == "snapshot") return SnapshotSeeds();
   if (target == "journal") return JournalSeeds();
   if (target == "server_frame") return ServerFrameSeeds();
-  if (target == "multidb") return MultidbSeeds();
   if (target == "tokens") return TokensSeeds();
   if (target == "fixture") return FixtureSeeds();
   return {};

@@ -12,8 +12,8 @@ struct SeedInput {
 };
 
 /// Deterministic seed corpus for one target, built by running the real
-/// encoders over small live replicas: valid frames of every version and
-/// flavor (v1/v3, epoch probes, conflicts, tombstones)
+/// encoders over small live replicas: valid frames of every message and
+/// flavor (v3 handshakes and replies, epoch probes, conflicts, tombstones)
 /// plus a few canonical near-miss inputs (truncations, bad magic). The
 /// same inputs are exported to tests/testdata/fuzz/<target>/ by
 /// fuzz_export_corpus and replayed in-memory by fuzz_corpus_test.

@@ -7,9 +7,9 @@
 namespace epidemic::fuzz {
 
 /// Boundary: net::Decode — every tagged frame the transport delivers
-/// (wire v1 tags 1-13, the stats reset tag 16, v3 tags 17-18; numbers
-/// 14 and 15 belonged to the retired sharded wire v2 and must be
-/// rejected as unknown).
+/// (OOB tags 3-4, the client tags 5-13 and 16, the v3 exchange 17-18).
+/// Numbers 1 and 2 (the retired whole-database v1 exchange) and 14 and 15
+/// (the retired sharded wire v2) must be rejected as unknown.
 ///
 /// Oracle beyond sanitizers: any frame the decoder accepts must survive an
 /// encode/decode round trip, and the re-encoding must be a fixed point.

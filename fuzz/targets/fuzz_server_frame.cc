@@ -8,8 +8,8 @@
 namespace epidemic::fuzz {
 
 /// Boundary: ReplicaServer::HandleRequest — the full network entry point
-/// (decode, version negotiation, scheduler dispatch, serve/accept), fed a
-/// raw frame exactly as the transport would deliver it.
+/// (decode, scheduler dispatch, serve/accept), fed a raw frame exactly as
+/// the transport would deliver it.
 ///
 /// Oracle: the server must answer every frame with *some* reply and come
 /// out with its sharded replica's invariants intact. This is the boundary

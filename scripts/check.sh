@@ -17,6 +17,10 @@
 #   scripts/check.sh --fuzz-smoke   # short fuzz run of every decode target:
 #                                   # libFuzzer+ASan/UBSan under clang,
 #                                   # the deterministic mini fuzzer otherwise
+#   scripts/check.sh --perfbench-smoke  # build perfbench from this checkout
+#                                       # and run each workload for 5 s
+#                                       # (its correctness gates, no
+#                                       # performance threshold)
 #
 # Extra arguments after the mode are passed to ctest (e.g. -R server);
 # after --model they are passed to every epicheck invocation, and after
@@ -133,7 +137,7 @@ case "$mode" in
           -DEPIDEMIC_ASAN=ON > /dev/null
       mkdir -p fuzz-artifacts
       for target in codec wire_segment_v3 vv_delta snapshot journal \
-                    server_frame multidb tokens fixture; do
+                    server_frame tokens fixture; do
         cmake --build "$build_dir" -j"$(nproc)" --target "fuzz_$target"
         corpus="tests/testdata/fuzz/$target"
         mkdir -p "$corpus"
@@ -150,7 +154,7 @@ case "$mode" in
         "$build_dir"/fuzz/fuzz_replay "$target" --fuzz --runs 5000 \
             tests/testdata/fuzz/"$target" "$@"
       done
-      for target in tokens multidb server_frame; do
+      for target in tokens server_frame; do
         "$build_dir"/fuzz/fuzz_replay "$target" --fuzz --runs 500 \
             tests/testdata/fuzz/"$target" "$@"
       done
@@ -159,9 +163,24 @@ case "$mode" in
     fi
     exit 0
     ;;
+  --perfbench-smoke)
+    shift
+    # The repo benchmark (perfbench/, BENCHMARK.json) compiles src/ by glob
+    # and calls src/ symbols directly, so a change under src/ can break it
+    # without touching any test. Build it from this checkout into
+    # build-perfbench/ (leaving .bench_build/ alone) and run every workload
+    # briefly: the run fails on a build error or a failed correctness gate,
+    # never on a performance number.
+    for workload in zipf-steady bulk-catchup quiescent; do
+      CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+          --workload "$workload" --seed 1 --seconds 5 --trace 1
+    done
+    echo "perfbench-smoke: all workloads passed their gates"
+    exit 0
+    ;;
   --*)
     echo "error: unknown mode '$mode'" >&2
-    echo "usage: scripts/check.sh [--asan|--tsan|--ubsan|--tidy|--lint-ast|--model|--bench-smoke|--net-smoke|--fuzz-smoke] [ctest args]" >&2
+    echo "usage: scripts/check.sh [--asan|--tsan|--ubsan|--tidy|--lint-ast|--model|--bench-smoke|--net-smoke|--fuzz-smoke|--perfbench-smoke] [ctest args]" >&2
     exit 2
     ;;
   *)

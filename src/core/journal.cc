@@ -22,12 +22,13 @@ namespace {
 enum class RecordTag : uint8_t {
   kUpdate = 1,
   kDelete = 2,
-  kPropagation = 3,
+  // 3: retired (whole-database v1 propagation body); never reuse. A journal
+  // holding it no longer opens.
   kOob = 4,
   kResolve = 5,
-  // A raw wire-v3 segment body, journaled verbatim (so the journal pays
-  // the same delta savings as the wire) and replayed through the zero-copy
-  // decode + view accept. Old journals (tags 1-5) replay unchanged.
+  // The one propagation record: a raw wire-v3 segment body, journaled
+  // verbatim (so the journal pays the same delta savings as the wire) and
+  // replayed through the zero-copy decode + view accept.
   kPropagationSegV3 = 6,
 };
 
@@ -59,11 +60,6 @@ Status ReplayRecord(Replica& replica, std::string_view payload) {
       auto name = r.GetString();
       if (!name.ok()) return name.status();
       return replica.Delete(*name);
-    }
-    case RecordTag::kPropagation: {
-      auto resp = wire::DecodePropagationResponseBody(r);
-      if (!resp.ok()) return resp.status();
-      return replica.AcceptPropagation(*resp);
     }
     case RecordTag::kPropagationSegV3: {
       wire::SegmentViewStorage storage;
@@ -250,12 +246,16 @@ Status JournaledReplica::ResolveConflict(std::string_view name,
 // after the response has been validated against the current state, before
 // it changes anything. A response the replica rejects therefore never
 // reaches the journal, where it would fail replay and block recovery; a
-// you-are-current reply changes nothing and is not journaled either.
+// you-are-current reply changes nothing and is not journaled either. Both
+// entry points write the same v3 segment record.
 Status JournaledReplica::AcceptPropagation(const PropagationResponse& resp) {
-  return replica_->AcceptPropagation(resp, [this, &resp] {
+  PropagationResponseView view;
+  wire::MakeResponseView(resp, &view);
+  return replica_->AcceptPropagation(view, [this, &view] {
+    // Any width-n base encodes the IVVs; the DBVV is at hand.
     ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagation));
-    wire::EncodePropagationResponseBody(w, resp);
+    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
+    wire::EncodeShardSegmentBodyV3Into(w, view, replica_->dbvv());
     return AppendRecord(w.Release());
   });
 }

@@ -70,16 +70,20 @@ class JournaledReplica {
   Status Delete(std::string_view name) REQUIRES_SHARD_CONTEXT;
   Status ResolveConflict(std::string_view name, const VersionVector& remote_vv,
                          std::string_view value) REQUIRES_SHARD_CONTEXT;
+  /// Journaled accept of an owned response: borrowed as a view, validated,
+  /// journaled as the same v3 segment record AcceptPropagationSegmentV3
+  /// writes, then applied. A rejected or you-are-current response leaves
+  /// no record behind.
   Status AcceptPropagation(const PropagationResponse& resp)
       REQUIRES_SHARD_CONTEXT;
   Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
 
   /// Journaled accept of a raw wire-v3 segment body: the body is decoded
   /// zero-copy and validated by the replica *before* anything is
-  /// journaled, appended verbatim under its own record tag, and applied
-  /// through the view path — the owned PropagationResponse is never
-  /// materialized, on the live path or on replay. Like AcceptPropagation,
-  /// a rejected body leaves no record behind.
+  /// journaled, appended verbatim under the propagation record tag, and
+  /// applied through the view path — the owned PropagationResponse is
+  /// never materialized, on the live path or on replay. Like
+  /// AcceptPropagation, a rejected body leaves no record behind.
   Status AcceptPropagationSegmentV3(std::string_view body)
       REQUIRES_SHARD_CONTEXT;
 

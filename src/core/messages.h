@@ -10,11 +10,13 @@
 
 namespace epidemic {
 
-// The sharded propagation exchange speaks one format, wire v3 (tags
-// 17/18): IVVs delta-encoded against the segment's base DBVV, tail items
-// referenced by index, zero-copy decode (DESIGN.md §10). v1 is the
-// unsharded exchange (tags 1/2). Request flag bit 0x01 once asked for
-// compressed segments; sources ignore it and never compress.
+// Anti-entropy between processes speaks one format, wire v3 (tags 17/18):
+// IVVs delta-encoded against the segment's base DBVV, tail items
+// referenced by index, zero-copy decode (DESIGN.md §10). The owned
+// PropagationRequest/PropagationResponse below are the paper's in-process
+// messages (§5.1); they have no wire encoding of their own. Request flag
+// bit 0x01 once asked for compressed segments; sources ignore it and never
+// compress.
 
 /// Kept only because perfbench/src/layers.cc names it.
 inline constexpr uint8_t kWireV3 = 3;

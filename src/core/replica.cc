@@ -352,8 +352,7 @@ Status Replica::ValidatePropagationResponse(
   return Status::OK();
 }
 
-Status Replica::AcceptPropagation(const PropagationResponse& resp,
-                                  const BeforeApply& before_apply) {
+Status Replica::AcceptPropagation(const PropagationResponse& resp) {
   if (resp.you_are_current) return Status::OK();
   // The staged pipeline handed us one owned string per name/value; charge
   // them (the mirror image of the serve-side counter), then run the view
@@ -363,7 +362,7 @@ Status Replica::AcceptPropagation(const PropagationResponse& resp,
     stats_.accept_staging_allocs += tail.size();
   }
   wire::MakeResponseView(resp, &scratch_.accept_view);
-  return AcceptPropagation(scratch_.accept_view, before_apply);
+  return AcceptPropagation(scratch_.accept_view);
 }
 
 Status Replica::AcceptPropagation(const PropagationResponseView& resp,

@@ -147,9 +147,9 @@ struct ReplicaStats {
 /// Thread-compatibility: a Replica is confined to one writer at a time;
 /// all methods are non-blocking and never throw. The class deliberately
 /// owns no mutex — serialization comes from the owner that drives it: the
-/// shard-owned task runtime (runtime/scheduler.h) for shard replicas,
-/// `multidb::MultiDbServer::mu_` for per-database ones, or plain
-/// single-threaded confinement in tests and reference drivers. Every
+/// shard-owned task runtime (runtime/scheduler.h) for shard replicas, or
+/// plain single-threaded confinement in tests, reference drivers and
+/// `multidb::MultiDbNode`'s per-database instances. Every
 /// mutating method carries REQUIRES_SHARD_CONTEXT, so under Clang
 /// `-Wthread-safety` a library call chain can only reach one from inside a
 /// scheduled task (or an audited single-owner escape) — DESIGN.md §12.
@@ -242,13 +242,7 @@ class Replica {
   /// AcceptPropagation (Fig. 3) followed by IntraNodePropagation (Fig. 4)
   /// over the items copied, executed at the recipient. The owned form
   /// wraps the view form below.
-  ///
-  /// `before_apply`, when set, runs once the whole response has been
-  /// validated and resolved and before anything changes; if it fails, the
-  /// accept returns its status and changes nothing. The journal appends
-  /// its write-ahead record there, so only accepted responses reach disk.
-  Status AcceptPropagation(const PropagationResponse& resp,
-                           const BeforeApply& before_apply = {})
+  Status AcceptPropagation(const PropagationResponse& resp)
       REQUIRES_SHARD_CONTEXT;
 
   /// Zero-copy AcceptPropagation: applies a borrowed response (views into
@@ -258,6 +252,11 @@ class Replica {
   /// duration of the call. Costs O(m + r): one store lookup per shipped
   /// item, O(1) per tail record, plus the r records of L[k] above the
   /// horizon V_i[k] (non-zero only after conflicts dropped records).
+  ///
+  /// `before_apply`, when set, runs once the whole response has been
+  /// validated and resolved and before anything changes; if it fails, the
+  /// accept returns its status and changes nothing. The journal appends
+  /// its write-ahead record there, so only accepted responses reach disk.
   Status AcceptPropagation(const PropagationResponseView& resp,
                            const BeforeApply& before_apply = {})
       REQUIRES_SHARD_CONTEXT;

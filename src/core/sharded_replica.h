@@ -125,18 +125,10 @@ class ShardedReplica {
 
   // Per-shard building blocks for callers inside that shard's section.
 
-  /// Fig. 2 for one shard, owned; `req.dbvv` is the requester's DBVV *of
-  /// this shard*. Serves the whole-database v1 handshake of a single-shard
-  /// server.
-  PropagationResponse HandleShardPropagation(size_t shard,
-                                             const PropagationRequest& req)
-      REQUIRES_SHARD_CONTEXT {
-    return shards_[shard]->HandlePropagationRequest(req);
-  }
-
-  /// Fig. 2 for one shard, zero-copy: the returned view borrows the
-  /// shard's store and serve scratch, so it is valid only while the caller
-  /// holds that shard's lock and until the shard next mutates or serves.
+  /// Fig. 2 for one shard, zero-copy; `req.dbvv` is the requester's DBVV
+  /// *of this shard*. The returned view borrows the shard's store and
+  /// serve scratch, so it is valid only while the caller holds that
+  /// shard's lock and until the shard next mutates or serves.
   const PropagationResponseView& HandleShardPropagationView(
       size_t shard, const PropagationRequest& req) REQUIRES_SHARD_CONTEXT {
     return shards_[shard]->HandlePropagationView(req);

@@ -9,33 +9,6 @@
 
 namespace epidemic::wire {
 
-void EncodePropagationRequestBody(ByteWriter& w,
-                                  const PropagationRequest& m) {
-  w.PutVarint64(m.requester);
-  EncodeVersionVector(&w, m.dbvv);
-}
-
-void EncodePropagationResponseBody(ByteWriter& w,
-                                   const PropagationResponse& m) {
-  w.PutU8(m.you_are_current ? 1 : 0);
-  if (m.you_are_current) return;
-  w.PutVarint64(m.tails.size());
-  for (const auto& tail : m.tails) {
-    w.PutVarint64(tail.size());
-    for (const WireLogRecord& rec : tail) {
-      w.PutString(rec.item_name);
-      w.PutVarint64(rec.seq);
-    }
-  }
-  w.PutVarint64(m.items.size());
-  for (const WireItem& item : m.items) {
-    w.PutString(item.name);
-    w.PutString(item.value);
-    w.PutU8(item.deleted ? 1 : 0);
-    EncodeVersionVector(&w, item.ivv);
-  }
-}
-
 void EncodeOobRequestBody(ByteWriter& w, const OobRequest& m) {
   w.PutVarint64(m.requester);
   w.PutString(m.item_name);
@@ -50,80 +23,12 @@ void EncodeOobResponseBody(ByteWriter& w, const OobResponse& m) {
   EncodeVersionVector(&w, m.ivv);
 }
 
-Result<PropagationRequest> DecodePropagationRequestBody(ByteReader& r) {
-  PropagationRequest m;
-  auto requester = r.GetVarint64();
-  if (!requester.ok()) return requester.status();
-  m.requester = static_cast<NodeId>(*requester);
-  auto vv = DecodeVersionVector(&r);
-  if (!vv.ok()) return vv.status();
-  m.dbvv = std::move(*vv);
-  return m;
-}
-
-Result<PropagationResponse> DecodePropagationResponseBody(ByteReader& r) {
-  PropagationResponse m;
-  auto current = r.GetU8();
-  if (!current.ok()) return current.status();
-  m.you_are_current = (*current != 0);
-  if (m.you_are_current) return m;
-
-  auto num_tails = r.GetVarint64();
-  if (!num_tails.ok()) return num_tails.status();
-  if (*num_tails > (1u << 20)) return Status::Corruption("absurd tail count");
-  m.tails.resize(static_cast<size_t>(*num_tails));
-  for (auto& tail : m.tails) {
-    auto count = r.GetVarint64();
-    if (!count.ok()) return count.status();
-    // Every record costs at least two bytes, so a count beyond the
-    // remaining bytes is corrupt — checked before reserving anything.
-    if (*count > r.remaining()) {
-      return Status::Corruption("tail record count exceeds body size");
-    }
-    tail.reserve(static_cast<size_t>(*count));
-    for (uint64_t i = 0; i < *count; ++i) {
-      WireLogRecord rec;
-      auto name = r.GetString();
-      if (!name.ok()) return name.status();
-      rec.item_name = std::move(*name);
-      auto seq = r.GetVarint64();
-      if (!seq.ok()) return seq.status();
-      rec.seq = *seq;
-      tail.push_back(std::move(rec));
-    }
-  }
-
-  auto num_items = r.GetVarint64();
-  if (!num_items.ok()) return num_items.status();
-  if (*num_items > r.remaining()) {
-    return Status::Corruption("item count exceeds body size");
-  }
-  m.items.reserve(static_cast<size_t>(*num_items));
-  for (uint64_t i = 0; i < *num_items; ++i) {
-    WireItem item;
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    item.name = std::move(*name);
-    auto value = r.GetString();
-    if (!value.ok()) return value.status();
-    item.value = std::move(*value);
-    auto deleted = r.GetU8();
-    if (!deleted.ok()) return deleted.status();
-    item.deleted = (*deleted != 0);
-    auto vv = DecodeVersionVector(&r);
-    if (!vv.ok()) return vv.status();
-    item.ivv = std::move(*vv);
-    m.items.push_back(std::move(item));
-  }
-  return m;
-}
-
 // ---------------------------------------------------------------------------
 // Wire format v3
 // ---------------------------------------------------------------------------
 
-void EncodeShardedPropagationRequestBodyV3(
-    ByteWriter& w, const ShardedPropagationRequest& m) {
+void EncodeShardedRequestBodyV3(ByteWriter& w,
+                                const ShardedPropagationRequest& m) {
   w.PutVarint64(m.requester);
   w.PutU8(m.flags);
   w.PutVarint64(m.last_epoch);
@@ -133,8 +38,7 @@ void EncodeShardedPropagationRequestBodyV3(
   }
 }
 
-Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBodyV3(
-    ByteReader& r) {
+Result<ShardedPropagationRequest> DecodeShardedRequestBodyV3(ByteReader& r) {
   ShardedPropagationRequest m;
   auto requester = r.GetVarint64();
   if (!requester.ok()) return requester.status();
@@ -160,8 +64,8 @@ Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBodyV3(
   return m;
 }
 
-void EncodeShardedPropagationResponseBodyV3(
-    ByteWriter& w, const ShardedPropagationResponse& m) {
+void EncodeShardedResponseBodyV3(ByteWriter& w,
+                                 const ShardedPropagationResponse& m) {
   // Segment bodies dominate the frame; reserving their sum up front turns
   // the stitch into one allocation instead of a doubling series that
   // re-copies megabytes.
@@ -180,8 +84,7 @@ void EncodeShardedPropagationResponseBodyV3(
   }
 }
 
-Result<ShardedPropagationResponse> DecodeShardedPropagationResponseBodyV3(
-    ByteReader& r) {
+Result<ShardedPropagationResponse> DecodeShardedResponseBodyV3(ByteReader& r) {
   ShardedResponseEnvelopeView env;
   EPI_RETURN_NOT_OK(DecodeShardedPropagationResponseEnvelopeV3(r, &env));
   ShardedPropagationResponse m;

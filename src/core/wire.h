@@ -17,14 +17,9 @@ namespace epidemic::wire {
 /// journal adds a record tag). Shared by the wire codec and the journal so
 /// there is exactly one serialization of each message.
 
-void EncodePropagationRequestBody(ByteWriter& w, const PropagationRequest& m);
-void EncodePropagationResponseBody(ByteWriter& w,
-                                   const PropagationResponse& m);
 void EncodeOobRequestBody(ByteWriter& w, const OobRequest& m);
 void EncodeOobResponseBody(ByteWriter& w, const OobResponse& m);
 
-Result<PropagationRequest> DecodePropagationRequestBody(ByteReader& r);
-Result<PropagationResponse> DecodePropagationResponseBody(ByteReader& r);
 Result<OobRequest> DecodeOobRequestBody(ByteReader& r);
 Result<OobResponse> DecodeOobResponseBody(ByteReader& r);
 
@@ -46,20 +41,18 @@ struct SegmentViewStorage {
 /// v3 sharded handshake body: requester, flags byte, the requester's
 /// cached source epoch, then the shard DBVVs (kPropFlagEpochProbe rounds
 /// carry only the epoch, zero shard DBVVs — the O(1) quiescent round).
-void EncodeShardedPropagationRequestBodyV3(
-    ByteWriter& w, const ShardedPropagationRequest& m);
-Result<ShardedPropagationRequest> DecodeShardedPropagationRequestBodyV3(
-    ByteReader& r);
+void EncodeShardedRequestBodyV3(ByteWriter& w,
+                                const ShardedPropagationRequest& m);
+Result<ShardedPropagationRequest> DecodeShardedRequestBodyV3(ByteReader& r);
 
 /// v3 sharded reply body: response flags byte, the source's mutation epoch
 /// (sampled before serving), the source's shard count, then the segment
 /// count and each segment as [shard varint][length][body]. The segment
 /// count and the segment lengths may be padded varints (the serve
 /// backpatches them); every other field is canonical.
-void EncodeShardedPropagationResponseBodyV3(
-    ByteWriter& w, const ShardedPropagationResponse& m);
-Result<ShardedPropagationResponse> DecodeShardedPropagationResponseBodyV3(
-    ByteReader& r);
+void EncodeShardedResponseBodyV3(ByteWriter& w,
+                                 const ShardedPropagationResponse& m);
+Result<ShardedPropagationResponse> DecodeShardedResponseBodyV3(ByteReader& r);
 
 /// Zero-copy view of a decoded v3 sharded reply: segment bodies are views
 /// into the reader's buffer (the received wire frame), which must outlive
@@ -79,7 +72,7 @@ struct ShardedResponseEnvelopeView {
     return (resp_flags & kPropRespFlagResend) != 0;
   }
 };
-/// View-decoding twin of DecodeShardedPropagationResponseBodyV3: same
+/// View-decoding twin of DecodeShardedResponseBodyV3: same
 /// layout, same validations, no segment-body copies.
 Status DecodeShardedPropagationResponseEnvelopeV3(
     ByteReader& r, ShardedResponseEnvelopeView* out);
@@ -124,7 +117,7 @@ void MakeResponseView(const PropagationResponse& m,
 // A temporary would leave every view dangling the moment the call returns.
 void MakeResponseView(PropagationResponse&&, PropagationResponseView*) = delete;
 
-/// Deep-copies a view into an owned response (test / journal helper).
+/// Deep-copies a view into an owned response (the owned serve and tests).
 PropagationResponse MaterializeResponse(const PropagationResponseView& m);
 
 }  // namespace epidemic::wire

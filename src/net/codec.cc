@@ -11,14 +11,6 @@ namespace {
 // Protocol-message bodies are shared with the journal (core/wire.h); only
 // the client messages are encoded here.
 
-void EncodeBody(ByteWriter& w, const PropagationRequest& m) {
-  wire::EncodePropagationRequestBody(w, m);
-}
-
-void EncodeBody(ByteWriter& w, const PropagationResponse& m) {
-  wire::EncodePropagationResponseBody(w, m);
-}
-
 void EncodeBody(ByteWriter& w, const OobRequest& m) {
   wire::EncodeOobRequestBody(w, m);
 }
@@ -64,50 +56,53 @@ void EncodeBody(ByteWriter& w, const ClientSyncRequest& m) {
 void EncodeBody(ByteWriter&, const ClientCheckpointRequest&) {}
 
 void EncodeBody(ByteWriter& w, const ShardedPropagationRequest& m) {
-  wire::EncodeShardedPropagationRequestBodyV3(w, m);
+  wire::EncodeShardedRequestBodyV3(w, m);
 }
 
 void EncodeBody(ByteWriter& w, const ShardedPropagationResponse& m) {
-  wire::EncodeShardedPropagationResponseBodyV3(w, m);
+  wire::EncodeShardedResponseBodyV3(w, m);
 }
 
 void EncodeBody(ByteWriter&, const ClientResetStatsRequest&) {}
 
-MessageType TagOf(const Message& msg) {
-  switch (msg.index()) {
-    case 0:
-      return MessageType::kPropagationRequest;
-    case 1:
-      return MessageType::kPropagationResponse;
-    case 2:
-      return MessageType::kOobRequest;
-    case 3:
-      return MessageType::kOobResponse;
-    case 4:
-      return MessageType::kClientUpdate;
-    case 5:
-      return MessageType::kClientRead;
-    case 6:
-      return MessageType::kClientOobFetch;
-    case 7:
-      return MessageType::kClientReply;
-    case 8:
-      return MessageType::kClientDelete;
-    case 9:
-      return MessageType::kClientStats;
-    case 10:
-      return MessageType::kClientScan;
-    case 11:
-      return MessageType::kClientSync;
-    case 12:
-      return MessageType::kClientCheckpoint;
-    case 13:
-      return MessageType::kShardedPropagationRequestV3;
-    case 14:
-      return MessageType::kShardedPropagationResponseV3;
-    default:
-      return MessageType::kClientResetStats;
-  }
+// One tag per message type. Encode resolves the overload from the
+// variant's alternative, so an alternative without a tag here fails to
+// compile instead of borrowing another message's number.
+MessageType TagOf(const OobRequest&) { return MessageType::kOobRequest; }
+MessageType TagOf(const OobResponse&) { return MessageType::kOobResponse; }
+MessageType TagOf(const ClientUpdateRequest&) {
+  return MessageType::kClientUpdate;
+}
+MessageType TagOf(const ClientReadRequest&) {
+  return MessageType::kClientRead;
+}
+MessageType TagOf(const ClientOobFetchRequest&) {
+  return MessageType::kClientOobFetch;
+}
+MessageType TagOf(const ClientReply&) { return MessageType::kClientReply; }
+MessageType TagOf(const ClientDeleteRequest&) {
+  return MessageType::kClientDelete;
+}
+MessageType TagOf(const ClientStatsRequest&) {
+  return MessageType::kClientStats;
+}
+MessageType TagOf(const ClientScanRequest&) {
+  return MessageType::kClientScan;
+}
+MessageType TagOf(const ClientSyncRequest&) {
+  return MessageType::kClientSync;
+}
+MessageType TagOf(const ClientCheckpointRequest&) {
+  return MessageType::kClientCheckpoint;
+}
+MessageType TagOf(const ShardedPropagationRequest&) {
+  return MessageType::kShardedPropagationRequestV3;
+}
+MessageType TagOf(const ShardedPropagationResponse&) {
+  return MessageType::kShardedPropagationResponseV3;
+}
+MessageType TagOf(const ClientResetStatsRequest&) {
+  return MessageType::kClientResetStats;
 }
 
 template <typename T>
@@ -195,6 +190,11 @@ Result<std::vector<std::pair<std::string, std::string>>> DecodeScanListing(
   auto count = r.GetVarint64();
   if (!count.ok()) return count.status();
   if (*count > (1u << 24)) return Status::Corruption("absurd listing size");
+  // Every pair costs at least two length bytes, so a count beyond half the
+  // remaining bytes is corrupt — checked before reserving anything.
+  if (*count > r.remaining() / 2) {
+    return Status::Corruption("listing count exceeds payload size");
+  }
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(static_cast<size_t>(*count));
   for (uint64_t i = 0; i < *count; ++i) {
@@ -210,8 +210,12 @@ Result<std::vector<std::pair<std::string, std::string>>> DecodeScanListing(
 
 std::string Encode(const Message& msg) {
   ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(TagOf(msg)));
-  std::visit([&w](const auto& m) { EncodeBody(w, m); }, msg);
+  std::visit(
+      [&w](const auto& m) {
+        w.PutU8(static_cast<uint8_t>(TagOf(m)));
+        EncodeBody(w, m);
+      },
+      msg);
   return w.Release();
 }
 
@@ -223,12 +227,6 @@ Result<Message> Decode(std::string_view frame) {
   Result<Message> result = Status::Corruption("unknown message tag " +
                                               std::to_string(*tag));
   switch (static_cast<MessageType>(*tag)) {
-    case MessageType::kPropagationRequest:
-      result = Wrap(wire::DecodePropagationRequestBody(r));
-      break;
-    case MessageType::kPropagationResponse:
-      result = Wrap(wire::DecodePropagationResponseBody(r));
-      break;
     case MessageType::kOobRequest:
       result = Wrap(wire::DecodeOobRequestBody(r));
       break;
@@ -272,10 +270,10 @@ Result<Message> Decode(std::string_view frame) {
       result = Message(ClientResetStatsRequest{});
       break;
     case MessageType::kShardedPropagationRequestV3:
-      result = Wrap(wire::DecodeShardedPropagationRequestBodyV3(r));
+      result = Wrap(wire::DecodeShardedRequestBodyV3(r));
       break;
     case MessageType::kShardedPropagationResponseV3:
-      result = Wrap(wire::DecodeShardedPropagationResponseBodyV3(r));
+      result = Wrap(wire::DecodeShardedResponseBodyV3(r));
       break;
   }
   if (result.ok() && !r.AtEnd()) {

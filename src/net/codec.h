@@ -76,25 +76,27 @@ struct ClientReply {
   std::string payload;
 };
 
-/// Every message the codec understands.
+/// Every message the codec understands. Each alternative's tag comes from
+/// its type (TagOf in codec.cc), so an alternative without a tag does not
+/// compile.
 using Message =
-    std::variant<PropagationRequest, PropagationResponse, OobRequest,
-                 OobResponse, ClientUpdateRequest, ClientReadRequest,
-                 ClientOobFetchRequest, ClientReply, ClientDeleteRequest,
-                 ClientStatsRequest, ClientScanRequest, ClientSyncRequest,
-                 ClientCheckpointRequest, ShardedPropagationRequest,
-                 ShardedPropagationResponse, ClientResetStatsRequest>;
+    std::variant<OobRequest, OobResponse, ClientUpdateRequest,
+                 ClientReadRequest, ClientOobFetchRequest, ClientReply,
+                 ClientDeleteRequest, ClientStatsRequest, ClientScanRequest,
+                 ClientSyncRequest, ClientCheckpointRequest,
+                 ShardedPropagationRequest, ShardedPropagationResponse,
+                 ClientResetStatsRequest>;
 
 /// Wire tags; stable across versions, one byte on the wire.
-/// Tag 16 is the atomic stats reset; tags 17-18 are the sharded exchange,
-/// wire format v3 (delta-encoded IVVs, indexed tails — DESIGN.md §10).
-/// Numbers 14 and 15 belonged to the retired sharded wire v2 and must
-/// never be reused: a pre-v3 peer would misparse them (docs/PROTOCOL.md
+/// Tag 16 is the atomic stats reset; tags 17-18 are the anti-entropy
+/// exchange, wire format v3 (delta-encoded IVVs, indexed tails —
+/// DESIGN.md §10). Numbers 1 and 2 belonged to the retired whole-database
+/// v1 exchange, and 14 and 15 to the retired sharded wire v2; none may
+/// ever be reused: an older peer would misparse them (docs/PROTOCOL.md
 /// §6). Tags 17-31 are reserved for v3; enum entries named *V3 must live
 /// in that range (enforced by tools/protocol_lint.py wire-tag-v3-range).
 enum class MessageType : uint8_t {
-  kPropagationRequest = 1,
-  kPropagationResponse = 2,
+  // 1, 2: retired (whole-database wire v1); never reuse.
   kOobRequest = 3,
   kOobResponse = 4,
   kClientUpdate = 5,

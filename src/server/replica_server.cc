@@ -110,7 +110,6 @@ void ReplicaServer::Stop() {
 
 void ReplicaServer::AntiEntropyLoop() {
   size_t next_peer = 0;
-  TimeMicros last_checkpoint = RealClock::Default()->NowMicros();
   for (;;) {
     {
       // Hand-rolled deadline loop (not the predicate overload) so the
@@ -133,18 +132,6 @@ void ReplicaServer::AntiEntropyLoop() {
     if (!s.ok() && !s.IsUnavailable()) {
       EPI_LOG(kWarning) << "node " << id_ << ": anti-entropy pull from "
                         << peer << " failed: " << s.ToString();
-    }
-    if (durable_ != nullptr && options_.checkpoint_interval_micros > 0) {
-      TimeMicros now = RealClock::Default()->NowMicros();
-      if (now - last_checkpoint >= options_.checkpoint_interval_micros) {
-        Status cp = Checkpoint();
-        if (!cp.ok()) {
-          EPI_LOG(kWarning) << "node " << id_
-                            << ": background checkpoint failed: "
-                            << cp.ToString();
-        }
-        last_checkpoint = now;
-      }
     }
   }
 }
@@ -396,27 +383,6 @@ void ReplicaServer::HandleRequestV(std::string_view request,
       reply->recycle_pool = &buffer_pool_;
     }
     return;
-  }
-  if (auto* prop_req = std::get_if<PropagationRequest>(&msg)) {
-    if (prop_req->dbvv.size() != sharded().num_nodes()) {
-      // Same boundary width check as the sharded handshake above.
-      return respond(EncodeStatusReply(
-          Status::InvalidArgument("request DBVV of wrong width")));
-    }
-    // Legacy whole-database handshake (wire v1): only meaningful against a
-    // single-shard server, where shard 0 *is* the database.
-    if (sharded().num_shards() != 1) {
-      return respond(EncodeStatusReply(Status::InvalidArgument(
-          "server is sharded; use the sharded propagation handshake")));
-    }
-    std::string frame;
-    sched_->Execute(0, TaskKind::kServe, /*mutates=*/false,
-                    [this, prop_req, &frame](const ShardToken& token) {
-                      AssertShardContext(token);
-                      frame = net::Encode(Message(
-                          sharded().HandleShardPropagation(0, *prop_req)));
-                    });
-    return respond(std::move(frame));
   }
   if (auto* oob_req = std::get_if<OobRequest>(&msg)) {
     const size_t k = sharded().ShardOf(oob_req->item_name);

@@ -80,11 +80,6 @@ class ReplicaServer : public net::RequestHandler {
     /// PullFrom).
     TimeMicros anti_entropy_interval_micros = 0;
 
-    /// Durable servers: checkpoint (snapshot + journal truncation) roughly
-    /// this often, piggybacked on the anti-entropy thread. 0 = only on
-    /// explicit Checkpoint() calls.
-    TimeMicros checkpoint_interval_micros = 0;
-
     /// Shard count for the in-memory constructor (ignored by the durable
     /// one, where JournaledShardedReplica::Open fixes it). Every node of a
     /// cluster must agree.

@@ -2,14 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <variant>
+
+#include "core/sharded_replica.h"
 
 namespace epidemic::net {
 namespace {
 
 VersionVector Vv(std::vector<UpdateCount> counts) {
   return VersionVector(std::move(counts));
+}
+
+/// VmPeak from /proc/self/status in KiB, or 0 where it is unavailable.
+uint64_t VmPeakKib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmPeak:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
 }
 
 TEST(CodecTest, VersionVectorRoundTrip) {
@@ -29,59 +42,6 @@ TEST(CodecTest, EmptyVersionVector) {
   auto vv = DecodeVersionVector(&r);
   ASSERT_TRUE(vv.ok());
   EXPECT_EQ(vv->size(), 0u);
-}
-
-TEST(CodecTest, PropagationRequestRoundTrip) {
-  PropagationRequest req;
-  req.requester = 3;
-  req.dbvv = Vv({5, 0, 9, 2});
-  auto decoded = Decode(Encode(Message(req)));
-  ASSERT_TRUE(decoded.ok());
-  auto* out = std::get_if<PropagationRequest>(&*decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->requester, 3u);
-  EXPECT_EQ(out->dbvv, req.dbvv);
-}
-
-TEST(CodecTest, YouAreCurrentResponseRoundTrip) {
-  PropagationResponse resp;
-  resp.you_are_current = true;
-  auto decoded = Decode(Encode(Message(resp)));
-  ASSERT_TRUE(decoded.ok());
-  auto* out = std::get_if<PropagationResponse>(&*decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_TRUE(out->you_are_current);
-  EXPECT_TRUE(out->tails.empty());
-  EXPECT_TRUE(out->items.empty());
-}
-
-TEST(CodecTest, FullPropagationResponseRoundTrip) {
-  PropagationResponse resp;
-  resp.you_are_current = false;
-  resp.tails.resize(3);
-  resp.tails[0].push_back(WireLogRecord{"alpha", 7});
-  resp.tails[2].push_back(WireLogRecord{"beta", 1});
-  resp.tails[2].push_back(WireLogRecord{"alpha", 9});
-  resp.items.push_back(WireItem{"alpha", std::string("\x00\x01", 2),
-                                /*deleted=*/false, Vv({1, 0, 2})});
-  resp.items.push_back(WireItem{"beta", "", /*deleted=*/true, Vv({0, 0, 1})});
-
-  auto decoded = Decode(Encode(Message(resp)));
-  ASSERT_TRUE(decoded.ok());
-  auto* out = std::get_if<PropagationResponse>(&*decoded);
-  ASSERT_NE(out, nullptr);
-  EXPECT_FALSE(out->you_are_current);
-  ASSERT_EQ(out->tails.size(), 3u);
-  EXPECT_TRUE(out->tails[1].empty());
-  ASSERT_EQ(out->tails[2].size(), 2u);
-  EXPECT_EQ(out->tails[2][1].item_name, "alpha");
-  EXPECT_EQ(out->tails[2][1].seq, 9u);
-  ASSERT_EQ(out->items.size(), 2u);
-  EXPECT_EQ(out->items[0].value, std::string("\x00\x01", 2));
-  EXPECT_FALSE(out->items[0].deleted);
-  EXPECT_EQ(out->items[0].ivv, Vv({1, 0, 2}));
-  EXPECT_EQ(out->items[1].value, "");
-  EXPECT_TRUE(out->items[1].deleted);
 }
 
 TEST(CodecTest, OobRequestRoundTrip) {
@@ -190,6 +150,19 @@ TEST(CodecTest, ScanListingTruncationRejected) {
   }
 }
 
+// The listing count is checked against the payload before anything is
+// reserved: four bytes claiming 2^24 pairs once made the client reserve
+// 1 GiB of pairs, only for the decode to fail on the first name.
+TEST(CodecTest, ScanListingCountBeyondPayloadReservesNothing) {
+  ByteWriter w;
+  w.PutVarint64(uint64_t{1} << 24);
+  ASSERT_EQ(w.size(), 4u);
+  const uint64_t before = VmPeakKib();
+  ASSERT_GT(before, 0u);
+  EXPECT_TRUE(DecodeScanListing(w.data()).status().IsCorruption());
+  EXPECT_LT(VmPeakKib() - before, uint64_t{64} * 1024);
+}
+
 TEST(CodecTest, EmptyFrameRejected) {
   EXPECT_TRUE(Decode("").status().IsCorruption());
 }
@@ -210,13 +183,11 @@ TEST(CodecTest, TrailingBytesRejected) {
 class TruncationTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(TruncationTest, EveryPrefixFailsCleanly) {
-  PropagationResponse resp;
-  resp.you_are_current = false;
-  resp.tails.resize(2);
-  resp.tails[0].push_back(WireLogRecord{"item-with-a-long-name", 12345});
-  resp.items.push_back(WireItem{"item-with-a-long-name", "some value bytes",
-                                /*deleted=*/false, Vv({9, 8})});
-  std::string frame = Encode(Message(resp));
+  // A served one-shard v3 reply (tag 18) carrying one segment.
+  ShardedReplica src(0, 2, 1), dst(1, 2, 1);
+  ASSERT_TRUE(src.Update("item-with-a-long-name", "some value bytes").ok());
+  std::string frame = Encode(Message(
+      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3())));
 
   size_t cut = GetParam();
   if (cut >= frame.size()) GTEST_SKIP() << "prefix length beyond frame";
@@ -229,10 +200,13 @@ INSTANTIATE_TEST_SUITE_P(Prefixes, TruncationTest,
                          ::testing::Range(size_t{0}, size_t{60}));
 
 TEST(CodecTest, AbsurdVersionVectorSizeRejected) {
-  // Hand-craft a propagation request claiming a gigantic DBVV.
+  // Hand-craft a v3 handshake whose one shard DBVV claims a gigantic size.
   ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(MessageType::kPropagationRequest));
+  w.PutU8(static_cast<uint8_t>(MessageType::kShardedPropagationRequestV3));
   w.PutVarint64(0);              // requester
+  w.PutU8(0);                    // flags
+  w.PutVarint64(0);              // last epoch
+  w.PutVarint64(1);              // one shard DBVV
   w.PutVarint64(1ull << 40);     // absurd vv length
   EXPECT_TRUE(Decode(w.data()).status().IsCorruption());
 }

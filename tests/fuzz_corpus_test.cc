@@ -69,7 +69,7 @@ TEST_P(FuzzTargetTest, CheckedInCorpusReplays) {
 INSTANTIATE_TEST_SUITE_P(AllTargets, FuzzTargetTest,
                          ::testing::Values("codec", "wire_segment_v3",
                                            "vv_delta", "snapshot", "journal",
-                                           "server_frame", "multidb", "tokens",
+                                           "server_frame", "tokens",
                                            "fixture"),
                          [](const auto& info) {
                            return std::string(info.param);

@@ -8,8 +8,8 @@
 
 #include "common/random.h"
 #include "core/replica.h"
+#include "core/sharded_replica.h"
 #include "core/snapshot.h"
-#include "multidb/multi_db_server.h"
 #include "net/codec.h"
 #include "tokens/token_service.h"
 
@@ -31,8 +31,6 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashAnyDecoder) {
     (void)net::Decode(bytes);
     (void)DecodeSnapshot(bytes);
     (void)net::DecodeScanListing(bytes);
-    (void)multidb::UnwrapRouted(bytes);
-    (void)multidb::DecodeSummary(bytes);
     (void)tokens::DecodeTokenRequest(bytes);
     (void)tokens::DecodeTokenReply(bytes);
     (void)tokens::DecodeTokenRelease(bytes);
@@ -42,13 +40,14 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashAnyDecoder) {
 TEST_P(FuzzSeedTest, MutatedProtocolFramesFailCleanlyOrDecode) {
   Rng rng(GetParam() * 7331);
 
-  // Build a realistic propagation response frame to mutate.
-  Replica src(0, 3), dst(1, 3);
+  // Build a realistic v3 propagation reply frame (tag 18) to mutate.
+  constexpr size_t kShards = 2;
+  ShardedReplica src(0, 3, kShards), dst(1, 3, kShards);
   for (int i = 0; i < 10; ++i) {
     (void)src.Update("item" + std::to_string(i), "value" + std::to_string(i));
   }
   std::string frame = net::Encode(net::Message(
-      src.HandlePropagationRequest(dst.BuildPropagationRequest())));
+      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3())));
 
   for (int trial = 0; trial < 300; ++trial) {
     std::string mutated = frame;
@@ -60,10 +59,11 @@ TEST_P(FuzzSeedTest, MutatedProtocolFramesFailCleanlyOrDecode) {
     }
     auto decoded = net::Decode(mutated);
     if (!decoded.ok()) continue;
-    // If it decoded, feeding it onward must still be safe: the replica
-    // validates widths and rejects rather than corrupting state.
-    if (auto* resp = std::get_if<PropagationResponse>(&*decoded)) {
-      Replica victim(2, 3);
+    // If it decoded, feeding it onward must still be safe: each segment
+    // decodes or fails cleanly, and the replica validates widths and
+    // rejects rather than corrupting state.
+    if (auto* resp = std::get_if<ShardedPropagationResponse>(&*decoded)) {
+      ShardedReplica victim(2, 3, kShards);
       (void)victim.AcceptPropagation(*resp);
       EXPECT_TRUE(victim.CheckInvariants().ok());
     }

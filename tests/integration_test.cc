@@ -141,17 +141,21 @@ TEST(ScenarioTest, PropagationThroughCodecMatchesDirectPropagation) {
   // Direct path.
   ASSERT_TRUE(PropagateOnce(direct_b, direct_a).ok());
 
-  // Codec path: request and response cross a serialization boundary.
-  std::string req_wire =
-      net::Encode(net::Message(coded_a.BuildPropagationRequest()));
-  auto req = net::Decode(req_wire);
+  // Codec path: request and response cross a serialization boundary as
+  // the wire-v3 exchange (tags 17/18) of two one-shard views.
+  ShardedReplica view_a(std::vector<Replica*>{&coded_a});
+  ShardedReplica view_b(std::vector<Replica*>{&coded_b});
+  auto req = net::Decode(
+      net::Encode(net::Message(view_a.BuildPropagationRequestV3())));
   ASSERT_TRUE(req.ok());
-  PropagationResponse resp = coded_b.HandlePropagationRequest(
-      std::get<PropagationRequest>(*req));
+  ShardedPropagationResponse resp = view_b.HandlePropagationRequestV3(
+      std::get<ShardedPropagationRequest>(*req));
+  ASSERT_EQ(resp.segments.size(), 1u);
   auto resp2 = net::Decode(net::Encode(net::Message(resp)));
   ASSERT_TRUE(resp2.ok());
   ASSERT_TRUE(
-      coded_a.AcceptPropagation(std::get<PropagationResponse>(*resp2)).ok());
+      view_a.AcceptPropagation(std::get<ShardedPropagationResponse>(*resp2))
+          .ok());
 
   EXPECT_EQ(coded_a.dbvv(), direct_a.dbvv());
   for (int i = 0; i < 7; ++i) {

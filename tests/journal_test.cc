@@ -4,11 +4,16 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/replica.h"
 #include "core/wire.h"
+#include "vv/vv_codec.h"
 
 namespace epidemic {
 namespace {
@@ -32,6 +37,32 @@ Status Pull(Replica& source, JournaledReplica& jr) {
   PropagationRequest req = jr.BuildPropagationRequest();
   PropagationResponse resp = source.HandlePropagationRequest(req);
   return jr.AcceptPropagation(resp);
+}
+
+// Frames `payload` the way the journal does: varint length, payload,
+// CRC-32C.
+std::string JournalFrame(std::string_view payload) {
+  ByteWriter w;
+  w.PutVarint64(payload.size());
+  w.PutBytes(payload.data(), payload.size());
+  w.PutFixed32(Crc32c(payload));
+  return w.Release();
+}
+
+// The record tag of every frame in `dir`'s journal, in order.
+std::vector<uint8_t> RecordTags(const std::string& dir) {
+  std::ifstream in(dir + "/journal.log", std::ios::binary);
+  const std::string data{std::istreambuf_iterator<char>(in), {}};
+  std::vector<uint8_t> tags;
+  ByteReader r(data);
+  while (!r.AtEnd()) {
+    auto len = r.GetVarint64();
+    if (!len.ok()) break;
+    auto payload = r.GetBytesView(static_cast<size_t>(*len));
+    if (!payload.ok() || payload->empty() || !r.GetFixed32().ok()) break;
+    tags.push_back(static_cast<uint8_t>((*payload)[0]));
+  }
+  return tags;
 }
 
 TEST_F(JournalTest, OpenFreshDirectory) {
@@ -77,6 +108,8 @@ TEST_F(JournalTest, PropagationInputsSurviveRestart) {
     ASSERT_TRUE(Pull(peer, **jr).ok());
     dbvv_before = (*jr)->replica().dbvv().ToString();
   }
+  // The owned accept journals the v3 segment record epidemicd writes.
+  EXPECT_EQ(RecordTags(dir_), (std::vector<uint8_t>{1, 6}));
 
   auto recovered = JournaledReplica::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok());
@@ -199,6 +232,31 @@ TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
   EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+}
+
+// Record number 3 held the retired whole-database v1 propagation body. A
+// journal holding one no longer opens: recovery refuses it instead of
+// replaying around the peer input it recorded.
+TEST_F(JournalTest, RetiredV1PropagationRecordRefusesToOpen) {
+  ByteWriter record;  // item "old" from origin 1, seq 1, in the v1 layout
+  record.PutU8(3);
+  record.PutU8(0);        // not current
+  record.PutVarint64(2);  // two tails
+  record.PutVarint64(0);  // D_0 is empty
+  record.PutVarint64(1);  // D_1 holds one record
+  record.PutString("old");
+  record.PutVarint64(1);
+  record.PutVarint64(1);  // one item
+  record.PutString("old");
+  record.PutString("v");
+  record.PutU8(0);        // not deleted
+  EncodeVersionVector(&record, VersionVector({0, 1}));
+  {
+    std::ofstream out(dir_ + "/journal.log", std::ios::binary);
+    out << JournalFrame(record.data());
+  }
+  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  EXPECT_TRUE(jr.status().IsCorruption()) << jr.status().ToString();
 }
 
 TEST_F(JournalTest, CheckpointTruncatesJournal) {

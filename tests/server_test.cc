@@ -363,28 +363,45 @@ TEST(ShardedServerTest, ServesZeroCopyInOneCall) {
   hub.Register(1, nullptr);
 }
 
-// A single-shard server answers the whole-database v1 handshake (tag 1)
-// with a v1 response (tag 2).
-TEST(ShardedServerTest, V1HandshakeServedBySingleShardServer) {
-  net::InProcHub hub(3);
+// Numbers 1 and 2 (the retired whole-database v1 exchange) are unknown
+// tags on every server, single-shard ones included: the frames the v1
+// encoders wrote get an error reply, and 1-shard servers replicate over
+// v3 like every other server.
+TEST(ShardedServerTest, SingleShardServerSpeaksOnlyV3) {
+  net::InProcHub hub(2);
   net::InProcTransport transport(&hub);
   ReplicaServer::Options opts;
   opts.num_shards = 1;
-  ReplicaServer server(0, 3, &transport, opts);
-  ASSERT_TRUE(server.Update("legacy", "payload").ok());
+  ReplicaServer s0(0, 2, &transport, opts);
+  ReplicaServer s1(1, 2, &transport, opts);
+  hub.Register(0, &s0);
+  hub.Register(1, &s1);
+  ASSERT_TRUE(s0.Update("legacy", "payload").ok());
 
-  PropagationRequest req;
-  req.requester = 1;
-  req.dbvv = VersionVector(3);
-  Result<net::Message> reply =
-      net::Decode(server.HandleRequest(net::Encode(net::Message(req))));
-  ASSERT_TRUE(reply.ok()) << reply.status().message();
-  auto* resp = std::get_if<PropagationResponse>(&*reply);
-  ASSERT_NE(resp, nullptr);
-  EXPECT_FALSE(resp->you_are_current);
-  ASSERT_EQ(resp->items.size(), 1u);
-  EXPECT_EQ(resp->items[0].name, "legacy");
-  EXPECT_EQ(resp->items[0].value, "payload");
+  ByteWriter v1_request;  // requester 1, all-zero DBVV of width 2
+  v1_request.PutU8(1);
+  v1_request.PutVarint64(1);
+  EncodeVersionVector(&v1_request, VersionVector(2));
+  const std::string v1_current("\x02\x01", 2);  // "you are current"
+  for (const std::string& frame : {v1_request.data(), v1_current}) {
+    auto wire = transport.Call(0, frame);
+    ASSERT_TRUE(wire.ok());
+    auto decoded = net::Decode(*wire);
+    ASSERT_TRUE(decoded.ok());
+    auto* reply = std::get_if<net::ClientReply>(&*decoded);
+    ASSERT_NE(reply, nullptr) << "tag " << int{frame[0]};
+    EXPECT_EQ(reply->code, static_cast<uint8_t>(StatusCode::kCorruption));
+    EXPECT_NE(reply->payload.find("unknown message tag"), std::string::npos)
+        << reply->payload;
+  }
+
+  ASSERT_TRUE(s1.Update("fresh", "v3").ok());
+  ASSERT_TRUE(s1.PullFrom(0).ok());
+  ASSERT_TRUE(s0.PullFrom(1).ok());
+  EXPECT_EQ(*s1.Read("legacy"), "payload");
+  EXPECT_EQ(s0.Scan(""), s1.Scan(""));
+  hub.Register(0, nullptr);
+  hub.Register(1, nullptr);
 }
 
 // The fan-out serve cache works in every scheduler mode: with owner
@@ -413,42 +430,6 @@ TEST(ShardedServerTest, ServeCacheHitsWithOwnerWorkers) {
   EXPECT_EQ(p1.Scan(""), source.Scan(""));
   EXPECT_EQ(p2.Scan(""), source.Scan(""));
   hub.Register(0, nullptr);
-}
-
-TEST(ShardedServerTest, ShardedServerRejectsLegacyHandshake) {
-  net::InProcHub hub(2);
-  net::InProcTransport transport(&hub);
-  ReplicaServer::Options opts;
-  opts.num_shards = 4;
-  ReplicaServer s0(0, 2, &transport, opts);
-  hub.Register(0, &s0);
-
-  // A wire-v1 peer sends a whole-database PropagationRequest; a sharded
-  // server cannot answer it meaningfully.
-  PropagationRequest legacy;
-  legacy.requester = 1;
-  legacy.dbvv = VersionVector(2);
-  auto wire = transport.Call(0, net::Encode(net::Message(legacy)));
-  ASSERT_TRUE(wire.ok());
-  auto decoded = net::Decode(*wire);
-  ASSERT_TRUE(decoded.ok());
-  auto* reply = std::get_if<net::ClientReply>(&*decoded);
-  ASSERT_NE(reply, nullptr);
-  EXPECT_NE(reply->code, 0);
-
-  // A single-shard server still serves it (wire-v1 compatibility).
-  ReplicaServer::Options one;
-  one.num_shards = 1;
-  ReplicaServer s1(1, 2, &transport, one);
-  hub.Register(1, &s1);
-  ASSERT_TRUE(s1.Update("y", "w").ok());
-  auto wire1 = transport.Call(1, net::Encode(net::Message(legacy)));
-  ASSERT_TRUE(wire1.ok());
-  auto decoded1 = net::Decode(*wire1);
-  ASSERT_TRUE(decoded1.ok());
-  EXPECT_NE(std::get_if<PropagationResponse>(&*decoded1), nullptr);
-  hub.Register(0, nullptr);
-  hub.Register(1, nullptr);
 }
 
 TEST(ShardedServerTest, StatsResetRpcIsAtomic) {

@@ -17,48 +17,6 @@ VersionVector Vv(std::vector<UpdateCount> counts) {
   return VersionVector(std::move(counts));
 }
 
-TEST(WireTest, PropagationRequestBodyRoundTrip) {
-  PropagationRequest m{7, Vv({1, 2, 3})};
-  ByteWriter w;
-  EncodePropagationRequestBody(w, m);
-  ByteReader r(w.data());
-  auto out = DecodePropagationRequestBody(r);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->requester, 7u);
-  EXPECT_EQ(out->dbvv, Vv({1, 2, 3}));
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(WireTest, PropagationResponseBodyRoundTrip) {
-  PropagationResponse m;
-  m.tails.resize(2);
-  m.tails[0].push_back(WireLogRecord{"a", 9});
-  m.items.push_back(WireItem{"a", "val", true, Vv({9, 0})});
-  ByteWriter w;
-  EncodePropagationResponseBody(w, m);
-  ByteReader r(w.data());
-  auto out = DecodePropagationResponseBody(r);
-  ASSERT_TRUE(out.ok());
-  EXPECT_FALSE(out->you_are_current);
-  ASSERT_EQ(out->tails.size(), 2u);
-  EXPECT_EQ(out->tails[0][0].seq, 9u);
-  ASSERT_EQ(out->items.size(), 1u);
-  EXPECT_TRUE(out->items[0].deleted);
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(WireTest, YouAreCurrentBodyIsOneByte) {
-  PropagationResponse m;
-  m.you_are_current = true;
-  ByteWriter w;
-  EncodePropagationResponseBody(w, m);
-  EXPECT_EQ(w.size(), 1u);
-  ByteReader r(w.data());
-  auto out = DecodePropagationResponseBody(r);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->you_are_current);
-}
-
 TEST(WireTest, OobBodiesRoundTrip) {
   {
     OobRequest m{3, "item"};
@@ -93,47 +51,24 @@ TEST(WireTest, BodiesComposeInOneBuffer) {
   // buffer. Bodies must consume exactly their own bytes.
   ByteWriter w;
   EncodeOobRequestBody(w, OobRequest{1, "x"});
-  EncodePropagationRequestBody(w, PropagationRequest{2, Vv({5, 6})});
+  EncodeOobResponseBody(w, OobResponse{true, "y", "v", false, Vv({5, 6})});
   ByteReader r(w.data());
   auto first = DecodeOobRequestBody(r);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->item_name, "x");
-  auto second = DecodePropagationRequestBody(r);
+  auto second = DecodeOobResponseBody(r);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->dbvv, Vv({5, 6}));
+  EXPECT_EQ(second->ivv, Vv({5, 6}));
   EXPECT_TRUE(r.AtEnd());
 }
 
-// A count that claims more records or items than there are bytes left is
-// rejected before anything is reserved: a 12-byte frame once made the
-// decoder reserve 2^35 records and die of std::bad_alloc.
-TEST(WireTest, ResponseBodyCountsBeyondTheBytesAreRejected) {
-  ByteWriter tails;
-  tails.PutU8(0);                // not current
-  tails.PutVarint64(3);          // three tails
-  tails.PutVarint64(uint64_t{1} << 35);  // the first claims 2^35 records
-  ByteReader r1(tails.data());
-  EXPECT_TRUE(DecodePropagationResponseBody(r1).status().IsCorruption());
-
-  ByteWriter items;
-  items.PutU8(0);
-  items.PutVarint64(0);                  // no tails
-  items.PutVarint64(uint64_t{1} << 35);  // 2^35 items
-  ByteReader r2(items.data());
-  EXPECT_TRUE(DecodePropagationResponseBody(r2).status().IsCorruption());
-}
-
 TEST(WireTest, TruncatedBodiesFail) {
-  PropagationResponse m;
-  m.tails.resize(1);
-  m.tails[0].push_back(WireLogRecord{"abc", 5});
-  m.items.push_back(WireItem{"abc", "value", false, Vv({5})});
   ByteWriter w;
-  EncodePropagationResponseBody(w, m);
+  EncodeOobResponseBody(w, OobResponse{true, "abc", "value", false, Vv({5})});
   std::string data = w.Release();
   for (size_t cut = 0; cut < data.size(); ++cut) {
     ByteReader r(std::string_view(data).substr(0, cut));
-    EXPECT_FALSE(DecodePropagationResponseBody(r).ok()) << cut;
+    EXPECT_FALSE(DecodeOobResponseBody(r).ok()) << cut;
   }
 }
 
@@ -386,9 +321,9 @@ TEST(WireV3Test, EpochProbeRequestRoundTrip) {
   m.flags = kPropFlagEpochProbe | 0x01;
   m.last_epoch = 123456789;
   ByteWriter w;
-  EncodeShardedPropagationRequestBodyV3(w, m);
+  EncodeShardedRequestBodyV3(w, m);
   ByteReader r(w.data());
-  auto out = DecodeShardedPropagationRequestBodyV3(r);
+  auto out = DecodeShardedRequestBodyV3(r);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->requester, 4u);
   EXPECT_EQ(out->flags, m.flags);
@@ -405,9 +340,9 @@ TEST(WireV3Test, EpochProbeWithDbvvsRejected) {
   m.last_epoch = 7;
   m.shard_dbvvs.push_back(Vv({1}));
   ByteWriter w;
-  EncodeShardedPropagationRequestBodyV3(w, m);
+  EncodeShardedRequestBodyV3(w, m);
   ByteReader r(w.data());
-  EXPECT_TRUE(DecodeShardedPropagationRequestBodyV3(r).status().IsCorruption());
+  EXPECT_TRUE(DecodeShardedRequestBodyV3(r).status().IsCorruption());
 }
 
 TEST(WireV3Test, ResponseEnvelopeCarriesEpochAndFlags) {
@@ -416,9 +351,9 @@ TEST(WireV3Test, ResponseEnvelopeCarriesEpochAndFlags) {
   m.epoch = 42;
   m.resp_flags = kPropRespFlagResend;
   ByteWriter w;
-  EncodeShardedPropagationResponseBodyV3(w, m);
+  EncodeShardedResponseBodyV3(w, m);
   ByteReader r(w.data());
-  auto out = DecodeShardedPropagationResponseBodyV3(r);
+  auto out = DecodeShardedResponseBodyV3(r);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_shards, 4u);
   EXPECT_EQ(out->epoch, 42u);
@@ -433,10 +368,10 @@ TEST(WireV3Test, ResponseEnvelopeRejectsBadFlagCombos) {
     m.num_shards = 1;
     m.resp_flags = 0x80;
     ByteWriter w;
-    EncodeShardedPropagationResponseBodyV3(w, m);
+    EncodeShardedResponseBodyV3(w, m);
     ByteReader r(w.data());
     EXPECT_TRUE(
-        DecodeShardedPropagationResponseBodyV3(r).status().IsCorruption());
+        DecodeShardedResponseBodyV3(r).status().IsCorruption());
   }
   // A resend request is a control frame; payload segments alongside it
   // mean the source is confused (or the frame was tampered with).
@@ -449,10 +384,10 @@ TEST(WireV3Test, ResponseEnvelopeRejectsBadFlagCombos) {
     seg.body = "x";
     m.segments.push_back(std::move(seg));
     ByteWriter w;
-    EncodeShardedPropagationResponseBodyV3(w, m);
+    EncodeShardedResponseBodyV3(w, m);
     ByteReader r(w.data());
     EXPECT_TRUE(
-        DecodeShardedPropagationResponseBodyV3(r).status().IsCorruption());
+        DecodeShardedResponseBodyV3(r).status().IsCorruption());
   }
 }
 

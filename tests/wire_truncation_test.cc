@@ -1,9 +1,10 @@
-// Wire-robustness: a frame of every message type (tags 1-13 and 16-18),
+// Wire-robustness: a frame of every message type (tags 3-13 and 16-18),
 // truncated at every byte boundary, must come back from Decode as a clean Status error —
 // never a crash, never an out-of-range read (the ASan/UBSan CI jobs run
 // this test under both sanitizers), and never a silent success.
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/wire.h"
@@ -48,52 +49,61 @@ std::string EncodeV3SegmentBody() {
   return w.Release();
 }
 
-// One fully populated representative of every net::Message alternative, in
-// variant order (tags 1..13, then 17, 18, 16).
-std::vector<net::Message> RepresentativeMessages() {
-  std::vector<net::Message> msgs;
-  msgs.push_back(PropagationRequest{2, MakeVv()});      // tag 1
-  msgs.push_back(MakePropagationResponse());            // tag 2
-  msgs.push_back(OobRequest{1, "k0"});                  // tag 3
-  msgs.push_back(OobResponse{true, "k0", "v", false, MakeVv()});  // tag 4
-  msgs.push_back(net::ClientUpdateRequest{"k0", "value"});        // tag 5
-  msgs.push_back(net::ClientReadRequest{"k0"});         // tag 6
-  msgs.push_back(net::ClientOobFetchRequest{2, "k0"});  // tag 7
-  msgs.push_back(net::ClientReply{1, "payload"});       // tag 8
-  msgs.push_back(net::ClientDeleteRequest{"k0"});       // tag 9
-  msgs.push_back(net::ClientStatsRequest{});            // tag 10
-  msgs.push_back(net::ClientScanRequest{"k", 128});     // tag 11
-  msgs.push_back(net::ClientSyncRequest{1});            // tag 12
-  msgs.push_back(net::ClientCheckpointRequest{});       // tag 13
+/// A fully populated net::Message alternative and the tag its frame must
+/// lead with.
+struct Representative {
+  uint8_t tag;
+  net::Message msg;
+};
 
-  ShardedPropagationRequest sharded_req;                // tag 17
+// One fully populated representative of every net::Message alternative, in
+// variant order (tags 3..13, then 17, 18, 16).
+std::vector<Representative> RepresentativeMessages() {
+  std::vector<Representative> msgs;
+  msgs.push_back({3, OobRequest{1, "k0"}});
+  msgs.push_back({4, OobResponse{true, "k0", "v", false, MakeVv()}});
+  msgs.push_back({5, net::ClientUpdateRequest{"k0", "value"}});
+  msgs.push_back({6, net::ClientReadRequest{"k0"}});
+  msgs.push_back({7, net::ClientOobFetchRequest{2, "k0"}});
+  msgs.push_back({8, net::ClientReply{1, "payload"}});
+  msgs.push_back({9, net::ClientDeleteRequest{"k0"}});
+  msgs.push_back({10, net::ClientStatsRequest{}});
+  msgs.push_back({11, net::ClientScanRequest{"k", 128}});
+  msgs.push_back({12, net::ClientSyncRequest{1}});
+  msgs.push_back({13, net::ClientCheckpointRequest{}});
+
+  ShardedPropagationRequest sharded_req;
   sharded_req.requester = 2;
   sharded_req.shard_dbvvs = {MakeVv(), MakeVv()};
-  msgs.push_back(sharded_req);
+  msgs.push_back({17, sharded_req});
 
-  ShardedPropagationResponse sharded_resp;              // tag 18
+  ShardedPropagationResponse sharded_resp;
   sharded_resp.num_shards = 2;
   sharded_resp.segments.push_back(
       ShardedPropagationSegment{0, EncodeV3SegmentBody()});
   sharded_resp.segments.push_back(
       ShardedPropagationSegment{1, EncodeV3SegmentBody()});
-  msgs.push_back(sharded_resp);
+  msgs.push_back({18, sharded_resp});
 
-  msgs.push_back(net::ClientResetStatsRequest{});       // tag 16
+  msgs.push_back({16, net::ClientResetStatsRequest{}});
   return msgs;
 }
 
 TEST(WireTruncationTest, EveryPrefixOfEveryMessageIsRejected) {
-  const std::vector<net::Message> msgs = RepresentativeMessages();
-  ASSERT_EQ(msgs.size(), 16u);
+  const std::vector<Representative> msgs = RepresentativeMessages();
+  ASSERT_EQ(msgs.size(), 14u);
+  ASSERT_EQ(msgs.size(), std::variant_size_v<net::Message>);
   for (size_t m = 0; m < msgs.size(); ++m) {
-    const std::string frame = net::Encode(msgs[m]);
+    EXPECT_EQ(msgs[m].msg.index(), m) << "representatives out of order";
+    const std::string frame = net::Encode(msgs[m].msg);
     ASSERT_FALSE(frame.empty());
+    // The tag comes from the message type, as docs/PROTOCOL.md lists it.
+    EXPECT_EQ(static_cast<uint8_t>(frame[0]), msgs[m].tag) << "message " << m;
     // The full frame must round-trip to the same alternative.
     auto full = net::Decode(frame);
     ASSERT_TRUE(full.ok()) << "message " << m << ": " <<
         full.status().message();
-    EXPECT_EQ(full->index(), msgs[m].index()) << "message " << m;
+    EXPECT_EQ(full->index(), msgs[m].msg.index()) << "message " << m;
     // Every strict prefix must be rejected with a clean error.
     for (size_t cut = 0; cut < frame.size(); ++cut) {
       auto r = net::Decode(std::string_view(frame.data(), cut));
@@ -105,10 +115,11 @@ TEST(WireTruncationTest, EveryPrefixOfEveryMessageIsRejected) {
 }
 
 // Flipping the tag byte to an unknown value must be rejected cleanly —
-// including 14 and 15, the retired sharded wire v2.
+// including the retired numbers: 1 and 2 (whole-database wire v1), 14 and
+// 15 (sharded wire v2).
 TEST(WireTruncationTest, UnknownTagIsRejected) {
   std::string frame = net::Encode(net::ClientReadRequest{"k0"});
-  for (int tag : {0, 14, 15, 19, 42, 255}) {
+  for (int tag : {0, 1, 2, 14, 15, 19, 42, 255}) {
     frame[0] = static_cast<char>(tag);
     auto r = net::Decode(frame);
     EXPECT_FALSE(r.ok()) << "tag " << tag << " decoded OK";

@@ -97,7 +97,6 @@ DECODE_TUS = {
     "src/net/codec.h", "src/net/codec.cc",
     "src/vv/vv_codec.h", "src/vv/vv_codec.cc",
     "src/tokens/token_service.cc",
-    "src/multidb/multi_db_server.cc",
 }
 RAW_COPY_FNS = {"memcpy", "memmove", "__builtin_memcpy", "__builtin_memmove"}
 
