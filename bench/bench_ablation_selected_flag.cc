@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -21,7 +22,7 @@ namespace {
 
 using epidemic::NodeId;
 using epidemic::PropagationRequest;
-using epidemic::PropagationResponse;
+using epidemic::PropagationResponseView;
 using epidemic::Replica;
 using epidemic::Rng;
 
@@ -60,7 +61,8 @@ struct Fixture {
 void BM_SelectedFlag(benchmark::State& state) {
   Fixture fx(state.range(0), /*origins=*/4);
   for (auto _ : state) {
-    PropagationResponse resp = fx.src->HandlePropagationRequest(fx.req);
+    const PropagationResponseView& resp =
+        fx.src->HandlePropagationView(fx.req);
     benchmark::DoNotOptimize(resp.items.size());
   }
   state.counters["dirty_items"] = static_cast<double>(state.range(0));
@@ -71,10 +73,11 @@ void BM_HashSetDedup(benchmark::State& state) {
   Fixture fx(state.range(0), /*origins=*/4);
   for (auto _ : state) {
     // Collect the tails exactly as SendPropagation would...
-    PropagationResponse resp = fx.src->HandlePropagationRequest(fx.req);
+    const PropagationResponseView& resp =
+        fx.src->HandlePropagationView(fx.req);
     // ...then redo the union with a hash set over item names, the way a
     // protocol without per-item control-state flags must.
-    std::unordered_set<std::string> selected;
+    std::unordered_set<std::string_view> selected;
     size_t items = 0;
     for (const auto& tail : resp.tails) {
       for (const auto& rec : tail) {

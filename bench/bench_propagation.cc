@@ -5,12 +5,9 @@
 // Part B fixes m = 64 and sweeps N: the paper's protocol must stay flat,
 // while a per-item pass grows with N.
 //
-// Part C (wire v3, DESIGN.md §10) measures the same exchange through the
-// zero-copy view pipeline (PropagateOnceFast) against the owned baseline,
-// and the sharded exchange through the real wire-v3 codec. The
-// `serve_allocs`/`accept_allocs` counters are ReplicaStats'
-// *_staging_allocs: owned-string materializations per exchange, which the
-// view path must drive to zero.
+// Parts A and B run the in-process zero-copy exchange (PropagateOnce: the
+// source's response view applied directly). Part C (wire v3, DESIGN.md
+// §10) measures the sharded exchange through the real wire-v3 codec.
 
 #include <benchmark/benchmark.h>
 
@@ -30,14 +27,13 @@ namespace {
 
 using epidemic::BufferPool;
 using epidemic::PropagateOnce;
-using epidemic::PropagateOnceFast;
 using epidemic::Replica;
 using epidemic::ShardedPropagationRequest;
 using epidemic::ShardedPropagationResponse;
 using epidemic::ShardedReplica;
 
 // Values sized like small real documents (matches bench_message_size's
-// convention); big enough to defeat SSO so every owned-path copy is a
+// convention); big enough to defeat SSO so every copy into the store is a
 // real allocation.
 constexpr size_t kValueLen = 256;
 
@@ -50,14 +46,11 @@ void Preload(Replica& src, Replica& dst, int64_t n) {
   (void)PropagateOnce(src, dst);
 }
 
-// Measures one exchange that ships exactly `m` dirty items, through the
-// owned baseline or the zero-copy view pipeline.
-void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
-                     bool fast) {
+// Measures one exchange that ships exactly `m` dirty items.
+void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
   Replica src(0, 2), dst(1, 2);
   Preload(src, dst, n);
   src.ResetStats();
-  dst.ResetStats();
   int tick = 0;
 
   for (auto _ : state) {
@@ -68,11 +61,7 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
       (void)src.Update("k" + std::to_string(i), value);
     }
     state.ResumeTiming();
-    if (fast) {
-      benchmark::DoNotOptimize(PropagateOnceFast(src, dst));
-    } else {
-      benchmark::DoNotOptimize(PropagateOnce(src, dst));
-    }
+    benchmark::DoNotOptimize(PropagateOnce(src, dst));
   }
 
   state.counters["N_items"] = static_cast<double>(n);
@@ -82,12 +71,6 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
       benchmark::Counter::kAvgIterations);
   state.counters["items_shipped"] = benchmark::Counter(
       static_cast<double>(src.stats().items_shipped),
-      benchmark::Counter::kAvgIterations);
-  state.counters["serve_allocs"] = benchmark::Counter(
-      static_cast<double>(src.stats().serve_staging_allocs),
-      benchmark::Counter::kAvgIterations);
-  state.counters["accept_allocs"] = benchmark::Counter(
-      static_cast<double>(dst.stats().accept_staging_allocs),
       benchmark::Counter::kAvgIterations);
 
   // Untimed: the wire frame one such exchange would produce, so these rows
@@ -110,15 +93,11 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m,
 }
 
 void BM_SweepDirtyItems(benchmark::State& state) {
-  MeasureExchange(state, /*n=*/65536, /*m=*/state.range(0), /*fast=*/false);
-}
-
-void BM_SweepDirtyItemsFast(benchmark::State& state) {
-  MeasureExchange(state, /*n=*/65536, /*m=*/state.range(0), /*fast=*/true);
+  MeasureExchange(state, /*n=*/65536, /*m=*/state.range(0));
 }
 
 void BM_SweepDatabaseSize(benchmark::State& state) {
-  MeasureExchange(state, /*n=*/state.range(0), /*m=*/64, /*fast=*/false);
+  MeasureExchange(state, /*n=*/state.range(0), /*m=*/64);
 }
 
 // One sharded anti-entropy exchange through the REAL wire codec: build the
@@ -173,10 +152,6 @@ void BM_ShardedWireExchangeV3(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_SweepDirtyItems)
-    ->RangeMultiplier(4)
-    ->Range(1, 1 << 12)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SweepDirtyItemsFast)
     ->RangeMultiplier(4)
     ->Range(1, 1 << 12)
     ->Unit(benchmark::kMicrosecond);

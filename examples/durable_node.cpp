@@ -18,7 +18,7 @@
 
 using epidemic::JournaledReplica;
 using epidemic::PropagationRequest;
-using epidemic::PropagationResponse;
+using epidemic::PropagationResponseView;
 using epidemic::Replica;
 
 int main() {
@@ -40,9 +40,10 @@ int main() {
     (void)(*node)->Update("local/notes", "draft 1");
     (void)(*node)->Update("local/notes", "draft 2");
 
-    // Pull from the peer — the received response is journaled too.
+    // Pull from the peer — the received response is journaled too. The
+    // peer's reply borrows its store until the accept returns.
     PropagationRequest req = (*node)->BuildPropagationRequest();
-    PropagationResponse resp = peer.HandlePropagationRequest(req);
+    const PropagationResponseView& resp = peer.HandlePropagationView(req);
     (void)(*node)->AcceptPropagation(resp);
 
     // Checkpoint: snapshot + journal truncation.
@@ -76,7 +77,7 @@ int main() {
   // unchanged peer answers "you-are-current" in one DBVV comparison.
   peer.ResetStats();
   PropagationRequest req = (*recovered)->BuildPropagationRequest();
-  PropagationResponse resp = peer.HandlePropagationRequest(req);
+  const PropagationResponseView& resp = peer.HandlePropagationView(req);
   (void)(*recovered)->AcceptPropagation(resp);
   std::printf("first post-recovery exchange was a no-op: %s\n",
               peer.stats().you_are_current_replies == 1 ? "yes" : "NO");

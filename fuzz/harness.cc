@@ -38,10 +38,8 @@ std::unique_ptr<Replica> MakeSeededReplica() {
   EPI_CHECK(r0->Update("beta", "b0").ok());
   EPI_CHECK(r1.Update("beta", "b1").ok());
   EPI_CHECK(r1.Update("gamma", "g1").ok());
-  PropagationResponse resp =
-      r1.HandlePropagationRequest(r0->BuildPropagationRequest());
   // The concurrent beta writes conflict — also legitimate state.
-  Status s = r0->AcceptPropagation(resp);
+  Status s = PropagateOnce(r1, *r0).status();
   EPI_CHECK(s.ok() || s.IsConflict()) << s.ToString();
   EPI_CHECK(r0->CheckInvariants().ok());
   return r0;

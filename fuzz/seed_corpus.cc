@@ -24,31 +24,20 @@ void Add(std::vector<SeedInput>* out, std::string label, std::string bytes) {
   out->push_back(SeedInput{std::move(label), std::move(bytes)});
 }
 
-/// A served, non-current PropagationResponse in the kFuzzNodes world:
-/// node 1 (with writes node 0 lacks) answering node 0's handshake.
-PropagationResponse ServedResponse() {
+/// A served, non-current response in the kFuzzNodes world — node 1 (with
+/// writes node 0 lacks) answering node 0's handshake — as a v3 segment
+/// body encoded against its source's DBVV: the body a daemon journals and
+/// a wire-v3 reply carries.
+std::string PlainSegmentBody() {
   Replica r0(0, kFuzzNodes);
   Replica r1(1, kFuzzNodes);
   EPI_CHECK(r0.Update("alpha", "a0").ok());
   EPI_CHECK(r1.Update("beta", "b1").ok());
   EPI_CHECK(r1.Update("alpha", "a1").ok());  // concurrent: ships a conflict
   EPI_CHECK(r1.Delete("beta").ok());         // and a tombstone
-  return r1.HandlePropagationRequest(r0.BuildPropagationRequest());
-}
-
-/// ServedResponse as a v3 segment body, encoded against its source's DBVV:
-/// the body a daemon journals and a wire-v3 reply carries.
-std::string PlainSegmentBody() {
-  PropagationResponse resp = ServedResponse();
-  Replica r1(1, kFuzzNodes);  // rebuild the source for its base DBVV
-  EPI_CHECK(r1.Update("beta", "b1").ok());
-  EPI_CHECK(r1.Update("alpha", "a1").ok());
-  EPI_CHECK(r1.Delete("beta").ok());
-
-  PropagationResponseView view;
-  wire::MakeResponseView(resp, &view);
   ByteWriter w;
-  wire::EncodeShardSegmentBodyV3Into(w, view, r1.dbvv());
+  wire::EncodeShardSegmentBodyV3Into(
+      w, r1.HandlePropagationView(r0.BuildPropagationRequest()), r1.dbvv());
   return w.Release();
 }
 

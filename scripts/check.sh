@@ -12,8 +12,6 @@
 #   scripts/check.sh --bench-smoke  # build + one fast benchmark pass (JSON);
 #                                   # fails if the E2 exchange grows >3x
 #                                   # from N=1,024 to N=262,144
-#   scripts/check.sh --net-smoke    # build + TCP pipeline tests + a short
-#                                   # multi-process loopback cluster run
 #   scripts/check.sh --fuzz-smoke   # short fuzz run of every decode target:
 #                                   # libFuzzer+ASan/UBSan under clang,
 #                                   # the deterministic mini fuzzer otherwise
@@ -98,26 +96,8 @@ case "$mode" in
     build_dir=build
     cmake -B "$build_dir" -S . > /dev/null
     cmake --build "$build_dir" -j"$(nproc)" --target \
-        bench_propagation bench_message_size bench_sharded_parallel \
-        bench_tcp_cluster epidemicd
+        bench_propagation bench_message_size bench_sharded_parallel
     scripts/run_benchmarks.sh --json --smoke "$@"
-    exit 0
-    ;;
-  --net-smoke)
-    shift
-    # The network-pipeline leg (DESIGN.md §14 / EXPERIMENTS.md N1): the
-    # TCP framing + connection-pool unit tests, then a short real
-    # multi-process cluster — N epidemicd daemons forked on loopback over
-    # pooled connections — so a transport regression that only shows up
-    # across process boundaries fails here, not in a paper run.
-    build_dir=build
-    cmake -B "$build_dir" -S . > /dev/null
-    cmake --build "$build_dir" -j"$(nproc)" --target \
-        tcp_transport_test bench_tcp_cluster epidemicd
-    ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'tcp_transport_test|transport_test'
-    "$build_dir"/bench/bench_tcp_cluster \
-        --epidemicd="$build_dir"/tools/epidemicd --rounds=25 "$@"
     exit 0
     ;;
   --fuzz-smoke)
@@ -180,7 +160,7 @@ case "$mode" in
     ;;
   --*)
     echo "error: unknown mode '$mode'" >&2
-    echo "usage: scripts/check.sh [--asan|--tsan|--ubsan|--tidy|--lint-ast|--model|--bench-smoke|--net-smoke|--fuzz-smoke|--perfbench-smoke] [ctest args]" >&2
+    echo "usage: scripts/check.sh [--asan|--tsan|--ubsan|--tidy|--lint-ast|--model|--bench-smoke|--fuzz-smoke|--perfbench-smoke] [ctest args]" >&2
     exit 2
     ;;
   *)

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Wire-path benchmarks (DESIGN.md §10, §14 / EXPERIMENTS.md W1, N1).
+# Wire-path benchmarks (DESIGN.md §10 / EXPERIMENTS.md W1).
 #
-# Runs the benchmarks that back the wire-v3 and network-pipeline
-# performance claims and, with --json, merges their machine-readable
-# outputs into one artifact:
-#   - bench_propagation      µs/item and allocs/exchange, owned vs view path,
-#                            plus the sharded wire-v3 exchange, and the E2
+# Runs the benchmarks that back the wire-v3 performance claims and, with
+# --json, merges their machine-readable outputs into one artifact:
+#   - bench_propagation      µs/item of the in-process exchange (m=4,096),
+#                            the sharded wire-v3 exchange, and the E2
 #                            N-sweep ends (m=64, N=1,024 vs 262,144)
 #   - bench_message_size     bytes/exchange and control bytes, wire v3 (W1)
-#   - bench_sharded_parallel pull rounds/sec under write load
-#   - bench_tcp_cluster      multi-process loopback cluster over the pooled
-#                            transport (N1)
+#   - bench_sharded_parallel full pull rounds/sec and update latency under
+#                            write load
+# The multi-process cluster (real epidemicd daemons on loopback) is
+# measured by the repo benchmark, perfbench/ (BENCHMARK.json).
 #
 # Usage: scripts/run_benchmarks.sh [--json] [--smoke] [output.json]
 #   --json   write the merged JSON artifact (default name BENCH_PR10.json)
@@ -19,8 +19,7 @@
 #            grow with the database size
 #   --smoke  cut measurement time (CI shape check, not a measurement)
 #
-# Binaries are expected under $BUILD_DIR/bench (default: build/bench),
-# plus $BUILD_DIR/tools/epidemicd for the cluster leg;
+# Binaries are expected under $BUILD_DIR/bench (default: build/bench);
 # scripts/check.sh --bench-smoke builds them and calls this with
 # --json --smoke. Reportable numbers come from the Release preset:
 #   cmake --preset bench-release && cmake --build --preset bench-release \
@@ -53,39 +52,27 @@ for arg in "$@"; do
   esac
 done
 
-for b in bench_propagation bench_message_size bench_sharded_parallel \
-         bench_tcp_cluster; do
+for b in bench_propagation bench_message_size bench_sharded_parallel; do
   if [ ! -x "$BENCH_DIR/$b" ]; then
     echo "missing $BENCH_DIR/$b — build it first:" >&2
     echo "  cmake --build $BUILD_DIR --target $b" >&2
     exit 1
   fi
 done
-EPIDEMICD="$BUILD_DIR/tools/epidemicd"
-if [ ! -x "$EPIDEMICD" ]; then
-  echo "missing $EPIDEMICD — build it first:" >&2
-  echo "  cmake --build $BUILD_DIR --target epidemicd" >&2
-  exit 1
-fi
 
-# Restrict bench_propagation to the headline cases: the m=4096 sweep points
-# (owned vs fast), the sharded wire exchange, and both ends of the E2
-# database-size sweep (m=64 at N=1,024 and N=262,144).
-filter='BM_SweepDirtyItems(Fast)?/4096$|BM_ShardedWireExchangeV3$'
+# Restrict bench_propagation to the headline cases: the m=4096 sweep point,
+# the sharded wire exchange, and both ends of the E2 database-size sweep
+# (m=64 at N=1,024 and N=262,144).
+filter='BM_SweepDirtyItems/4096$|BM_ShardedWireExchangeV3$'
 filter+='|BM_SweepDatabaseSize/(1024|262144)$'
 gb_args=("--benchmark_filter=${filter}")
 # 4s rows: on a contended 1-core host, 1s rows swing ±50% (a handful of
 # multi-ms CFS deschedules dominate); 4s rows are stable to a few percent.
 par_seconds=4.0
-# 200 measured rounds keep the percentiles stable; smoke just checks the
-# harness shape.
-cluster_rounds=200
 if [ "$smoke" -eq 1 ]; then
   gb_args+=("--benchmark_min_time=0.02")
   par_seconds=0.2
-  cluster_rounds=25
 fi
-cluster_args=("--epidemicd=$EPIDEMICD" "--rounds=$cluster_rounds")
 
 if [ "$json" -eq 0 ]; then
   "$BENCH_DIR/bench_propagation" "${gb_args[@]}"
@@ -93,8 +80,6 @@ if [ "$json" -eq 0 ]; then
   "$BENCH_DIR/bench_message_size"
   echo
   "$BENCH_DIR/bench_sharded_parallel" "$par_seconds"
-  echo
-  "$BENCH_DIR/bench_tcp_cluster" "${cluster_args[@]}"
   exit 0
 fi
 
@@ -105,8 +90,6 @@ trap 'rm -rf "$tmpdir"' EXIT
     --benchmark_format=json > "$tmpdir/prop.json"
 "$BENCH_DIR/bench_message_size" --json > "$tmpdir/msg.json"
 "$BENCH_DIR/bench_sharded_parallel" --json "$par_seconds" > "$tmpdir/par.json"
-"$BENCH_DIR/bench_tcp_cluster" "${cluster_args[@]}" --json \
-    > "$tmpdir/cluster.json"
 
 SMOKE="$smoke" OUT="$out" TMPDIR_BENCH="$tmpdir" python3 - <<'PY'
 import json, os, sys
@@ -115,7 +98,6 @@ tmp = os.environ["TMPDIR_BENCH"]
 prop = json.load(open(os.path.join(tmp, "prop.json")))
 msg = json.load(open(os.path.join(tmp, "msg.json")))
 par = json.load(open(os.path.join(tmp, "par.json")))
-cluster = json.load(open(os.path.join(tmp, "cluster.json")))
 
 rows = {b["name"]: b for b in prop["benchmarks"]}
 
@@ -127,27 +109,16 @@ def exchange(name):
         "us_per_exchange": round(b["real_time"], 3),
         "us_per_item": round(b["real_time"] / m, 4) if m else None,
         "m_dirty": int(m),
-        "serve_allocs_per_exchange": b.get("serve_allocs"),
-        "accept_allocs_per_exchange": b.get("accept_allocs"),
         "frame_bytes_per_exchange": b.get("frame_bytes"),
     }
 
-owned = exchange("BM_SweepDirtyItems/4096")
-fast = exchange("BM_SweepDirtyItemsFast/4096")
+in_process = exchange("BM_SweepDirtyItems/4096")
 v3 = exchange("BM_ShardedWireExchangeV3")
 small_db = exchange("BM_SweepDatabaseSize/1024")
 large_db = exchange("BM_SweepDatabaseSize/262144")
 # E2 (§6): an exchange of m=64 items must cost the same whatever N is.
 E2_MAX_GROWTH = 3.0
 e2_growth = round(large_db["us_per_exchange"] / small_db["us_per_exchange"], 2)
-
-def pct_faster(a, b):
-    return round(100.0 * (1.0 - b / a), 2) if a else None
-
-def ratio(a, b):
-    if a is None or b is None:
-        return None
-    return round(a / b, 2) if b else None  # None: divisor is exactly 0
 
 result = {
     "artifact": "BENCH_PR10",
@@ -157,15 +128,7 @@ result = {
     "host_context": prop.get("context", {}),
     "propagation": {
         "n_items": 65536,
-        "owned": owned,
-        "fast": fast,
-        "us_per_item_improvement_pct": pct_faster(
-            owned["us_per_exchange"], fast["us_per_exchange"]),
-        # None here means the fast path performed ZERO staging allocs
-        # (an infinite reduction); the raw per-path counts are above.
-        "accept_allocs_reduction_x": ratio(
-            owned["accept_allocs_per_exchange"],
-            fast["accept_allocs_per_exchange"]),
+        "in_process": in_process,
     },
     "sharded_wire": {
         "v3": v3,
@@ -179,7 +142,6 @@ result = {
     },
     "message_size_w1": msg["w1_rows"],
     "sharded_parallel": par,
-    "tcp_cluster": cluster,
 }
 
 out = os.environ["OUT"]
@@ -189,32 +151,22 @@ with open(out, "w") as f:
 print(f"wrote {out}")
 
 print(f"  wire exchange us/item (N=65536, m=4096) v3={v3['us_per_item']}")
-p = result["propagation"]
-print(f"  in-process us/item owned={owned['us_per_item']} "
-      f"fast={fast['us_per_item']} "
-      f"({p['us_per_item_improvement_pct']}% faster)")
-print(f"  accept allocs/exchange owned={owned['accept_allocs_per_exchange']} "
-      f"fast={fast['accept_allocs_per_exchange']}")
+print(f"  in-process us/item (N=65536, m=4096) {in_process['us_per_item']}")
 w1 = [r["control_bytes"] / r["m_items"] for r in msg["w1_rows"]]
 print(f"  W1 control bytes/item: {min(w1):.1f}-{max(w1):.1f}")
+# Full rounds only: rounds_per_sec also counts O(1) epoch probes that
+# found nothing to pull.
 loaded = {(r["shards"], r["workers"]): r
           for r in par["rows"] if r["writers"] > 0}
 base = loaded.get((1, 0))
-owned = loaded.get((16, 4))
-if base and owned:
+sharded = loaded.get((16, 4))
+if base and sharded:
     print(f"  sharded-parallel ({result['build_type']}, "
-          f"{result['hardware_concurrency']} hw threads): "
-          f"S=1/w=0 {base['rounds_per_sec']:.0f} rounds/s, "
-          f"S=16/w=4 {owned['rounds_per_sec']:.0f} rounds/s "
-          f"(loaded_speedup {par['loaded_speedup']:.3f}); "
-          f"update p99 {base['update_p99_us']:.0f} -> "
-          f"{owned['update_p99_us']:.0f} us")
-cp = cluster["pooled"]
-print(f"  tcp-cluster ({cluster['nodes']} nodes, {cluster['rounds']} "
-      f"rounds): {cp['rounds_per_sec']:.0f} rounds/s "
-      f"(opened={cp['net_connections_opened']}, "
-      f"reused={cp['net_connections_reused']}); "
-      f"serve cache hit rate {cluster['serve_cache_hit_rate']:.3f}")
+          f"{result['hardware_concurrency']} hw threads, loaded): "
+          f"S=1/w=0 {base['full_rounds_per_sec']:.0f} full rounds/s, "
+          f"update p99 {base['update_p99_us']:.0f} us; "
+          f"S=16/w=4 {sharded['full_rounds_per_sec']:.0f} full rounds/s, "
+          f"update p99 {sharded['update_p99_us']:.0f} us")
 print(f"  E2 exchange (m=64) N=1024 {small_db['us_per_exchange']} us, "
       f"N=262144 {large_db['us_per_exchange']} us ({e2_growth}x)")
 if e2_growth > E2_MAX_GROWTH:

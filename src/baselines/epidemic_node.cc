@@ -9,7 +9,7 @@ namespace epidemic {
 namespace {
 // Size model mirroring the binary codec: varint length prefix (~1 byte for
 // short strings) plus payload.
-uint64_t StringWireSize(const std::string& s) { return 1 + s.size(); }
+uint64_t StringWireSize(std::string_view s) { return 1 + s.size(); }
 uint64_t VvWireSize(size_t n) { return 8 * n; }
 }  // namespace
 
@@ -26,7 +26,10 @@ Status EpidemicNode::SyncWith(ProtocolNode& peer) {
   PropagationRequest req = replica_.BuildPropagationRequest();
   sync_stats_.control_bytes += VvWireSize(req.dbvv.size());
 
-  PropagationResponse resp = source.replica_.HandlePropagationRequest(req);
+  // The view borrows the source's store; both replicas stay untouched by
+  // anything else until the accept below returns.
+  const PropagationResponseView& resp =
+      source.replica_.HandlePropagationView(req);
   if (resp.you_are_current) {
     ++sync_stats_.noop_exchanges;
     sync_stats_.control_bytes += 1;  // the "you-are-current" reply
@@ -34,17 +37,17 @@ Status EpidemicNode::SyncWith(ProtocolNode& peer) {
   }
 
   for (const auto& tail : resp.tails) {
-    for (const WireLogRecord& rec : tail) {
+    for (const WireLogRecordView& rec : tail) {
       ++sync_stats_.records_shipped;
       sync_stats_.control_bytes += StringWireSize(rec.item_name) + 8;
     }
   }
-  for (const WireItem& item : resp.items) {
+  for (const WireItemView& item : resp.items) {
     // One IVV comparison per *shipped* item only — the O(m) property.
     ++sync_stats_.items_examined;
     ++sync_stats_.version_comparisons;
     sync_stats_.control_bytes +=
-        StringWireSize(item.name) + VvWireSize(item.ivv.size());
+        StringWireSize(item.name) + VvWireSize(item.ivv->size());
     sync_stats_.data_bytes += StringWireSize(item.value);
   }
 

@@ -226,14 +226,20 @@ Status World::ApplySync(size_t recipient, size_t source) {
   Node& s = *nodes_[source];
   if (r.plain) {
     PropagationRequest req = r.plain->BuildPropagationRequest();
-    PropagationResponse resp = s.plain->HandlePropagationRequest(req);
+    const PropagationResponseView& served =
+        s.plain->HandlePropagationView(req);
     if (config_.mutation == Mutation::kTamperIvv && !tampered_ &&
-        !resp.items.empty()) {
-      // Plant one phantom update attributed to the source.
-      resp.items[0].ivv.Increment(static_cast<NodeId>(source));
+        !served.items.empty()) {
+      // Plant one phantom update attributed to the source. The view borrows
+      // the source's live IVVs, so the forged one is a local copy.
+      PropagationResponseView forged = served;
+      VersionVector phantom = *forged.items[0].ivv;
+      phantom.Increment(static_cast<NodeId>(source));
+      forged.items[0].ivv = &phantom;
       tampered_ = true;
+      return r.plain->AcceptPropagation(forged);
     }
-    return r.plain->AcceptPropagation(resp);
+    return r.plain->AcceptPropagation(served);
   }
   // Sharded: the owned-shard path, exactly the server's task structure —
   // snapshot the handshake as one batch on the recipient's scheduler,

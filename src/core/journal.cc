@@ -82,8 +82,10 @@ Status ReplayRecord(Replica& replica, std::string_view payload) {
       auto value = r.GetString();
       if (!value.ok()) return value.status();
       Status s = replica.ResolveConflict(*name, *vv, *value);
-      // A resolve that failed live (stale vector, item out-of-bound) fails
-      // identically on replay — a faithful no-op, not corruption.
+      // Journals written before rejected inputs stopped reaching the journal
+      // may hold a resolve that failed live (stale vector, item
+      // out-of-bound); it fails identically on replay — a faithful no-op,
+      // not corruption.
       if (s.IsInvalidArgument() || s.IsFailedPrecondition()) {
         return Status::OK();
       }
@@ -113,8 +115,9 @@ Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data,
     }
     Status s = ReplayRecord(replica, *payload);
     if (!s.ok() && !s.IsConflict() && !s.IsNotFound()) {
-      // Conflict/NotFound are legitimate outcomes of replayed inputs;
-      // anything else means a corrupt journal.
+      // Conflict is a legitimate outcome of a replayed OOB reply, and older
+      // journals hold not-found OOB replies and resolves; anything else
+      // means a corrupt journal.
       return Status::Corruption("journal replay failed: " + s.ToString());
     }
     ++replayed;
@@ -212,22 +215,28 @@ Status JournaledReplica::AppendRecord(std::string payload) {
   return Status::OK();
 }
 
+// Every input is journaled from the replica's before-apply hook: after the
+// replica has checked it against the current state, before it changes
+// anything. An input the replica rejects therefore never reaches the
+// journal, where it would fail replay and block recovery; a you-are-current
+// reply changes nothing and is not journaled either. Records that are
+// cheap to build are built up front and appended by the hook.
 Status JournaledReplica::Update(std::string_view name,
                                 std::string_view value) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kUpdate));
   w.PutString(name);
   w.PutString(value);
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->Update(name, value);
+  return replica_->Update(name, value,
+                          [this, &w] { return AppendRecord(w.Release()); });
 }
 
 Status JournaledReplica::Delete(std::string_view name) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kDelete));
   w.PutString(name);
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->Delete(name);
+  return replica_->Delete(name,
+                          [this, &w] { return AppendRecord(w.Release()); });
 }
 
 Status JournaledReplica::ResolveConflict(std::string_view name,
@@ -238,24 +247,18 @@ Status JournaledReplica::ResolveConflict(std::string_view name,
   w.PutString(name);
   EncodeVersionVector(&w, remote_vv);
   w.PutString(value);
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->ResolveConflict(name, remote_vv, value);
+  return replica_->ResolveConflict(
+      name, remote_vv, value, [this, &w] { return AppendRecord(w.Release()); });
 }
 
-// Propagation inputs are journaled from the replica's before-apply hook:
-// after the response has been validated against the current state, before
-// it changes anything. A response the replica rejects therefore never
-// reaches the journal, where it would fail replay and block recovery; a
-// you-are-current reply changes nothing and is not journaled either. Both
-// entry points write the same v3 segment record.
-Status JournaledReplica::AcceptPropagation(const PropagationResponse& resp) {
-  PropagationResponseView view;
-  wire::MakeResponseView(resp, &view);
-  return replica_->AcceptPropagation(view, [this, &view] {
+// Both propagation entry points write the same v3 segment record.
+Status JournaledReplica::AcceptPropagation(
+    const PropagationResponseView& resp) {
+  return replica_->AcceptPropagation(resp, [this, &resp] {
     // Any width-n base encodes the IVVs; the DBVV is at hand.
     ByteWriter w;
     w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
-    wire::EncodeShardSegmentBodyV3Into(w, view, replica_->dbvv());
+    wire::EncodeShardSegmentBodyV3Into(w, resp, replica_->dbvv());
     return AppendRecord(w.Release());
   });
 }
@@ -277,8 +280,8 @@ Status JournaledReplica::AcceptOobResponse(const OobResponse& resp) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kOob));
   wire::EncodeOobResponseBody(w, resp);
-  EPI_RETURN_NOT_OK(AppendRecord(w.Release()));
-  return replica_->AcceptOobResponse(resp);
+  return replica_->AcceptOobResponse(
+      resp, [this, &w] { return AppendRecord(w.Release()); });
 }
 
 Status JournaledReplica::Checkpoint() {
@@ -383,27 +386,6 @@ Result<std::unique_ptr<JournaledShardedReplica>> JournaledShardedReplica::Open(
   }
   return std::unique_ptr<JournaledShardedReplica>(
       new JournaledShardedReplica(std::move(shards)));
-}
-
-Status JournaledShardedReplica::AcceptPropagation(
-    const ShardedPropagationResponse& resp) {
-  if (resp.num_shards != shards_.size()) {
-    return Status::InvalidArgument(
-        "source runs " + std::to_string(resp.num_shards) +
-        " shards, this replica " + std::to_string(shards_.size()));
-  }
-  Status first_error = Status::OK();
-  for (const ShardedPropagationSegment& seg : resp.segments) {
-    if (seg.shard >= shards_.size()) {
-      if (first_error.ok()) {
-        first_error = Status::InvalidArgument("segment shard out of range");
-      }
-      continue;
-    }
-    Status s = shards_[seg.shard]->AcceptPropagationSegmentV3(seg.body);
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
 }
 
 Status JournaledShardedReplica::Checkpoint() {

@@ -18,11 +18,15 @@ namespace epidemic {
 /// Write-ahead journal + deterministic replay recovery.
 ///
 /// A Replica is a deterministic state machine over its *inputs*: user
-/// updates/deletes, accepted propagation responses, and accepted
-/// out-of-bound responses. JournaledReplica wraps a Replica, appends every
-/// input to an on-disk journal *before* applying it, and `Recover` rebuilds
-/// the exact replica state by replaying the journal through the ordinary
-/// code paths — no second set of mutation logic to keep in sync.
+/// updates/deletes, conflict resolutions, accepted propagation responses,
+/// and accepted out-of-bound responses. JournaledReplica wraps a Replica,
+/// appends every input to an on-disk journal *before* applying it, and
+/// `Recover` rebuilds the exact replica state by replaying the journal
+/// through the ordinary code paths — no second set of mutation logic to
+/// keep in sync. Every input is appended from the replica's before-apply
+/// hook (Replica::BeforeApply): after the replica has checked it, before
+/// it changes anything. An input the replica rejects therefore leaves no
+/// record, where it would fail replay and stop the node from restarting.
 ///
 /// Pairing with snapshots (snapshot.h): periodically `Checkpoint()` writes
 /// a snapshot and truncates the journal, bounding recovery time; recovery
@@ -64,40 +68,37 @@ class JournaledReplica {
   JournaledReplica(const JournaledReplica&) = delete;
   JournaledReplica& operator=(const JournaledReplica&) = delete;
 
-  // Journaled mutating operations — logged, then applied.
+  // Journaled mutating operations — checked, logged, then applied. A
+  // rejected input returns the replica's status and leaves no record.
   Status Update(std::string_view name, std::string_view value)
       REQUIRES_SHARD_CONTEXT;
   Status Delete(std::string_view name) REQUIRES_SHARD_CONTEXT;
   Status ResolveConflict(std::string_view name, const VersionVector& remote_vv,
                          std::string_view value) REQUIRES_SHARD_CONTEXT;
-  /// Journaled accept of an owned response: borrowed as a view, validated,
-  /// journaled as the same v3 segment record AcceptPropagationSegmentV3
-  /// writes, then applied. A rejected or you-are-current response leaves
-  /// no record behind.
-  Status AcceptPropagation(const PropagationResponse& resp)
+  /// Journaled accept of a borrowed response (a peer replica's
+  /// HandlePropagationView): validated, journaled as the same v3 segment
+  /// record AcceptPropagationSegmentV3 writes, then applied. A rejected or
+  /// you-are-current response leaves no record behind.
+  Status AcceptPropagation(const PropagationResponseView& resp)
       REQUIRES_SHARD_CONTEXT;
+  /// A not-found reply is refused before the hook, so it leaves no record.
   Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
 
   /// Journaled accept of a raw wire-v3 segment body: the body is decoded
   /// zero-copy and validated by the replica *before* anything is
   /// journaled, appended verbatim under the propagation record tag, and
-  /// applied through the view path — the owned PropagationResponse is
-  /// never materialized, on the live path or on replay. Like
-  /// AcceptPropagation, a rejected body leaves no record behind.
+  /// applied through the view path, on the live path and on replay.
   Status AcceptPropagationSegmentV3(std::string_view body)
       REQUIRES_SHARD_CONTEXT;
 
   // Pass-throughs. Read/serve paths touch replica counters/scratch, so
   // they inherit the shard-context requirement of the wrapped methods.
+  // A source serves through replica().HandlePropagationView.
   Result<std::string> Read(std::string_view name) REQUIRES_SHARD_CONTEXT {
     return replica_->Read(name);
   }
   PropagationRequest BuildPropagationRequest() const {
     return replica_->BuildPropagationRequest();
-  }
-  PropagationResponse HandlePropagationRequest(const PropagationRequest& r)
-      REQUIRES_SHARD_CONTEXT {
-    return replica_->HandlePropagationRequest(r);
   }
   OobRequest BuildOobRequest(std::string_view name) const {
     return replica_->BuildOobRequest(name);
@@ -174,11 +175,6 @@ class JournaledShardedReplica {
   Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT {
     return shards_[view_->ShardOf(resp.item_name)]->AcceptOobResponse(resp);
   }
-
-  /// Applies a full sharded response, journaling each v3 segment to its
-  /// shard. Applies every segment even if one fails; first error wins.
-  Status AcceptPropagation(const ShardedPropagationResponse& resp)
-      REQUIRES_SHARD_CONTEXT;
 
   /// Checkpoints every shard (first error wins, but all are attempted).
   Status Checkpoint() REQUIRES_SHARD_CONTEXT;

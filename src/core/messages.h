@@ -12,11 +12,15 @@ namespace epidemic {
 
 // Anti-entropy between processes speaks one format, wire v3 (tags 17/18):
 // IVVs delta-encoded against the segment's base DBVV, tail items
-// referenced by index, zero-copy decode (DESIGN.md §10). The owned
-// PropagationRequest/PropagationResponse below are the paper's in-process
-// messages (§5.1); they have no wire encoding of their own. Request flag
-// bit 0x01 once asked for compressed segments; sources ignore it and never
-// compress.
+// referenced by index, zero-copy decode (DESIGN.md §10). In process, a
+// source answers a PropagationRequest (§5.1) with a borrowed
+// PropagationResponseView, and the recipient accepts that view. The owned
+// PropagationResponse, WireItem and WireLogRecord below are only the form
+// in which tests and fuzz seeds write a response by hand
+// (wire::MakeResponseView borrows one as a view); nothing in src/
+// produces one. None of these has a wire encoding of its own. Request
+// flag bit 0x01 once asked for compressed segments; sources ignore it and
+// never compress.
 
 /// Kept only because perfbench/src/layers.cc names it.
 inline constexpr uint8_t kWireV3 = 3;
@@ -60,9 +64,10 @@ struct WireItem {
   VersionVector ivv;
 };
 
-/// Source j's reply (Fig. 2): either "you-are-current", or the tail vector D
-/// (one tail of missed records per origin node, oldest first) plus the set S
-/// of referenced items.
+/// Source j's reply (Fig. 2), owned: either "you-are-current", or the tail
+/// vector D (one tail of missed records per origin node, oldest first)
+/// plus the set S of referenced items. Written by hand in tests and fuzz
+/// seeds; see PropagationResponseView for the form the protocol uses.
 struct PropagationResponse {
   bool you_are_current = false;
   std::vector<std::vector<WireLogRecord>> tails;  // D_k indexed by origin k
@@ -70,13 +75,14 @@ struct PropagationResponse {
 };
 
 /// Borrowed counterparts of WireLogRecord / WireItem /
-/// PropagationResponse: every string is a view into storage owned by
-/// someone longer-lived (the source's store on the serve path, the decode
-/// buffer on the accept path), and the IVV is a pointer into either the
-/// store or a decoded-IVV arena. This is the zero-copy spine of wire v3
-/// (DESIGN.md §10): a response travels source store → encoder → network →
-/// decode buffer → recipient store with names and values copied exactly
-/// once, into the store.
+/// PropagationResponse, and the only form the protocol serves and
+/// accepts: every string is a view into storage owned by someone
+/// longer-lived (the source's store on the serve path, the decode buffer
+/// on the accept path), and the IVV is a pointer into either the store or
+/// a decoded-IVV arena. This is the zero-copy spine of wire v3 (DESIGN.md
+/// §10): a response travels source store → encoder → network → decode
+/// buffer → recipient store with names and values copied exactly once,
+/// into the store.
 struct WireLogRecordView {
   std::string_view item_name;
   UpdateCount seq = 0;

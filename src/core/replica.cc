@@ -6,7 +6,6 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
-#include "core/wire.h"
 #include "vv/vv_codec.h"
 
 namespace epidemic {
@@ -26,17 +25,20 @@ Replica::Replica(NodeId id, size_t num_nodes, ConflictListener* listener)
 // ---------------------------------------------------------------------------
 // User operations (§5.3).
 
-Status Replica::Update(std::string_view name, std::string_view value) {
-  return ApplyUserWrite(name, value, /*deleted=*/false);
+Status Replica::Update(std::string_view name, std::string_view value,
+                       const BeforeApply& before_apply) {
+  return ApplyUserWrite(name, value, /*deleted=*/false, before_apply);
 }
 
-Status Replica::Delete(std::string_view name) {
-  return ApplyUserWrite(name, /*value=*/"", /*deleted=*/true);
+Status Replica::Delete(std::string_view name,
+                       const BeforeApply& before_apply) {
+  return ApplyUserWrite(name, /*value=*/"", /*deleted=*/true, before_apply);
 }
 
 Status Replica::ApplyUserWrite(std::string_view name, std::string_view value,
-                               bool deleted) {
+                               bool deleted, const BeforeApply& before_apply) {
   if (name.empty()) return Status::InvalidArgument("empty item name");
+  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
   Item& item = store_.GetOrCreate(name);
   if (item.HasAux()) {
     // Out-of-bound item: apply on the auxiliary copy, log a redo record
@@ -72,7 +74,8 @@ Result<std::string> Replica::Read(std::string_view name) {
 
 Status Replica::ResolveConflict(std::string_view name,
                                 const VersionVector& remote_vv,
-                                std::string_view value) {
+                                std::string_view value,
+                                const BeforeApply& before_apply) {
   if (remote_vv.size() != num_nodes_) {
     return Status::InvalidArgument("remote version vector of wrong width");
   }
@@ -89,6 +92,7 @@ Status Replica::ResolveConflict(std::string_view name,
     return Status::InvalidArgument(
         "vectors do not conflict; use Update for ordinary writes");
   }
+  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
 
   // The resolved copy semantically reflects both branches: merge the IVVs
   // (and grow the DBVV by what the remote branch adds), then apply the
@@ -157,20 +161,6 @@ std::string Replica::DebugString() const {
 
 PropagationRequest Replica::BuildPropagationRequest() const {
   return PropagationRequest{id_, dbvv_};
-}
-
-PropagationResponse Replica::HandlePropagationRequest(
-    const PropagationRequest& req) {
-  const PropagationResponseView& view = HandlePropagationView(req);
-  // The staged pipeline materializes one owned string per name/value the
-  // response carries; charge them so allocs/exchange is measurable.
-  if (!view.you_are_current) {
-    stats_.serve_staging_allocs += 2 * view.items.size();
-    for (const auto& tail : view.tails) {
-      stats_.serve_staging_allocs += tail.size();
-    }
-  }
-  return wire::MaterializeResponse(view);
 }
 
 const PropagationResponseView& Replica::HandlePropagationView(
@@ -352,19 +342,6 @@ Status Replica::ValidatePropagationResponse(
   return Status::OK();
 }
 
-Status Replica::AcceptPropagation(const PropagationResponse& resp) {
-  if (resp.you_are_current) return Status::OK();
-  // The staged pipeline handed us one owned string per name/value; charge
-  // them (the mirror image of the serve-side counter), then run the view
-  // implementation over borrows into `resp`.
-  stats_.accept_staging_allocs += 2 * resp.items.size();
-  for (const auto& tail : resp.tails) {
-    stats_.accept_staging_allocs += tail.size();
-  }
-  wire::MakeResponseView(resp, &scratch_.accept_view);
-  return AcceptPropagation(scratch_.accept_view);
-}
-
 Status Replica::AcceptPropagation(const PropagationResponseView& resp,
                                   const BeforeApply& before_apply) {
   if (resp.you_are_current) return Status::OK();
@@ -519,7 +496,8 @@ OobResponse Replica::HandleOobRequest(const OobRequest& req) {
 // *auxiliary* copy only — §5.2 requires the DBVV, log vector and regular
 // copy untouched so ordering guarantees survive; a later scheduled
 // propagation re-ships the item (footnote 2, §5.1).
-Status Replica::AcceptOobResponse(const OobResponse& resp) {
+Status Replica::AcceptOobResponse(const OobResponse& resp,
+                                  const BeforeApply& before_apply) {
   if (!resp.found) {
     return Status::NotFound("out-of-bound source has no item '" +
                             resp.item_name + "'");
@@ -528,6 +506,7 @@ Status Replica::AcceptOobResponse(const OobResponse& resp) {
     return Status::InvalidArgument("received IVV of wrong width for item '" +
                                    resp.item_name + "'");
   }
+  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
   Item& item = store_.GetOrCreate(resp.item_name);
   // Compare against the user-visible copy: the auxiliary IVV when an
   // auxiliary copy exists, the regular IVV otherwise.
@@ -793,16 +772,6 @@ std::string Replica::CanonicalState() const {
 }
 
 Result<size_t> PropagateOnce(Replica& source, Replica& recipient) {
-  PropagationRequest req = recipient.BuildPropagationRequest();
-  PropagationResponse resp = source.HandlePropagationRequest(req);
-  uint64_t adopted_before = recipient.stats().items_adopted;
-  Status s = recipient.AcceptPropagation(resp);
-  if (!s.ok()) return s;
-  return static_cast<size_t>(recipient.stats().items_adopted -
-                             adopted_before);
-}
-
-Result<size_t> PropagateOnceFast(Replica& source, Replica& recipient) {
   PropagationRequest req = recipient.BuildPropagationRequest();
   // The view borrows the source's store; it stays valid through the accept
   // because nothing mutates the source until this call returns (both

@@ -51,40 +51,6 @@ struct ReplicaStats {
   uint64_t aux_copies_discarded = 0;
   uint64_t intra_node_ops_applied = 0;
 
-  // Wire hot path (v3, DESIGN.md §10): per-exchange allocation
-  // accounting. A "staging alloc" is one owned std::string materialized
-  // between the protocol endpoints and the store — the serve counter
-  // charges the owned SendPropagation pipeline (name + value per shipped
-  // item, name per tail record), the accept counter its mirror image on
-  // the receive side. The zero-copy view pipeline leaves both at zero:
-  // names and values travel as views and are copied exactly once, into
-  // the store. The benches report these as allocs/exchange.
-  uint64_t serve_staging_allocs = 0;
-  uint64_t accept_staging_allocs = 0;
-
-  // Shard-scheduler health (runtime/scheduler.h). Filled by the server
-  // layer when aggregating (a single Replica has no scheduler): total
-  // tasks executed across owners/inline callers, and the peak MPSC
-  // channel depth observed — the back-pressure signal.
-  uint64_t sched_tasks_executed = 0;
-  uint64_t sched_queue_depth_peak = 0;
-
-  // Network pipeline (server layer; a bare Replica has no transport).
-  // The net_* fields mirror net::TransportStats for this node's client
-  // side — persistent-connection accounting (opened vs reused is the
-  // connection-churn signal). The serve_cache_* pair counts the fan-out
-  // serve cache: a hit replayed an already-encoded propagation frame to
-  // another peer asking for the same tail at the same mutation epoch.
-  uint64_t net_calls = 0;
-  uint64_t net_connections_opened = 0;
-  uint64_t net_connections_reused = 0;
-  uint64_t net_reconnects = 0;
-  uint64_t net_backoff_skips = 0;
-  uint64_t net_bytes_sent = 0;
-  uint64_t net_bytes_received = 0;
-  uint64_t serve_cache_hits = 0;
-  uint64_t serve_cache_misses = 0;
-
   /// Component-wise sum, used to aggregate counters across shards.
   void Accumulate(const ReplicaStats& o) {
     propagation_requests_served += o.propagation_requests_served;
@@ -107,22 +73,6 @@ struct ReplicaStats {
     aux_copies_created += o.aux_copies_created;
     aux_copies_discarded += o.aux_copies_discarded;
     intra_node_ops_applied += o.intra_node_ops_applied;
-    serve_staging_allocs += o.serve_staging_allocs;
-    accept_staging_allocs += o.accept_staging_allocs;
-    sched_tasks_executed += o.sched_tasks_executed;
-    sched_queue_depth_peak =
-        sched_queue_depth_peak > o.sched_queue_depth_peak
-            ? sched_queue_depth_peak
-            : o.sched_queue_depth_peak;
-    net_calls += o.net_calls;
-    net_connections_opened += o.net_connections_opened;
-    net_connections_reused += o.net_connections_reused;
-    net_reconnects += o.net_reconnects;
-    net_backoff_skips += o.net_backoff_skips;
-    net_bytes_sent += o.net_bytes_sent;
-    net_bytes_received += o.net_bytes_received;
-    serve_cache_hits += o.serve_cache_hits;
-    serve_cache_misses += o.serve_cache_misses;
   }
 };
 
@@ -139,10 +89,12 @@ struct ReplicaStats {
 /// request/response exchange:
 ///
 ///   PropagationRequest req = i.BuildPropagationRequest();
-///   PropagationResponse resp = j.HandlePropagationRequest(req);
+///   const PropagationResponseView& resp = j.HandlePropagationView(req);
 ///   i.AcceptPropagation(resp);              // adopts + intra-node replay
 ///
-/// or, in-process, `PropagateOnce(j, i)`.
+/// or, in-process, `PropagateOnce(j, i)`. The response borrows j's store;
+/// between processes it travels as a wire-v3 segment body
+/// (wire::EncodeShardSegmentBodyV3Into / DecodeShardSegmentBodyV3).
 ///
 /// Thread-compatibility: a Replica is confined to one writer at a time;
 /// all methods are non-blocking and never throw. The class deliberately
@@ -163,19 +115,27 @@ class Replica {
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
+  /// Runs once an input has passed its checks and before it changes
+  /// anything; if it fails, the input returns its status and changes
+  /// nothing. Update, Delete, ResolveConflict, AcceptPropagation and
+  /// AcceptOobResponse take one. The journal appends its write-ahead
+  /// record there, so a rejected input never reaches disk.
+  using BeforeApply = std::function<Status()>;
+
   // ---------------------------------------------------------------------
   // User operations (§5.3).
 
   /// Applies a user update, writing `value` as the item's new contents.
   /// Uses the auxiliary copy when one exists, the regular copy otherwise.
-  Status Update(std::string_view name, std::string_view value)
-      REQUIRES_SHARD_CONTEXT;
+  Status Update(std::string_view name, std::string_view value,
+                const BeforeApply& before_apply = {}) REQUIRES_SHARD_CONTEXT;
 
   /// Deletes the item by writing a tombstone — an ordinary update whose
   /// state is "deleted", so it propagates (and conflicts) exactly like a
   /// value write. The control state persists; a later Update revives the
   /// item.
-  Status Delete(std::string_view name) REQUIRES_SHARD_CONTEXT;
+  Status Delete(std::string_view name, const BeforeApply& before_apply = {})
+      REQUIRES_SHARD_CONTEXT;
 
   /// User-facing read: auxiliary copy when present (it is never older than
   /// the regular copy), regular otherwise. NotFound for unknown or
@@ -198,7 +158,9 @@ class Replica {
   /// out-of-bound (resolve after the auxiliary copy retires).
   Status ResolveConflict(std::string_view name,
                          const VersionVector& remote_vv,
-                         std::string_view value) REQUIRES_SHARD_CONTEXT;
+                         std::string_view value,
+                         const BeforeApply& before_apply = {})
+      REQUIRES_SHARD_CONTEXT;
 
   /// Lists live (non-tombstoned) items whose name starts with `prefix`,
   /// sorted by name, with their user-visible values. `limit` 0 = no limit.
@@ -216,47 +178,28 @@ class Replica {
   /// SendPropagation (Fig. 2), executed at the source. Detects in O(1)
   /// (one DBVV comparison) that the requester is current; otherwise builds
   /// the tail vector D and item set S in time O(m) where m = items shipped,
-  /// using the IsSelected flags (§6). This owned form materializes one
-  /// string per name/value — the staged pipeline; the wire-v3 serve path
-  /// uses HandlePropagationView instead.
-  PropagationResponse HandlePropagationRequest(const PropagationRequest& req)
-      REQUIRES_SHARD_CONTEXT;
-
-  /// Zero-copy SendPropagation (Fig. 2): identical protocol decisions and
-  /// bookkeeping, but the returned response *borrows* — names and values
-  /// are views into this replica's store, IVVs are pointers at live item
-  /// IVVs, and the vectors live in a scratch area reused across
-  /// exchanges (so steady-state serving allocates nothing, and a
-  /// you-are-current reply constructs nothing at all). The view is valid
-  /// until this replica is next mutated or serves another request; the
-  /// caller must finish encoding/applying it before releasing the lock
-  /// that serializes this replica (DESIGN.md §10). Tail records carry
+  /// using the IsSelected flags (§6). The returned response *borrows* —
+  /// names and values are views into this replica's store, IVVs are
+  /// pointers at live item IVVs, and the vectors live in a scratch area
+  /// reused across exchanges (so steady-state serving allocates nothing,
+  /// and a you-are-current reply constructs nothing at all). The view is
+  /// valid until this replica is next mutated or serves another request;
+  /// the caller must finish encoding/applying it before anything else
+  /// touches this replica (DESIGN.md §10). Tail records carry
   /// `item_index` into S, ready for the v3 segment encoder.
   const PropagationResponseView& HandlePropagationView(
       const PropagationRequest& req) REQUIRES_SHARD_CONTEXT;
 
-  /// Runs between validation and the first state change of an accept; see
-  /// AcceptPropagation.
-  using BeforeApply = std::function<Status()>;
-
   /// AcceptPropagation (Fig. 3) followed by IntraNodePropagation (Fig. 4)
-  /// over the items copied, executed at the recipient. The owned form
-  /// wraps the view form below.
-  Status AcceptPropagation(const PropagationResponse& resp)
-      REQUIRES_SHARD_CONTEXT;
-
-  /// Zero-copy AcceptPropagation: applies a borrowed response (views into
-  /// a decode buffer or a peer replica's store). Each adopted name/value
-  /// is copied exactly once, into this store; nothing else is
-  /// materialized. The backing storage only needs to stay alive for the
-  /// duration of the call. Costs O(m + r): one store lookup per shipped
-  /// item, O(1) per tail record, plus the r records of L[k] above the
-  /// horizon V_i[k] (non-zero only after conflicts dropped records).
-  ///
-  /// `before_apply`, when set, runs once the whole response has been
-  /// validated and resolved and before anything changes; if it fails, the
-  /// accept returns its status and changes nothing. The journal appends
-  /// its write-ahead record there, so only accepted responses reach disk.
+  /// over the items copied, executed at the recipient, applying a borrowed
+  /// response (views into a decode buffer or a peer replica's store). Each
+  /// adopted name/value is copied exactly once, into this store; nothing
+  /// else is materialized. The backing storage only needs to stay alive
+  /// for the duration of the call. Costs O(m + r): one store lookup per
+  /// shipped item, O(1) per tail record, plus the r records of L[k] above
+  /// the horizon V_i[k] (non-zero only after conflicts dropped records).
+  /// `before_apply` runs once the whole response has been validated and
+  /// resolved; a you-are-current reply never runs it.
   Status AcceptPropagation(const PropagationResponseView& resp,
                            const BeforeApply& before_apply = {})
       REQUIRES_SHARD_CONTEXT;
@@ -286,7 +229,10 @@ class Replica {
   /// strictly dominates the local user-visible copy; ignores it otherwise;
   /// reports a conflict when the IVVs are concurrent. Never touches the
   /// DBVV, the log vector, or existing auxiliary-log records.
-  Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
+  /// `before_apply` runs for every found reply of the right width.
+  Status AcceptOobResponse(const OobResponse& resp,
+                           const BeforeApply& before_apply = {})
+      REQUIRES_SHARD_CONTEXT;
 
   // ---------------------------------------------------------------------
   // Introspection.
@@ -362,7 +308,8 @@ class Replica {
  private:
   /// Shared implementation of Update/Delete (§5.3).
   Status ApplyUserWrite(std::string_view name, std::string_view value,
-                        bool deleted) REQUIRES_SHARD_CONTEXT;
+                        bool deleted, const BeforeApply& before_apply)
+      REQUIRES_SHARD_CONTEXT;
 
   /// Validates a propagation response before any state is touched, so
   /// malformed input is rejected atomically, and resolves each item of S
@@ -404,7 +351,6 @@ class Replica {
     std::vector<Item*> selected;
     std::vector<uint32_t> item_index;
     PropagationResponseView serve_view;
-    PropagationResponseView accept_view;  // owned→view staging for accepts
   };
   PropagationScratch scratch_;
 
@@ -412,17 +358,11 @@ class Replica {
 };
 
 /// Runs one full anti-entropy exchange pulling updates from `source` into
-/// `recipient` (both in-process). Returns the number of items copied, or an
-/// error status. Uses the staged (owned-string) pipeline — the historical
-/// baseline the benches compare against.
+/// `recipient` (both in-process): the source's response view (borrowing
+/// its store) is applied directly by the recipient, with no intermediate
+/// owned strings. Both replicas must be confined to the calling thread for
+/// the duration. Returns the number of items copied, or an error status.
 Result<size_t> PropagateOnce(Replica& source, Replica& recipient)
-    REQUIRES_SHARD_CONTEXT;
-
-/// Same exchange over the zero-copy pipeline: the source's response view
-/// (borrowing its store) is applied directly by the recipient, with no
-/// intermediate owned strings. `source` and `recipient` must be distinct
-/// replicas confined to the calling thread for the duration.
-Result<size_t> PropagateOnceFast(Replica& source, Replica& recipient)
     REQUIRES_SHARD_CONTEXT;
 
 }  // namespace epidemic

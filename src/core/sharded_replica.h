@@ -27,7 +27,8 @@ namespace epidemic {
 ///     still ships only O(m) items;
 ///   * shards share no protocol state, so user operations and anti-entropy
 ///     on different shards need no coordination — the server layer exploits
-///     this with per-shard striped locks and parallel shard processing.
+///     this with one single-writer task section per shard (the shard-owned
+///     runtime) and shards served and accepted in parallel.
 ///
 /// Thread-compatibility matches Replica: this class does no locking itself.
 /// Two operations may run concurrently iff they touch different shards; the
@@ -127,8 +128,8 @@ class ShardedReplica {
 
   /// Fig. 2 for one shard, zero-copy; `req.dbvv` is the requester's DBVV
   /// *of this shard*. The returned view borrows the shard's store and
-  /// serve scratch, so it is valid only while the caller holds that
-  /// shard's lock and until the shard next mutates or serves.
+  /// serve scratch, so it is valid only inside the caller's task section
+  /// for that shard, and until the shard next mutates or serves.
   const PropagationResponseView& HandleShardPropagationView(
       size_t shard, const PropagationRequest& req) REQUIRES_SHARD_CONTEXT {
     return shards_[shard]->HandlePropagationView(req);
@@ -173,7 +174,8 @@ class ShardedReplica {
   VersionVector AggregateDbvv() const;
 
   /// Sum of every shard's protocol counters. Touches every shard; for an
-  /// atomic aggregate, callers with striped locks must hold them all.
+  /// atomic aggregate, run it under the scheduler's cross-shard barrier
+  /// (ExecuteExclusive), as ReplicaServer::TotalStats does.
   ReplicaStats TotalStats() const;
 
   /// Resets every shard's counters. Touches every shard.

@@ -348,26 +348,6 @@ void MakeResponseView(const PropagationResponse& m,
   FillTailIndicesByName(out);
 }
 
-PropagationResponse MaterializeResponse(const PropagationResponseView& m) {
-  PropagationResponse out;
-  out.you_are_current = m.you_are_current;
-  out.tails.resize(m.tails.size());
-  for (size_t k = 0; k < m.tails.size(); ++k) {
-    out.tails[k].reserve(m.tails[k].size());
-    for (const WireLogRecordView& rec : m.tails[k]) {
-      out.tails[k].push_back(
-          WireLogRecord{std::string(rec.item_name), rec.seq});
-    }
-  }
-  out.items.reserve(m.items.size());
-  for (const WireItemView& item : m.items) {
-    out.items.push_back(WireItem{std::string(item.name),
-                                 std::string(item.value), item.deleted,
-                                 *item.ivv});
-  }
-  return out;
-}
-
 Result<OobRequest> DecodeOobRequestBody(ByteReader& r) {
   OobRequest m;
   auto requester = r.GetVarint64();

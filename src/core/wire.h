@@ -107,18 +107,15 @@ Status DecodeShardSegmentBodyV3(std::string_view body,
                                 SegmentViewStorage* storage,
                                 PropagationResponseView* out);
 
-/// Borrow an owned response as a view (string views and IVV pointers into
-/// `m`, which must outlive `*out`). Each tail record's `item_index` is
-/// resolved by name, so the view can be v3-encoded or accepted like a
-/// decoded one; a name missing from S keeps index 0, which the accept
-/// rejects because the names differ.
+/// Borrow a hand-written owned response (tests, fuzz seeds) as a view
+/// (string views and IVV pointers into `m`, which must outlive `*out`).
+/// Each tail record's `item_index` is resolved by name, so the view can be
+/// v3-encoded or accepted like a decoded one; a name missing from S keeps
+/// index 0, which the accept rejects because the names differ.
 void MakeResponseView(const PropagationResponse& m,
                       PropagationResponseView* out);
 // A temporary would leave every view dangling the moment the call returns.
 void MakeResponseView(PropagationResponse&&, PropagationResponseView*) = delete;
-
-/// Deep-copies a view into an owned response (the owned serve and tests).
-PropagationResponse MaterializeResponse(const PropagationResponseView& m);
 
 }  // namespace epidemic::wire
 

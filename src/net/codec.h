@@ -35,7 +35,7 @@ struct ClientDeleteRequest {
 struct ClientStatsRequest {};
 
 /// Atomically reads-and-resets the server's aggregated protocol counters
-/// (all shard locks held for the duration). The reply payload is the
+/// (under the scheduler's cross-shard barrier). The reply payload is the
 /// DebugString rendered from the counter snapshot taken at reset time.
 struct ClientResetStatsRequest {};
 

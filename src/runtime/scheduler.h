@@ -16,8 +16,8 @@
 
 namespace epidemic::runtime {
 
-/// Aggregated scheduler health counters (satellite: surfaced through
-/// ReplicaServer::TotalStats and `epidemic_cli stats`).
+/// Aggregated scheduler health counters (surfaced as the `sched:` line of
+/// ReplicaServer::Stats and `epidemic_cli stats`).
 struct SchedulerStats {
   struct Worker {
     uint64_t tasks_executed = 0;   // tasks drained by this owner thread

@@ -596,44 +596,19 @@ std::string ReplicaServer::Stats(bool reset) {
   return summary;
 }
 
-ReplicaStats ReplicaServer::TotalStats(bool reset) {
+ReplicaStats ReplicaServer::TotalStats() {
   ShardedReplica& rep = sharded();
   ReplicaStats total;
   sched_->ExecuteExclusive(
-      /*mutates=*/false, [&rep, &total, reset](const ExclusiveToken& token) {
+      /*mutates=*/false, [&rep, &total](const ExclusiveToken& token) {
         AssertShardContext(token);
         total = rep.TotalStats();
-        if (reset) rep.ResetStats();
       });
-  // Scheduler health and the lock-free read path ride along: optimistic
-  // hits never entered a shard section, so the per-shard counters cannot
-  // have seen them.
-  const runtime::SchedulerStats sched = sched_->Stats(reset);
-  total.sched_tasks_executed = sched.TotalTasks();
-  total.sched_queue_depth_peak = sched.queue_depth_peak;
-  // relaxed: monotonic stats counter folded into a report; a hit racing the
-  // exchange lands in this report or the next, both acceptable.
-  total.reads += reset ? optimistic_read_hits_.exchange(
-                             0, std::memory_order_relaxed)
-                       : optimistic_read_hits_.load(std::memory_order_relaxed);
-  // Transport and serve-cache counters ride along the same way — they
-  // live outside the shards, so the per-shard fold cannot have seen them.
-  const net::TransportStats t = transport_->Stats(reset);
-  total.net_calls = t.calls;
-  total.net_connections_opened = t.connections_opened;
-  total.net_connections_reused = t.connections_reused;
-  total.net_reconnects = t.reconnects;
-  total.net_backoff_skips = t.backoff_skips;
-  total.net_bytes_sent = t.bytes_sent;
-  total.net_bytes_received = t.bytes_received;
-  // relaxed: monotonic stats counters folded into a report (see above).
-  total.serve_cache_hits =
-      reset ? serve_cache_hits_.exchange(0, std::memory_order_relaxed)
-            : serve_cache_hits_.load(std::memory_order_relaxed);
-  // relaxed: monotonic stats counter folded into a report (see above).
-  total.serve_cache_misses =
-      reset ? serve_cache_misses_.exchange(0, std::memory_order_relaxed)
-            : serve_cache_misses_.load(std::memory_order_relaxed);
+  // Optimistic read hits never entered a shard section, so the per-shard
+  // counters cannot have seen them.
+  // relaxed: monotonic stats counter folded into a report; a hit racing
+  // the load lands in this report or the next, both acceptable.
+  total.reads += optimistic_read_hits_.load(std::memory_order_relaxed);
   return total;
 }
 

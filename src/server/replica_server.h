@@ -153,10 +153,9 @@ class ReplicaServer : public net::RequestHandler {
   std::string Stats(bool reset = false);
 
   /// Atomic read of the aggregated protocol counters (taken under the
-  /// cross-shard barrier); optionally resets them in the same critical
-  /// section. Scheduler health counters (tasks executed, queue-depth
-  /// peak) ride along in the sched_* fields.
-  ReplicaStats TotalStats(bool reset = false);
+  /// cross-shard barrier), optimistic read hits included in `reads`.
+  /// Scheduler, transport and serve-cache counters are in Stats().
+  ReplicaStats TotalStats();
 
   /// One anti-entropy exchange pulling from `peer` over the transport —
   /// all shards in one round trip, unchanged shards skipped by the peer.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -29,14 +30,33 @@ class JournalTest : public ::testing::Test {
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  // Applies `input` to a journaled replica holding one update and expects
+  // InvalidArgument with no new record; then the journal must reopen with
+  // the same DBVV.
+  void ExpectRejectedAndNotJournaled(
+      const std::function<Status(JournaledReplica&)>& input) {
+    VersionVector dbvv_before;
+    {
+      auto jr = JournaledReplica::Open(dir_, 0, 2);
+      ASSERT_TRUE(jr.ok());
+      ASSERT_TRUE((*jr)->Update("x", "v").ok());
+      const uint64_t records = (*jr)->records_since_checkpoint();
+      EXPECT_TRUE(input(**jr).IsInvalidArgument());
+      EXPECT_EQ((*jr)->records_since_checkpoint(), records);
+      dbvv_before = (*jr)->replica().dbvv();
+    }
+    auto recovered = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->replica().dbvv(), dbvv_before);
+  }
+
   std::string dir_;
 };
 
 // Runs one full anti-entropy pull from `source` into the journaled `jr`.
 Status Pull(Replica& source, JournaledReplica& jr) {
   PropagationRequest req = jr.BuildPropagationRequest();
-  PropagationResponse resp = source.HandlePropagationRequest(req);
-  return jr.AcceptPropagation(resp);
+  return jr.AcceptPropagation(source.HandlePropagationView(req));
 }
 
 // Frames `payload` the way the journal does: varint length, payload,
@@ -108,7 +128,7 @@ TEST_F(JournalTest, PropagationInputsSurviveRestart) {
     ASSERT_TRUE(Pull(peer, **jr).ok());
     dbvv_before = (*jr)->replica().dbvv().ToString();
   }
-  // The owned accept journals the v3 segment record epidemicd writes.
+  // The view accept journals the v3 segment record epidemicd writes.
   EXPECT_EQ(RecordTags(dir_), (std::vector<uint8_t>{1, 6}));
 
   auto recovered = JournaledReplica::Open(dir_, 0, 2);
@@ -224,7 +244,7 @@ TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
     wire::EncodeShardSegmentBodyV3Into(w, view, b.dbvv());
     EXPECT_TRUE(
         (*jr)->AcceptPropagationSegmentV3(w.data()).IsInvalidArgument());
-    EXPECT_TRUE((*jr)->AcceptPropagation(forged).IsInvalidArgument());
+    EXPECT_TRUE((*jr)->AcceptPropagation(view).IsInvalidArgument());
     EXPECT_EQ((*jr)->records_since_checkpoint(), records);
   }
 
@@ -232,6 +252,42 @@ TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
   EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+}
+
+// Any input the replica rejects must leave no record either: replay would
+// reject it again, and the node could not restart.
+TEST_F(JournalTest, EmptyNameUpdateIsNotJournaled) {
+  ExpectRejectedAndNotJournaled(
+      [](JournaledReplica& jr) { return jr.Update("", "v"); });
+}
+
+TEST_F(JournalTest, EmptyNameDeleteIsNotJournaled) {
+  ExpectRejectedAndNotJournaled(
+      [](JournaledReplica& jr) { return jr.Delete(""); });
+}
+
+// The OOB reply of a peer started with a different node count.
+TEST_F(JournalTest, WrongWidthOobReplyIsNotJournaled) {
+  ExpectRejectedAndNotJournaled([](JournaledReplica& jr) {
+    return jr.AcceptOobResponse(
+        OobResponse{true, "x", "w", false, VersionVector({1, 0, 0})});
+  });
+}
+
+// Rejections that replay tolerates leave no record either.
+TEST_F(JournalTest, NotFoundOobReplyAndFailedResolveAreNotJournaled) {
+  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_TRUE(jr.ok());
+  ASSERT_TRUE((*jr)->Update("x", "v").ok());
+  const uint64_t records = (*jr)->records_since_checkpoint();
+  OobResponse missing;
+  missing.item_name = "ghost";
+  EXPECT_TRUE((*jr)->AcceptOobResponse(missing).IsNotFound());
+  EXPECT_TRUE((*jr)->ResolveConflict("ghost", VersionVector({0, 1}), "r")
+                  .IsNotFound());
+  EXPECT_TRUE((*jr)->ResolveConflict("x", VersionVector({0, 0}), "r")
+                  .IsInvalidArgument());  // dominated: no conflict
+  EXPECT_EQ((*jr)->records_since_checkpoint(), records);
 }
 
 // Record number 3 held the retired whole-database v1 propagation body. A
@@ -429,7 +485,7 @@ TEST_F(JournalTest, RandomizedCrashRecoveryEquivalence) {
                         .ok());
       } else {
         PropagationRequest req = jr.BuildPropagationRequest();
-        PropagationResponse resp = peer.HandlePropagationRequest(req);
+        const PropagationResponseView& resp = peer.HandlePropagationView(req);
         ASSERT_TRUE(jr.AcceptPropagation(resp).ok());
         ASSERT_TRUE(twin.AcceptPropagation(resp).ok());
       }

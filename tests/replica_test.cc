@@ -123,7 +123,7 @@ TEST(DebugStringTest, MentionsKeyState) {
 
 TEST(PropagationTest, IdenticalReplicasYieldYouAreCurrent) {
   Replica a(0, 2), b(1, 2);
-  PropagationResponse resp = b.HandlePropagationRequest(
+  const PropagationResponseView& resp = b.HandlePropagationView(
       a.BuildPropagationRequest());
   EXPECT_TRUE(resp.you_are_current);
   EXPECT_EQ(b.stats().you_are_current_replies, 1u);
@@ -135,7 +135,7 @@ TEST(PropagationTest, RecipientAheadYieldsYouAreCurrent) {
   Replica a(0, 2), b(1, 2);
   ASSERT_TRUE(a.Update("x", "v").ok());
   // a asks b; b has nothing a misses.
-  PropagationResponse resp = b.HandlePropagationRequest(
+  const PropagationResponseView& resp = b.HandlePropagationView(
       a.BuildPropagationRequest());
   EXPECT_TRUE(resp.you_are_current);
 }
@@ -144,7 +144,7 @@ TEST(PropagationTest, BasicOneItemPropagation) {
   Replica a(0, 2), b(1, 2);
   ASSERT_TRUE(b.Update("x", "v1").ok());
 
-  PropagationResponse resp = b.HandlePropagationRequest(
+  const PropagationResponseView& resp = b.HandlePropagationView(
       a.BuildPropagationRequest());
   ASSERT_FALSE(resp.you_are_current);
   ASSERT_EQ(resp.items.size(), 1u);
@@ -187,7 +187,7 @@ TEST(PropagationTest, StaleRequestSkipsReshippedRecordsAndDeliversTheRest) {
   ASSERT_TRUE(PropagateOnce(/*source=*/a, /*recipient=*/b).ok());
   ASSERT_TRUE(b.Update("z", "vz").ok());
 
-  PropagationResponse resp = b.HandlePropagationRequest(old_request);
+  const PropagationResponseView& resp = b.HandlePropagationView(old_request);
   ASSERT_EQ(resp.tails[0].size(), 1u);  // (y, 1): a's own update, held
   ASSERT_TRUE(a.AcceptPropagation(resp).ok());
   EXPECT_EQ(*a.Read("z"), "vz");
@@ -217,7 +217,7 @@ TEST(PropagationTest, SelectedFlagsDeduplicateAcrossTails) {
   ASSERT_TRUE(PropagateOnce(n0, n1).ok());
   ASSERT_TRUE(n1.Update("x", "from1").ok());
 
-  PropagationResponse resp = n1.HandlePropagationRequest(
+  const PropagationResponseView& resp = n1.HandlePropagationView(
       n2.BuildPropagationRequest());
   ASSERT_FALSE(resp.you_are_current);
   EXPECT_EQ(resp.tails[0].size(), 1u);
@@ -231,10 +231,10 @@ TEST(PropagationTest, SelectedFlagsDeduplicateAcrossTails) {
 TEST(PropagationTest, IsSelectedFlagsResetAfterSend) {
   Replica a(0, 2), b(1, 2);
   ASSERT_TRUE(b.Update("x", "v").ok());
-  (void)b.HandlePropagationRequest(a.BuildPropagationRequest());
+  (void)b.HandlePropagationView(a.BuildPropagationRequest());
   // Flags must be flipped back so the next request is unaffected.
   EXPECT_TRUE(b.CheckInvariants().ok());
-  PropagationResponse resp = b.HandlePropagationRequest(
+  const PropagationResponseView& resp = b.HandlePropagationView(
       a.BuildPropagationRequest());
   EXPECT_EQ(resp.items.size(), 1u);
 }
@@ -260,7 +260,7 @@ TEST(PropagationTest, IndirectlyCurrentReplicasDetectedInConstantTime) {
   ASSERT_TRUE(PropagateOnce(n1, n2).ok());
 
   n0.ResetStats();
-  PropagationResponse resp = n0.HandlePropagationRequest(
+  const PropagationResponseView& resp = n0.HandlePropagationView(
       n2.BuildPropagationRequest());
   EXPECT_TRUE(resp.you_are_current);
   EXPECT_EQ(n0.stats().log_records_selected, 0u);
@@ -366,14 +366,21 @@ TEST(ConflictTest, ConflictResolvedBySupersedingUpdate) {
 }
 
 // ---------------------------------------------------------------------------
-// Malformed input handling.
+// Malformed input handling. Forged responses are written by hand in the
+// owned form and accepted through the view accept, like a decoded one.
+
+Status AcceptOwned(Replica& r, const PropagationResponse& resp) {
+  PropagationResponseView view;
+  wire::MakeResponseView(resp, &view);
+  return r.AcceptPropagation(view);
+}
 
 TEST(RobustnessTest, WrongTailVectorWidthRejected) {
   Replica a(0, 2);
   PropagationResponse resp;
   resp.you_are_current = false;
   resp.tails.resize(5);  // wrong: should be 2
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
 }
 
 TEST(RobustnessTest, WrongIvvWidthRejected) {
@@ -384,7 +391,7 @@ TEST(RobustnessTest, WrongIvvWidthRejected) {
   item.name = "x";
   item.ivv = VersionVector(7);
   resp.items.push_back(item);
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
 }
 
 // Builds a minimal valid response shipping one item with one record.
@@ -407,7 +414,7 @@ TEST(RobustnessTest, OutOfOrderTailRejected) {
   Replica a(0, 2);
   PropagationResponse resp = OneItemResponse(2, "x", 2, 1);
   resp.tails[1].push_back(WireLogRecord{"x", 1});  // decreasing seq
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
   EXPECT_EQ(a.dbvv().Total(), 0u);  // nothing applied
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
@@ -420,7 +427,7 @@ TEST(RobustnessTest, TailRecordBelowHorizonCoveredIsNoop) {
   ASSERT_TRUE(PropagateOnce(b, a).ok());  // a's horizon for origin 1 is 1
   const std::string before = a.CanonicalState();
   PropagationResponse stale = OneItemResponse(2, "x", 1, 1);  // seq == horizon
-  EXPECT_TRUE(a.AcceptPropagation(stale).ok());
+  EXPECT_TRUE(AcceptOwned(a, stale).ok());
   EXPECT_EQ(a.CanonicalState(), before);
   EXPECT_EQ(a.stats().redundant_items_received, 1u);
   EXPECT_TRUE(a.CheckInvariants().ok());
@@ -436,10 +443,10 @@ TEST(RobustnessTest, TailRecordBelowHorizonUncoveredRejected) {
   const std::string before = a.CanonicalState();
   // P_1(z) is absent.
   EXPECT_TRUE(
-      a.AcceptPropagation(OneItemResponse(2, "z", 1, 1)).IsInvalidArgument());
+      AcceptOwned(a, OneItemResponse(2, "z", 1, 1)).IsInvalidArgument());
   // P_1(x) holds seq 1, older than the record's 2.
   EXPECT_TRUE(
-      a.AcceptPropagation(OneItemResponse(2, "x", 2, 1)).IsInvalidArgument());
+      AcceptOwned(a, OneItemResponse(2, "x", 2, 1)).IsInvalidArgument());
   EXPECT_EQ(a.CanonicalState(), before);
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
@@ -469,7 +476,7 @@ TEST(RobustnessTest, TailSeqReuseForDifferentItemRejected) {
   item.ivv = VersionVector(3);
   item.ivv[1] = 1;  // dominates the fresh local copy → survives the filter
   forged.items.push_back(item);
-  EXPECT_TRUE(a.AcceptPropagation(forged).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, forged).IsInvalidArgument());
   EXPECT_TRUE(a.CheckInvariants().ok());
 
   // Re-shipping the same seq for the *same* item is legitimate (a relayed
@@ -485,7 +492,7 @@ TEST(RobustnessTest, TailSeqReuseForDifferentItemRejected) {
   gamma.ivv[1] = 1;
   gamma.ivv[2] = 1;  // node 2 updated gamma on top of b's write
   reship.items.push_back(gamma);
-  ASSERT_TRUE(a.AcceptPropagation(reship).ok());
+  ASSERT_TRUE(AcceptOwned(a, reship).ok());
   EXPECT_EQ(*a.Read("gamma"), "g2");
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
@@ -494,14 +501,14 @@ TEST(RobustnessTest, RecordForUnshippedItemRejected) {
   Replica a(0, 2);
   PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
   resp.tails[1].push_back(WireLogRecord{"ghost", 2});  // not in S
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
 }
 
 TEST(RobustnessTest, DuplicateItemInResponseRejected) {
   Replica a(0, 2);
   PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
   resp.items.push_back(resp.items[0]);
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
 }
 
 // A repeated name that is already stored is caught by its IsSelected mark,
@@ -511,7 +518,7 @@ TEST(RobustnessTest, DuplicateStoredItemRejectedAndMarkCleared) {
   ASSERT_TRUE(a.Update("x", "mine").ok());
   PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
   resp.items.push_back(resp.items[0]);
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
   EXPECT_FALSE(a.FindItem("x")->is_selected);
   EXPECT_EQ(*a.Read("x"), "mine");
   EXPECT_TRUE(a.CheckInvariants().ok());
@@ -535,13 +542,13 @@ TEST(RobustnessTest, TailIndexNamingAnotherItemRejected) {
 TEST(RobustnessTest, EmptyItemNameRejected) {
   Replica a(0, 2);
   PropagationResponse resp = OneItemResponse(2, "", 1, 1);
-  EXPECT_TRUE(a.AcceptPropagation(resp).IsInvalidArgument());
+  EXPECT_TRUE(AcceptOwned(a, resp).IsInvalidArgument());
 }
 
 TEST(RobustnessTest, ValidSyntheticResponseAccepted) {
   Replica a(0, 2);
   PropagationResponse resp = OneItemResponse(2, "x", 1, 1);
-  ASSERT_TRUE(a.AcceptPropagation(resp).ok());
+  ASSERT_TRUE(AcceptOwned(a, resp).ok());
   EXPECT_EQ(*a.Read("x"), "v");
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
@@ -550,7 +557,7 @@ TEST(RobustnessTest, YouAreCurrentAcceptIsNoop) {
   Replica a(0, 2);
   PropagationResponse resp;
   resp.you_are_current = true;
-  EXPECT_TRUE(a.AcceptPropagation(resp).ok());
+  EXPECT_TRUE(AcceptOwned(a, resp).ok());
   EXPECT_EQ(a.dbvv(), Vv({0, 0}));
 }
 

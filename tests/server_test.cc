@@ -253,6 +253,34 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
   std::filesystem::remove_all(dir);
 }
 
+// A client write the replica rejects must not reach the journal: replay
+// would reject it again, and the node could not restart.
+TEST(DurableServerTest, RejectedClientUpdateDoesNotBlockRestart) {
+  const std::string dir = ::testing::TempDir() + "/durable_rejected_update";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  net::InProcHub hub(1);
+  net::InProcTransport transport(&hub);
+  {
+    auto durable = JournaledShardedReplica::Open(
+        dir, 0, 1, ShardedReplica::kDefaultShards);
+    ASSERT_TRUE(durable.ok());
+    ReplicaServer server(std::move(*durable), &transport, {});
+    hub.Register(0, &server);
+    ReplicaClient client(&transport, 0);
+    ASSERT_TRUE(client.Update("kept", "v").ok());
+    EXPECT_TRUE(client.Update("", "v").IsInvalidArgument());
+    hub.Register(0, nullptr);
+  }
+
+  auto reopened = JournaledShardedReplica::Open(
+      dir, 0, 1, ShardedReplica::kDefaultShards);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(*(*reopened)->view().Read("kept"), "v");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DurableServerTest, InMemoryServerRejectsCheckpoint) {
   net::InProcHub hub(2);
   net::InProcTransport transport(&hub);
@@ -333,8 +361,8 @@ TEST(ShardedServerTest, ResendAnsweringAFullHandshakeIsRejected) {
   hub.Register(0, nullptr);
 }
 
-// A pull is one round trip, and the serve side really runs zero-copy:
-// items ship without a single owned-string staging copy.
+// A pull is one round trip, served by the zero-copy view serve (the only
+// Fig. 2 serve there is).
 TEST(ShardedServerTest, ServesZeroCopyInOneCall) {
   net::InProcHub hub(2);
   net::InProcTransport inner(&hub);
@@ -353,9 +381,7 @@ TEST(ShardedServerTest, ServesZeroCopyInOneCall) {
   ASSERT_TRUE(b.PullFrom(0).ok());
   EXPECT_EQ(transport.calls(), 1u);
 
-  ReplicaStats served = a.TotalStats();
-  EXPECT_GT(served.items_shipped, 0u);
-  EXPECT_EQ(served.serve_staging_allocs, 0u);  // view path end to end
+  EXPECT_GT(a.TotalStats().items_shipped, 0u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(*b.Read("item" + std::to_string(i)), "value");
   }
@@ -424,9 +450,9 @@ TEST(ShardedServerTest, ServeCacheHitsWithOwnerWorkers) {
   ASSERT_TRUE(s1.ok()) << s1.ToString();
   Status s2 = p2.PullFrom(0);
   ASSERT_TRUE(s2.ok()) << s2.ToString();
-  const ReplicaStats stats = source.TotalStats();
-  EXPECT_EQ(stats.serve_cache_misses, 1u);
-  EXPECT_EQ(stats.serve_cache_hits, 1u);
+  const std::string stats = source.Stats();
+  EXPECT_NE(stats.find("serve_cache: hits=1 misses=1"), std::string::npos)
+      << stats;
   EXPECT_EQ(p1.Scan(""), source.Scan(""));
   EXPECT_EQ(p2.Scan(""), source.Scan(""));
   hub.Register(0, nullptr);

@@ -78,8 +78,10 @@ TEST(WireTest, TruncatedBodiesFail) {
 
 /// Field-by-field equality for owned responses (no operator== on the wire
 /// structs — they are plain carriers).
-void ExpectResponsesEqual(const PropagationResponse& a,
-                          const PropagationResponse& b) {
+// Compares a view with the owned response it should reproduce, field by
+// field.
+void ExpectViewMatches(const PropagationResponseView& a,
+                       const PropagationResponse& b) {
   EXPECT_EQ(a.you_are_current, b.you_are_current);
   ASSERT_EQ(a.tails.size(), b.tails.size());
   for (size_t k = 0; k < a.tails.size(); ++k) {
@@ -94,7 +96,8 @@ void ExpectResponsesEqual(const PropagationResponse& a,
     EXPECT_EQ(a.items[i].name, b.items[i].name);
     EXPECT_EQ(a.items[i].value, b.items[i].value);
     EXPECT_EQ(a.items[i].deleted, b.items[i].deleted);
-    EXPECT_EQ(a.items[i].ivv, b.items[i].ivv);
+    ASSERT_NE(a.items[i].ivv, nullptr);
+    EXPECT_EQ(*a.items[i].ivv, b.items[i].ivv);
   }
 }
 
@@ -195,7 +198,7 @@ TEST(WireV3Test, SegmentBodyRoundTrip) {
   SegmentViewStorage storage;
   PropagationResponseView decoded;
   ASSERT_TRUE(DecodeShardSegmentBodyV3(body, &storage, &decoded).ok());
-  ExpectResponsesEqual(MaterializeResponse(decoded), m);
+  ExpectViewMatches(decoded, m);
   // v3 tails carry indices; the decoder resolves both index and name.
   EXPECT_EQ(decoded.tails[0][1].item_index, 1u);
   EXPECT_EQ(decoded.tails[0][1].item_name, "beta");
@@ -247,13 +250,13 @@ TEST(WireV3Test, SegmentBodyRejectsOutOfRangeTailIndex) {
   EXPECT_FALSE(DecodeShardSegmentBodyV3(body, &storage, &decoded).ok());
 }
 
-// Owned → view → owned is the identity, including the you-are-current
-// degenerate case.
-TEST(WireV3Test, MakeResponseViewMaterializeRoundTrip) {
+// A borrowed owned response reads back field by field, including the
+// you-are-current degenerate case.
+TEST(WireV3Test, MakeResponseViewMatchesOwnedResponse) {
   PropagationResponse m = SampleResponse();
   PropagationResponseView view;
   MakeResponseView(m, &view);
-  ExpectResponsesEqual(MaterializeResponse(view), m);
+  ExpectViewMatches(view, m);
   // Tail records always come out indexed into S, like decoded v3 ones, so
   // every view takes the same accept path.
   EXPECT_EQ(view.tails[0][0].item_index, 0u);
@@ -264,7 +267,8 @@ TEST(WireV3Test, MakeResponseViewMaterializeRoundTrip) {
   current.you_are_current = true;
   MakeResponseView(current, &view);
   EXPECT_TRUE(view.you_are_current);
-  EXPECT_TRUE(MaterializeResponse(view).you_are_current);
+  EXPECT_TRUE(view.items.empty());
+  EXPECT_TRUE(view.tails.empty());
 }
 
 // Random segments round-trip through the v3 codec: the full-pipeline
@@ -309,7 +313,7 @@ TEST(WireV3Test, SegmentBodyPropertyRoundTrip) {
     PropagationResponseView decoded;
     ASSERT_TRUE(DecodeShardSegmentBodyV3(body, &storage, &decoded).ok())
         << "trial " << trial;
-    ExpectResponsesEqual(MaterializeResponse(decoded), m);
+    ExpectViewMatches(decoded, m);
   }
 }
 
