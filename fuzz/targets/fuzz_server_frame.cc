@@ -22,8 +22,7 @@ int Target_server_frame(const uint8_t* data, size_t size) {
   net::InProcTransport transport(&hub);
   server::ReplicaServer::Options options;
   options.num_shards = kFuzzShards;
-  options.ae_workers = 0;        // serial scheduler: deterministic
-  options.read_cache_slots = 8;  // exercise the optimistic read path
+  options.ae_workers = 0;  // inline scheduler: deterministic
   server::ReplicaServer server(0, kFuzzNodes, &transport, options);
   hub.Register(0, &server);
   EPI_CHECK(server.Update("alpha", "a0").ok());

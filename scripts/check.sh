@@ -82,12 +82,39 @@ case "$mode" in
     # The reference configurations from DESIGN.md §9: every interleaving
     # of the action alphabet up to the stated depth, against the real
     # replica code. The sharded leg exercises the real wire-v3 segments
-    # (tags 17/18). Then the ctest leg replays the checked-in trace
-    # fixtures (seeded defects must still reproduce, clean traces must
-    # still pass).
-    "$build_dir"/tools/epicheck --nodes 2 --items 2 --depth 8 "$@"
-    "$build_dir"/tools/epicheck --nodes 3 --items 2 --depth 6 "$@"
-    "$build_dir"/tools/epicheck --nodes 2 --items 2 --depth 6 --shards 2 "$@"
+    # (tags 17/18). Each row must explore exactly the counts of
+    # EXPERIMENTS.md M1 ("states transitions deduplicated"); keep this
+    # block and that table in step. Extra arguments change the
+    # configuration, so with them the counts are printed, not compared.
+    # Then the ctest leg replays the checked-in trace fixtures (seeded
+    # defects must still reproduce, clean traces must still pass).
+    model_rows=(
+      "--nodes 2 --items 2 --depth 8|50091 196670 146580"
+      "--nodes 3 --items 2 --depth 6|59111 249927 190817"
+      "--nodes 2 --items 2 --depth 6 --shards 2|2669 10374 7706"
+    )
+    for row in "${model_rows[@]}"; do
+      read -r -a config <<< "${row%%|*}"
+      expected="${row##*|}"
+      status=0
+      out="$("$build_dir"/tools/epicheck "${config[@]}" "$@")" || status=$?
+      echo "$out"
+      if [[ $status -ne 0 ]]; then exit "$status"; fi
+      got="$(awk -F': *' '/^states explored:/ {s = $2}
+                          /^transitions checked:/ {t = $2}
+                          /^deduplicated:/ {d = $2}
+                          END {print s, t, d}' <<< "$out")"
+      if [[ $# -eq 0 && "$got" != "$expected" ]]; then
+        echo "error: epicheck ${config[*]} counted '$got'" \
+             "(states transitions deduplicated); EXPERIMENTS.md M1" \
+             "says '$expected'" >&2
+        exit 1
+      fi
+    done
+    if [[ $# -ne 0 ]]; then
+      echo "model: counts not compared with EXPERIMENTS.md M1 (extra" \
+           "epicheck arguments: $*)"
+    fi
     ctest --test-dir "$build_dir" --output-on-failure -R epicheck
     exit 0
     ;;

@@ -1,5 +1,6 @@
 #include "check/world.h"
 
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -10,15 +11,14 @@ namespace epidemic::check {
 
 namespace {
 
-/// Manual-mode scheduler for a sharded node: num_shards single-writer
-/// sections, zero threads, zero read cache (the checker has no concurrent
-/// readers, and cache state is not canonical protocol state).
-std::unique_ptr<runtime::ShardScheduler> MakeManualScheduler(
+/// Inline scheduler for a sharded node: num_shards single-writer
+/// sections and no owner threads, so every task runs on the checker's
+/// thread before the scheduler call returns.
+std::unique_ptr<runtime::ShardScheduler> MakeInlineScheduler(
     size_t num_shards) {
   runtime::ShardScheduler::Options opts;
   opts.num_shards = num_shards;
-  opts.manual = true;
-  opts.read_cache_slots = 0;
+  opts.workers = 0;
   return std::make_unique<runtime::ShardScheduler>(opts);
 }
 
@@ -55,7 +55,7 @@ World::World(const WorldConfig& config) : World(config, /*tampered=*/false) {
     if (config_.num_shards > 1) {
       node->sharded = std::make_unique<ShardedReplica>(
           id, config_.num_nodes, config_.num_shards, listener_for(*node));
-      node->sched = MakeManualScheduler(config_.num_shards);
+      node->sched = MakeInlineScheduler(config_.num_shards);
     } else {
       node->plain = std::make_unique<Replica>(id, config_.num_nodes,
                                               listener_for(*node));
@@ -80,7 +80,7 @@ Result<std::unique_ptr<World>> World::Restore(
       auto replica = DecodeShardedSnapshot(blob, world->listener_for(*node));
       if (!replica.ok()) return replica.status();
       node->sharded = std::move(*replica);
-      node->sched = MakeManualScheduler(config.num_shards);
+      node->sched = MakeInlineScheduler(config.num_shards);
     } else {
       auto replica = DecodeSnapshot(blob, world->listener_for(*node));
       if (!replica.ok()) return replica.status();
@@ -101,7 +101,7 @@ ConflictListener* World::listener_for(Node& node) {
 Status World::Apply(const Action& action) {
   // Single-owner escape: the checker drives every node from one thread, so
   // that thread IS each plain replica's single writer. Sharded nodes still
-  // go through their manual scheduler below, whose tokens re-assert the
+  // go through their inline scheduler below, whose tokens re-assert the
   // capability inside each task.
   AssertShardContextHeld();
   const size_t n = nodes_.size();
@@ -245,73 +245,58 @@ Status World::ApplySync(size_t recipient, size_t source) {
   // snapshot the handshake as one batch on the recipient's scheduler,
   // serve each stale shard as a task on the source's scheduler (encoding
   // the real wire-v3 segment body, tags 17/18), then decode and accept
-  // each segment as a task on the recipient. The manual pump drains every
-  // batch in ascending shard order, so the whole exchange is a pure
-  // function of the schedule.
+  // each segment as a task on the recipient. The inline scheduler runs
+  // every batch in the order of its shard list (ascending here), so the
+  // whole exchange is a pure function of the schedule.
   ShardedReplica& rrep = *r.sharded;
   ShardedReplica& srep = *s.sharded;
   const size_t num_shards = rrep.num_shards();
+  std::vector<size_t> all_shards(num_shards);
+  std::iota(all_shards.begin(), all_shards.end(), size_t{0});
 
   ShardedPropagationRequest req;
   req.requester = rrep.id();
   req.shard_dbvvs.resize(num_shards);
-  {
-    std::vector<runtime::ShardScheduler::BatchItem> work;
-    work.reserve(num_shards);
-    for (size_t k = 0; k < num_shards; ++k) {
-      work.push_back({k, runtime::TaskKind::kSnapshot, /*mutates=*/false,
-                      [&rrep, &req, k](const runtime::ShardToken&) {
-                        req.shard_dbvvs[k] = rrep.shard(k).dbvv();
-                      }});
-    }
-    r.sched->ExecuteBatch(std::move(work));
-  }
+  r.sched->ExecuteBatchIndexed(
+      all_shards, runtime::TaskKind::kSnapshot, /*mutates=*/false,
+      [&rrep, &req](const runtime::ShardToken&, size_t k) {
+        req.shard_dbvvs[k] = rrep.shard(k).dbvv();
+      });
 
   std::vector<std::string> bodies(num_shards);
-  {
-    std::vector<runtime::ShardScheduler::BatchItem> work;
-    work.reserve(num_shards);
-    for (size_t k = 0; k < num_shards; ++k) {
-      work.push_back(
-          {k, runtime::TaskKind::kServe, /*mutates=*/false,
-           [this, &srep, &req, &bodies, k](const runtime::ShardToken& token) {
-             runtime::AssertShardContext(token);
-             const PropagationResponseView& view =
-                 srep.HandleShardPropagationView(
-                     k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
-             if (view.you_are_current) return;
-             ByteWriter w(buffer_pool_.Get());
-             wire::EncodeShardSegmentBodyV3Into(w, view, srep.shard(k).dbvv());
-             bodies[k] = w.Release();
-           }});
-    }
-    s.sched->ExecuteBatch(std::move(work));
-  }
+  s.sched->ExecuteBatchIndexed(
+      all_shards, runtime::TaskKind::kServe, /*mutates=*/false,
+      [this, &srep, &req, &bodies](const runtime::ShardToken& token,
+                                   size_t k) {
+        runtime::AssertShardContext(token);
+        const PropagationResponseView& view = srep.HandleShardPropagationView(
+            k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
+        if (view.you_are_current) return;
+        ByteWriter w(buffer_pool_.Get());
+        wire::EncodeShardSegmentBodyV3Into(w, view, srep.shard(k).dbvv());
+        bodies[k] = w.Release();
+      });
 
   // A stale shard's body is never empty (it carries at least the flags
   // byte), so an empty slot means "current, nothing to accept".
+  std::vector<size_t> stale;
+  for (size_t k = 0; k < num_shards; ++k) {
+    if (!bodies[k].empty()) stale.push_back(k);
+  }
   std::vector<Status> statuses(num_shards);
   std::vector<wire::SegmentViewStorage> storages(num_shards);
-  {
-    std::vector<runtime::ShardScheduler::BatchItem> work;
-    work.reserve(num_shards);
-    for (size_t k = 0; k < num_shards; ++k) {
-      if (bodies[k].empty()) continue;
-      work.push_back(
-          {k, runtime::TaskKind::kAccept, /*mutates=*/true,
-           [&rrep, &bodies, &statuses, &storages,
-            k](const runtime::ShardToken& token) {
-             runtime::AssertShardContext(token);
-             PropagationResponseView view;
-             Status st =
-                 wire::DecodeShardSegmentBodyV3(bodies[k], &storages[k], &view);
-             statuses[k] = st.ok() ? rrep.AcceptShardPropagation(k, view) : st;
-           }});
-    }
-    r.sched->ExecuteBatch(std::move(work));
-  }
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (bodies[k].empty()) continue;
+  r.sched->ExecuteBatchIndexed(
+      stale, runtime::TaskKind::kAccept, /*mutates=*/true,
+      [&rrep, &stale, &bodies, &statuses, &storages](
+          const runtime::ShardToken& token, size_t i) {
+        runtime::AssertShardContext(token);
+        const size_t k = stale[i];
+        PropagationResponseView view;
+        Status st =
+            wire::DecodeShardSegmentBodyV3(bodies[k], &storages[k], &view);
+        statuses[k] = st.ok() ? rrep.AcceptShardPropagation(k, view) : st;
+      });
+  for (size_t k : stale) {
     buffer_pool_.Put(std::move(bodies[k]));
     if (!statuses[k].ok()) return statuses[k];
   }

@@ -137,11 +137,13 @@ class World {
     /// Exactly one of the two is set, per config().num_shards.
     std::unique_ptr<Replica> plain;
     std::unique_ptr<ShardedReplica> sharded;
-    /// Sharded nodes only: the production shard scheduler in manual mode
-    /// — no threads, no parking, no clocks; the world's Apply steps are
-    /// its explicit pump. Every mutation and every per-shard propagation
-    /// step runs as a scheduler task, so the checker exercises the same
-    /// single-writer discipline the server runs under, deterministically.
+    /// Sharded nodes only: the production shard scheduler in the inline
+    /// mode the daemon runs (no owner threads). Driven from the checker's
+    /// one thread it never parks and runs every task before the call
+    /// returns, in call order. Every mutation and every per-shard
+    /// propagation step runs as a scheduler task, so the checker
+    /// exercises the same single-writer discipline the server runs under,
+    /// deterministically.
     std::unique_ptr<runtime::ShardScheduler> sched;
   };
 

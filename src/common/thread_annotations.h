@@ -89,8 +89,8 @@
 namespace epidemic {
 
 /// Phantom capability representing "the current thread is inside a shard's
-/// single-writer section" — i.e. it is the scheduler worker (or manual-mode
-/// pump) that holds the shard's gate and is draining its channel. There is
+/// single-writer section" — i.e. it is the scheduler worker (or inline
+/// caller) that holds the shard's gate and is draining its channel. There is
 /// no lock to acquire: the capability is *asserted* at the task boundary
 /// (ShardScheduler's trampoline, via runtime::AssertShardContext) and
 /// *required* by every mutating method on Replica, ShardedReplica,

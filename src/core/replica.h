@@ -140,8 +140,8 @@ class Replica {
   /// User-facing read: auxiliary copy when present (it is never older than
   /// the regular copy), regular otherwise. NotFound for unknown or
   /// tombstoned items. Mutating in the capability sense: it bumps the read
-  /// counter, so it still requires the shard context (the optimistic
-  /// seqlock read path in the server bypasses this method entirely).
+  /// counter, so it still requires the shard context (the server runs it
+  /// as a read task on the item's shard).
   Result<std::string> Read(std::string_view name) REQUIRES_SHARD_CONTEXT;
 
   /// Resolves a detected conflict on `name` by writing `value` as a new

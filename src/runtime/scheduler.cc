@@ -29,7 +29,6 @@ void ShardScheduler::Gate::Lock() {
 
 ShardScheduler::ShardScheduler(Options options) : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  if (options_.manual) options_.workers = 0;
   options_.workers = std::min(options_.workers, options_.num_shards);
 
   num_shards_ = options_.num_shards;
@@ -37,10 +36,6 @@ ShardScheduler::ShardScheduler(Options options) : options_(options) {
   for (size_t i = 0; i < num_shards_; ++i) {
     shards_[i].channel =
         std::make_unique<MpscQueue<Task>>(options_.channel_capacity);
-    if (options_.read_cache_slots > 0) {
-      shards_[i].cache =
-          std::make_unique<ShardReadCache>(options_.read_cache_slots);
-    }
   }
 
   // Owner notification is worth a futex syscall only when another core
@@ -67,30 +62,28 @@ ShardScheduler::~ShardScheduler() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
-  // Leftover tasks (Post with no pump) still run, on the caller's thread:
-  // destruction must not strand a queued completion.
-  PumpAll();
+  // Every entry point joins on its own tasks before returning, so nothing
+  // can still be queued once the callers are gone.
+  for (size_t i = 0; i < num_shards_; ++i) {
+    assert(shards_[i].channel->EmptyApprox());
+  }
 }
 
 void ShardScheduler::RunTask(size_t shard, Task& task) {
-  Shard& sh = shards_[shard];
   const ShardToken token = Token(shard);
   // The task boundary: RunTask is only reached by the thread holding this
   // shard's gate inside a drain loop, so the body executes with the
   // shard-context capability. The assert makes that visible to Clang's
-  // thread-safety analysis for the bracket code below; the task body
-  // itself (a lambda, analyzed separately) re-asserts from its token.
+  // thread-safety analysis for the code below; the task body itself (a
+  // lambda, analyzed separately) re-asserts from its token.
   AssertShardContext(token);
   if (task.mutates) {
     // relaxed: the epoch probe is conservative-not-lossy (sampled before
-    // serving); the seqlock WriteBegin below is the publishing fence.
+    // serving); the gate's release and acquire order this increment before
+    // any later serve of this shard (DESIGN.md §11).
     mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-    sh.version.WriteBegin();
-    task.fn(token);
-    sh.version.WriteEnd();
-  } else {
-    task.fn(token);
   }
+  task.fn(token);
   // relaxed: monotonic stats counter, read only by Stats() reporting.
   tasks_by_kind_[static_cast<size_t>(task.kind)].fetch_add(
       1, std::memory_order_relaxed);
@@ -129,9 +122,7 @@ void ShardScheduler::DrainAndUnlock(size_t shard,
 void ShardScheduler::PushWithBackpressure(size_t shard, Task task) {
   Shard& sh = shards_[shard];
   while (!sh.channel->TryPush(std::move(task))) {
-    if (options_.manual) {
-      PumpShard(shard);
-    } else if (sh.gate.TryLock()) {
+    if (sh.gate.TryLock()) {
       DrainLocked(shard, &inline_tasks_);
       DrainAndUnlock(shard, &inline_tasks_);
     } else {
@@ -153,16 +144,6 @@ void ShardScheduler::Execute(size_t shard, TaskKind kind, bool mutates,
                              const std::function<void(const ShardToken&)>& fn) {
   assert(shard < num_shards_);
   Shard& sh = shards_[shard];
-
-  if (options_.manual) {
-    // Deterministic synchronous step: queue behind whatever is already
-    // pending, then pump this shard to completion. No atomic is contended
-    // (manual mode is single-threaded by contract).
-    Task task{kind, mutates, [&fn](const ShardToken& token) { fn(token); }};
-    PushWithBackpressure(shard, std::move(task));
-    PumpShard(shard);
-    return;
-  }
 
   // Fast path (flat combining): win the gate while the channel is empty
   // and run inline — the common uncontended case costs one CAS each way,
@@ -198,77 +179,66 @@ void ShardScheduler::Execute(size_t shard, TaskKind kind, bool mutates,
   }
 }
 
-void ShardScheduler::Post(size_t shard, TaskKind kind, bool mutates,
-                          std::function<void(const ShardToken&)> fn) {
-  assert(shard < num_shards_);
-  PushWithBackpressure(shard, Task{kind, mutates, std::move(fn)});
-  if (options_.manual) return;  // runs at the next explicit Pump step
-  if (!workers_.empty()) {
-    WakeOwner(shard);
-  } else if (shards_[shard].gate.TryLock()) {
-    DrainLocked(shard, &inline_tasks_);
-    DrainAndUnlock(shard, &inline_tasks_);
-  }
-  // else: the current gate holder's drain-then-release invariant covers it.
-}
+void ShardScheduler::ExecuteBatchIndexed(
+    const std::vector<size_t>& shards, TaskKind kind, bool mutates,
+    const std::function<void(const ShardToken&, size_t)>& fn) {
+  if (shards.empty()) return;
 
-void ShardScheduler::ExecuteBatch(std::vector<BatchItem> items) {
-  if (items.empty()) return;
-
-  if (options_.manual) {
-    for (BatchItem& item : items) {
-      assert(item.shard < num_shards_);
-      PushWithBackpressure(item.shard,
-                           Task{item.kind, item.mutates, std::move(item.fn)});
-    }
-    PumpAll();
-    return;
-  }
-
-  if (!parallel_) {
-    // One hardware thread: an owner can only run when we yield the core,
-    // so fanning out through the channels buys no overlap and pays a
-    // wrapper closure, two shared counters and a join scan per round.
-    // Run each item inline behind its gate instead, deferring only the
-    // shards whose gate a concurrent holder owns (that holder's
-    // drain-then-release makes the deferred task run promptly).
-    std::vector<BatchItem> contended;
-    for (BatchItem& item : items) {
-      assert(item.shard < num_shards_);
-      Shard& sh = shards_[item.shard];
-      if (!sh.gate.TryLock()) {
-        contended.push_back(std::move(item));
+  std::vector<size_t> queued;  // indices into `shards`
+  if (parallel_) {
+    queued.resize(shards.size());
+    for (size_t i = 0; i < shards.size(); ++i) queued[i] = i;
+  } else {
+    // One hardware thread (or no owners): an owner can only run when we
+    // yield the core, so fanning out through the channels buys no overlap
+    // and pays a wrapper closure, two shared counters and a join scan per
+    // round. Run each item inline behind its gate instead, deferring only
+    // the shards whose gate a concurrent holder owns (that holder's
+    // drain-then-release makes the deferred task run promptly). The Task
+    // built here wraps (&fn, i), which std::function stores in place.
+    for (size_t i = 0; i < shards.size(); ++i) {
+      const size_t shard = shards[i];
+      assert(shard < num_shards_);
+      if (!shards_[shard].gate.TryLock()) {
+        queued.push_back(i);
         continue;
       }
-      DrainLocked(item.shard, &inline_tasks_);
-      Task task{item.kind, item.mutates, std::move(item.fn)};
-      RunTask(item.shard, task);
+      DrainLocked(shard, &inline_tasks_);
+      Task task{kind, mutates,
+                [&fn, i](const ShardToken& token) { fn(token, i); }};
+      RunTask(shard, task);
       // relaxed: monotonic stats counter, read only by Stats() reporting.
       inline_tasks_.fetch_add(1, std::memory_order_relaxed);
-      DrainAndUnlock(item.shard, &inline_tasks_);
+      DrainAndUnlock(shard, &inline_tasks_);
     }
-    if (contended.empty()) return;
-    items = std::move(contended);  // stragglers take the fan-out/join path
+    if (queued.empty()) return;
   }
+  ExecuteBatch(shards, queued, kind, mutates, fn);
+}
 
-  auto remaining = std::make_shared<std::atomic<size_t>>(items.size());
+void ShardScheduler::ExecuteBatch(
+    const std::vector<size_t>& shards, const std::vector<size_t>& queued,
+    TaskKind kind, bool mutates,
+    const std::function<void(const ShardToken&, size_t)>& fn) {
+  auto remaining = std::make_shared<std::atomic<size_t>>(queued.size());
   auto done = std::make_shared<std::atomic<uint32_t>>(0);
 
   std::vector<size_t> involved;
-  involved.reserve(items.size());
-  for (BatchItem& item : items) {
-    assert(item.shard < num_shards_);
-    involved.push_back(item.shard);
-    Task task{item.kind, item.mutates,
-              [fn = std::move(item.fn), remaining, done](
-                  const ShardToken& token) {
-                fn(token);
+  involved.reserve(queued.size());
+  for (size_t i : queued) {
+    assert(shards[i] < num_shards_);
+    involved.push_back(shards[i]);
+    // The wrapper borrows `fn`; the join below waits for every execution,
+    // so the reference outlives them all.
+    Task task{kind, mutates,
+              [&fn, i, remaining, done](const ShardToken& token) {
+                fn(token, i);
                 if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
                   done->store(1, std::memory_order_release);
                   done->notify_all();
                 }
               }};
-    PushWithBackpressure(item.shard, std::move(task));
+    PushWithBackpressure(shards[i], std::move(task));
   }
   std::sort(involved.begin(), involved.end());
   involved.erase(std::unique(involved.begin(), involved.end()),
@@ -305,69 +275,11 @@ void ShardScheduler::ExecuteBatch(std::vector<BatchItem> items) {
   }
 }
 
-void ShardScheduler::ExecuteBatchIndexed(
-    const std::vector<size_t>& shards, TaskKind kind, bool mutates,
-    const std::function<void(const ShardToken&, size_t)>& fn) {
-  if (shards.empty()) return;
-
-  std::vector<BatchItem> queued;
-  if (!parallel_ && !options_.manual) {
-    // Same inline discipline as ExecuteBatch's single-hardware-thread
-    // path, minus any per-item closure: the Task built here wraps
-    // (&fn, i), which std::function stores in place.
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const size_t shard = shards[i];
-      assert(shard < num_shards_);
-      Shard& sh = shards_[shard];
-      if (!sh.gate.TryLock()) {
-        queued.push_back(BatchItem{
-            shard, kind, mutates,
-            [&fn, i](const ShardToken& token) { fn(token, i); }});
-        continue;
-      }
-      DrainLocked(shard, &inline_tasks_);
-      Task task{kind, mutates,
-                [&fn, i](const ShardToken& token) { fn(token, i); }};
-      RunTask(shard, task);
-      // relaxed: monotonic stats counter, read only by Stats() reporting.
-      inline_tasks_.fetch_add(1, std::memory_order_relaxed);
-      DrainAndUnlock(shard, &inline_tasks_);
-    }
-    if (queued.empty()) return;
-  } else {
-    queued.reserve(shards.size());
-    for (size_t i = 0; i < shards.size(); ++i) {
-      assert(shards[i] < num_shards_);
-      queued.push_back(BatchItem{
-          shards[i], kind, mutates,
-          [&fn, i](const ShardToken& token) { fn(token, i); }});
-    }
-  }
-  // The wrappers borrow `fn`; ExecuteBatch joins before returning, so the
-  // reference outlives every execution.
-  ExecuteBatch(std::move(queued));
-}
-
 void ShardScheduler::ExecuteExclusive(
     bool mutates, const std::function<void(const ExclusiveToken&)>& fn) {
   // relaxed: monotonic stats counter, read only by Stats() reporting.
   exclusive_barriers_.fetch_add(1, std::memory_order_relaxed);
   const ExclusiveToken token;
-
-  if (options_.manual) {
-    PumpAll();  // queued work is ordered before the barrier
-    if (mutates) {
-      // relaxed: epoch probe is conservative-not-lossy; WriteBegin below
-      // is the publishing fence.
-      mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t i = 0; i < num_shards_; ++i) shards_[i].version.WriteBegin();
-    }
-    fn(token);
-    if (mutates) {
-      for (size_t i = 0; i < num_shards_; ++i) shards_[i].version.WriteEnd();
-    }
-    return;
-  }
 
   // Ascending blocking acquisition is the one place gates are held in
   // bulk; every other holder owns exactly one gate and never blocks on a
@@ -377,46 +289,15 @@ void ShardScheduler::ExecuteExclusive(
     DrainLocked(i, &inline_tasks_);
   }
   if (mutates) {
-    // relaxed: epoch probe is conservative-not-lossy; WriteBegin below is
-    // the publishing fence.
+    // relaxed: epoch probe is conservative-not-lossy; every gate's release
+    // and acquire order this increment before any later serve (DESIGN.md
+    // §11).
     mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < num_shards_; ++i) shards_[i].version.WriteBegin();
   }
   fn(token);
-  if (mutates) {
-    for (size_t i = 0; i < num_shards_; ++i) shards_[i].version.WriteEnd();
-  }
   for (size_t i = num_shards_; i-- > 0;) {
     DrainAndUnlock(i, &inline_tasks_);
   }
-}
-
-size_t ShardScheduler::PumpShard(size_t shard) {
-  assert(shard < num_shards_);
-  Shard& sh = shards_[shard];
-  size_t ran = 0;
-  while (!sh.channel->EmptyApprox()) {
-    if (!sh.gate.TryLock()) break;  // concurrent holder is draining
-    ran += DrainLocked(shard, &inline_tasks_);
-    DrainAndUnlock(shard, &inline_tasks_);
-  }
-  return ran;
-}
-
-size_t ShardScheduler::PumpAll() {
-  size_t total = 0;
-  for (;;) {
-    size_t sweep = 0;
-    for (size_t i = 0; i < num_shards_; ++i) sweep += PumpShard(i);
-    total += sweep;
-    if (sweep == 0) return total;  // a full quiet sweep: nothing queued
-  }
-}
-
-void ShardScheduler::WakeOwner(size_t shard) {
-  WorkerState& owner = *workers_[OwnerOf(shard)];
-  owner.signal.fetch_add(1, std::memory_order_release);
-  owner.signal.notify_one();
 }
 
 void ShardScheduler::WorkerLoop(size_t worker_index) {

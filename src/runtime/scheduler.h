@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "runtime/mpsc_queue.h"
-#include "runtime/optimistic_lock.h"
-#include "runtime/read_cache.h"
 #include "runtime/task.h"
 
 namespace epidemic::runtime {
@@ -64,19 +62,16 @@ struct SchedulerStats {
 ///   they win the gate (flat combining).
 /// - workers == 0: callers do all the work inline behind the gates —
 ///   semantically the striped-lock configuration, minus lock convoys.
-/// - manual: no threads are ever created and nothing parks; work is
-///   queued with Post/Execute and run by explicit PumpAll/PumpShard
-///   steps in ascending shard order. This is the deterministic pump the
-///   model checker (src/check) drives — same scheduler code, zero
-///   entropy, zero wall clocks.
+///   Driven from one thread, this mode creates no thread, never parks,
+///   and runs every task on the caller's thread before the call returns,
+///   in call order (a batch in the order of its shard list). That is the
+///   deterministic schedule the model checker (src/check) drives — the
+///   daemon's scheduler code, zero entropy, zero wall clocks.
 ///
-/// Tasks must not re-enter the scheduler (no Execute/ExecuteBatch/
+/// Tasks must not re-enter the scheduler (no Execute/ExecuteBatchIndexed/
 /// ExecuteExclusive from inside a task): the caller may already hold the
 /// task's gate, and nested acquisition would deadlock. Enforced statically
 /// by epilint_ast's `scheduler-reentry` rule (tools/epilint_ast.py).
-///
-/// Mutating tasks are bracketed by the shard's OptimisticVersion, which
-/// invalidates the lock-free read path (read_cache.h) in one increment.
 class ShardScheduler {
  public:
   struct Options {
@@ -84,12 +79,8 @@ class ShardScheduler {
     /// Owner threads. 0 = inline mode (callers drain behind the gates).
     /// Clamped to num_shards.
     size_t workers = 0;
-    /// Deterministic mode: no threads, no parking; run via PumpAll.
-    bool manual = false;
     /// Per-shard channel capacity (rounded up to a power of two).
     size_t channel_capacity = 256;
-    /// Per-shard optimistic read-cache slots (0 disables the cache).
-    size_t read_cache_slots = 256;
   };
 
   explicit ShardScheduler(Options options);
@@ -100,39 +91,20 @@ class ShardScheduler {
 
   size_t num_shards() const { return num_shards_; }
   size_t num_workers() const { return workers_.size(); }
-  bool manual() const { return options_.manual; }
 
   /// Runs `fn` inside shard `shard`'s single-writer section and returns
   /// after it executed. Fast path: win the gate, drain, run inline. Slow
-  /// path: enqueue and either help drain or park until the holder runs
-  /// it. In manual mode this pumps the shard synchronously (deterministic).
+  /// path: enqueue and either help drain or park until the holder runs it.
   void Execute(size_t shard, TaskKind kind, bool mutates,
                const std::function<void(const ShardToken&)>& fn);
 
-  /// Queues `fn` without waiting for it. In manual mode the task stays
-  /// queued until the next Pump step; otherwise the owner (or the next
-  /// gate holder) runs it.
-  void Post(size_t shard, TaskKind kind, bool mutates,
-            std::function<void(const ShardToken&)> fn);
-
-  /// Fan-out/join: enqueues every item to its shard's channel, wakes the
-  /// owners once, helps drain, and returns when all items have executed.
-  /// One anti-entropy round is S tasks, not S lock acquisitions.
-  struct BatchItem {
-    size_t shard = 0;
-    TaskKind kind = TaskKind::kOther;
-    bool mutates = false;
-    std::function<void(const ShardToken&)> fn;
-  };
-  void ExecuteBatch(std::vector<BatchItem> items);
-
-  /// Indexed fan-out/join: runs `fn(token, i)` inside `shards[i]`'s
-  /// single-writer section for every i, with one kind/mutates for the
-  /// whole batch. Semantically ExecuteBatch over per-item closures, but
-  /// the anti-entropy hot loop builds no closure per segment: on the
-  /// single-hardware-thread inline path it allocates nothing at all, and
-  /// the queued paths wrap only (&fn, i) — small enough for std::function
-  /// to store in place.
+  /// Fan-out/join: runs `fn(token, i)` inside `shards[i]`'s single-writer
+  /// section for every i, with one kind/mutates for the whole batch, and
+  /// returns when every item has executed. One anti-entropy round is S
+  /// tasks, not S lock acquisitions. Without owner threads (or on one
+  /// hardware thread) each item runs inline behind its gate, in list
+  /// order, and allocates nothing; with them the items fan out through
+  /// the channels and the caller joins.
   void ExecuteBatchIndexed(
       const std::vector<size_t>& shards, TaskKind kind, bool mutates,
       const std::function<void(const ShardToken&, size_t)>& fn);
@@ -146,30 +118,6 @@ class ShardScheduler {
   /// methods); use sparingly (stats, snapshots, reset).
   void ExecuteExclusive(bool mutates,
                         const std::function<void(const ExclusiveToken&)>& fn);
-
-  /// Deterministic step functions (any mode, required for manual mode):
-  /// run queued tasks shard-by-shard in ascending order until a full
-  /// sweep finds every channel empty. Returns tasks executed.
-  size_t PumpAll();
-  size_t PumpShard(size_t shard);
-
-  /// Optimistic read support. Readers sample, read published data, then
-  /// validate; see read_cache.h for the staleness discipline.
-  uint64_t ReadVersion(size_t shard) const {
-    return shards_[shard].version.ReadBegin();
-  }
-  bool ValidateVersion(size_t shard, uint64_t sample) const {
-    return shards_[shard].version.Validate(sample);
-  }
-  /// nullptr when the cache is disabled.
-  ShardReadCache* read_cache(size_t shard) const {
-    return shards_[shard].cache.get();
-  }
-  /// Current (even outside mutation brackets) version for stamping cache
-  /// publishes; requires the caller to be inside the shard's section.
-  uint64_t CurrentVersion(const ShardToken& token) const {
-    return shards_[token.shard()].version.Current();
-  }
 
   /// Global mutation epoch: incremented by every mutating task (and every
   /// mutating exclusive barrier) before its effects publish. Since shard
@@ -212,8 +160,6 @@ class ShardScheduler {
   struct Shard {
     Gate gate;
     std::unique_ptr<MpscQueue<Task>> channel;
-    OptimisticVersion version;
-    std::unique_ptr<ShardReadCache> cache;
     /// Peak channel depth observed at push time (relaxed max).
     std::atomic<uint64_t> depth_peak{0};
   };
@@ -245,8 +191,15 @@ class ShardScheduler {
   /// gate is free) or parks until the consumer makes space.
   void PushWithBackpressure(size_t shard, Task task);
 
+  /// The queued join behind ExecuteBatchIndexed: pushes `fn(token, i)`
+  /// for every i in `queued` to shards[i]'s channel, wakes each involved
+  /// owner once, helps drain, and returns when all of them have executed.
+  void ExecuteBatch(const std::vector<size_t>& shards,
+                    const std::vector<size_t>& queued, TaskKind kind,
+                    bool mutates,
+                    const std::function<void(const ShardToken&, size_t)>& fn);
+
   void RunTask(size_t shard, Task& task);
-  void WakeOwner(size_t shard);
   void WorkerLoop(size_t worker_index);
 
   Options options_;

@@ -17,7 +17,7 @@ enum class TaskKind : uint8_t {
   kAccept = 2,       // anti-entropy accept: apply a peer's segment
   kSnapshot = 3,     // DBVV/checkpoint/scan snapshot work
   kStats = 4,        // stats aggregation or reset
-  kRead = 5,         // read task (optimistic fast path missed)
+  kRead = 5,         // client read
   kOther = 6,
 };
 inline constexpr size_t kNumTaskKinds = 7;
@@ -88,8 +88,8 @@ inline void AssertShardContext(const ExclusiveToken& token)
 /// A unit of shard work queued on the owner's channel.
 struct Task {
   TaskKind kind = TaskKind::kOther;
-  /// Mutating tasks are bracketed by the shard's OptimisticVersion
-  /// (WriteBegin/WriteEnd), which invalidates optimistic readers.
+  /// Mutating tasks bump the scheduler's mutation epoch before they run
+  /// (ShardScheduler::MutationEpoch).
   bool mutates = false;
   std::function<void(const ShardToken&)> fn;
 };

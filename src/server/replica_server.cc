@@ -17,7 +17,6 @@ using net::ClientUpdateRequest;
 using net::Message;
 using runtime::AssertShardContext;
 using runtime::ExclusiveToken;
-using runtime::ShardReadCache;
 using runtime::ShardToken;
 using runtime::TaskKind;
 
@@ -38,19 +37,11 @@ Result<std::string> ReplyToResult(const ClientReply& reply) {
   return Status(static_cast<StatusCode>(reply.code), reply.payload);
 }
 
-Status NotFoundFor(std::string_view item) {
-  // Must match Replica::Read's wording: optimistic hits on absent items
-  // return exactly what the task path would have.
-  return Status::NotFound("no item named '" + std::string(item) + "'");
-}
-
 runtime::ShardScheduler::Options SchedulerOptions(size_t num_shards,
-                                                  size_t workers,
-                                                  size_t read_cache_slots) {
+                                                  size_t workers) {
   runtime::ShardScheduler::Options opts;
   opts.num_shards = num_shards;
   opts.workers = workers;
-  opts.read_cache_slots = read_cache_slots;
   return opts;
 }
 
@@ -63,8 +54,8 @@ ReplicaServer::ReplicaServer(NodeId id, size_t num_nodes,
       options_(std::move(options)),
       memory_(std::make_unique<ShardedReplica>(
           id, num_nodes, options_.num_shards, &listener_)) {
-  sched_ = std::make_unique<runtime::ShardScheduler>(SchedulerOptions(
-      memory_->num_shards(), options_.ae_workers, options_.read_cache_slots));
+  sched_ = std::make_unique<runtime::ShardScheduler>(
+      SchedulerOptions(memory_->num_shards(), options_.ae_workers));
   InitShardList();
   peer_epoch_count_ = num_nodes;
   peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
@@ -76,8 +67,8 @@ ReplicaServer::ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
       transport_(transport),
       options_(std::move(options)),
       durable_(std::move(durable)) {
-  sched_ = std::make_unique<runtime::ShardScheduler>(SchedulerOptions(
-      durable_->num_shards(), options_.ae_workers, options_.read_cache_slots));
+  sched_ = std::make_unique<runtime::ShardScheduler>(
+      SchedulerOptions(durable_->num_shards(), options_.ae_workers));
   InitShardList();
   peer_epoch_count_ = durable_->view().num_nodes();
   peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
@@ -465,38 +456,11 @@ Status ReplicaServer::Delete(std::string_view item) {
 
 Result<std::string> ReplicaServer::Read(std::string_view item) {
   const size_t k = sharded().ShardOf(item);
-
-  // Optimistic lock-free path: a version sample, a cache probe, and a
-  // re-validation — no gate, no task, no queue. Any mutating task on the
-  // shard bumps the version and sends us to the fallback below.
-  ShardReadCache* cache = sched_->read_cache(k);
-  if (cache != nullptr) {
-    const uint64_t sample = sched_->ReadVersion(k);
-    std::string value;
-    const ShardReadCache::Outcome outcome = cache->Lookup(item, sample, &value);
-    if (outcome != ShardReadCache::Outcome::kMiss &&
-        sched_->ValidateVersion(k, sample)) {
-      // relaxed: monotonic stats counter, read only for reporting.
-      optimistic_read_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (outcome == ShardReadCache::Outcome::kAbsent) return NotFoundFor(item);
-      return value;
-    }
-  }
-
-  // Fallback: read inside the shard's section and publish the result for
-  // the next optimistic reader at the version current while we hold it.
   Result<std::string> result = Status::Internal("read task did not run");
   sched_->Execute(k, TaskKind::kRead, /*mutates=*/false,
-                  [this, item, cache, &result](const ShardToken& token) {
+                  [this, item, &result](const ShardToken& token) {
                     AssertShardContext(token);
                     result = sharded().Read(item);
-                    if (cache == nullptr) return;
-                    const uint64_t version = sched_->CurrentVersion(token);
-                    if (result.ok()) {
-                      cache->Publish(item, *result, /*absent=*/false, version);
-                    } else if (result.status().IsNotFound()) {
-                      cache->Publish(item, {}, /*absent=*/true, version);
-                    }
                   });
   return result;
 }
@@ -542,17 +506,14 @@ std::vector<std::pair<std::string, std::string>> ReplicaServer::Scan(
 void ReplicaServer::AppendSchedulerSummary(std::string* out,
                                            bool reset) const {
   const runtime::SchedulerStats s = sched_->Stats(reset);
-  // relaxed: monotonic stats counter folded into a report; a hit racing the
-  // read lands in this report or the next, both acceptable.
-  const uint64_t opt_read_hits =
-      reset ? optimistic_read_hits_.exchange(0, std::memory_order_relaxed)
-            : optimistic_read_hits_.load(std::memory_order_relaxed);
+  // Every read is a shard task, so opt_read_hits is always 0. The key is
+  // kept only because perfbench/src/cluster.cc parses it.
   out->append("\nsched: tasks=" + std::to_string(s.TotalTasks()) +
               " inline=" + std::to_string(s.inline_tasks) +
               " fast_path=" + std::to_string(s.fast_path_runs) +
               " barriers=" + std::to_string(s.exclusive_barriers) +
               " queue_peak=" + std::to_string(s.queue_depth_peak) +
-              " opt_read_hits=" + std::to_string(opt_read_hits));
+              " opt_read_hits=0");
   for (size_t w = 0; w < s.workers.size(); ++w) {
     out->append(" w" + std::to_string(w) + "=" +
                 std::to_string(s.workers[w].tasks_executed) + "/" +
@@ -604,11 +565,6 @@ ReplicaStats ReplicaServer::TotalStats() {
         AssertShardContext(token);
         total = rep.TotalStats();
       });
-  // Optimistic read hits never entered a shard section, so the per-shard
-  // counters cannot have seen them.
-  // relaxed: monotonic stats counter folded into a report; a hit racing
-  // the load lands in this report or the next, both acceptable.
-  total.reads += optimistic_read_hits_.load(std::memory_order_relaxed);
   return total;
 }
 

@@ -59,16 +59,15 @@ class LockedConflictListener : public ConflictListener {
 /// shard is pinned to one owner and all access to it runs as tasks inside
 /// its single-writer section; the `runtime::ShardToken` a task receives is
 /// the REQUIRES-style capability proving it. User operations and
-/// single-shard protocol steps are one task on one shard; a sharded
-/// anti-entropy exchange fans S tasks out to the owners and joins
-/// (ExecuteBatch) instead of taking S locks; whole-database operations
-/// (stats, WithReplica) run under the scheduler's cross-shard barrier
-/// (ExecuteExclusive), which replaced the old AllShardsLock — and with it
-/// the codebase's last NO_THREAD_SAFETY_ANALYSIS escape. Reads go through
-/// a lock-free optimistic path (seqlock version + per-shard read cache)
-/// and fall back to a task only on miss or version churn. No shard is ever
-/// held across a transport call, so two servers pulling from each other
-/// cannot deadlock.
+/// single-shard protocol steps, reads included, are one task on one
+/// shard; a sharded anti-entropy exchange fans S tasks out to the owners
+/// and joins (ExecuteBatchIndexed) instead of taking S locks;
+/// whole-database operations (stats, WithReplica) run under the
+/// scheduler's cross-shard barrier (ExecuteExclusive), which replaced the
+/// old AllShardsLock — and with it the codebase's last
+/// NO_THREAD_SAFETY_ANALYSIS escape. No shard is ever held across a
+/// transport call, so two servers pulling from each other cannot
+/// deadlock.
 class ReplicaServer : public net::RequestHandler {
  public:
   struct Options {
@@ -89,10 +88,6 @@ class ReplicaServer : public net::RequestHandler {
     /// every task inline behind the per-shard gates (still correct, no
     /// extra threads).
     size_t ae_workers = 0;
-
-    /// Per-shard optimistic read-cache slots (0 disables the lock-free
-    /// read path; reads then always run as shard tasks).
-    size_t read_cache_slots = 256;
   };
 
   /// In-memory server. `transport` must outlive the server.
@@ -153,8 +148,8 @@ class ReplicaServer : public net::RequestHandler {
   std::string Stats(bool reset = false);
 
   /// Atomic read of the aggregated protocol counters (taken under the
-  /// cross-shard barrier), optimistic read hits included in `reads`.
-  /// Scheduler, transport and serve-cache counters are in Stats().
+  /// cross-shard barrier). Scheduler, transport and serve-cache counters
+  /// are in Stats().
   ReplicaStats TotalStats();
 
   /// One anti-entropy exchange pulling from `peer` over the transport —
@@ -254,9 +249,8 @@ class ReplicaServer : public net::RequestHandler {
       uint32_t num_shards,
       const std::vector<wire::ShardedSegmentView>& segments);
 
-  /// Appends the scheduler/optimistic-read health line to a stats
-  /// summary, optionally resetting the underlying counters in the same
-  /// pass.
+  /// Appends the scheduler health line to a stats summary, optionally
+  /// resetting the underlying counters in the same pass.
   void AppendSchedulerSummary(std::string* out, bool reset) const;
 
   /// Appends the transport + serve-cache lines ("net: ...",
@@ -284,10 +278,6 @@ class ReplicaServer : public net::RequestHandler {
   /// is destroyed (and drained) first — tasks capture `sharded()`.
   std::unique_ptr<runtime::ShardScheduler> sched_;
   std::vector<size_t> all_shards_;
-
-  /// Reads served lock-free from the optimistic cache (never entered a
-  /// shard section). Folded into TotalStats().reads.
-  mutable std::atomic<uint64_t> optimistic_read_hits_{0};
 
   /// Recycles reply pieces and receive buffers across exchanges
   /// (internally synchronized; shared by all shard tasks).

@@ -57,16 +57,23 @@ TEST(EpicheckTest, SmallExplorationIsClean) {
 }
 
 // The sharded core must pass the same bar, through the wire-v3 segments
-// (delta-encoded IVVs, zero-copy decode — tags 17/18).
+// (delta-encoded IVVs, zero-copy decode — tags 17/18) and the daemon's
+// inline scheduler. This is the M1 sharded reference row
+// (EXPERIMENTS.md): its counts are pinned, because a change to the
+// scheduler or the exchange that alters the explored state space must
+// show up here, not pass as "still clean".
 TEST(EpicheckTest, ShardedExplorationIsClean) {
   CheckerConfig config;
   config.world.num_nodes = 2;
   config.world.num_items = 2;
   config.world.num_shards = 2;
-  config.max_depth = 4;
+  config.max_depth = 6;
   CheckReport report = RunCheck(config);
   EXPECT_FALSE(report.violation.has_value())
       << report.violation->description;
+  EXPECT_EQ(report.states_explored, 2669u);
+  EXPECT_EQ(report.transitions, 10374u);
+  EXPECT_EQ(report.dedup_hits, 7706u);
 }
 
 // The healthy-schedule fixtures replay with zero violations.

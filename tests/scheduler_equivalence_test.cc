@@ -2,12 +2,11 @@
 // change, not a semantic one. The same deterministic action sequence is
 // applied to a bare ShardedReplica (the pre-runtime baseline) and to a
 // ReplicaServer running the sequence as scheduler tasks; the resulting
-// CanonicalState must be byte-identical — at S=1, at S=16 with inline
-// gates (workers=0, the old striped configuration), and at S=16 with
-// owner worker threads. Read results are compared op-by-op too, which
-// pins the optimistic read path to the authoritative map, and so are the
-// bytes of one full sharded serve: the one serve path must produce the
-// same frame in every scheduler mode.
+// CanonicalState must be byte-identical — at S=1 and S=16, each with
+// inline gates (workers=0, the old striped configuration) and with owner
+// worker threads (workers=2). Read results are compared op-by-op too, and
+// so are the bytes of one full sharded serve: the one serve path must
+// produce the same frame in every scheduler mode.
 
 #include <gtest/gtest.h>
 
@@ -85,19 +84,17 @@ std::string RunBaseline(const std::vector<Op>& ops, size_t num_shards,
   return replica.CanonicalState();
 }
 
-/// Runs the same workload through a ReplicaServer (every op a scheduler
-/// task; reads take the optimistic path when they can), then serves one
-/// fixed full handshake — a requester holding nothing — into `serve_reply`.
+/// Runs the same workload through a ReplicaServer (every op, reads
+/// included, a scheduler task), then serves one fixed full handshake — a
+/// requester holding nothing — into `serve_reply`.
 std::string RunServer(const std::vector<Op>& ops, size_t num_shards,
-                      size_t workers, size_t read_cache_slots,
-                      std::vector<std::string>* reads,
+                      size_t workers, std::vector<std::string>* reads,
                       std::string* serve_reply) {
   net::InProcHub hub(kNumNodes);
   net::InProcTransport transport(&hub);
   ReplicaServer::Options options;
   options.num_shards = num_shards;
   options.ae_workers = workers;
-  options.read_cache_slots = read_cache_slots;
   ReplicaServer server(/*id=*/0, kNumNodes, &transport, options);
 
   for (const Op& op : ops) {
@@ -113,13 +110,6 @@ std::string RunServer(const std::vector<Op>& ops, size_t num_shards,
       case OpKind::kRead: {
         Result<std::string> r = server.Read(op.key);
         reads->push_back(r.ok() ? *r : "");
-        // Re-read immediately: the second read often hits the optimistic
-        // cache, and must agree with the task-path read either way.
-        Result<std::string> again = server.Read(op.key);
-        EXPECT_EQ(again.ok(), r.ok()) << op.key;
-        if (r.ok() && again.ok()) {
-          EXPECT_EQ(*again, *r) << op.key;
-        }
         break;
       }
     }
@@ -148,21 +138,19 @@ TEST_P(SchedulerEquivalenceTest, ServerMatchesBareCoreAcrossConfigs) {
 
   struct Config {
     size_t workers;
-    size_t cache_slots;
     const char* label;
   };
   const Config configs[] = {
-      {0, 0, "inline gates, no read cache (striped-equivalent)"},
-      {0, 256, "inline gates, optimistic reads"},
-      {2, 256, "owner workers, optimistic reads"},
+      {0, "inline gates (striped-equivalent)"},
+      {2, "owner workers"},
   };
   std::string first_reply;
   for (const Config& config : configs) {
     std::vector<std::string> server_reads;
     std::string serve_reply;
     const std::string state =
-        RunServer(ops, num_shards, config.workers, config.cache_slots,
-                  &server_reads, &serve_reply);
+        RunServer(ops, num_shards, config.workers, &server_reads,
+                  &serve_reply);
     EXPECT_EQ(state, baseline) << config.label;
     EXPECT_EQ(server_reads, baseline_reads) << config.label;
     if (first_reply.empty()) {

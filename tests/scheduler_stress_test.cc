@@ -1,14 +1,13 @@
 // Concurrency stress for the shard-ownership runtime (runtime/scheduler.h),
-// aimed squarely at the TSAN CI leg: writers, optimistic readers, batch
-// fan-outs, and cross-shard barriers all race on the same scheduler while
-// every read asserts it saw no torn value.
+// aimed squarely at the TSAN CI leg: writers, read tasks, batch fan-outs
+// (ExecuteBatchIndexed) and cross-shard barriers all race on the same
+// scheduler while every read asserts it saw no torn value.
 //
 // The shard state here is deliberately a plain (non-atomic) map per shard —
 // exactly what the server keeps behind the scheduler. If the single-writer
 // discipline leaked anywhere (a task running outside its gate, a barrier
-// that misses a queued task, a read-cache publish racing a lookup), TSAN
-// flags the data race and the self-describing "<key>=<tag>" values catch
-// torn bytes even without TSAN.
+// that misses a queued task), TSAN flags the data race and the
+// self-describing "<key>=<tag>" values catch torn bytes even without TSAN.
 
 #include "runtime/scheduler.h"
 
@@ -62,7 +61,7 @@ TEST(SchedulerStressTest, WritersReadersBatchesAndBarriers) {
   std::vector<std::thread> threads;
 
   // Writers: every op is one kLocalUpdate task on its shard, mutating the
-  // plain map and republishing the fresh value to the optimistic cache.
+  // plain map.
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       for (int i = 0; i < kOpsPerWriter; ++i) {
@@ -71,57 +70,36 @@ TEST(SchedulerStressTest, WritersReadersBatchesAndBarriers) {
         const std::string value =
             key + "=w" + std::to_string(w) + "u" + std::to_string(i);
         sched.Execute(shard, TaskKind::kLocalUpdate, /*mutates=*/true,
-                      [&, key, value](const ShardToken& token) {
+                      [&, key, value](const ShardToken&) {
                         state[shard].items[key] = value;
                         ++state[shard].mutations;
                         total_mutations.fetch_add(1,
                                                   std::memory_order_relaxed);
-                        if (ShardReadCache* cache = sched.read_cache(shard)) {
-                          cache->Publish(key, value, /*absent=*/false,
-                                         sched.CurrentVersion(token));
-                        }
                       });
       }
     });
   }
 
-  // Optimistic readers: sample version, probe the cache, validate; fall
-  // back to a kRead task on miss (and publish so the next probe can hit).
+  // Readers: every read is one kRead task on its shard, like the server's.
   for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
+    threads.emplace_back([&] {
       uint64_t probes = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t shard = probes++ % kShards;
         const std::string key =
             key_for(shard, static_cast<int>(probes) % kKeysPerShard);
-        const uint64_t sample = sched.ReadVersion(shard);
-        ShardReadCache* cache = sched.read_cache(shard);
-        if (cache != nullptr) {
-          std::string value;
-          const auto outcome = cache->Lookup(key, sample, &value);
-          if (outcome == ShardReadCache::Outcome::kValue &&
-              sched.ValidateVersion(shard, sample)) {
-            AssertUntorn(key, value);
-            continue;
-          }
-        }
         std::string value;
         bool found = false;
         sched.Execute(shard, TaskKind::kRead, /*mutates=*/false,
-                      [&](const ShardToken& token) {
+                      [&](const ShardToken&) {
                         auto it = state[shard].items.find(key);
                         if (it != state[shard].items.end()) {
                           found = true;
                           value = it->second;
                         }
-                        if (cache != nullptr) {
-                          cache->Publish(key, value, /*absent=*/!found,
-                                         sched.CurrentVersion(token));
-                        }
                       });
         if (found) AssertUntorn(key, value);
       }
-      (void)r;
     });
   }
 
@@ -129,17 +107,15 @@ TEST(SchedulerStressTest, WritersReadersBatchesAndBarriers) {
   // anti-entropy exchange. Each round's snapshot must be internally
   // untorn and the join must not return before every task ran.
   threads.emplace_back([&] {
+    std::vector<size_t> all(kShards);
+    for (size_t shard = 0; shard < kShards; ++shard) all[shard] = shard;
     while (!stop.load(std::memory_order_relaxed)) {
       std::vector<size_t> sizes(kShards, SIZE_MAX);
-      std::vector<ShardScheduler::BatchItem> items;
-      items.reserve(kShards);
-      for (size_t shard = 0; shard < kShards; ++shard) {
-        items.push_back({shard, TaskKind::kSnapshot, /*mutates=*/false,
-                         [&, shard](const ShardToken&) {
-                           sizes[shard] = state[shard].items.size();
-                         }});
-      }
-      sched.ExecuteBatch(std::move(items));
+      sched.ExecuteBatchIndexed(all, TaskKind::kSnapshot, /*mutates=*/false,
+                                [&](const ShardToken& token, size_t i) {
+                                  ASSERT_EQ(token.shard(), all[i]);
+                                  sizes[i] = state[i].items.size();
+                                });
       for (size_t shard = 0; shard < kShards; ++shard) {
         ASSERT_NE(sizes[shard], SIZE_MAX) << "batch task never ran";
         ASSERT_LE(sizes[shard], static_cast<size_t>(kKeysPerShard));
@@ -165,82 +141,44 @@ TEST(SchedulerStressTest, WritersReadersBatchesAndBarriers) {
   stop.store(true);
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
-  // Fire-and-forget tasks queued with Post must all run by the time the
-  // next barrier drains the channels.
-  std::atomic<uint64_t> posted_ran{0};
-  for (size_t shard = 0; shard < kShards; ++shard) {
-    for (int i = 0; i < 8; ++i) {
-      sched.Post(shard, TaskKind::kOther, /*mutates=*/false,
-                 [&posted_ran](const ShardToken&) {
-                   posted_ran.fetch_add(1, std::memory_order_relaxed);
-                 });
-    }
-  }
   uint64_t final_sum = 0;
   sched.ExecuteExclusive(/*mutates=*/false, [&](const ExclusiveToken&) {
     for (const ShardState& s : state) final_sum += s.mutations;
   });
-  EXPECT_EQ(posted_ran.load(), kShards * 8u);
   EXPECT_EQ(final_sum, static_cast<uint64_t>(kWriters) * kOpsPerWriter);
   EXPECT_EQ(final_sum, total_mutations.load());
 
   const SchedulerStats stats = sched.Stats();
-  EXPECT_GE(stats.TotalTasks(),
-            final_sum + posted_ran.load());  // plus reads/batches
+  EXPECT_GE(stats.TotalTasks(), final_sum);  // plus reads/batches
   EXPECT_GT(stats.exclusive_barriers, 0u);
   EXPECT_EQ(stats.workers.size(), 2u);
   EXPECT_GE(stats.tasks_by_kind[static_cast<size_t>(TaskKind::kLocalUpdate)],
             final_sum);
 }
 
-// Mutating tasks must bracket the shard version (odd while running), so a
-// reader that sampled before a mutation can never validate across it.
-TEST(SchedulerStressTest, VersionBracketsInvalidateOptimisticReads) {
-  ShardScheduler::Options options;
-  options.num_shards = 2;
-  options.workers = 0;
-  ShardScheduler sched(options);
-
-  const uint64_t before = sched.ReadVersion(0);
-  ASSERT_NE(before, OptimisticVersion::kUnstable);
-  uint64_t inside = 0;
-  sched.Execute(0, TaskKind::kLocalUpdate, /*mutates=*/true,
-                [&](const ShardToken& token) {
-                  inside = sched.ReadVersion(token.shard());
-                });
-  EXPECT_EQ(inside, OptimisticVersion::kUnstable);  // odd mid-mutation
-  EXPECT_FALSE(sched.ValidateVersion(0, before));
-  // Non-mutating tasks leave the version alone: reads stay cacheable.
-  const uint64_t after = sched.ReadVersion(0);
-  sched.Execute(0, TaskKind::kRead, /*mutates=*/false, [](const ShardToken&) {});
-  EXPECT_TRUE(sched.ValidateVersion(0, after));
-  // The other shard's version never moved.
-  EXPECT_TRUE(sched.ValidateVersion(1, before));
-}
-
-// Manual mode is the model checker's pump: nothing runs until an explicit
-// Pump step, and PumpAll sweeps shards in ascending order — the
-// determinism contract epicheck relies on.
-TEST(SchedulerStressTest, ManualModeRunsOnlyWhenPumped) {
+// Without owner threads a batch driven from one thread runs every task on
+// the calling thread, in the order of its shard list, before it returns —
+// the determinism contract epicheck relies on.
+TEST(SchedulerStressTest, InlineBatchRunsOnCallerInListOrder) {
   ShardScheduler::Options options;
   options.num_shards = 4;
-  options.manual = true;
+  options.workers = 0;
   ShardScheduler sched(options);
-  ASSERT_TRUE(sched.manual());
   ASSERT_EQ(sched.num_workers(), 0u);
 
+  const std::vector<size_t> shards = {2, 0, 3, 1};
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> order;
-  for (size_t shard : {2, 0, 3, 1}) {
-    sched.Post(shard, TaskKind::kOther, /*mutates=*/false,
-               [&order, shard](const ShardToken& token) {
-                 ASSERT_EQ(token.shard(), shard);
-                 order.push_back(shard);
-               });
-  }
-  EXPECT_TRUE(order.empty());  // queued, not run
-  EXPECT_EQ(sched.PumpAll(), 4u);
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));  // ascending sweep
-  EXPECT_EQ(sched.PumpAll(), 0u);
+  sched.ExecuteBatchIndexed(shards, TaskKind::kOther, /*mutates=*/false,
+                            [&](const ShardToken& token, size_t i) {
+                              EXPECT_EQ(std::this_thread::get_id(), caller);
+                              EXPECT_EQ(token.shard(), shards[i]);
+                              order.push_back(token.shard());
+                            });
+  EXPECT_EQ(order, shards);
+  const SchedulerStats stats = sched.Stats();
+  EXPECT_EQ(stats.inline_tasks, shards.size());
+  EXPECT_EQ(stats.queue_depth_peak, 0u);  // nothing was ever queued
 }
 
 }  // namespace

@@ -296,8 +296,7 @@ uint64_t SummaryCounter(const std::string& summary, const std::string& line,
 }
 
 // ResetStats zeroes exactly what it reports: while readers hammer the
-// lock-free read path, every read lands in exactly one summary, counted
-// either as a shard read or as an optimistic hit.
+// server, every read lands in exactly one summary's `reads`.
 TEST(ServerStressTest, StatsResetReportsEveryRead) {
   constexpr int kReaders = 3;
   constexpr int kResets = 200;
@@ -327,8 +326,7 @@ TEST(ServerStressTest, StatsResetReportsEveryRead) {
   ReplicaClient client(&cluster.transport(), 0);
   uint64_t reported = 0;
   const auto add = [&reported](const std::string& summary) {
-    reported += SummaryCounter(summary, "stats:", "reads") +
-                SummaryCounter(summary, "sched:", "opt_read_hits");
+    reported += SummaryCounter(summary, "stats:", "reads");
   };
   for (int i = 0; i < kResets; ++i) {
     Result<std::string> summary = client.ResetStats();

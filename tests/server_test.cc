@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -475,6 +479,82 @@ TEST(ShardedServerTest, StatsResetRpcIsAtomic) {
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->find("updates=0+0aux"), std::string::npos) << *after;
   EXPECT_EQ(server.TotalStats().updates_regular, 0u);
+  hub.Register(0, nullptr);
+}
+
+/// The line of `summary` that starts with `prefix`, or "".
+std::string LineStarting(const std::string& summary,
+                         const std::string& prefix) {
+  size_t at = 0;
+  while (at < summary.size()) {
+    const size_t end = std::min(summary.find('\n', at), summary.size());
+    if (summary.compare(at, prefix.size(), prefix) == 0) {
+      return summary.substr(at, end - at);
+    }
+    at = end + 1;
+  }
+  return "";
+}
+
+/// The decimal counter after " key=" on `line`; nullopt when the key is
+/// missing or no digit follows it.
+std::optional<uint64_t> Counter(const std::string& line,
+                                const std::string& key) {
+  const std::string needle = " " + key + "=";
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  const size_t digits = at + needle.size();
+  if (digits >= line.size() || line[digits] < '0' || line[digits] > '9') {
+    return std::nullopt;
+  }
+  return std::strtoull(line.c_str() + digits, nullptr, 10);
+}
+
+// perfbench (DaemonCounters::Parse in perfbench/src/cluster.cc) reads
+// these keys from every daemon's stats reply, and a run that cannot parse
+// one fails. Pin them here, so a renamed or dropped key fails this suite
+// before it breaks the benchmark.
+TEST(ShardedServerTest, StatsCarriesEveryKeyPerfbenchParses) {
+  net::InProcHub hub(2);
+  net::InProcTransport transport(&hub);
+  ReplicaServer source(0, 2, &transport, {});
+  ReplicaServer puller(1, 2, &transport, {});
+  hub.Register(0, &source);
+  ASSERT_TRUE(source.Update("a", "1").ok());
+  ASSERT_TRUE(source.Update("b", "2").ok());
+  for (const char* item : {"a", "a", "b"}) {
+    ASSERT_TRUE(source.Read(item).ok()) << item;
+  }
+  ASSERT_TRUE(puller.PullFrom(0).ok());
+
+  const std::string summary = source.Stats();
+  EXPECT_NE(LineStarting(summary, "replica ").find(" dbvv=["),
+            std::string::npos)
+      << summary;
+  const struct {
+    const char* line;
+    std::vector<const char*> keys;
+  } expected[] = {
+      {"stats:",
+       {"updates", "reads", "prop_served", "current_replies", "items_shipped",
+        "items_adopted", "conflicts"}},
+      {"sched:", {"tasks", "fast_path", "queue_peak", "opt_read_hits"}},
+      {"net:",
+       {"calls", "opened", "reconnects", "backoff_skips", "bytes_sent",
+        "bytes_received"}},
+      {"serve_cache:", {"hits", "misses"}},
+  };
+  for (const auto& [line, keys] : expected) {
+    const std::string text = LineStarting(summary, line);
+    for (const char* key : keys) {
+      EXPECT_TRUE(Counter(text, key).has_value())
+          << line << " " << key << " missing from:\n" << summary;
+    }
+  }
+  // Every read is a shard task, so `reads` counts all three and the
+  // optimistic-hit key stays 0.
+  EXPECT_EQ(Counter(LineStarting(summary, "stats:"), "reads"), 3u);
+  EXPECT_EQ(Counter(LineStarting(summary, "sched:"), "opt_read_hits"), 0u);
   hub.Register(0, nullptr);
 }
 

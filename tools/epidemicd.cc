@@ -15,6 +15,8 @@
 // All endpoints are 127.0.0.1 (this daemon is a lab/replication endpoint,
 // not a hardened public service). Stop with SIGINT/SIGTERM.
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -32,14 +34,14 @@ volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
 struct Options {
-  int id = -1;
-  int nodes = -1;
-  int port = 0;
+  long id = -1;
+  long nodes = -1;
+  long port = 0;  // 0 = ephemeral
   long ae_interval_ms = 500;
-  int shards = 16;      // every node of a cluster must agree
-  int ae_workers = 0;   // shard-owner worker threads (0 = callers inline)
+  long shards = 16;      // every node of a cluster must agree
+  long ae_workers = 0;   // shard-owner worker threads (0 = callers inline)
   std::string data_dir;  // empty = in-memory
-  std::vector<std::pair<int, int>> peers;  // (id, port)
+  std::vector<std::pair<long, long>> peers;  // (id, port)
 };
 
 void Usage(const char* argv0) {
@@ -51,21 +53,50 @@ void Usage(const char* argv0) {
                argv0);
 }
 
+/// Parses all of `text` as a base-10 number in [min, max] into *out.
+/// Prints an error naming `what` and returns false on an empty string, a
+/// sign, a stray character or a value out of range, so a mistyped flag
+/// stops the daemon instead of running it with some other number.
+bool ParseNumber(const char* what, const char* text, long min, long max,
+                 long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || v < min ||
+      v > max) {
+    std::fprintf(stderr, "bad %s '%s' (want a number in %ld-%ld)\n", what,
+                 text, min, max);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Options* opts) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--id=", 5) == 0) {
-      opts->id = std::atoi(arg + 5);
+      if (!ParseNumber("--id", arg + 5, 0, INT_MAX, &opts->id)) return false;
     } else if (std::strncmp(arg, "--nodes=", 8) == 0) {
-      opts->nodes = std::atoi(arg + 8);
+      if (!ParseNumber("--nodes", arg + 8, 0, INT_MAX, &opts->nodes)) {
+        return false;
+      }
     } else if (std::strncmp(arg, "--port=", 7) == 0) {
-      opts->port = std::atoi(arg + 7);
+      if (!ParseNumber("--port", arg + 7, 0, 65535, &opts->port)) return false;
     } else if (std::strncmp(arg, "--ae-interval-ms=", 17) == 0) {
-      opts->ae_interval_ms = std::atol(arg + 17);
+      if (!ParseNumber("--ae-interval-ms", arg + 17, 0, LONG_MAX / 1000,
+                       &opts->ae_interval_ms)) {
+        return false;
+      }
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      opts->shards = std::atoi(arg + 9);
+      if (!ParseNumber("--shards", arg + 9, 1, INT_MAX, &opts->shards)) {
+        return false;
+      }
     } else if (std::strncmp(arg, "--ae-workers=", 13) == 0) {
-      opts->ae_workers = std::atoi(arg + 13);
+      if (!ParseNumber("--ae-workers", arg + 13, 0, INT_MAX,
+                       &opts->ae_workers)) {
+        return false;
+      }
     } else if (std::strncmp(arg, "--data-dir=", 11) == 0) {
       opts->data_dir = arg + 11;
     } else if (std::strncmp(arg, "--peer=", 7) == 0) {
@@ -75,7 +106,14 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
         std::fprintf(stderr, "bad --peer spec '%s' (want id:port)\n", spec);
         return false;
       }
-      opts->peers.emplace_back(std::atoi(spec), std::atoi(colon + 1));
+      const std::string peer_id(spec, colon);
+      long id = 0;
+      long port = 0;
+      if (!ParseNumber("--peer id", peer_id.c_str(), 0, INT_MAX, &id) ||
+          !ParseNumber("--peer port", colon + 1, 1, 65535, &port)) {
+        return false;
+      }
+      opts->peers.emplace_back(id, port);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", arg);
       return false;
@@ -83,10 +121,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   }
   if (opts->id < 0 || opts->nodes < 2 || opts->id >= opts->nodes) {
     std::fprintf(stderr, "--id and --nodes are required (id < nodes)\n");
-    return false;
-  }
-  if (opts->shards < 1 || opts->ae_workers < 0) {
-    std::fprintf(stderr, "--shards must be >= 1, --ae-workers >= 0\n");
     return false;
   }
   return true;
@@ -104,8 +138,8 @@ int main(int argc, char** argv) {
   epidemic::net::TcpTransport transport(static_cast<size_t>(opts.nodes));
   epidemic::server::ReplicaServer::Options server_opts;
   for (const auto& [peer_id, peer_port] : opts.peers) {
-    if (peer_id < 0 || peer_id >= opts.nodes || peer_id == opts.id) {
-      std::fprintf(stderr, "peer id %d out of range\n", peer_id);
+    if (peer_id >= opts.nodes || peer_id == opts.id) {
+      std::fprintf(stderr, "peer id %ld out of range\n", peer_id);
       return 2;
     }
     transport.SetPeerPort(static_cast<epidemic::NodeId>(peer_id),
@@ -130,7 +164,7 @@ int main(int argc, char** argv) {
                    durable.status().ToString().c_str());
       return 1;
     }
-    std::printf("epidemicd: recovered durable state from %s (%d shards)\n",
+    std::printf("epidemicd: recovered durable state from %s (%ld shards)\n",
                 opts.data_dir.c_str(), opts.shards);
     server = std::make_unique<epidemic::server::ReplicaServer>(
         std::move(*durable), &transport, server_opts);
@@ -143,7 +177,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   server->Start();
-  std::printf("epidemicd: node %d/%d serving on 127.0.0.1:%u, "
+  std::printf("epidemicd: node %ld/%ld serving on 127.0.0.1:%u, "
               "anti-entropy every %ld ms against %zu peer(s)\n",
               opts.id, opts.nodes, listener.port(), opts.ae_interval_ms,
               server_opts.peers.size());

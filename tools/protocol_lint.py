@@ -126,7 +126,7 @@ NONDET_PATTERNS: list[tuple[re.Pattern[str], str]] = [
 
 # Directories under src/ whose code feeds the model checker's state space
 # and therefore must be schedule-deterministic. "runtime" is here because
-# the scheduler's manual mode IS the checker's pump: a clock or entropy
+# the checker drives the daemon's inline scheduler: a clock or entropy
 # read in the task runtime would leak into every sharded exploration.
 NONDET_DIRS = ("core", "log", "vv", "sim", "runtime")
 
