@@ -2,10 +2,11 @@
 //
 // §6: the propagation message contains the shipped data items "plus a
 // constant amount of information per data item" (the IVV and one log
-// record per origin that updated it). This table encodes the actual reply
-// frame of a one-shard wire-v3 exchange (tag 18, what an epidemicd with
-// --shards=1 sends) for growing m and measures bytes/item, separating
-// metadata from payload.
+// record per origin that updated it). This table measures the reply frame
+// an `epidemicd --shards=1` sends for growing m — the bytes
+// ReplicaServer::HandleRequest returns for a cold recipient's handshake,
+// served by the daemon's exchange (server/sharded_exchange.h) — and
+// reports bytes/item, separating metadata from payload.
 //
 // Experiment W1 (DESIGN.md §10): the same accounting at 8 shards (delta
 // IVVs against the shard DBVV, indexed tails). The v3 claim is about
@@ -16,29 +17,45 @@
 #include <cstring>
 #include <string>
 
-#include "core/sharded_replica.h"
 #include "net/codec.h"
+#include "net/inproc_transport.h"
+#include "server/replica_server.h"
+#include "server/sharded_exchange.h"
 
 namespace {
 
-using epidemic::ShardedPropagationResponse;
-using epidemic::ShardedReplica;
+using epidemic::ShardedPropagationRequest;
+using epidemic::server::ReplicaServer;
 
-size_t FrameBytes(const ShardedPropagationResponse& resp) {
-  return epidemic::net::Encode(epidemic::net::Message(resp)).size();
+ReplicaServer::Options ServerOptions(size_t shards) {
+  ReplicaServer::Options options;
+  options.num_shards = shards;
+  return options;
 }
 
-// The v3 reply frame a `shards`-shard source holding m single-origin
-// updates of `value_len`-byte values sends a cold recipient, in bytes.
+// The frame `server` replies to `req` with.
+std::string ReplyFrame(ReplicaServer& server,
+                       const ShardedPropagationRequest& req) {
+  return server.HandleRequest(
+      epidemic::net::Encode(epidemic::net::Message(req)));
+}
+
+// The v3 reply frame a `shards`-shard daemon holding m single-origin
+// updates of `value_len`-byte values sends a cold recipient, in bytes. The
+// updates run through the server, so the envelope carries the mutation
+// epoch such a daemon would stamp.
 size_t ColdReplyFrameBytes(size_t shards, size_t nodes, int64_t m,
                            size_t value_len) {
-  ShardedReplica src(0, nodes, shards), dst(1, nodes, shards);
+  epidemic::net::InProcHub hub(nodes);
+  epidemic::net::InProcTransport transport(&hub);
+  ReplicaServer src(0, nodes, &transport, ServerOptions(shards));
   for (int64_t i = 0; i < m; ++i) {
-    (void)src.Update("item" + std::to_string(i),
-                     std::string(value_len, 'x'));
+    (void)src.Update("item" + std::to_string(i), std::string(value_len, 'x'));
   }
-  return FrameBytes(
-      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3()));
+  ShardedPropagationRequest cold;
+  cold.requester = 1;
+  cold.shard_dbvvs.assign(shards, epidemic::VersionVector(nodes));
+  return ReplyFrame(src, cold).size();
 }
 
 void RunRow(int64_t m, size_t value_len, size_t num_nodes) {
@@ -152,13 +169,30 @@ int main(int argc, char** argv) {
       "segment).\n");
 
   // The no-op exchange: a "you-are-current" reply is a handful of bytes,
-  // independent of everything.
-  ShardedReplica a(0, 4, 1), b(1, 4, 1);
+  // independent of everything. A requester that holds everything gets the
+  // full handshake's reply, zero segments; once it has pulled, it probes
+  // with the source's mutation epoch instead and gets the probe answer.
+  epidemic::net::InProcHub hub(4);
+  epidemic::net::InProcTransport transport(&hub);
+  ReplicaServer b(1, 4, &transport, ServerOptions(1));
   for (int i = 0; i < 1000; ++i) (void)b.Update("k" + std::to_string(i), "v");
-  (void)epidemic::PropagateOnceShardedV3(b, a);
-  std::printf("\n'you-are-current' reply over a 1000-item database: %zu bytes\n",
-              FrameBytes(b.HandlePropagationRequestV3(
-                  a.BuildPropagationRequestV3())));
+  epidemic::ShardedReplica a(0, 4, 1);
+  epidemic::BufferPool pool;
+  epidemic::server::ShardedExchange requester(a, pool);
+  if (!requester.AcceptFrame(ReplyFrame(b, requester.Handshake())).ok()) {
+    return 1;
+  }
+  const std::string reply = ReplyFrame(b, requester.Handshake());
+  epidemic::wire::ShardedResponseEnvelopeView env;
+  if (!epidemic::server::DecodeReplyFrame(reply, &env).ok()) return 1;
+  ShardedPropagationRequest probe;
+  probe.requester = 0;
+  probe.flags = epidemic::kPropFlagEpochProbe;
+  probe.last_epoch = env.epoch;
+  std::printf(
+      "\n'you-are-current' over a 1000-item database: full-handshake reply "
+      "%zu bytes, probe answer %zu bytes\n",
+      reply.size(), ReplyFrame(b, probe).size());
 
   PrintW1Table();
   return 0;

@@ -7,7 +7,8 @@
 //
 // Parts A and B run the in-process zero-copy exchange (PropagateOnce: the
 // source's response view applied directly). Part C (wire v3, DESIGN.md
-// §10) measures the sharded exchange through the real wire-v3 codec.
+// §10) measures the daemon's sharded exchange (server/sharded_exchange.h)
+// through the frame bytes an epidemicd sends.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "core/replica.h"
 #include "core/sharded_replica.h"
 #include "net/codec.h"
+#include "server/sharded_exchange.h"
 
 #ifndef EPI_BUILD_TYPE
 #define EPI_BUILD_TYPE "unknown"
@@ -29,8 +31,8 @@ using epidemic::BufferPool;
 using epidemic::PropagateOnce;
 using epidemic::Replica;
 using epidemic::ShardedPropagationRequest;
-using epidemic::ShardedPropagationResponse;
 using epidemic::ShardedReplica;
+using epidemic::server::ShardedExchange;
 
 // Values sized like small real documents (matches bench_message_size's
 // convention); big enough to defeat SSO so every copy into the store is a
@@ -75,9 +77,11 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
 
   // Untimed: the wire frame one such exchange would produce, so these rows
   // report frame_bytes like the sharded-wire rows do — the one-shard v3
-  // reply (tag 18) of one-shard views over the two replicas. Dirty the
-  // same m items again — the replicas are converged after the loop, so a
-  // fresh burst reproduces the shape.
+  // reply (tag 18) the daemon's serve writes for one-shard views over the
+  // two replicas. The views' scheduler ran no mutating task, so the
+  // envelope carries epoch 1, one or two bytes shorter than a daemon's.
+  // Dirty the same m items again — the replicas are converged after the
+  // loop, so a fresh burst reproduces the shape.
   {
     const std::string value(kValueLen, 'z');
     for (int64_t i = 0; i < m; ++i) {
@@ -85,9 +89,9 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
     }
     ShardedReplica src_view(std::vector<Replica*>{&src});
     ShardedReplica dst_view(std::vector<Replica*>{&dst});
-    const std::string frame = epidemic::net::Encode(
-        epidemic::net::Message(src_view.HandlePropagationRequestV3(
-            dst_view.BuildPropagationRequestV3())));
+    BufferPool pool;
+    ShardedExchange from(src_view, pool), to(dst_view, pool);
+    const std::string frame = from.ServeFrame(to.Handshake());
     state.counters["frame_bytes"] = static_cast<double>(frame.size());
   }
 }
@@ -100,21 +104,36 @@ void BM_SweepDatabaseSize(benchmark::State& state) {
   MeasureExchange(state, /*n=*/state.range(0), /*m=*/64);
 }
 
-// One sharded anti-entropy exchange through the REAL wire codec: build the
-// handshake, encode+decode the request frame, serve, encode+decode the
-// response frame, accept (tags 17/18: delta segments + zero-copy accept).
+// A local update as a task on its shard, the way ReplicaServer::Update
+// runs it, so the mutation epoch the reply envelope carries counts it.
+void UpdateInTask(ShardedExchange& node, const std::string& name,
+                  const std::string& value) {
+  using epidemic::runtime::ShardToken;
+  ShardedReplica& rep = node.replica();
+  node.sched().Execute(rep.ShardOf(name),
+                       epidemic::runtime::TaskKind::kLocalUpdate,
+                       /*mutates=*/true, [&](const ShardToken&) {
+                         (void)rep.Update(name, value);
+                       });
+}
+
+// One sharded anti-entropy exchange as the daemons run it: the handshake
+// snapshot, its request frame through the codec, the serve into the reply
+// frame an epidemicd sends, the zero-copy envelope decode and the accept
+// (tags 17/18: delta segments, one task per shard on each side).
 void BM_ShardedWireExchangeV3(benchmark::State& state) {
   constexpr int64_t kDbItems = 65536;  // database size N
   constexpr int64_t kDirty = 4096;     // m dirty items per exchange
   constexpr size_t kShards = 8;
   constexpr size_t kNodes = 16;  // wide IVVs: where delta encoding pays
   ShardedReplica src(0, kNodes, kShards), dst(1, kNodes, kShards);
+  BufferPool pool;
+  ShardedExchange from(src, pool), to(dst, pool);
   const std::string preload_value(kValueLen, 'a');
   for (int64_t i = 0; i < kDbItems; ++i) {
-    (void)src.Update("k" + std::to_string(i), preload_value);
+    UpdateInTask(from, "k" + std::to_string(i), preload_value);
   }
-  BufferPool pool;
-  (void)PropagateOnceShardedV3(src, dst, &pool);
+  (void)epidemic::server::PullSharded(to, from);
   int tick = 0;
   uint64_t bytes = 0;
   uint64_t exchanges = 0;
@@ -124,22 +143,17 @@ void BM_ShardedWireExchangeV3(benchmark::State& state) {
     ++tick;
     const std::string value(kValueLen, static_cast<char>('a' + tick % 26));
     for (int64_t i = 0; i < kDirty; ++i) {
-      (void)src.Update("k" + std::to_string(i), value);
+      UpdateInTask(from, "k" + std::to_string(i), value);
     }
     state.ResumeTiming();
 
-    ShardedPropagationRequest req = dst.BuildPropagationRequestV3();
-    auto req2 = epidemic::net::Decode(
-        epidemic::net::Encode(epidemic::net::Message(req)));
-    ShardedPropagationResponse resp = src.HandlePropagationRequestV3(
-        std::get<ShardedPropagationRequest>(*req2), &pool);
-    std::string frame = epidemic::net::Encode(epidemic::net::Message(resp));
+    auto req = epidemic::net::Decode(
+        epidemic::net::Encode(epidemic::net::Message(to.Handshake())));
+    const std::string frame =
+        from.ServeFrame(std::get<ShardedPropagationRequest>(*req));
     bytes += frame.size();
     ++exchanges;
-    for (auto& seg : resp.segments) pool.Put(std::move(seg.body));
-    auto resp2 = epidemic::net::Decode(frame);
-    benchmark::DoNotOptimize(
-        dst.AcceptPropagation(std::get<ShardedPropagationResponse>(*resp2)));
+    benchmark::DoNotOptimize(to.AcceptFrame(frame));
   }
 
   state.counters["N_items"] = static_cast<double>(kDbItems);

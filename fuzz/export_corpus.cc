@@ -1,11 +1,12 @@
 // Writes the generated seed corpus to disk, one file per input:
-//   fuzz_export_corpus <out-root>        → <out-root>/<target>/<NN>-<label>
+//   fuzz_export_corpus <out-root>   → <out-root>/<target>/<NN>-<label>.bin
 //
 // Run against tests/testdata/fuzz/ to refresh the checked-in corpora, or
 // against a scratch directory to seed a libFuzzer run. File contents are
 // deterministic (the generators use fixed replicas and no clocks), so a
 // refresh only produces diffs when an encoder's output changed — which is
-// exactly when the corpus *should* change.
+// exactly when the corpus *should* change. fuzz_corpus_test's
+// CheckedInCorpusMatchesGenerator fails until the refresh is committed.
 
 #include <sys/stat.h>
 
@@ -28,11 +29,9 @@ int main(int argc, char** argv) {
   for (const TargetInfo& target : AllTargets()) {
     const std::string dir = root + "/" + target.name;
     mkdir(dir.c_str(), 0755);
-    int index = 0;
+    size_t index = 0;
     for (const SeedInput& seed : BuildSeedCorpus(target.name)) {
-      char prefix[16];
-      std::snprintf(prefix, sizeof(prefix), "%02d-", index++ % 100);
-      const std::string path = dir + "/" + prefix + seed.label + ".bin";
+      const std::string path = dir + "/" + SeedFileName(index++, seed.label);
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
       out.write(seed.bytes.data(),
                 static_cast<std::streamsize>(seed.bytes.size()));
     }
-    std::printf("%-16s %d seeds\n", target.name, index);
+    std::printf("%-16s %zu seeds\n", target.name, index);
   }
   return 0;
 }

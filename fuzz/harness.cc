@@ -5,8 +5,8 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "core/wire.h"
 #include "fuzz/mutator.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic::fuzz {
 
@@ -51,9 +51,9 @@ std::unique_ptr<ShardedReplica> MakeSeededShardedReplica() {
   EPI_CHECK(r0->Update("alpha", "a0").ok());
   EPI_CHECK(r1.Update("beta", "b1").ok());
   EPI_CHECK(r1.Update("gamma", "g1").ok());
-  ShardedPropagationResponse resp =
-      r1.HandlePropagationRequestV3(r0->BuildPropagationRequestV3());
-  Status s = r0->AcceptPropagation(resp);
+  BufferPool pool;
+  server::ShardedExchange to(*r0, pool), from(r1, pool);
+  Status s = server::PullSharded(to, from).status();
   EPI_CHECK(s.ok() || s.IsConflict()) << s.ToString();
   EPI_CHECK(r0->CheckInvariants().ok());
   return r0;

@@ -1,5 +1,6 @@
 #include "fuzz/seed_corpus.h"
 
+#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "net/codec.h"
 #include "net/inproc_transport.h"
 #include "server/replica_server.h"
+#include "server/sharded_exchange.h"
 #include "tokens/token_service.h"
 #include "vv/vv_codec.h"
 
@@ -80,7 +82,9 @@ std::vector<SeedInput> CodecSeeds() {
   Add(&out, "client_reply",
       net::Encode(net::Message(net::ClientReply{0, "payload"})));
 
-  ShardedPropagationRequest req_v3 = sharded->BuildPropagationRequestV3();
+  BufferPool pool;
+  ShardedPropagationRequest req_v3 =
+      server::ShardedExchange(*sharded, pool).Handshake();
   Add(&out, "sharded_request_v3", net::Encode(net::Message(req_v3)));
 
   ShardedPropagationRequest probe = req_v3;
@@ -89,11 +93,12 @@ std::vector<SeedInput> CodecSeeds() {
   probe.shard_dbvvs.clear();
   Add(&out, "sharded_request_v3_probe", net::Encode(net::Message(probe)));
 
+  // The reply frame the daemon's serve writes for that handshake.
   ShardedReplica source(1, kFuzzNodes, kFuzzShards);
   EPI_CHECK(source.Update("beta", "b1").ok());
   EPI_CHECK(source.Update("gamma", "g1").ok());
   Add(&out, "sharded_response_v3",
-      net::Encode(net::Message(source.HandlePropagationRequestV3(req_v3))));
+      server::ShardedExchange(source, pool).ServeFrame(req_v3));
   return out;
 }
 
@@ -234,8 +239,9 @@ std::vector<SeedInput> ServerFrameSeeds() {
 
   ShardedReplica requester(0, kFuzzNodes, kFuzzShards);
   EPI_CHECK(requester.Update("alpha", "a0").ok());
+  BufferPool pool;
   std::string reply = server.HandleRequest(net::Encode(
-      net::Message(requester.BuildPropagationRequestV3())));
+      net::Message(server::ShardedExchange(requester, pool).Handshake())));
   Add(&out, "served_v3_response_frame", reply);
   return out;
 }
@@ -285,6 +291,12 @@ std::vector<SeedInput> FixtureSeeds() {
 }
 
 }  // namespace
+
+std::string SeedFileName(size_t index, const std::string& label) {
+  char prefix[8];
+  std::snprintf(prefix, sizeof(prefix), "%02zu-", index % 100);
+  return prefix + label + ".bin";
+}
 
 std::vector<SeedInput> BuildSeedCorpus(const std::string& target) {
   if (target == "codec") return CodecSeeds();

@@ -1,6 +1,7 @@
 #ifndef EPIDEMIC_FUZZ_SEED_CORPUS_H_
 #define EPIDEMIC_FUZZ_SEED_CORPUS_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,11 @@ struct SeedInput {
 /// same inputs are exported to tests/testdata/fuzz/<target>/ by
 /// fuzz_export_corpus and replayed in-memory by fuzz_corpus_test.
 std::vector<SeedInput> BuildSeedCorpus(const std::string& target);
+
+/// File name of a target's `index`-th seed: "NN-<label>.bin", NN being
+/// the index modulo 100 in two digits. fuzz_export_corpus writes these
+/// names; fuzz_corpus_test expects them in tests/testdata/fuzz/<target>/.
+std::string SeedFileName(size_t index, const std::string& label);
 
 }  // namespace epidemic::fuzz
 

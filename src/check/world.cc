@@ -1,11 +1,10 @@
 #include "check/world.h"
 
-#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/snapshot.h"
-#include "core/wire.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic::check {
 
@@ -241,66 +240,16 @@ Status World::ApplySync(size_t recipient, size_t source) {
     }
     return r.plain->AcceptPropagation(served);
   }
-  // Sharded: the owned-shard path, exactly the server's task structure —
-  // snapshot the handshake as one batch on the recipient's scheduler,
-  // serve each stale shard as a task on the source's scheduler (encoding
-  // the real wire-v3 segment body, tags 17/18), then decode and accept
-  // each segment as a task on the recipient. The inline scheduler runs
-  // every batch in the order of its shard list (ascending here), so the
-  // whole exchange is a pure function of the schedule.
-  ShardedReplica& rrep = *r.sharded;
-  ShardedReplica& srep = *s.sharded;
-  const size_t num_shards = rrep.num_shards();
-  std::vector<size_t> all_shards(num_shards);
-  std::iota(all_shards.begin(), all_shards.end(), size_t{0});
-
-  ShardedPropagationRequest req;
-  req.requester = rrep.id();
-  req.shard_dbvvs.resize(num_shards);
-  r.sched->ExecuteBatchIndexed(
-      all_shards, runtime::TaskKind::kSnapshot, /*mutates=*/false,
-      [&rrep, &req](const runtime::ShardToken&, size_t k) {
-        req.shard_dbvvs[k] = rrep.shard(k).dbvv();
-      });
-
-  std::vector<std::string> bodies(num_shards);
-  s.sched->ExecuteBatchIndexed(
-      all_shards, runtime::TaskKind::kServe, /*mutates=*/false,
-      [this, &srep, &req, &bodies](const runtime::ShardToken& token,
-                                   size_t k) {
-        runtime::AssertShardContext(token);
-        const PropagationResponseView& view = srep.HandleShardPropagationView(
-            k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
-        if (view.you_are_current) return;
-        ByteWriter w(buffer_pool_.Get());
-        wire::EncodeShardSegmentBodyV3Into(w, view, srep.shard(k).dbvv());
-        bodies[k] = w.Release();
-      });
-
-  // A stale shard's body is never empty (it carries at least the flags
-  // byte), so an empty slot means "current, nothing to accept".
-  std::vector<size_t> stale;
-  for (size_t k = 0; k < num_shards; ++k) {
-    if (!bodies[k].empty()) stale.push_back(k);
-  }
-  std::vector<Status> statuses(num_shards);
-  std::vector<wire::SegmentViewStorage> storages(num_shards);
-  r.sched->ExecuteBatchIndexed(
-      stale, runtime::TaskKind::kAccept, /*mutates=*/true,
-      [&rrep, &stale, &bodies, &statuses, &storages](
-          const runtime::ShardToken& token, size_t i) {
-        runtime::AssertShardContext(token);
-        const size_t k = stale[i];
-        PropagationResponseView view;
-        Status st =
-            wire::DecodeShardSegmentBodyV3(bodies[k], &storages[k], &view);
-        statuses[k] = st.ok() ? rrep.AcceptShardPropagation(k, view) : st;
-      });
-  for (size_t k : stale) {
-    buffer_pool_.Put(std::move(bodies[k]));
-    if (!statuses[k].ok()) return statuses[k];
-  }
-  return Status::OK();
+  // Sharded: the daemon's exchange (server/sharded_exchange.h) on each
+  // node's inline scheduler — the handshake snapshot as one batch on the
+  // recipient, the serve as one batch on the source (the real wire-v3
+  // reply frame, tag 18), then the envelope decode and one accept batch
+  // on the recipient. The inline scheduler runs every batch in the order
+  // of its shard list, so the whole exchange is a pure function of the
+  // schedule.
+  server::ShardedExchange to(*r.sharded, *r.sched, buffer_pool_);
+  server::ShardedExchange from(*s.sharded, *s.sched, buffer_pool_);
+  return server::PullSharded(to, from).status();
 }
 
 Status World::ApplyCrash(size_t index) {

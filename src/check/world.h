@@ -47,8 +47,8 @@ struct WorldConfig {
   size_t num_nodes = 2;
   size_t num_items = 2;
   /// 1 = drive the plain Replica core; >1 = drive ShardedReplica through
-  /// the real per-shard wire-v3 segment encode, zero-copy decode and view
-  /// accept.
+  /// the daemon's sharded exchange (server::PullSharded): its serve, its
+  /// wire-v3 reply frame, its zero-copy envelope decode and its accept.
   size_t num_shards = 1;
   /// Include tombstone writes in the alphabet.
   bool with_deletes = false;
@@ -156,8 +156,8 @@ class World {
 
   WorldConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// Scratch for v3 segment encoding in the sharded sync path (mirrors
-  /// the server's pooled-buffer serve pipeline).
+  /// The reply pieces' pool in the sharded sync path, as the server's
+  /// buffer pool is for its serves.
   BufferPool buffer_pool_;
   /// kTamperIvv fires once per World instance; part of the checker's state
   /// digest so deduplication stays sound under the mutation.

@@ -161,7 +161,6 @@ struct ShardedPropagationResponse {
   /// successful accept and probes with it next round.
   uint64_t epoch = 0;
 
-  bool you_are_current() const { return segments.empty(); }
   bool resend_requested() const {
     return (resp_flags & kPropRespFlagResend) != 0;
   }

@@ -5,7 +5,6 @@
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "core/wire.h"
 
 namespace epidemic {
 
@@ -70,57 +69,6 @@ ShardedPropagationRequest ShardedReplica::BuildPropagationRequestV3() const {
     req.shard_dbvvs.push_back(shard->dbvv());
   }
   return req;
-}
-
-ShardedPropagationResponse ShardedReplica::HandlePropagationRequestV3(
-    const ShardedPropagationRequest& req, BufferPool* pool) {
-  ShardedPropagationResponse resp;
-  resp.num_shards = static_cast<uint32_t>(shards_.size());
-  if (req.shard_dbvvs.size() != shards_.size()) {
-    // Topology mismatch: reply "current" with our shard count so the
-    // requester can diagnose; it must not apply anything.
-    return resp;
-  }
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    const PropagationResponseView& view = shards_[k]->HandlePropagationView(
-        PropagationRequest{req.requester, req.shard_dbvvs[k]});
-    // A current shard produces no segment and constructs nothing — the
-    // O(1) DBVV check is the only work done.
-    if (view.you_are_current) continue;
-    ByteWriter w(pool != nullptr ? pool->Get() : std::string());
-    // The delta base is this shard's DBVV: §4.1 gives ivv(x)[j] ≤ V[j]
-    // for every item in the shard, so complement deltas never underflow.
-    wire::EncodeShardSegmentBodyV3Into(w, view, shards_[k]->dbvv());
-    resp.segments.push_back(
-        ShardedPropagationSegment{static_cast<uint32_t>(k), w.Release()});
-  }
-  return resp;
-}
-
-Status ShardedReplica::AcceptPropagation(
-    const ShardedPropagationResponse& resp) {
-  if (resp.num_shards != shards_.size()) {
-    return Status::InvalidArgument(
-        "source runs " + std::to_string(resp.num_shards) +
-        " shards, this replica " + std::to_string(shards_.size()));
-  }
-  Status first_error = Status::OK();
-  // Decode state shared (and reused) across segments: the views live only
-  // for the duration of each shard's accept call.
-  wire::SegmentViewStorage storage;
-  PropagationResponseView view;
-  for (const ShardedPropagationSegment& seg : resp.segments) {
-    if (seg.shard >= shards_.size()) {
-      if (first_error.ok()) {
-        first_error = Status::InvalidArgument("segment shard out of range");
-      }
-      continue;
-    }
-    Status s = wire::DecodeShardSegmentBodyV3(seg.body, &storage, &view);
-    if (s.ok()) s = shards_[seg.shard]->AcceptPropagation(view);
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
 }
 
 VersionVector ShardedReplica::AggregateDbvv() const {
@@ -227,24 +175,6 @@ std::string ShardedReplica::DebugString() const {
     out += std::to_string(shard->items().size());
   }
   return out;
-}
-
-Result<size_t> PropagateOnceShardedV3(ShardedReplica& source,
-                                      ShardedReplica& recipient,
-                                      BufferPool* pool) {
-  ShardedPropagationRequest req = recipient.BuildPropagationRequestV3();
-  ShardedPropagationResponse resp =
-      source.HandlePropagationRequestV3(req, pool);
-  uint64_t adopted_before = recipient.TotalStats().items_adopted;
-  Status s = recipient.AcceptPropagation(resp);
-  if (!s.ok()) return s;
-  if (pool != nullptr) {
-    for (ShardedPropagationSegment& seg : resp.segments) {
-      pool->Put(std::move(seg.body));
-    }
-  }
-  return static_cast<size_t>(recipient.TotalStats().items_adopted -
-                             adopted_before);
 }
 
 }  // namespace epidemic

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/buffer_pool.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/replica.h"
@@ -38,8 +37,8 @@ namespace epidemic {
 /// a scheduler shard whose single-writer section is the only place mutating
 /// calls may run, which is why every mutating method here carries
 /// REQUIRES_SHARD_CONTEXT (DESIGN.md §11-§12). Single-threaded callers
-/// (simulator, benchmarks, tests) compile without enforcement and drive the
-/// methods directly.
+/// (benchmarks, tests) compile without enforcement and drive the methods
+/// directly.
 class ShardedReplica {
  public:
   static constexpr size_t kDefaultShards = 16;
@@ -97,34 +96,16 @@ class ShardedReplica {
       std::string_view prefix, size_t limit = 0) const;
 
   // ---------------------------------------------------------------------
-  // Sharded update propagation: one round trip for all shards.
+  // Sharded update propagation: one round trip for all shards. The
+  // exchange itself — handshake snapshot, serve and accept, each one
+  // scheduler batch — is server::ShardedExchange
+  // (server/sharded_exchange.h); these are its per-shard building blocks,
+  // for callers inside that shard's section.
 
-  /// Step (1): every shard's DBVV in one wire-v3 handshake message. The
-  /// V3 suffix is kept only because perfbench/src/layers.cc calls it.
+  /// Every shard's DBVV in one wire-v3 handshake message, read serially
+  /// outside any scheduler. Kept only because perfbench/src/layers.cc
+  /// calls it; the exchange's handshake is ShardedExchange::Handshake.
   ShardedPropagationRequest BuildPropagationRequestV3() const;
-
-  /// Source side: runs SendPropagation (Fig. 2) per shard; each stale shard
-  /// is served zero-copy (HandlePropagationView) and encoded straight into
-  /// a v3 segment body — delta IVVs against the shard's DBVV, indexed
-  /// tails. Shards the requester is current on are omitted from the reply
-  /// and construct nothing at all. Touches every shard. `pool` (nullable)
-  /// supplies the segment buffers; bodies are moved into the reply, so
-  /// callers that want reuse return them to the pool after the frame is
-  /// encoded. The server serves each shard as its own task instead; this
-  /// serial form serves single-threaded callers (simulator, benchmarks,
-  /// tests).
-  ShardedPropagationResponse HandlePropagationRequestV3(
-      const ShardedPropagationRequest& req, BufferPool* pool = nullptr)
-      REQUIRES_SHARD_CONTEXT;
-
-  /// Recipient side: AcceptPropagation (Fig. 3-4) per received segment,
-  /// each decoded zero-copy (views into the segment bytes, applied
-  /// directly). Touches the shards named by the response. Applies every
-  /// segment even if one fails; returns the first error.
-  Status AcceptPropagation(const ShardedPropagationResponse& resp)
-      REQUIRES_SHARD_CONTEXT;
-
-  // Per-shard building blocks for callers inside that shard's section.
 
   /// Fig. 2 for one shard, zero-copy; `req.dbvv` is the requester's DBVV
   /// *of this shard*. The returned view borrows the shard's store and
@@ -212,17 +193,6 @@ class ShardedReplica {
   std::vector<std::unique_ptr<Replica>> owned_;  // empty for views
   std::vector<Replica*> shards_;                 // always size num_shards
 };
-
-/// Runs one full sharded anti-entropy exchange (all shards, one logical
-/// round trip) pulling from `source` into `recipient`, both in-process,
-/// through the real wire-v3 encoding of the per-shard segments: the source
-/// serves zero-copy into segment bodies and the recipient applies them
-/// through the view decoder. `pool` (nullable) backs the segment buffers.
-/// Returns the number of items copied.
-Result<size_t> PropagateOnceShardedV3(ShardedReplica& source,
-                                      ShardedReplica& recipient,
-                                      BufferPool* pool = nullptr)
-    REQUIRES_SHARD_CONTEXT;
 
 }  // namespace epidemic
 

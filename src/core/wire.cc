@@ -113,7 +113,7 @@ Status DecodeShardedPropagationResponseEnvelopeV3(
   if (!num_shards.ok()) return num_shards.status();
   if (*num_shards > (1u << 16)) return Status::Corruption("absurd shard count");
   // The segment count and each segment's length prefix are padded-varint
-  // backpatch slots in the serve (ReplicaServer::ServeShardedPropagation),
+  // backpatch slots in the serve (server::ShardedExchange::Serve),
   // so these two fields — and only these — decode with the padded getters.
   auto count = r.GetVarint64Padded();
   if (!count.ok()) return count.status();

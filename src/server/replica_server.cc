@@ -37,12 +37,12 @@ Result<std::string> ReplyToResult(const ClientReply& reply) {
   return Status(static_cast<StatusCode>(reply.code), reply.payload);
 }
 
-runtime::ShardScheduler::Options SchedulerOptions(size_t num_shards,
-                                                  size_t workers) {
+std::unique_ptr<runtime::ShardScheduler> MakeScheduler(size_t num_shards,
+                                                       size_t workers) {
   runtime::ShardScheduler::Options opts;
   opts.num_shards = num_shards;
   opts.workers = workers;
-  return opts;
+  return std::make_unique<runtime::ShardScheduler>(opts);
 }
 
 }  // namespace
@@ -53,10 +53,9 @@ ReplicaServer::ReplicaServer(NodeId id, size_t num_nodes,
       transport_(transport),
       options_(std::move(options)),
       memory_(std::make_unique<ShardedReplica>(
-          id, num_nodes, options_.num_shards, &listener_)) {
-  sched_ = std::make_unique<runtime::ShardScheduler>(
-      SchedulerOptions(memory_->num_shards(), options_.ae_workers));
-  InitShardList();
+          id, num_nodes, options_.num_shards, &listener_)),
+      sched_(MakeScheduler(memory_->num_shards(), options_.ae_workers)),
+      exchange_(*memory_, *sched_, buffer_pool_) {
   peer_epoch_count_ = num_nodes;
   peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
 }
@@ -66,10 +65,9 @@ ReplicaServer::ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
     : id_(durable->view().id()),
       transport_(transport),
       options_(std::move(options)),
-      durable_(std::move(durable)) {
-  sched_ = std::make_unique<runtime::ShardScheduler>(
-      SchedulerOptions(durable_->num_shards(), options_.ae_workers));
-  InitShardList();
+      durable_(std::move(durable)),
+      sched_(MakeScheduler(durable_->num_shards(), options_.ae_workers)),
+      exchange_(durable_->view(), *sched_, buffer_pool_, durable_.get()) {
   peer_epoch_count_ = durable_->view().num_nodes();
   peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
 }
@@ -127,76 +125,6 @@ void ReplicaServer::AntiEntropyLoop() {
   }
 }
 
-void ReplicaServer::ServeShardedPropagation(
-    const ShardedPropagationRequest& req, uint64_t epoch,
-    std::vector<std::string>* parts) {
-  ShardedReplica& rep = sharded();
-  const size_t num_shards = rep.num_shards();
-  const bool probe = (req.flags & kPropFlagEpochProbe) != 0;
-  // parts[0]: the envelope, tag byte included. `epoch` was sampled before
-  // any shard serves: a mutation racing with the serve lands with a later
-  // epoch, so the requester's next probe mismatches and re-pulls — stale
-  // probes are conservative, never lossy (every mutation goes through a
-  // mutating task, which is exactly what bumps the epoch).
-  ByteWriter env(buffer_pool_.Get());
-  env.PutU8(
-      static_cast<uint8_t>(net::MessageType::kShardedPropagationResponseV3));
-  env.PutU8(probe && req.last_epoch != epoch ? kPropRespFlagResend : 0);
-  env.PutVarint64(epoch);
-  env.PutVarint64(num_shards);
-  parts->clear();
-  if (!WantsSegments(req)) {
-    // No segments, canonical one-byte count: a matching probe (the O(1)
-    // quiescent round), a missed probe (resend), or a topology mismatch,
-    // which carries our shard count so the requester rejects it instead
-    // of applying garbage.
-    env.PutVarint64(0);
-    parts->push_back(env.Release());
-    return;
-  }
-  // The segment count precedes the segments but is only known after the
-  // serve; reserve a padded-varint slot and patch it in at the end. Same
-  // trick for each segment's length prefix (5 bytes covers the 1 GiB
-  // segment cap). The decoders read exactly these two fields with the
-  // padded getters (GetVarint64Padded/GetStringViewPadded) — every other
-  // wire varint is canonical-only.
-  const size_t count_pos = env.size();
-  env.PutPaddedVarint(0, 3);
-  // One anti-entropy round is S tasks fanned out to the shard owners and
-  // joined — not S lock acquisitions. Each stale shard encodes its
-  // self-contained piece — [shard varint][padded length][body] — into its
-  // own pooled slot parts[1 + k] inside its single-writer section (the
-  // view borrows the shard's store, so encoding must complete there — the
-  // §4.1/§8 discipline the views rely on). The slots are disjoint, so the
-  // owners fill them in parallel; a vectored transport then sends the
-  // pieces with no stitch copy, and Flatten() reproduces the contiguous
-  // frame bytes.
-  parts->resize(1 + num_shards);
-  sched_->ExecuteBatchIndexed(
-      AllShardsList(), TaskKind::kServe, /*mutates=*/false,
-      [this, &rep, &req, parts](const ShardToken& token, size_t k) {
-        AssertShardContext(token);
-        const PropagationResponseView& view = rep.HandleShardPropagationView(
-            k, PropagationRequest{req.requester, req.shard_dbvvs[k]});
-        if (view.you_are_current) return;
-        ByteWriter cw(buffer_pool_.Get());
-        cw.PutVarint64(k);
-        const size_t len_pos = cw.size();
-        cw.PutPaddedVarint(0, 5);
-        const size_t body_start = cw.size();
-        wire::EncodeShardSegmentBodyV3Into(cw, view, rep.shard(k).dbvv());
-        cw.OverwritePaddedVarint(len_pos, cw.size() - body_start, 5);
-        (*parts)[1 + k] = cw.Release();
-      });
-  // Current shards left their slot empty; drop those slots, keeping the
-  // stale ones in shard order.
-  parts->erase(std::remove_if(parts->begin() + 1, parts->end(),
-                              [](const std::string& p) { return p.empty(); }),
-               parts->end());
-  env.OverwritePaddedVarint(count_pos, parts->size() - 1, 3);
-  (*parts)[0] = env.Release();
-}
-
 uint64_t ReplicaServer::ServeDigest(const ShardedPropagationRequest& req) {
   // FNV-1a, mixed 64 bits at a time. Collisions only cost correctness of
   // the *hit rate*, never of the data: a colliding digest still has to
@@ -247,55 +175,6 @@ void ReplicaServer::InsertServeCache(
   serve_cache_[slot] = std::move(entry);
 }
 
-Status ReplicaServer::AcceptShardedSegments(
-    uint32_t num_shards,
-    const std::vector<wire::ShardedSegmentView>& segments) {
-  ShardedReplica& rep = sharded();
-  if (num_shards != rep.num_shards()) {
-    return Status::InvalidArgument(
-        "peer runs " + std::to_string(num_shards) + " shards, we run " +
-        std::to_string(rep.num_shards()));
-  }
-  for (const wire::ShardedSegmentView& seg : segments) {
-    if (seg.shard >= rep.num_shards()) {
-      return Status::InvalidArgument("segment shard out of range");
-    }
-  }
-  // Each segment decodes and applies as one task on its shard; the
-  // segments name distinct shards (the codec enforces strictly increasing
-  // indices), so the tasks share nothing but the join. Segments decode
-  // zero-copy: the views (string_views into the segment bytes, IVVs in
-  // the per-segment storage) are consumed by the shard's accept inside
-  // the task, so nothing outlives its backing.
-  std::vector<Status> statuses(segments.size());
-  std::vector<wire::SegmentViewStorage> storages(segments.size());
-  std::vector<size_t> shards;
-  shards.reserve(segments.size());
-  for (const wire::ShardedSegmentView& seg : segments) {
-    shards.push_back(seg.shard);
-  }
-  sched_->ExecuteBatchIndexed(
-      shards, TaskKind::kAccept, /*mutates=*/true,
-      [this, &rep, &segments, &statuses, &storages](const ShardToken& token,
-                                                    size_t i) {
-        AssertShardContext(token);
-        const wire::ShardedSegmentView& seg = segments[i];
-        if (durable_ != nullptr) {
-          statuses[i] =
-              durable_->AcceptShardPropagationSegmentV3(seg.shard, seg.body);
-          return;
-        }
-        PropagationResponseView view;
-        Status s =
-            wire::DecodeShardSegmentBodyV3(seg.body, &storages[i], &view);
-        statuses[i] = s.ok() ? rep.AcceptShardPropagation(seg.shard, view) : s;
-      });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 std::string ReplicaServer::HandleRequest(std::string_view request) {
   net::VectoredReply reply;
   HandleRequestV(request, &reply);
@@ -332,9 +211,9 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     // make a later probe or cache lookup mismatch, never produce a stale
     // "current" answer or a stale hit.
     const uint64_t epoch0 = sched_->MutationEpoch();
-    if (!WantsSegments(*sharded_req)) {
+    if (!exchange_.WantsSegments(*sharded_req)) {
       // Probe or topology mismatch: a zero-segment envelope, never cached.
-      ServeShardedPropagation(*sharded_req, epoch0, &reply->owned);
+      exchange_.Serve(*sharded_req, epoch0, &reply->owned);
       reply->recycle_pool = &buffer_pool_;
       return;
     }
@@ -357,7 +236,7 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     auto entry = std::make_shared<CachedServeFrame>();
     entry->digest = digest;
     entry->epoch = epoch0;
-    ServeShardedPropagation(*sharded_req, epoch0, &entry->parts);
+    exchange_.Serve(*sharded_req, epoch0, &entry->parts);
     if (sched_->MutationEpoch() == epoch0) {
       // No mutating task completed across the serve: the pieces are the
       // epoch0 reply, byte for byte (the epoch is monotonic, so equal
@@ -574,20 +453,7 @@ Status ReplicaServer::PullFrom(NodeId peer) {
   // mutated between build and accept (by a concurrent pull, say) simply
   // make the peer ship a little extra; AcceptPropagation skips re-shipped
   // records it already holds.
-  ShardedReplica& rep = sharded();
-  const size_t num_shards = rep.num_shards();
   ShardedPropagationRequest req;
-  req.requester = id_;
-  const auto snapshot_dbvvs = [this, &rep, &req, num_shards] {
-    req.shard_dbvvs.resize(num_shards);
-    sched_->ExecuteBatchIndexed(AllShardsList(), TaskKind::kSnapshot,
-                                /*mutates=*/false,
-                                [&rep, &req](const ShardToken& token,
-                                             size_t k) {
-                                  AssertShardContext(token);
-                                  req.shard_dbvvs[k] = rep.shard(k).dbvv();
-                                });
-  };
   // Probe first when this peer's mutation epoch is cached from a previous
   // completed pull: if the source is unchanged, the round is O(1) — no
   // DBVV snapshots built, shipped, or compared. A changed source costs
@@ -600,10 +466,11 @@ Status ReplicaServer::PullFrom(NodeId peer) {
           : 0;
   bool probing = cached_epoch != 0;
   if (probing) {
+    req.requester = id_;
     req.flags = kPropFlagEpochProbe;
     req.last_epoch = cached_epoch;
   } else {
-    snapshot_dbvvs();
+    req = exchange_.Handshake();
   }
   // Response frames land in a pooled buffer reused across pulls (and
   // across the probe→resend retry inside this call) through CallInto, so
@@ -633,26 +500,19 @@ Status ReplicaServer::PullFrom(NodeId peer) {
     // Decode the envelope as views into the received frame (`*wire`
     // outlives the accept below), so the segment bodies — the bulk of the
     // frame — are never copied out of it.
-    ByteReader reader(std::string_view(*wire).substr(1));
     wire::ShardedResponseEnvelopeView env;
-    EPI_RETURN_NOT_OK(
-        wire::DecodeShardedPropagationResponseEnvelopeV3(reader, &env));
-    if (!reader.AtEnd()) {
-      return Status::Corruption("trailing bytes after message body");
-    }
+    EPI_RETURN_NOT_OK(DecodeReplyFrame(*wire, &env));
     if (env.resend_requested()) {
       // Only a probe can miss; a resend answering the full handshake would
       // loop forever.
       if (!probing) return Status::Corruption("resend reply to a handshake");
       // Probe missed: repeat the round as the full per-shard handshake.
       probing = false;
-      req.flags = 0;
-      req.last_epoch = 0;
-      snapshot_dbvvs();
+      req = exchange_.Handshake();
       continue;
     }
     if (probing) return Status::OK();  // current by epoch; nothing to apply
-    Status s = AcceptShardedSegments(env.num_shards, env.segments);
+    Status s = exchange_.Accept(env.num_shards, env.segments);
     if (s.ok() && env.epoch != 0 && peer < peer_epoch_count_) {
       // relaxed: conservative epoch cache; stale probes re-pull.
       peer_epoch_[peer].store(env.epoch, std::memory_order_relaxed);
@@ -711,18 +571,6 @@ Status ReplicaServer::Checkpoint() {
                     });
   }
   return first_error;
-}
-
-uint64_t ReplicaServer::conflicts_detected() const {
-  const ShardedReplica& rep = sharded();
-  uint64_t total = 0;
-  for (size_t k = 0; k < rep.num_shards(); ++k) {
-    sched_->Execute(k, TaskKind::kStats, /*mutates=*/false,
-                    [&rep, &total, k](const ShardToken&) {
-                      total += rep.shard(k).stats().conflicts_detected;
-                    });
-  }
-  return total;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@
 #include "core/journal.h"
 #include "core/replica.h"
 #include "core/sharded_replica.h"
-#include "core/wire.h"
 #include "net/transport.h"
 #include "runtime/scheduler.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic::server {
 
@@ -60,8 +60,9 @@ class LockedConflictListener : public ConflictListener {
 /// its single-writer section; the `runtime::ShardToken` a task receives is
 /// the REQUIRES-style capability proving it. User operations and
 /// single-shard protocol steps, reads included, are one task on one
-/// shard; a sharded anti-entropy exchange fans S tasks out to the owners
-/// and joins (ExecuteBatchIndexed) instead of taking S locks;
+/// shard; each step of a sharded anti-entropy exchange (ShardedExchange,
+/// server/sharded_exchange.h) fans S tasks out to the owners and joins
+/// (ExecuteBatchIndexed) instead of taking S locks;
 /// whole-database operations (stats, WithReplica) run under the
 /// scheduler's cross-shard barrier (ExecuteExclusive), which replaced the
 /// old AllShardsLock — and with it the codebase's last
@@ -174,7 +175,6 @@ class ReplicaServer : public net::RequestHandler {
 
   NodeId id() const { return id_; }
   size_t num_shards() const { return sharded().num_shards(); }
-  uint64_t conflicts_detected() const;
 
   /// Scheduler health, as surfaced through `epidemic_cli stats`.
   runtime::SchedulerStats SchedulerHealth() const {
@@ -191,30 +191,6 @@ class ReplicaServer : public net::RequestHandler {
   const ShardedReplica& sharded() const {
     return durable_ ? durable_->view() : *memory_;
   }
-
-  /// True when `req` asks for segments: not an epoch probe, and one DBVV
-  /// per local shard. Only such serves touch the shards or the cache.
-  bool WantsSegments(const ShardedPropagationRequest& req) const {
-    return (req.flags & kPropFlagEpochProbe) == 0 &&
-           req.shard_dbvvs.size() == sharded().num_shards();
-  }
-
-  /// The one sharded serve (wire v3, every scheduler mode): fills `parts`
-  /// with the reply frame as pieces. parts[0] is the envelope (tag byte
-  /// included) stamped with `epoch`, which the caller sampled before
-  /// serving. A request that wants no segments gets the envelope alone,
-  /// with a canonical zero count: a probe answer (current or resend) or a
-  /// topology mismatch. Otherwise every stale shard encodes its
-  /// self-contained piece ([shard varint][padded length slot][body]) into
-  /// its own pooled slot inside one ExecuteBatchIndexed fan-out — disjoint
-  /// slots, so owner workers fill them in parallel — and after the join
-  /// the empty slots are dropped and the padded segment count is
-  /// backpatched. A vectored transport sends the pieces as-is; Flatten()
-  /// reproduces the exact frame bytes for everything else. Every piece
-  /// comes from `buffer_pool_`.
-  void ServeShardedPropagation(const ShardedPropagationRequest& req,
-                               uint64_t epoch,
-                               std::vector<std::string>* parts);
 
   /// Fan-out serve cache. A full serve's reply is a pure function of
   /// (request flags + shard DBVVs, scheduler mutation epoch): the epoch is
@@ -241,14 +217,6 @@ class ReplicaServer : public net::RequestHandler {
   void InsertServeCache(std::shared_ptr<const CachedServeFrame> entry)
       EXCLUDES(serve_cache_mu_);
 
-  /// The one accept path: every segment is decoded zero-copy and accepted
-  /// as a task on its shard (journaled when durable), fanned out as one
-  /// batch. Segment bodies are views into the received wire frame, which
-  /// must outlive the call.
-  Status AcceptShardedSegments(
-      uint32_t num_shards,
-      const std::vector<wire::ShardedSegmentView>& segments);
-
   /// Appends the scheduler health line to a stats summary, optionally
   /// resetting the underlying counters in the same pass.
   void AppendSchedulerSummary(std::string* out, bool reset) const;
@@ -257,14 +225,6 @@ class ReplicaServer : public net::RequestHandler {
   /// "serve_cache: ...") to a stats summary, optionally resetting the
   /// underlying counters in the same pass.
   void AppendNetSummary(std::string* out, bool reset) const;
-
-  /// The cached [0, S) index list the all-shard batches fan out over;
-  /// built once so the anti-entropy hot loop never re-materializes it.
-  const std::vector<size_t>& AllShardsList() const { return all_shards_; }
-  void InitShardList() {
-    all_shards_.resize(sched_->num_shards());
-    for (size_t k = 0; k < all_shards_.size(); ++k) all_shards_[k] = k;
-  }
 
   NodeId id_;
   net::Transport* transport_;
@@ -277,11 +237,14 @@ class ReplicaServer : public net::RequestHandler {
   /// Single-writer shard runtime. Declared after the replica state so it
   /// is destroyed (and drained) first — tasks capture `sharded()`.
   std::unique_ptr<runtime::ShardScheduler> sched_;
-  std::vector<size_t> all_shards_;
 
   /// Recycles reply pieces and receive buffers across exchanges
   /// (internally synchronized; shared by all shard tasks).
   BufferPool buffer_pool_;
+
+  /// The sharded exchange's steps (handshake snapshot, serve, accept) on
+  /// this node's shards, scheduler and pool; journals accepts when durable.
+  ShardedExchange exchange_;
 
   /// Last mutation epoch observed per peer (0 = never pulled). Lets
   /// PullFrom open with an O(1) epoch probe instead of the full per-shard

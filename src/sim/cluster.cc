@@ -2,7 +2,6 @@
 
 #include "baselines/epidemic_node.h"
 #include "baselines/lotus_node.h"
-#include "baselines/sharded_epidemic_node.h"
 #include "baselines/merkle_node.h"
 #include "baselines/oracle_node.h"
 #include "baselines/per_item_vv_node.h"
@@ -30,13 +29,9 @@ std::string_view ProtocolKindName(ProtocolKind kind) {
 }
 
 std::unique_ptr<ProtocolNode> MakeNode(ProtocolKind kind, NodeId id,
-                                       size_t num_nodes, size_t num_shards) {
+                                       size_t num_nodes) {
   switch (kind) {
     case ProtocolKind::kEpidemicDbvv:
-      if (num_shards > 1) {
-        return std::make_unique<ShardedEpidemicNode>(id, num_nodes,
-                                                     num_shards);
-      }
       return std::make_unique<EpidemicNode>(id, num_nodes);
     case ProtocolKind::kLotus:
       return std::make_unique<LotusNode>(id, num_nodes);
@@ -62,8 +57,7 @@ Cluster::Cluster(const ClusterConfig& config)
   EPI_CHECK(config.num_nodes >= 2) << "a cluster needs at least two nodes";
   nodes_.reserve(config.num_nodes);
   for (NodeId i = 0; i < config.num_nodes; ++i) {
-    nodes_.push_back(
-        MakeNode(config.protocol, i, config.num_nodes, config.num_shards));
+    nodes_.push_back(MakeNode(config.protocol, i, config.num_nodes));
   }
 }
 

@@ -36,19 +36,13 @@ struct ClusterConfig {
   size_t num_nodes = 4;
   Peering peering = Peering::kRing;
   uint64_t seed = 7;
-  /// Shards per epidemic node (1 = the unsharded core; >1 switches
-  /// kEpidemicDbvv nodes to the sharded core with aggregate handshakes).
-  /// Ignored by the baseline protocols.
-  size_t num_shards = 1;
   WorkloadConfig workload;
 };
 
 /// Creates a fresh protocol node of the given kind. Exposed so tests and
 /// benchmarks can assemble ad-hoc topologies without a Cluster.
-/// `num_shards` > 1 selects the sharded epidemic core for kEpidemicDbvv.
 std::unique_ptr<ProtocolNode> MakeNode(ProtocolKind kind, NodeId id,
-                                       size_t num_nodes,
-                                       size_t num_shards = 1);
+                                       size_t num_nodes);
 
 /// Round-based deterministic simulation harness over any ProtocolNode
 /// implementation.

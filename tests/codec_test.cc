@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "core/sharded_replica.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic::net {
 namespace {
@@ -183,11 +184,13 @@ TEST(CodecTest, TrailingBytesRejected) {
 class TruncationTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(TruncationTest, EveryPrefixFailsCleanly) {
-  // A served one-shard v3 reply (tag 18) carrying one segment.
+  // A one-shard v3 reply (tag 18) carrying one segment, as the daemon
+  // serves it.
   ShardedReplica src(0, 2, 1), dst(1, 2, 1);
+  BufferPool pool;
+  server::ShardedExchange from(src, pool), to(dst, pool);
   ASSERT_TRUE(src.Update("item-with-a-long-name", "some value bytes").ok());
-  std::string frame = Encode(Message(
-      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3())));
+  std::string frame = from.ServeFrame(to.Handshake());
 
   size_t cut = GetParam();
   if (cut >= frame.size()) GTEST_SKIP() << "prefix length beyond frame";

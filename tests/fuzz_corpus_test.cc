@@ -3,14 +3,17 @@
 // tests/testdata/fuzz/<target>/ inside a plain gtest binary, so the
 // gcc/asan/ubsan/tsan ctest legs all drive the real decode-then-accept
 // harnesses without libFuzzer. An oracle failure aborts, which gtest
-// reports as a crashed test.
+// reports as a crashed test. The checked-in corpus must also equal the
+// generator's output.
 
 #include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/harness.h"
@@ -20,18 +23,22 @@
 namespace epidemic::fuzz {
 namespace {
 
-std::vector<std::string> CorpusFiles(const std::string& target) {
+/// The checked-in corpus of `target`: file name → bytes.
+std::map<std::string, std::string> CheckedInCorpus(const std::string& target) {
   const std::string dir =
       std::string(EPI_SOURCE_DIR) + "/tests/testdata/fuzz/" + target;
-  std::vector<std::string> paths;
+  std::map<std::string, std::string> files;
   DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return paths;
+  if (d == nullptr) return files;
   while (dirent* entry = readdir(d)) {
     if (entry->d_name[0] == '.') continue;
-    paths.push_back(dir + "/" + entry->d_name);
+    std::ifstream in(dir + "/" + entry->d_name, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    files[entry->d_name] = buf.str();
   }
   closedir(d);
-  return paths;
+  return files;
 }
 
 class FuzzTargetTest : public ::testing::TestWithParam<const char*> {};
@@ -51,18 +58,44 @@ TEST_P(FuzzTargetTest, SeedCorpusIsNonEmptyAndReplays) {
 TEST_P(FuzzTargetTest, CheckedInCorpusReplays) {
   const TargetInfo* target = FindTarget(GetParam());
   ASSERT_NE(target, nullptr);
-  std::vector<std::string> files = CorpusFiles(target->name);
+  const std::map<std::string, std::string> files =
+      CheckedInCorpus(target->name);
   ASSERT_FALSE(files.empty())
       << "tests/testdata/fuzz/" << target->name
       << " is missing — regenerate with fuzz_export_corpus";
-  for (const std::string& path : files) {
-    SCOPED_TRACE(path);
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "cannot read " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
+  for (const auto& [name, bytes] : files) {
+    SCOPED_TRACE(name);
     target->fn(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  }
+}
+
+// The checked-in corpus is the generator's output, file for file and byte
+// for byte, so a change to an encoder shows up as a corpus diff in the
+// same change.
+TEST_P(FuzzTargetTest, CheckedInCorpusMatchesGenerator) {
+  const TargetInfo* target = FindTarget(GetParam());
+  ASSERT_NE(target, nullptr);
+  std::map<std::string, std::string> generated;
+  size_t index = 0;
+  for (SeedInput& seed : BuildSeedCorpus(target->name)) {
+    generated[SeedFileName(index++, seed.label)] = std::move(seed.bytes);
+  }
+  const std::map<std::string, std::string> checked_in =
+      CheckedInCorpus(target->name);
+  for (const auto& [name, bytes] : generated) {
+    auto it = checked_in.find(name);
+    if (it == checked_in.end()) {
+      ADD_FAILURE() << name << " is not checked in";
+    } else {
+      EXPECT_TRUE(it->second == bytes) << name << " differs from the generator";
+    }
+  }
+  for (const auto& entry : checked_in) {
+    EXPECT_TRUE(generated.count(entry.first) == 1)
+        << entry.first << " is checked in but not generated";
+  }
+  if (HasFailure()) {
+    ADD_FAILURE() << "regenerate tests/testdata/fuzz with fuzz_export_corpus";
   }
 }
 

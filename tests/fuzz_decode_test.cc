@@ -11,6 +11,7 @@
 #include "core/sharded_replica.h"
 #include "core/snapshot.h"
 #include "net/codec.h"
+#include "server/sharded_exchange.h"
 #include "tokens/token_service.h"
 
 namespace epidemic {
@@ -40,14 +41,16 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashAnyDecoder) {
 TEST_P(FuzzSeedTest, MutatedProtocolFramesFailCleanlyOrDecode) {
   Rng rng(GetParam() * 7331);
 
-  // Build a realistic v3 propagation reply frame (tag 18) to mutate.
+  // Build a realistic v3 propagation reply frame (tag 18), as the daemon
+  // serves it, to mutate.
   constexpr size_t kShards = 2;
   ShardedReplica src(0, 3, kShards), dst(1, 3, kShards);
+  BufferPool pool;
+  server::ShardedExchange from(src, pool), to(dst, pool);
   for (int i = 0; i < 10; ++i) {
     (void)src.Update("item" + std::to_string(i), "value" + std::to_string(i));
   }
-  std::string frame = net::Encode(net::Message(
-      src.HandlePropagationRequestV3(dst.BuildPropagationRequestV3())));
+  std::string frame = from.ServeFrame(to.Handshake());
 
   for (int trial = 0; trial < 300; ++trial) {
     std::string mutated = frame;
@@ -57,16 +60,14 @@ TEST_P(FuzzSeedTest, MutatedProtocolFramesFailCleanlyOrDecode) {
       mutated[rng.Uniform(mutated.size())] =
           static_cast<char>(rng.Uniform(256));
     }
-    auto decoded = net::Decode(mutated);
-    if (!decoded.ok()) continue;
-    // If it decoded, feeding it onward must still be safe: each segment
-    // decodes or fails cleanly, and the replica validates widths and
-    // rejects rather than corrupting state.
-    if (auto* resp = std::get_if<ShardedPropagationResponse>(&*decoded)) {
-      ShardedReplica victim(2, 3, kShards);
-      (void)victim.AcceptPropagation(*resp);
-      EXPECT_TRUE(victim.CheckInvariants().ok());
-    }
+    (void)net::Decode(mutated);
+    // The daemon's accept must stay safe on it too: the envelope decodes
+    // or fails cleanly, each segment decodes or fails cleanly, and the
+    // replica validates widths and rejects rather than corrupting state.
+    ShardedReplica victim(2, 3, kShards);
+    server::ShardedExchange into(victim, pool);
+    (void)into.AcceptFrame(mutated);
+    EXPECT_TRUE(victim.CheckInvariants().ok());
   }
 }
 

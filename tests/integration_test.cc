@@ -11,6 +11,7 @@
 #include "net/codec.h"
 #include "net/inproc_transport.h"
 #include "server/replica_server.h"
+#include "server/sharded_exchange.h"
 #include "sim/cluster.h"
 
 namespace epidemic {
@@ -142,20 +143,20 @@ TEST(ScenarioTest, PropagationThroughCodecMatchesDirectPropagation) {
   ASSERT_TRUE(PropagateOnce(direct_b, direct_a).ok());
 
   // Codec path: request and response cross a serialization boundary as
-  // the wire-v3 exchange (tags 17/18) of two one-shard views.
+  // the daemon's wire-v3 exchange (tags 17/18) of two one-shard views: the
+  // request through the codec, the reply as the frame an epidemicd sends.
   ShardedReplica view_a(std::vector<Replica*>{&coded_a});
   ShardedReplica view_b(std::vector<Replica*>{&coded_b});
-  auto req = net::Decode(
-      net::Encode(net::Message(view_a.BuildPropagationRequestV3())));
+  BufferPool pool;
+  server::ShardedExchange exchange_a(view_a, pool), exchange_b(view_b, pool);
+  auto req = net::Decode(net::Encode(net::Message(exchange_a.Handshake())));
   ASSERT_TRUE(req.ok());
-  ShardedPropagationResponse resp = view_b.HandlePropagationRequestV3(
-      std::get<ShardedPropagationRequest>(*req));
-  ASSERT_EQ(resp.segments.size(), 1u);
-  auto resp2 = net::Decode(net::Encode(net::Message(resp)));
-  ASSERT_TRUE(resp2.ok());
-  ASSERT_TRUE(
-      view_a.AcceptPropagation(std::get<ShardedPropagationResponse>(*resp2))
-          .ok());
+  const std::string frame =
+      exchange_b.ServeFrame(std::get<ShardedPropagationRequest>(*req));
+  wire::ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(server::DecodeReplyFrame(frame, &env).ok());
+  ASSERT_EQ(env.segments.size(), 1u);
+  ASSERT_TRUE(exchange_a.AcceptFrame(frame).ok());
 
   EXPECT_EQ(coded_a.dbvv(), direct_a.dbvv());
   for (int i = 0; i < 7; ++i) {

@@ -1,7 +1,9 @@
 // ShardedReplica: routing, the S=1 equivalence property (a sharded replica
 // with one shard must be observably identical to a plain Replica on any
 // workload), multi-shard convergence, the sharded snapshot container, the
-// sharded wire messages, and durable per-shard journaling.
+// sharded wire messages, and durable per-shard journaling. Every sharded
+// exchange here is the daemon's (server::ShardedExchange) on an inline
+// scheduler, so the replies are the frames an epidemicd sends.
 
 #include "core/sharded_replica.h"
 
@@ -20,9 +22,14 @@
 #include "core/snapshot.h"
 #include "core/wire.h"
 #include "net/codec.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic {
 namespace {
+
+using server::DecodeReplyFrame;
+using server::PullSharded;
+using server::ShardedExchange;
 
 // ---------------------------------------------------------------------------
 // Routing.
@@ -63,7 +70,8 @@ class EquivalenceHarness {
         plain_{Replica(0, 2, &plain_listener_[0]),
                Replica(1, 2, &plain_listener_[1])},
         sharded_{ShardedReplica(0, 2, num_shards, &sharded_listener_[0]),
-                 ShardedReplica(1, 2, num_shards, &sharded_listener_[1])} {}
+                 ShardedReplica(1, 2, num_shards, &sharded_listener_[1])},
+        exchange_{{sharded_[0], pool_}, {sharded_[1], pool_}} {}
 
   void Update(int node, const std::string& name, const std::string& value) {
     Status a = plain_[node].Update(name, value);
@@ -90,7 +98,7 @@ class EquivalenceHarness {
 
   void Propagate(int source, int recipient) {
     auto a = PropagateOnce(plain_[source], plain_[recipient]);
-    auto b = PropagateOnceShardedV3(sharded_[source], sharded_[recipient]);
+    auto b = PullSharded(exchange_[recipient], exchange_[source]);
     ASSERT_EQ(a.ok(), b.ok());
     if (a.ok()) {
       EXPECT_EQ(*a, *b) << "items copied diverged";
@@ -161,6 +169,8 @@ class EquivalenceHarness {
   RecordingConflictListener sharded_listener_[2];
   Replica plain_[2];
   ShardedReplica sharded_[2];
+  BufferPool pool_;
+  ShardedExchange exchange_[2];
 };
 
 void RunRandomWorkload(EquivalenceHarness& h, uint32_t seed) {
@@ -233,6 +243,8 @@ TEST(ShardedEquivalenceTest, FourShardsMatchPlainReplicaOnRandomWorkloads) {
 
 TEST(ShardedReplicaTest, SixteenShardTwoNodeConvergence) {
   ShardedReplica a(0, 2, 16), b(1, 2, 16);
+  BufferPool pool;
+  ShardedExchange ea(a, pool), eb(b, pool);
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(a.Update("a/" + std::to_string(i), "va" + std::to_string(i))
                     .ok());
@@ -241,10 +253,10 @@ TEST(ShardedReplicaTest, SixteenShardTwoNodeConvergence) {
     ASSERT_TRUE(b.Update("b/" + std::to_string(i), "vb" + std::to_string(i))
                     .ok());
   }
-  auto copied_ab = PropagateOnceShardedV3(a, b);
+  auto copied_ab = PullSharded(eb, ea);
   ASSERT_TRUE(copied_ab.ok()) << copied_ab.status().ToString();
   EXPECT_EQ(*copied_ab, 200u);
-  auto copied_ba = PropagateOnceShardedV3(b, a);
+  auto copied_ba = PullSharded(ea, eb);
   ASSERT_TRUE(copied_ba.ok());
   EXPECT_EQ(*copied_ba, 100u);
 
@@ -262,21 +274,24 @@ TEST(ShardedReplicaTest, SixteenShardTwoNodeConvergence) {
 
   // A second exchange finds every shard current: the reply carries zero
   // segments (the O(S) handshake short-circuit).
-  ShardedPropagationResponse resp =
-      a.HandlePropagationRequestV3(b.BuildPropagationRequestV3());
-  EXPECT_TRUE(resp.you_are_current());
+  const std::string frame = ea.ServeFrame(eb.Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(DecodeReplyFrame(frame, &env).ok());
+  EXPECT_TRUE(env.segments.empty());
 }
 
 TEST(ShardedReplicaTest, UnchangedShardsAreOmittedFromTheReply) {
   ShardedReplica a(0, 2, 8), b(1, 2, 8);
-  ASSERT_TRUE(PropagateOnceShardedV3(a, b).ok());
+  BufferPool pool;
+  ShardedExchange ea(a, pool), eb(b, pool);
+  ASSERT_TRUE(PullSharded(eb, ea).ok());
   // One fresh update dirties exactly one shard.
   ASSERT_TRUE(a.Update("solo", "v").ok());
-  ShardedPropagationResponse resp =
-      a.HandlePropagationRequestV3(b.BuildPropagationRequestV3());
-  ASSERT_EQ(resp.segments.size(), 1u);
-  EXPECT_EQ(resp.segments[0].shard,
-            static_cast<uint32_t>(a.ShardOf("solo")));
+  const std::string frame = ea.ServeFrame(eb.Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(DecodeReplyFrame(frame, &env).ok());
+  ASSERT_EQ(env.segments.size(), 1u);
+  EXPECT_EQ(env.segments[0].shard, static_cast<uint32_t>(a.ShardOf("solo")));
 }
 
 // ---------------------------------------------------------------------------
@@ -284,15 +299,19 @@ TEST(ShardedReplicaTest, UnchangedShardsAreOmittedFromTheReply) {
 
 TEST(ShardedWireTest, MismatchedShardCountIsRejectedBeforeAnyStateChanges) {
   ShardedReplica four(0, 2, 4), eight(1, 2, 8);
+  BufferPool pool;
+  ShardedExchange e4(four, pool), e8(eight, pool);
   ASSERT_TRUE(eight.Update("x", "v").ok());
   // `four` asks `eight`: the source notices the shard-count mismatch and
   // replies with its own count and no segments; the requester refuses it.
-  ShardedPropagationResponse resp =
-      eight.HandlePropagationRequestV3(four.BuildPropagationRequestV3());
-  EXPECT_EQ(resp.num_shards, 8u);
-  EXPECT_TRUE(resp.segments.empty());
-  Status s = four.AcceptPropagation(resp);
+  const std::string frame = e8.ServeFrame(e4.Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(DecodeReplyFrame(frame, &env).ok());
+  EXPECT_EQ(env.num_shards, 8u);
+  EXPECT_TRUE(env.segments.empty());
+  Status s = e4.AcceptFrame(frame);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_TRUE(PullSharded(e4, e8).status().IsInvalidArgument());
   EXPECT_EQ(four.TotalItems(), 0u);
   EXPECT_TRUE(four.CheckInvariants().ok());
 }
@@ -300,22 +319,25 @@ TEST(ShardedWireTest, MismatchedShardCountIsRejectedBeforeAnyStateChanges) {
 TEST(ShardedWireTest, RequestAndResponseSurviveTheCodec) {
   // The full exchange over tags 17/18.
   ShardedReplica a(0, 3, 4), b(1, 3, 4);
+  BufferPool pool;
+  ShardedExchange ea(a, pool), eb(b, pool);
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
         b.Update("k" + std::to_string(i), "v" + std::to_string(i)).ok());
   }
-  std::string req_wire =
-      net::Encode(net::Message(a.BuildPropagationRequestV3()));
+  std::string req_wire = net::Encode(net::Message(ea.Handshake()));
   auto req = net::Decode(req_wire);
   ASSERT_TRUE(req.ok()) << req.status().ToString();
   const auto& decoded_req = std::get<ShardedPropagationRequest>(*req);
   EXPECT_EQ(decoded_req.flags, 0);
 
-  ShardedPropagationResponse resp = b.HandlePropagationRequestV3(decoded_req);
-  auto resp2 = net::Decode(net::Encode(net::Message(resp)));
-  ASSERT_TRUE(resp2.ok()) << resp2.status().ToString();
-  const auto& decoded_resp = std::get<ShardedPropagationResponse>(*resp2);
-  ASSERT_TRUE(a.AcceptPropagation(decoded_resp).ok());
+  // The served frame decodes through the owned codec too (padded count and
+  // lengths included), and applies through the zero-copy accept.
+  const std::string frame = eb.ServeFrame(decoded_req);
+  auto resp = net::Decode(frame);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(std::get<ShardedPropagationResponse>(*resp).segments.size(), 4u);
+  ASSERT_TRUE(ea.AcceptFrame(frame).ok());
   EXPECT_EQ(a.AggregateDbvv(), b.AggregateDbvv());
   EXPECT_EQ(a.Scan(""), b.Scan(""));
   EXPECT_TRUE(a.CheckInvariants().ok());
@@ -324,15 +346,16 @@ TEST(ShardedWireTest, RequestAndResponseSurviveTheCodec) {
 TEST(ShardedWireV3Test, BufferPoolIsRecycledAcrossRounds) {
   ShardedReplica a(0, 2, 4), b(1, 2, 4);
   BufferPool pool;
+  ShardedExchange ea(a, pool), eb(b, pool);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(
           a.Update("r" + std::to_string(round) + "/" + std::to_string(i), "v")
               .ok());
     }
-    ASSERT_TRUE(PropagateOnceShardedV3(a, b, &pool).ok());
+    ASSERT_TRUE(PullSharded(eb, ea).ok());
   }
-  // Rounds after the first reuse the returned segment buffers.
+  // Rounds after the first reuse the returned reply pieces.
   EXPECT_GT(pool.stats().hits, 0u);
   EXPECT_GT(pool.stats().returns, 0u);
   EXPECT_EQ(a.Scan(""), b.Scan(""));

@@ -13,6 +13,7 @@
 // (DESIGN.md §9). Exit codes: 0 = clean, 1 = violation found (or reproduced
 // under --replay), 2 = usage error.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "check/action.h"
 #include "check/checker.h"
 #include "check/world.h"
+#include "parse_number.h"
 
 namespace {
 
@@ -37,8 +39,8 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --nodes <n>        replicas, 2..3 (default 2)\n"
-      "  --items <N>        data items, 1..3 (default 2)\n"
+      "  --nodes <n>        replicas, 2..4 (default 2)\n"
+      "  --items <N>        data items, 1..4 (default 2)\n"
       "  --depth <D>        max schedule length (default 8)\n"
       "  --shards <S>       shards per replica; >1 drives the sharded core\n"
       "                     through the real wire segments (default 1)\n"
@@ -49,14 +51,6 @@ void Usage(const char* argv0) {
       "  --trace-out <file> where to write the minimized violation trace\n"
       "  --replay <file>    replay a trace file instead of exploring\n",
       argv0);
-}
-
-bool ParseSize(const char* arg, size_t* out) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(arg, &end, 10);
-  if (end == arg || *end != '\0') return false;
-  *out = static_cast<size_t>(v);
-  return true;
 }
 
 void PrintTrace(const TraceFile& trace) {
@@ -133,20 +127,27 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
+    // A whole base-10 number; the range checks after the loop bound it.
+    auto number = [&](size_t* out) {
+      const char* v = value();
+      long n = 0;
+      if (v == nullptr ||
+          !epidemic::tools::ParseNumber(flag.c_str(), v, 0, INT_MAX, &n)) {
+        return false;
+      }
+      *out = static_cast<size_t>(n);
+      return true;
+    };
 
     bool ok = true;
     if (flag == "--nodes") {
-      const char* v = value();
-      ok = v != nullptr && ParseSize(v, &config.world.num_nodes);
+      ok = number(&config.world.num_nodes);
     } else if (flag == "--items") {
-      const char* v = value();
-      ok = v != nullptr && ParseSize(v, &config.world.num_items);
+      ok = number(&config.world.num_items);
     } else if (flag == "--depth") {
-      const char* v = value();
-      ok = v != nullptr && ParseSize(v, &config.max_depth);
+      ok = number(&config.max_depth);
     } else if (flag == "--shards") {
-      const char* v = value();
-      ok = v != nullptr && ParseSize(v, &config.world.num_shards);
+      ok = number(&config.world.num_shards);
     } else if (flag == "--mutate") {
       const char* v = value();
       if (v == nullptr) {

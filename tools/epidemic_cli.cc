@@ -9,12 +9,13 @@
 // the named peer (§5.2) before answering, so the reply is at least as
 // fresh as that peer.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "net/tcp_transport.h"
+#include "parse_number.h"
 #include "server/replica_server.h"
 
 namespace {
@@ -36,13 +37,26 @@ void Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int port = 0;
+  using epidemic::tools::ParseNumber;
+  long port = 0;
   int argi = 1;
   if (argi < argc && std::strncmp(argv[argi], "--port=", 7) == 0) {
-    port = std::atoi(argv[argi] + 7);
+    if (!ParseNumber("--port", argv[argi] + 7, 1, 65535, &port)) {
+      Usage(argv[0]);
+      return 2;
+    }
     ++argi;
   }
-  if (port <= 0 || argi >= argc) {
+  if (port == 0 || argi >= argc) {
+    Usage(argv[0]);
+    return 2;
+  }
+  // `sync` and `oobget` name a peer by id; a bad one is a usage error,
+  // reported before any connection is opened.
+  long peer = 0;
+  const std::string command = argv[argi++];
+  if ((command == "sync" || command == "oobget") && argi < argc &&
+      !ParseNumber("peer id", argv[argi], 0, INT_MAX, &peer)) {
     Usage(argv[0]);
     return 2;
   }
@@ -52,7 +66,6 @@ int main(int argc, char** argv) {
   transport.SetPeerPort(0, static_cast<uint16_t>(port));
   epidemic::server::ReplicaClient client(&transport, 0);
 
-  const std::string command = argv[argi++];
   if (command == "put" && argi + 1 < argc) {
     epidemic::Status s = client.Update(argv[argi], argv[argi + 1]);
     if (!s.ok()) {
@@ -81,7 +94,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "oobget" && argi + 1 < argc) {
-    int peer = std::atoi(argv[argi]);
     auto v = client.OobRead(static_cast<epidemic::NodeId>(peer),
                             argv[argi + 1]);
     if (!v.ok()) {
@@ -107,8 +119,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "sync" && argi < argc) {
-    epidemic::Status s = client.TriggerSync(
-        static_cast<epidemic::NodeId>(std::atoi(argv[argi])));
+    epidemic::Status s =
+        client.TriggerSync(static_cast<epidemic::NodeId>(peer));
     if (!s.ok()) {
       std::fprintf(stderr, "sync failed: %s\n", s.ToString().c_str());
       return 1;

@@ -15,20 +15,21 @@
 // All endpoints are 127.0.0.1 (this daemon is a lab/replication endpoint,
 // not a hardened public service). Stop with SIGINT/SIGTERM.
 
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "net/tcp_transport.h"
+#include "parse_number.h"
 #include "server/replica_server.h"
 
 namespace {
+
+using epidemic::tools::ParseNumber;
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
@@ -51,25 +52,6 @@ void Usage(const char* argv0) {
                "          [--shards=<count>] [--ae-workers=<threads>]\n"
                "          [--data-dir=<dir>]\n",
                argv0);
-}
-
-/// Parses all of `text` as a base-10 number in [min, max] into *out.
-/// Prints an error naming `what` and returns false on an empty string, a
-/// sign, a stray character or a value out of range, so a mistyped flag
-/// stops the daemon instead of running it with some other number.
-bool ParseNumber(const char* what, const char* text, long min, long max,
-                 long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (*text < '0' || *text > '9' || errno != 0 || *end != '\0' || v < min ||
-      v > max) {
-    std::fprintf(stderr, "bad %s '%s' (want a number in %ld-%ld)\n", what,
-                 text, min, max);
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opts) {
@@ -192,7 +174,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("epidemicd: shutting down (conflicts detected: %llu)\n",
-              static_cast<unsigned long long>(server->conflicts_detected()));
+              static_cast<unsigned long long>(
+                  server->TotalStats().conflicts_detected));
   server->Stop();
   listener.Stop();
   if (server->is_durable()) {
