@@ -40,7 +40,6 @@ int Target_vv_delta(const uint8_t* data, size_t size);
 int Target_snapshot(const uint8_t* data, size_t size);
 int Target_journal(const uint8_t* data, size_t size);
 int Target_server_frame(const uint8_t* data, size_t size);
-int Target_tokens(const uint8_t* data, size_t size);
 int Target_fixture(const uint8_t* data, size_t size);
 
 struct TargetInfo {

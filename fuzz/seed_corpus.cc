@@ -15,7 +15,6 @@
 #include "net/inproc_transport.h"
 #include "server/replica_server.h"
 #include "server/sharded_exchange.h"
-#include "tokens/token_service.h"
 #include "vv/vv_codec.h"
 
 namespace epidemic::fuzz {
@@ -246,33 +245,6 @@ std::vector<SeedInput> ServerFrameSeeds() {
   return out;
 }
 
-std::vector<SeedInput> TokensSeeds() {
-  std::vector<SeedInput> out;
-  tokens::TokenService service(0, kFuzzNodes);
-  // Find one item homed here and one homed elsewhere (the denial path).
-  std::string home_item, foreign_item;
-  for (int i = 0; i < 64 && (home_item.empty() || foreign_item.empty()); ++i) {
-    std::string item = "item-" + std::to_string(i);
-    (service.HomeOf(item) == 0 ? home_item : foreign_item) = item;
-  }
-  EPI_CHECK(!home_item.empty() && !foreign_item.empty());
-
-  Add(&out, "request_home",
-      tokens::EncodeTokenRequest(tokens::TokenRequest{1, home_item}));
-  Add(&out, "request_foreign",
-      tokens::EncodeTokenRequest(tokens::TokenRequest{1, foreign_item}));
-  Add(&out, "release_home",
-      tokens::EncodeTokenRelease(tokens::TokenRelease{1, home_item}));
-  Add(&out, "release_foreign",
-      tokens::EncodeTokenRelease(tokens::TokenRelease{1, foreign_item}));
-  Add(&out, "reply_frame",
-      tokens::EncodeTokenReply(tokens::TokenReply{true, 1, home_item}));
-  Add(&out, "request_truncated",
-      tokens::EncodeTokenRequest(tokens::TokenRequest{1, home_item})
-          .substr(0, 2));
-  return out;
-}
-
 std::vector<SeedInput> FixtureSeeds() {
   std::vector<SeedInput> out;
   Add(&out, "empty_records", std::string("F\x00", 2));
@@ -305,7 +277,6 @@ std::vector<SeedInput> BuildSeedCorpus(const std::string& target) {
   if (target == "snapshot") return SnapshotSeeds();
   if (target == "journal") return JournalSeeds();
   if (target == "server_frame") return ServerFrameSeeds();
-  if (target == "tokens") return TokensSeeds();
   if (target == "fixture") return FixtureSeeds();
   return {};
 }

@@ -144,7 +144,7 @@ case "$mode" in
           -DEPIDEMIC_ASAN=ON > /dev/null
       mkdir -p fuzz-artifacts
       for target in codec wire_segment_v3 vv_delta snapshot journal \
-                    server_frame tokens fixture; do
+                    server_frame fixture; do
         cmake --build "$build_dir" -j"$(nproc)" --target "fuzz_$target"
         corpus="tests/testdata/fuzz/$target"
         mkdir -p "$corpus"
@@ -161,10 +161,8 @@ case "$mode" in
         "$build_dir"/fuzz/fuzz_replay "$target" --fuzz --runs 5000 \
             tests/testdata/fuzz/"$target" "$@"
       done
-      for target in tokens server_frame; do
-        "$build_dir"/fuzz/fuzz_replay "$target" --fuzz --runs 500 \
-            tests/testdata/fuzz/"$target" "$@"
-      done
+      "$build_dir"/fuzz/fuzz_replay server_frame --fuzz --runs 500 \
+          tests/testdata/fuzz/server_frame "$@"
       echo "fuzz-smoke: no findings (deterministic mini fuzzer; install" \
            "clang for coverage-guided runs)"
     fi

@@ -143,7 +143,9 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
     return Status::InvalidArgument("'" + dir + "' is not a directory");
   }
 
-  // 1. Base state: the latest snapshot, or a fresh replica.
+  // 1. Base state: the latest snapshot, or a fresh replica when there is
+  // none. A snapshot or journal that exists but cannot be read fails the
+  // open: starting without it would reuse this node's sequence numbers.
   std::unique_ptr<Replica> replica;
   auto loaded = LoadSnapshot(SnapshotPath(dir), listener);
   if (loaded.ok()) {
@@ -167,38 +169,29 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
   // next recovery although acknowledged.
   uint64_t replayed = 0;
   const std::string journal_path = JournalPath(dir);
-  std::FILE* f = std::fopen(journal_path.c_str(), "rb");
-  if (f != nullptr) {
-    std::string data;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-    std::fclose(f);
-
+  auto data = ReadFileFully(journal_path);
+  if (data.ok()) {
     size_t good_prefix = 0;
-    auto count = ReplayJournalBytes(*replica, data, &good_prefix);
+    auto count = ReplayJournalBytes(*replica, *data, &good_prefix);
     if (!count.ok()) return count.status();
     replayed = *count;
-    if (good_prefix < data.size() &&
+    if (good_prefix < data->size() &&
         truncate(journal_path.c_str(), static_cast<off_t>(good_prefix)) != 0) {
       return Status::IOError("cannot cut the torn tail off '" + journal_path +
                              "'");
     }
+  } else if (!data.status().IsNotFound()) {
+    return data.status();
   }
 
   auto jr = std::unique_ptr<JournaledReplica>(
       new JournaledReplica(dir, std::move(replica)));
   jr->records_ = replayed;
-  EPI_RETURN_NOT_OK(jr->OpenJournalForAppend());
-  return jr;
-}
-
-Status JournaledReplica::OpenJournalForAppend() {
-  journal_ = std::fopen(JournalPath(dir_).c_str(), "ab");
-  if (journal_ == nullptr) {
-    return Status::IOError("cannot open journal in '" + dir_ + "'");
+  jr->journal_ = std::fopen(journal_path.c_str(), "ab");
+  if (jr->journal_ == nullptr) {
+    return Status::IOError("cannot open journal in '" + dir + "'");
   }
-  return Status::OK();
+  return jr;
 }
 
 Status JournaledReplica::AppendRecord(std::string payload) {
@@ -287,15 +280,14 @@ Status JournaledReplica::AcceptOobResponse(const OobResponse& resp) {
 Status JournaledReplica::Checkpoint() {
   EPI_RETURN_NOT_OK(SaveSnapshot(*replica_, SnapshotPath(dir_)));
   // Truncate the journal: records up to here are covered by the snapshot.
-  std::fclose(journal_);
-  journal_ = nullptr;
-  std::FILE* f = std::fopen(JournalPath(dir_).c_str(), "wb");
-  if (f == nullptr) {
+  // Through the open handle, so a failure leaves the journal open and the
+  // next append still has a stream to write to. The handle appends, so the
+  // next record lands at offset 0.
+  if (std::fflush(journal_) != 0 || ftruncate(fileno(journal_), 0) != 0) {
     return Status::IOError("cannot truncate journal in '" + dir_ + "'");
   }
-  std::fclose(f);
   records_ = 0;
-  return OpenJournalForAppend();
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -311,13 +303,10 @@ std::string ShardCountPath(const std::string& dir) {
 /// a function of the count, so data written under one count is unreadable
 /// under another — hence refuse rather than misroute.
 Status PinShardCount(const std::string& dir, size_t num_shards) {
-  std::FILE* f = std::fopen(ShardCountPath(dir).c_str(), "rb");
-  if (f != nullptr) {
-    char buf[32] = {0};
-    const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    const unsigned long stored = std::strtoul(buf, nullptr, 10);
-    if (n == 0 || stored == 0) {
+  auto pinned = ReadFileFully(ShardCountPath(dir));
+  if (pinned.ok()) {
+    const unsigned long stored = std::strtoul(pinned->c_str(), nullptr, 10);
+    if (stored == 0) {
       return Status::Corruption("unreadable shard count in '" + dir + "'");
     }
     if (stored != num_shards) {
@@ -327,7 +316,8 @@ Status PinShardCount(const std::string& dir, size_t num_shards) {
     }
     return Status::OK();
   }
-  f = std::fopen(ShardCountPath(dir).c_str(), "wb");
+  if (!pinned.status().IsNotFound()) return pinned.status();
+  std::FILE* f = std::fopen(ShardCountPath(dir).c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot write shard count in '" + dir + "'");
   }
@@ -379,8 +369,8 @@ Result<std::unique_ptr<JournaledShardedReplica>> JournaledShardedReplica::Open(
     }
     auto shard = JournaledReplica::Open(shard_dir, id, num_nodes, listener);
     if (!shard.ok()) {
-      return Status::Internal("shard " + std::to_string(k) + ": " +
-                              shard.status().message());
+      return Status(shard.status().code(), "shard " + std::to_string(k) +
+                                               ": " + shard.status().message());
     }
     shards.push_back(std::move(*shard));
   }

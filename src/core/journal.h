@@ -58,7 +58,9 @@ class JournaledReplica {
  public:
   /// Recovers (or freshly creates) a journaled replica backed by the files
   /// `<dir>/journal.log` and `<dir>/snapshot.bin`. The directory must
-  /// exist. `listener` may be null and must outlive the object.
+  /// exist. A file that exists but cannot be opened or read is IOError,
+  /// never a fresh start. `listener` may be null and must outlive the
+  /// object.
   static Result<std::unique_ptr<JournaledReplica>> Open(
       const std::string& dir, NodeId id, size_t num_nodes,
       ConflictListener* listener = nullptr);
@@ -110,6 +112,9 @@ class JournaledReplica {
   /// Writes a snapshot and truncates the journal. Recovery afterwards is
   /// snapshot + (empty) journal. Requires the shard context: the snapshot
   /// must observe a quiescent replica (no concurrent mutation mid-encode).
+  /// On failure the journal stays open for appends. A truncation that fails
+  /// after the snapshot was written leaves records the snapshot already
+  /// covers, and recovery replays them over it.
   Status Checkpoint() REQUIRES_SHARD_CONTEXT;
 
   const Replica& replica() const { return *replica_; }
@@ -123,7 +128,6 @@ class JournaledReplica {
   JournaledReplica(std::string dir, std::unique_ptr<Replica> replica);
 
   Status AppendRecord(std::string payload);
-  Status OpenJournalForAppend();
 
   std::string dir_;
   std::unique_ptr<Replica> replica_;
@@ -145,7 +149,8 @@ class JournaledReplica {
 class JournaledShardedReplica {
  public:
   /// Recovers (or freshly creates) the sharded state under `dir`, which
-  /// must exist; shard subdirectories are created as needed.
+  /// must exist; shard subdirectories are created as needed. A shard's
+  /// error keeps its code, prefixed with "shard k: ".
   static Result<std::unique_ptr<JournaledShardedReplica>> Open(
       const std::string& dir, NodeId id, size_t num_nodes, size_t num_shards,
       ConflictListener* listener = nullptr);

@@ -1,6 +1,8 @@
 #include "core/snapshot.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "common/bytes.h"
@@ -34,10 +36,14 @@ Status WriteFileAtomic(const std::string& blob, const std::string& path) {
   return Status::OK();
 }
 
+}  // namespace
+
 Result<std::string> ReadFileFully(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    return Status::NotFound("no snapshot at '" + path + "'");
+    if (errno == ENOENT) return Status::NotFound("no file at '" + path + "'");
+    return Status::IOError("cannot open '" + path +
+                           "': " + std::strerror(errno));
   }
   std::string blob;
   char buf[1 << 16];
@@ -50,7 +56,6 @@ Result<std::string> ReadFileFully(const std::string& path) {
   if (read_error) return Status::IOError("error reading '" + path + "'");
   return blob;
 }
-}  // namespace
 
 /// Friend of Replica; does the actual state walking.
 class SnapshotCodec {

@@ -47,6 +47,11 @@ Result<std::unique_ptr<Replica>> DecodeSnapshot(
 /// EncodeSnapshot + atomic write to `path` (via rename of a temp file).
 Status SaveSnapshot(const Replica& replica, const std::string& path);
 
+/// Reads the whole of `path`. NotFound only when the file does not exist;
+/// any other failure to open or read it is IOError, so recovery never
+/// mistakes state it cannot read for state that is absent.
+Result<std::string> ReadFileFully(const std::string& path);
+
 /// Reads `path` and decodes it.
 Result<std::unique_ptr<Replica>> LoadSnapshot(
     const std::string& path, ConflictListener* listener = nullptr);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -174,8 +175,15 @@ void TcpServer::AcceptLoop() {
   while (running_.load()) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed by Stop()
+      // Only Stop() ends the loop: it clears running_ before it shuts the
+      // listener down. Every other failure is transient. Out of descriptors
+      // or memory, the pending connection stays queued; wait for some to be
+      // freed instead of spinning on the same error.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     ReapFinishedWorkers();
     MutexLock lock(workers_mu_);
@@ -238,10 +246,12 @@ void TcpServer::ServeConnection(int fd) {
 
 void TcpServer::Stop() {
   if (!running_.exchange(false)) return;
-  // Shut the listener down to unblock accept().
+  // Shut the listener down to unblock accept(); close it only once the
+  // accept loop has left, so the loop never calls accept() on a closed
+  // (or reused) descriptor number.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
   std::vector<std::thread> workers;
   {
     MutexLock lock(workers_mu_);

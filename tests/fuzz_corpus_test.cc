@@ -41,31 +41,28 @@ std::map<std::string, std::string> CheckedInCorpus(const std::string& target) {
   return files;
 }
 
-class FuzzTargetTest : public ::testing::TestWithParam<const char*> {};
+class FuzzTargetTest : public ::testing::TestWithParam<TargetInfo> {};
 
 TEST_P(FuzzTargetTest, SeedCorpusIsNonEmptyAndReplays) {
-  const TargetInfo* target = FindTarget(GetParam());
-  ASSERT_NE(target, nullptr);
-  std::vector<SeedInput> seeds = BuildSeedCorpus(target->name);
-  ASSERT_FALSE(seeds.empty()) << "no generated seeds for " << target->name;
+  const TargetInfo& target = GetParam();
+  std::vector<SeedInput> seeds = BuildSeedCorpus(target.name);
+  ASSERT_FALSE(seeds.empty()) << "no generated seeds for " << target.name;
   for (const SeedInput& seed : seeds) {
     SCOPED_TRACE(seed.label);
-    target->fn(reinterpret_cast<const uint8_t*>(seed.bytes.data()),
-               seed.bytes.size());
+    target.fn(reinterpret_cast<const uint8_t*>(seed.bytes.data()),
+              seed.bytes.size());
   }
 }
 
 TEST_P(FuzzTargetTest, CheckedInCorpusReplays) {
-  const TargetInfo* target = FindTarget(GetParam());
-  ASSERT_NE(target, nullptr);
-  const std::map<std::string, std::string> files =
-      CheckedInCorpus(target->name);
+  const TargetInfo& target = GetParam();
+  const std::map<std::string, std::string> files = CheckedInCorpus(target.name);
   ASSERT_FALSE(files.empty())
-      << "tests/testdata/fuzz/" << target->name
+      << "tests/testdata/fuzz/" << target.name
       << " is missing — regenerate with fuzz_export_corpus";
   for (const auto& [name, bytes] : files) {
     SCOPED_TRACE(name);
-    target->fn(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    target.fn(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
   }
 }
 
@@ -73,15 +70,14 @@ TEST_P(FuzzTargetTest, CheckedInCorpusReplays) {
 // for byte, so a change to an encoder shows up as a corpus diff in the
 // same change.
 TEST_P(FuzzTargetTest, CheckedInCorpusMatchesGenerator) {
-  const TargetInfo* target = FindTarget(GetParam());
-  ASSERT_NE(target, nullptr);
+  const TargetInfo& target = GetParam();
   std::map<std::string, std::string> generated;
   size_t index = 0;
-  for (SeedInput& seed : BuildSeedCorpus(target->name)) {
+  for (SeedInput& seed : BuildSeedCorpus(target.name)) {
     generated[SeedFileName(index++, seed.label)] = std::move(seed.bytes);
   }
   const std::map<std::string, std::string> checked_in =
-      CheckedInCorpus(target->name);
+      CheckedInCorpus(target.name);
   for (const auto& [name, bytes] : generated) {
     auto it = checked_in.find(name);
     if (it == checked_in.end()) {
@@ -100,13 +96,26 @@ TEST_P(FuzzTargetTest, CheckedInCorpusMatchesGenerator) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTargets, FuzzTargetTest,
-                         ::testing::Values("codec", "wire_segment_v3",
-                                           "vv_delta", "snapshot", "journal",
-                                           "server_frame", "tokens",
-                                           "fixture"),
+                         ::testing::ValuesIn(AllTargets()),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(info.param.name);
                          });
+
+// A corpus directory whose target is gone would otherwise stay behind,
+// replayed by nothing.
+TEST(FuzzRegistryTest, EveryCorpusDirectoryHasATarget) {
+  const std::string root =
+      std::string(EPI_SOURCE_DIR) + "/tests/testdata/fuzz";
+  DIR* d = opendir(root.c_str());
+  ASSERT_NE(d, nullptr) << root;
+  while (dirent* entry = readdir(d)) {
+    if (entry->d_name[0] == '.') continue;
+    EXPECT_NE(FindTarget(entry->d_name), nullptr)
+        << "tests/testdata/fuzz/" << entry->d_name
+        << " belongs to no registered target";
+  }
+  closedir(d);
+}
 
 TEST(FuzzRegistryTest, EveryRegisteredTargetHasSeeds) {
   for (const TargetInfo& target : AllTargets()) {

@@ -12,7 +12,6 @@
 #include "core/snapshot.h"
 #include "net/codec.h"
 #include "server/sharded_exchange.h"
-#include "tokens/token_service.h"
 
 namespace epidemic {
 namespace {
@@ -32,9 +31,6 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashAnyDecoder) {
     (void)net::Decode(bytes);
     (void)DecodeSnapshot(bytes);
     (void)net::DecodeScanListing(bytes);
-    (void)tokens::DecodeTokenRequest(bytes);
-    (void)tokens::DecodeTokenReply(bytes);
-    (void)tokens::DecodeTokenRelease(bytes);
   }
 }
 

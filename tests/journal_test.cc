@@ -336,6 +336,78 @@ TEST_F(JournalTest, CheckpointTruncatesJournal) {
   EXPECT_EQ((*recovered)->replica().dbvv().Total(), 21u);
 }
 
+// A checkpoint must leave the replica able to take the next write, even
+// when journal.log was replaced under it (here by a directory): a
+// checkpoint that reopens the journal by name fails there, and a replica
+// left without a journal stream would crash at the next append.
+TEST_F(JournalTest, CheckpointAfterJournalReplacedKeepsTakingWrites) {
+  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_TRUE(jr.ok());
+  ASSERT_TRUE((*jr)->Update("a", "1").ok());
+  const std::string path = dir_ + "/journal.log";
+  std::filesystem::remove(path);
+  std::filesystem::create_directory(path);
+  const Status checkpointed = (*jr)->Checkpoint();
+  EXPECT_TRUE(checkpointed.ok() || checkpointed.IsIOError())
+      << checkpointed.ToString();
+  const Status updated = (*jr)->Update("b", "2");
+  EXPECT_TRUE(updated.ok() || updated.IsIOError()) << updated.ToString();
+}
+
+// Replaces `path` with a symlink to itself: it exists, and every open of
+// it fails (ELOOP), as an unreadable file would for a daemon started as
+// another user.
+void MakeUnopenable(const std::string& path) {
+  std::filesystem::remove(path);
+  std::filesystem::create_symlink(
+      std::filesystem::path(path).filename(), path);
+}
+
+// A snapshot that exists but cannot be read must stop recovery. Treated as
+// absent, it would restart the node from the journal suffix alone: its
+// snapshotted writes would vanish and the journaled ones be renumbered
+// from 1, onto sequence numbers peers already hold for other items.
+TEST_F(JournalTest, UnreadableSnapshotRefusesToOpen) {
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*jr)->Update("s" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE((*jr)->Checkpoint().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*jr)->Update("j" + std::to_string(i), "v").ok());
+    }
+  }
+  MakeUnopenable(dir_ + "/snapshot.bin");
+  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_FALSE(jr.ok()) << "reopened with dbvv "
+                        << (*jr)->replica().dbvv().ToString();
+  EXPECT_TRUE(jr.status().IsIOError()) << jr.status().ToString();
+}
+
+TEST_F(JournalTest, ShardedUnreadableShardSnapshotRefusesToOpen) {
+  constexpr size_t kShards = 4;
+  std::string shard_snapshot;
+  {
+    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    ASSERT_TRUE(js.ok());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*js)->Update("s" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE((*js)->Checkpoint().ok());
+    ASSERT_TRUE((*js)->Update("j", "v").ok());
+    char name[32];
+    std::snprintf(name, sizeof(name), "/shard-%03zu/snapshot.bin",
+                  (*js)->view().ShardOf("s0"));
+    shard_snapshot = dir_ + name;
+  }
+  MakeUnopenable(shard_snapshot);
+  auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+  ASSERT_FALSE(js.ok());
+  EXPECT_TRUE(js.status().IsIOError()) << js.status().ToString();
+}
+
 TEST_F(JournalTest, WrongIdentityRejectedAfterCheckpoint) {
   {
     auto jr = JournaledReplica::Open(dir_, 0, 2);

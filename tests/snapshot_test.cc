@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -118,6 +119,18 @@ TEST(SnapshotTest, SaveAndLoadFile) {
 TEST(SnapshotTest, LoadMissingFileIsNotFound) {
   auto loaded = LoadSnapshot("/nonexistent/dir/snap.bin");
   EXPECT_TRUE(loaded.status().IsNotFound());
+}
+
+// Only a missing file is absent. One that exists but cannot be opened (a
+// symlink to itself here; permissions or EMFILE in deployment) is an
+// error, which recovery must not mistake for "no snapshot".
+TEST(SnapshotTest, LoadUnopenableFileIsIOError) {
+  const std::string path = ::testing::TempDir() + "/epi_snapshot_loop.bin";
+  std::remove(path.c_str());
+  ASSERT_EQ(::symlink("epi_snapshot_loop.bin", path.c_str()), 0);
+  auto loaded = LoadSnapshot(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
 }
 
 TEST(SnapshotTest, BadMagicRejected) {

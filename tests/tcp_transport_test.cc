@@ -1,9 +1,17 @@
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -331,6 +339,126 @@ TEST(TcpPoolTest, StatsResetDrainsCounters) {
   const TransportStats second = transport.Stats(false);
   EXPECT_EQ(second.calls, 0u);
   EXPECT_EQ(second.bytes_sent, 0u);
+  server.Stop();
+}
+
+
+// ---------------------------------------------------------------------------
+// Listener.
+
+/// Descriptors this process has open, not counting the one that lists them.
+size_t OpenFdCount() {
+  size_t n = 0;
+  DIR* d = opendir("/proc/self/fd");
+  if (d == nullptr) return 0;
+  while (dirent* entry = readdir(d)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  closedir(d);
+  return n - 1;
+}
+
+/// Runs this process out of descriptors without opening more than a few:
+/// lowers the RLIMIT_NOFILE soft limit to `headroom` above the descriptors
+/// already open, then dups one of its own until dup fails. The destructor
+/// closes every descriptor it opened and restores the limit, also when the
+/// test fails.
+class FdExhaustion {
+ public:
+  explicit FdExhaustion(size_t headroom) {
+    base_ = ::open("/dev/null", O_RDONLY);
+    if (base_ < 0 || ::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit low = saved_;
+    low.rlim_cur = OpenFdCount() + headroom;
+    if (low.rlim_cur > saved_.rlim_cur) return;
+    limited_ = (::setrlimit(RLIMIT_NOFILE, &low) == 0);
+    if (!limited_) return;
+    // The limit bounds the loop; the cap only guards against a limit that
+    // did not take.
+    for (int i = 0; i < 64; ++i) {
+      const int fd = ::dup(base_);
+      if (fd < 0) {
+        exhausted_ = (errno == EMFILE);
+        return;
+      }
+      held_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() {
+    for (int fd : held_) ::close(fd);
+    if (base_ >= 0) ::close(base_);
+    if (limited_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  /// True once a dup has failed with EMFILE.
+  bool exhausted() const { return exhausted_; }
+
+  /// Frees exactly one descriptor for the caller's next open.
+  void FreeOne() {
+    ::close(held_.back());
+    held_.pop_back();
+  }
+
+ private:
+  int base_ = -1;
+  rlimit saved_{};
+  bool limited_ = false;
+  bool exhausted_ = false;
+  std::vector<int> held_;
+};
+
+/// A blocking client socket connected to 127.0.0.1:`port`, or -1.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// An accept that fails because the process is out of descriptors must not
+// end the accept loop: once descriptors are free again, a new connection
+// is served. A blocked accept has already reserved the descriptor for its
+// next connection, so the first connection made while the process is out
+// of them is still accepted; the accept after it fails. The client reads
+// with a timeout, so a listener that stopped accepting fails the test
+// instead of hanging it.
+TEST(TcpListenerTest, SurvivesRunningOutOfDescriptors) {
+  EchoHandler h;
+  TcpServer server(&h);
+  ASSERT_TRUE(server.Start(0).ok());
+  int during = -1;
+  {
+    FdExhaustion squeeze(/*headroom=*/4);
+    ASSERT_TRUE(squeeze.exhausted());
+    squeeze.FreeOne();
+    during = ConnectRaw(server.port());
+    ASSERT_GE(during, 0) << std::strerror(errno);
+    // Let the accept loop take that connection and fail its next accept.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  ::close(during);
+
+  const int client = ConnectRaw(server.port());
+  ASSERT_GE(client, 0) << std::strerror(errno);
+  timeval timeout{};
+  timeout.tv_sec = 2;
+  ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string reply;
+  Status got = WriteFrame(client, "after");
+  if (got.ok()) got = ReadFrameInto(client, &reply);
+  ::close(client);
+  ASSERT_TRUE(got.ok()) << "no reply once descriptors were free: "
+                        << got.ToString();
+  EXPECT_EQ(reply, "after");
   server.Stop();
 }
 

@@ -96,7 +96,6 @@ DECODE_TUS = {
     "src/core/journal.h", "src/core/journal.cc",
     "src/net/codec.h", "src/net/codec.cc",
     "src/vv/vv_codec.h", "src/vv/vv_codec.cc",
-    "src/tokens/token_service.cc",
 }
 RAW_COPY_FNS = {"memcpy", "memmove", "__builtin_memcpy", "__builtin_memmove"}
 
