@@ -81,8 +81,8 @@ case "$mode" in
     cmake --build "$build_dir" -j"$(nproc)" --target epicheck epicheck_test
     # The reference configurations from DESIGN.md §9: every interleaving
     # of the action alphabet up to the stated depth, against the real
-    # replica code. The sharded leg exercises the real wire-v3 segments
-    # (tags 17/18). Each row must explore exactly the counts of
+    # replica code. Every row runs the daemon's exchange and its wire-v3
+    # segments (tags 17/18). Each row must explore exactly the counts of
     # EXPERIMENTS.md M1 ("states transitions deduplicated"); keep this
     # block and that table in step. Extra arguments change the
     # configuration, so with them the counts are printed, not compared.

@@ -153,6 +153,9 @@ Result<TraceFile> DecodeTrace(std::string_view text) {
       }
       auto v = ParseIndex(tokens[1]);
       if (!v.ok()) return v.status();
+      if (verb == "shards" && *v == 0) {
+        return Status::InvalidArgument("'shards' must be at least 1");
+      }
       if (verb == "nodes") trace.nodes = *v;
       if (verb == "items") trace.items = *v;
       if (verb == "shards") trace.shards = *v;

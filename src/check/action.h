@@ -62,7 +62,7 @@ struct TraceFile {
 std::string EncodeTrace(const TraceFile& trace);
 
 /// Parses EncodeTrace output. Blank lines and `#` comments are ignored;
-/// unknown directives are errors so stale files fail loudly.
+/// unknown directives and `shards 0` are errors so stale files fail loudly.
 Result<TraceFile> DecodeTrace(std::string_view text);
 
 }  // namespace epidemic::check

@@ -3,25 +3,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/snapshot.h"
-#include "server/sharded_exchange.h"
+#include "core/wire.h"
 
 namespace epidemic::check {
-
-namespace {
-
-/// Inline scheduler for a sharded node: num_shards single-writer
-/// sections and no owner threads, so every task runs on the checker's
-/// thread before the scheduler call returns.
-std::unique_ptr<runtime::ShardScheduler> MakeInlineScheduler(
-    size_t num_shards) {
-  runtime::ShardScheduler::Options opts;
-  opts.num_shards = num_shards;
-  opts.workers = 0;
-  return std::make_unique<runtime::ShardScheduler>(opts);
-}
-
-}  // namespace
 
 Result<Mutation> ParseMutation(std::string_view name) {
   if (name == "none") return Mutation::kNone;
@@ -50,15 +36,9 @@ std::string_view MutationName(Mutation mutation) {
 World::World(const WorldConfig& config) : World(config, /*tampered=*/false) {
   for (size_t i = 0; i < config_.num_nodes; ++i) {
     auto node = std::make_unique<Node>();
-    NodeId id = static_cast<NodeId>(i);
-    if (config_.num_shards > 1) {
-      node->sharded = std::make_unique<ShardedReplica>(
-          id, config_.num_nodes, config_.num_shards, listener_for(*node));
-      node->sched = MakeInlineScheduler(config_.num_shards);
-    } else {
-      node->plain = std::make_unique<Replica>(id, config_.num_nodes,
-                                              listener_for(*node));
-    }
+    Bind(*node, std::make_unique<ShardedReplica>(
+                    static_cast<NodeId>(i), config_.num_nodes,
+                    config_.num_shards, listener_for(*node)));
     nodes_.push_back(std::move(node));
   }
 }
@@ -75,16 +55,9 @@ Result<std::unique_ptr<World>> World::Restore(
   auto world = std::unique_ptr<World>(new World(config, tampered));
   for (const std::string& blob : blobs) {
     auto node = std::make_unique<Node>();
-    if (config.num_shards > 1) {
-      auto replica = DecodeShardedSnapshot(blob, world->listener_for(*node));
-      if (!replica.ok()) return replica.status();
-      node->sharded = std::move(*replica);
-      node->sched = MakeInlineScheduler(config.num_shards);
-    } else {
-      auto replica = DecodeSnapshot(blob, world->listener_for(*node));
-      if (!replica.ok()) return replica.status();
-      node->plain = std::move(*replica);
-    }
+    auto replica = DecodeShardedSnapshot(blob, world->listener_for(*node));
+    if (!replica.ok()) return replica.status();
+    world->Bind(*node, std::move(*replica));
     world->nodes_.push_back(std::move(node));
   }
   return world;
@@ -97,12 +70,14 @@ ConflictListener* World::listener_for(Node& node) {
   return &node.listener;
 }
 
+void World::Bind(Node& node, std::unique_ptr<ShardedReplica> replica) {
+  node.exchange.reset();  // it borrows the replica being replaced
+  node.replica = std::move(replica);
+  node.exchange =
+      std::make_unique<server::ShardedExchange>(*node.replica, buffer_pool_);
+}
+
 Status World::Apply(const Action& action) {
-  // Single-owner escape: the checker drives every node from one thread, so
-  // that thread IS each plain replica's single writer. Sharded nodes still
-  // go through their inline scheduler below, whose tokens re-assert the
-  // capability inside each task.
-  AssertShardContextHeld();
   const size_t n = nodes_.size();
   if (action.a >= n) return Status::InvalidArgument("acting node out of range");
   Node& node = *nodes_[action.a];
@@ -124,30 +99,27 @@ Status World::Apply(const Action& action) {
       value += name;
       value += ".";
       value += std::to_string(version);
-      if (node.plain) return node.plain->Update(name, value);
-      // Sharded: the update is one task in its shard's single-writer
-      // section, executed by the manual pump inside Execute.
+      // The update is one task in its shard's single-writer section.
       Status status;
-      node.sched->Execute(node.sharded->ShardOf(name),
-                          runtime::TaskKind::kLocalUpdate, /*mutates=*/true,
-                          [&](const runtime::ShardToken& token) {
-                            runtime::AssertShardContext(token);
-                            status = node.sharded->Update(name, value);
-                          });
+      node.exchange->sched().Execute(
+          node.replica->ShardOf(name), runtime::TaskKind::kLocalUpdate,
+          /*mutates=*/true, [&](const runtime::ShardToken& token) {
+            runtime::AssertShardContext(token);
+            status = node.replica->Update(name, value);
+          });
       return status;
     }
     case ActionKind::kDelete: {
       if (action.item >= config_.num_items) {
         return Status::InvalidArgument("item index out of range");
       }
-      if (node.plain) return node.plain->Delete(name);
       Status status;
-      node.sched->Execute(node.sharded->ShardOf(name),
-                          runtime::TaskKind::kLocalUpdate, /*mutates=*/true,
-                          [&](const runtime::ShardToken& token) {
-                            runtime::AssertShardContext(token);
-                            status = node.sharded->Delete(name);
-                          });
+      node.exchange->sched().Execute(
+          node.replica->ShardOf(name), runtime::TaskKind::kLocalUpdate,
+          /*mutates=*/true, [&](const runtime::ShardToken& token) {
+            runtime::AssertShardContext(token);
+            status = node.replica->Delete(name);
+          });
       return status;
     }
     case ActionKind::kSync:
@@ -162,54 +134,23 @@ Status World::Apply(const Action& action) {
       if (action.item >= config_.num_items) {
         return Status::InvalidArgument("item index out of range");
       }
-      Node& source = *nodes_[action.b];
-      OobRequest req;
-      OobResponse resp;
-      Status s;
-      if (node.plain) {
-        req = node.plain->BuildOobRequest(name);
-        resp = source.plain->HandleOobRequest(req);
-        s = node.plain->AcceptOobResponse(resp);
-      } else {
-        // Each §5.2 step is a task on the item's shard — build and accept
-        // on the requester, serve on the source — mirroring the server's
-        // OobFetch task structure.
-        const size_t shard = node.sharded->ShardOf(name);
-        node.sched->Execute(shard, runtime::TaskKind::kSnapshot,
-                            /*mutates=*/false,
-                            [&](const runtime::ShardToken&) {
-                              req = node.sharded->BuildOobRequest(name);
-                            });
-        source.sched->Execute(shard, runtime::TaskKind::kServe,
-                              /*mutates=*/false,
-                              [&](const runtime::ShardToken& token) {
-                                runtime::AssertShardContext(token);
-                                resp = source.sharded->HandleOobRequest(req);
-                              });
-        node.sched->Execute(shard, runtime::TaskKind::kAccept,
-                            /*mutates=*/true,
-                            [&](const runtime::ShardToken& token) {
-                              runtime::AssertShardContext(token);
-                              s = node.sharded->AcceptOobResponse(resp);
-                            });
-      }
+      // The daemon's §5.2 steps over the codec frames: the request and the
+      // accept on this node, the serve on the source.
+      Status s =
+          server::PullOob(*node.exchange, *nodes_[action.b]->exchange, name);
       // NotFound (source never heard of the item) and Conflict (reported to
       // the listener) are legal §5.2 outcomes, not protocol errors.
       if (s.IsNotFound() || s.IsConflict()) return Status::OK();
       return s;
     }
     case ActionKind::kPump:
-      if (node.plain) {
-        node.plain->PumpIntraNode();
-      } else {
-        // Touches every shard: run under the scheduler's cross-shard
-        // barrier, like the server's whole-database operations.
-        node.sched->ExecuteExclusive(
-            /*mutates=*/true, [&](const runtime::ExclusiveToken& token) {
-              runtime::AssertShardContext(token);
-              node.sharded->PumpIntraNode();
-            });
-      }
+      // Touches every shard: run under the scheduler's cross-shard
+      // barrier, like the server's whole-database operations.
+      node.exchange->sched().ExecuteExclusive(
+          /*mutates=*/true, [&](const runtime::ExclusiveToken& token) {
+            runtime::AssertShardContext(token);
+            node.replica->PumpIntraNode();
+          });
       return Status::OK();
     case ActionKind::kCrash:
       return ApplyCrash(action.a);
@@ -218,77 +159,77 @@ Status World::Apply(const Action& action) {
 }
 
 Status World::ApplySync(size_t recipient, size_t source) {
-  // Single-owner escape: same as Apply — the checker's one driver thread
-  // is the single writer of both plain replicas in this exchange.
-  AssertShardContextHeld();
-  Node& r = *nodes_[recipient];
-  Node& s = *nodes_[source];
-  if (r.plain) {
-    PropagationRequest req = r.plain->BuildPropagationRequest();
-    const PropagationResponseView& served =
-        s.plain->HandlePropagationView(req);
-    if (config_.mutation == Mutation::kTamperIvv && !tampered_ &&
-        !served.items.empty()) {
-      // Plant one phantom update attributed to the source. The view borrows
-      // the source's live IVVs, so the forged one is a local copy.
-      PropagationResponseView forged = served;
-      VersionVector phantom = *forged.items[0].ivv;
-      phantom.Increment(static_cast<NodeId>(source));
-      forged.items[0].ivv = &phantom;
-      tampered_ = true;
-      return r.plain->AcceptPropagation(forged);
-    }
-    return r.plain->AcceptPropagation(served);
-  }
-  // Sharded: the daemon's exchange (server/sharded_exchange.h) on each
-  // node's inline scheduler — the handshake snapshot as one batch on the
+  // The daemon's exchange (server/sharded_exchange.h) on each node's
+  // inline scheduler — the handshake snapshot as one batch on the
   // recipient, the serve as one batch on the source (the real wire-v3
   // reply frame, tag 18), then the envelope decode and one accept batch
   // on the recipient. The inline scheduler runs every batch in the order
   // of its shard list, so the whole exchange is a pure function of the
   // schedule.
-  server::ShardedExchange to(*r.sharded, *r.sched, buffer_pool_);
-  server::ShardedExchange from(*s.sharded, *s.sched, buffer_pool_);
-  return server::PullSharded(to, from).status();
+  server::ShardedExchange& to = *nodes_[recipient]->exchange;
+  server::ShardedExchange& from = *nodes_[source]->exchange;
+  if (config_.mutation != Mutation::kTamperIvv || tampered_) {
+    return server::PullSharded(to, from).status();
+  }
+  // kTamperIvv: the source lies on the wire. The first segment that ships
+  // items is re-encoded with its first item's IVV raised by one at the
+  // source's entry. The delta base, the source shard's DBVV, is raised by
+  // the same one, so every complement delta stays non-negative and every
+  // other item decodes to its true IVV.
+  const std::string frame = from.ServeFrame(to.Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  EPI_RETURN_NOT_OK(server::DecodeReplyFrame(frame, &env));
+  std::string forged;
+  for (wire::ShardedSegmentView& seg : env.segments) {
+    wire::SegmentViewStorage storage;
+    PropagationResponseView view;
+    EPI_RETURN_NOT_OK(
+        wire::DecodeShardSegmentBodyV3(seg.body, &storage, &view));
+    if (view.items.empty()) continue;
+    VersionVector base;
+    from.sched().Execute(seg.shard, runtime::TaskKind::kSnapshot,
+                         /*mutates=*/false,
+                         [&](const runtime::ShardToken&) {
+                           base = from.replica().shard(seg.shard).dbvv();
+                         });
+    const NodeId liar = static_cast<NodeId>(source);
+    base.Increment(liar);
+    VersionVector phantom = *view.items[0].ivv;
+    phantom.Increment(liar);
+    view.items[0].ivv = &phantom;
+    ByteWriter w;
+    wire::EncodeShardSegmentBodyV3Into(w, view, base);
+    forged = w.Release();
+    seg.body = forged;
+    tampered_ = true;
+    break;
+  }
+  return to.Accept(env.num_shards, env.segments);
 }
 
 Status World::ApplyCrash(size_t index) {
   Node& node = *nodes_[index];
-  NodeId id = static_cast<NodeId>(index);
   if (config_.mutation == Mutation::kAmnesia) {
     // The defect: recovery "finds" no snapshot and rejoins empty.
-    if (node.plain) {
-      node.plain =
-          std::make_unique<Replica>(id, config_.num_nodes, listener_for(node));
-    } else {
-      node.sharded = std::make_unique<ShardedReplica>(
-          id, config_.num_nodes, config_.num_shards, listener_for(node));
-    }
+    Bind(node, std::make_unique<ShardedReplica>(
+                   static_cast<NodeId>(index), config_.num_nodes,
+                   config_.num_shards, listener_for(node)));
     return Status::OK();
   }
   // Honest crash: lose the process, recover from a snapshot of the current
   // state (recovery at a checkpoint boundary; replaying a journal suffix on
-  // top is journal_test's concern). Soft state (counters, peer DBVVs) is
-  // legitimately lost.
-  if (node.plain) {
-    std::string blob = EncodeSnapshot(*node.plain);
-    auto restored = DecodeSnapshot(blob, listener_for(node));
-    if (!restored.ok()) return restored.status();
-    node.plain = std::move(*restored);
-  } else {
-    std::string blob = EncodeShardedSnapshot(*node.sharded);
-    auto restored = DecodeShardedSnapshot(blob, listener_for(node));
-    if (!restored.ok()) return restored.status();
-    node.sharded = std::move(*restored);
-  }
+  // top is journal_test's concern). Soft state (counters, peer DBVVs, the
+  // scheduler) is legitimately lost.
+  auto restored = DecodeShardedSnapshot(EncodeShardedSnapshot(*node.replica),
+                                        listener_for(node));
+  if (!restored.ok()) return restored.status();
+  Bind(node, std::move(*restored));
   return Status::OK();
 }
 
 Status World::CheckInvariants() const {
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = *nodes_[i];
-    Status s = node.plain ? node.plain->CheckInvariants()
-                          : node.sharded->CheckInvariants();
+    Status s = nodes_[i]->replica->CheckInvariants();
     if (!s.ok()) {
       return Status::Internal("node " + std::to_string(i) + ": " +
                               s.message());
@@ -298,17 +239,14 @@ Status World::CheckInvariants() const {
 }
 
 std::string World::NodeCanonicalState(size_t i) const {
-  const Node& node = *nodes_[i];
-  return node.plain ? node.plain->CanonicalState()
-                    : node.sharded->CanonicalState();
+  return nodes_[i]->replica->CanonicalState();
 }
 
 std::vector<std::string> World::SnapshotBlobs() const {
   std::vector<std::string> blobs;
   blobs.reserve(nodes_.size());
   for (const auto& node : nodes_) {
-    blobs.push_back(node->plain ? EncodeSnapshot(*node->plain)
-                                : EncodeShardedSnapshot(*node->sharded));
+    blobs.push_back(EncodeShardedSnapshot(*node->replica));
   }
   return blobs;
 }
@@ -325,14 +263,11 @@ std::vector<ConflictEvent> World::DrainConflicts() {
 }
 
 VersionVector World::NodeDbvv(size_t i) const {
-  const Node& node = *nodes_[i];
-  return node.plain ? node.plain->dbvv() : node.sharded->AggregateDbvv();
+  return nodes_[i]->replica->AggregateDbvv();
 }
 
 const Item* World::FindUserItem(size_t index, std::string_view name) const {
-  const Node& node = *nodes_[index];
-  const Item* item = node.plain ? node.plain->FindItem(name)
-                                : node.sharded->FindItem(name);
+  const Item* item = nodes_[index]->replica->FindItem(name);
   if (item == nullptr) return nullptr;
   if (item->ivv.Total() == 0 && !item->HasAux()) return nullptr;
   return item;
@@ -360,15 +295,9 @@ bool World::NodeHasItem(size_t index, std::string_view name) const {
 }
 
 bool World::NodeHasAux(size_t index) const {
-  const Node& node = *nodes_[index];
-  if (node.plain) {
-    for (const auto& item : node.plain->items()) {
-      if (item->HasAux()) return true;
-    }
-    return false;
-  }
-  for (size_t k = 0; k < node.sharded->num_shards(); ++k) {
-    for (const auto& item : node.sharded->shard(k).items()) {
+  const ShardedReplica& replica = *nodes_[index]->replica;
+  for (size_t k = 0; k < replica.num_shards(); ++k) {
+    for (const auto& item : replica.shard(k).items()) {
       if (item->HasAux()) return true;
     }
   }

@@ -11,9 +11,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/conflict.h"
-#include "core/replica.h"
 #include "core/sharded_replica.h"
-#include "runtime/scheduler.h"
+#include "server/sharded_exchange.h"
 #include "vv/version_vector.h"
 
 namespace epidemic::check {
@@ -31,10 +30,10 @@ enum class Mutation {
   /// updates diverge with no conflict ever reported — the quiescence oracle
   /// flags divergence without a conflict.
   kMuteConflicts,
-  /// The first anti-entropy reply that ships items has the shipped IVV
-  /// inflated by one (origin = the source node), planting a phantom update:
-  /// replicas later reach equal IVVs with different values. Only supported
-  /// with one shard (the tamper edits the in-memory reply).
+  /// A lying source: the first anti-entropy reply segment that ships items
+  /// is forged on the wire, its first item's IVV inflated by one (origin =
+  /// the source node), and fed to the recipient's own accept. The phantom
+  /// update makes replicas later reach equal IVVs with different values.
   kTamperIvv,
 };
 
@@ -46,9 +45,10 @@ std::string_view MutationName(Mutation mutation);
 struct WorldConfig {
   size_t num_nodes = 2;
   size_t num_items = 2;
-  /// 1 = drive the plain Replica core; >1 = drive ShardedReplica through
-  /// the daemon's sharded exchange (server::PullSharded): its serve, its
-  /// wire-v3 reply frame, its zero-copy envelope decode and its accept.
+  /// Shards per replica. Every count, 1 included, drives ShardedReplica
+  /// through the daemon's exchange (server::ShardedExchange): the sync is
+  /// its serve, wire-v3 reply frame, zero-copy envelope decode and accept;
+  /// the oob is its §5.2 request, serve and accept over codec frames.
   size_t num_shards = 1;
   /// Include tombstone writes in the alphabet.
   bool with_deletes = false;
@@ -57,11 +57,12 @@ struct WorldConfig {
 
 /// A small cluster of real replicas the checker schedules explicitly. The
 /// world applies one Action at a time against the production entry points
-/// (`Replica`/`ShardedReplica`), collects conflict events, and serializes
-/// its full protocol state through the production snapshot codec — which is
-/// both how the DFS stores states and how the kCrash action is modeled
-/// (recovery at a checkpoint boundary; journal-suffix replay equivalence is
-/// covered by journal_test).
+/// (`ShardedReplica` behind the daemon's exchange and shard scheduler),
+/// collects conflict events, and serializes its full protocol state
+/// through the production snapshot codec — which is both how the DFS
+/// stores states and how the kCrash action is modeled (recovery at a
+/// checkpoint boundary; journal-suffix replay equivalence is covered by
+/// journal_test).
 class World {
  public:
   /// Fresh cluster: every replica empty.
@@ -86,8 +87,7 @@ class World {
   /// node id).
   Status CheckInvariants() const;
 
-  /// Node `i`'s canonical protocol state (Replica::CanonicalState, or the
-  /// sharded aggregate).
+  /// Node `i`'s canonical protocol state (ShardedReplica::CanonicalState).
   std::string NodeCanonicalState(size_t i) const;
 
   /// Production snapshot blob per node — the DFS's state representation.
@@ -134,31 +134,30 @@ class World {
     /// Records conflicts unless the world mutes them. Owned here so
     /// snapshot-restored replicas can be rewired to it.
     RecordingConflictListener listener;
-    /// Exactly one of the two is set, per config().num_shards.
-    std::unique_ptr<Replica> plain;
-    std::unique_ptr<ShardedReplica> sharded;
-    /// Sharded nodes only: the production shard scheduler in the inline
-    /// mode the daemon runs (no owner threads). Driven from the checker's
-    /// one thread it never parks and runs every task before the call
-    /// returns, in call order. Every mutation and every per-shard
-    /// propagation step runs as a scheduler task, so the checker
-    /// exercises the same single-writer discipline the server runs under,
-    /// deterministically.
-    std::unique_ptr<runtime::ShardScheduler> sched;
+    std::unique_ptr<ShardedReplica> replica;
+    /// The daemon's exchange on `replica`, owning a production scheduler
+    /// in the daemon's inline mode: driven from the checker's one thread,
+    /// it runs every task before the call returns, in call order. Every
+    /// mutation and protocol step is such a task, so the checker runs the
+    /// server's single-writer discipline, deterministically.
+    std::unique_ptr<server::ShardedExchange> exchange;
   };
 
   World(const WorldConfig& config, bool tampered);
 
   ConflictListener* listener_for(Node& node);
+  /// Installs `replica` as the node's state behind a fresh exchange.
+  void Bind(Node& node, std::unique_ptr<ShardedReplica> replica);
   Status ApplySync(size_t recipient, size_t source);
   Status ApplyCrash(size_t node);
   const Item* FindUserItem(size_t node, std::string_view name) const;
 
   WorldConfig config_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  /// The reply pieces' pool in the sharded sync path, as the server's
-  /// buffer pool is for its serves.
+  /// The reply pieces' pool of every node's exchange, as the server's
+  /// buffer pool is for its serves. Declared before the nodes, which
+  /// borrow it.
   BufferPool buffer_pool_;
+  std::vector<std::unique_ptr<Node>> nodes_;
   /// kTamperIvv fires once per World instance; part of the checker's state
   /// digest so deduplication stays sound under the mutation.
   bool tampered_ = false;

@@ -127,8 +127,7 @@ inline ShardContext shard_context;
 /// exactly one actor can possibly reach the state being mutated:
 ///   * replay/decode of a freshly constructed, not-yet-published replica
 ///     (journal recovery, snapshot decode),
-///   * single-threaded reference drivers (baselines, multidb, epicheck's
-///     plain-path executor),
+///   * single-threaded reference drivers (baselines, multidb),
 ///   * scheduler-external code that holds every gate (ExecuteExclusive).
 /// Every call site must carry a comment naming the single owner.
 inline void AssertShardContextHeld() ASSERT_CAPABILITY(shard_context) {}

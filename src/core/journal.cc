@@ -39,6 +39,15 @@ std::string SnapshotPath(const std::string& dir) {
   return dir + "/snapshot.bin";
 }
 
+/// True when `path` names the file open as `f`; a missing name does not.
+bool NamesOpenFile(std::FILE* f, const std::string& path) {
+  struct stat open_st;
+  struct stat named_st;
+  return fstat(fileno(f), &open_st) == 0 &&
+         stat(path.c_str(), &named_st) == 0 &&
+         open_st.st_dev == named_st.st_dev && open_st.st_ino == named_st.st_ino;
+}
+
 /// Applies one journal record through the replica's normal code paths.
 Status ReplayRecord(Replica& replica, std::string_view payload) {
   // Single-owner escape: recovery replays into a freshly constructed
@@ -282,9 +291,21 @@ Status JournaledReplica::Checkpoint() {
   // Truncate the journal: records up to here are covered by the snapshot.
   // Through the open handle, so a failure leaves the journal open and the
   // next append still has a stream to write to. The handle appends, so the
-  // next record lands at offset 0.
-  if (std::fflush(journal_) != 0 || ftruncate(fileno(journal_), 0) != 0) {
+  // next record lands at offset 0. A journal removed or replaced under the
+  // handle would swallow every later record: then a fresh one is opened at
+  // the name, truncated, and takes the handle's place.
+  const std::string path = JournalPath(dir_);
+  std::FILE* journal = NamesOpenFile(journal_, path)
+                           ? journal_
+                           : std::fopen(path.c_str(), "ab");
+  if (journal == nullptr || std::fflush(journal) != 0 ||
+      ftruncate(fileno(journal), 0) != 0) {
+    if (journal != nullptr && journal != journal_) std::fclose(journal);
     return Status::IOError("cannot truncate journal in '" + dir_ + "'");
+  }
+  if (journal != journal_) {
+    std::fclose(journal_);
+    journal_ = journal;
   }
   records_ = 0;
   return Status::OK();

@@ -95,7 +95,8 @@ class JournaledReplica {
 
   // Pass-throughs. Read/serve paths touch replica counters/scratch, so
   // they inherit the shard-context requirement of the wrapped methods.
-  // A source serves through replica().HandlePropagationView.
+  // A source serves through replica(): HandlePropagationView and
+  // HandleOobRequest.
   Result<std::string> Read(std::string_view name) REQUIRES_SHARD_CONTEXT {
     return replica_->Read(name);
   }
@@ -105,16 +106,15 @@ class JournaledReplica {
   OobRequest BuildOobRequest(std::string_view name) const {
     return replica_->BuildOobRequest(name);
   }
-  OobResponse HandleOobRequest(const OobRequest& r) REQUIRES_SHARD_CONTEXT {
-    return replica_->HandleOobRequest(r);
-  }
 
   /// Writes a snapshot and truncates the journal. Recovery afterwards is
   /// snapshot + (empty) journal. Requires the shard context: the snapshot
   /// must observe a quiescent replica (no concurrent mutation mid-encode).
   /// On failure the journal stays open for appends. A truncation that fails
   /// after the snapshot was written leaves records the snapshot already
-  /// covers, and recovery replays them over it.
+  /// covers, and recovery replays them over it. When journal.log no longer
+  /// names the open file (removed or replaced), appends move to a fresh,
+  /// empty journal.log; if that cannot be opened the result is IOError.
   Status Checkpoint() REQUIRES_SHARD_CONTEXT;
 
   const Replica& replica() const { return *replica_; }

@@ -255,15 +255,7 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     return;
   }
   if (auto* oob_req = std::get_if<OobRequest>(&msg)) {
-    const size_t k = sharded().ShardOf(oob_req->item_name);
-    std::string frame;
-    sched_->Execute(k, TaskKind::kServe, /*mutates=*/false,
-                    [this, oob_req, &frame](const ShardToken& token) {
-                      AssertShardContext(token);
-                      frame = net::Encode(
-                          Message(sharded().HandleOobRequest(*oob_req)));
-                    });
-    return respond(std::move(frame));
+    return respond(exchange_.ServeOobFrame(*oob_req));
   }
   if (auto* update = std::get_if<ClientUpdateRequest>(&msg)) {
     return respond(EncodeStatusReply(Update(update->item_name, update->value)));
@@ -522,30 +514,10 @@ Status ReplicaServer::PullFrom(NodeId peer) {
 }
 
 Status ReplicaServer::OobFetch(NodeId peer, std::string_view item) {
-  const size_t k = sharded().ShardOf(item);
-  OobRequest req;
-  sched_->Execute(k, TaskKind::kSnapshot, /*mutates=*/false,
-                  [this, item, &req](const ShardToken&) {
-                    req = sharded().BuildOobRequest(item);
-                  });
-  Result<std::string> wire =
-      transport_->Call(peer, net::Encode(Message(std::move(req))));
+  Result<std::string> wire = transport_->Call(
+      peer, net::Encode(Message(exchange_.OobRequestFor(item))));
   if (!wire.ok()) return wire.status();
-  Result<Message> decoded = net::Decode(*wire);
-  if (!decoded.ok()) return decoded.status();
-  auto* resp = std::get_if<OobResponse>(&*decoded);
-  if (resp == nullptr) {
-    return Status::Corruption("peer sent a non-OOB reply");
-  }
-  Status status;
-  sched_->Execute(k, TaskKind::kAccept, /*mutates=*/true,
-                  [this, resp, &status](const ShardToken& token) {
-                    AssertShardContext(token);
-                    status = durable_ != nullptr
-                                 ? durable_->AcceptOobResponse(*resp)
-                                 : memory_->AcceptOobResponse(*resp);
-                  });
-  return status;
+  return exchange_.AcceptOobFrame(*wire);
 }
 
 void ReplicaServer::WithReplica(

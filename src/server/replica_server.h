@@ -157,7 +157,8 @@ class ReplicaServer : public net::RequestHandler {
   /// all shards in one round trip, unchanged shards skipped by the peer.
   Status PullFrom(NodeId peer);
 
-  /// Out-of-bound fetch of `item` from `peer` over the transport (§5.2).
+  /// Out-of-bound fetch of `item` from `peer` over the transport (§5.2):
+  /// the exchange's request and accept around one call.
   Status OobFetch(NodeId peer, std::string_view item);
 
   /// Runs `fn` with every shard owned (a consistent whole-database view)
@@ -242,7 +243,7 @@ class ReplicaServer : public net::RequestHandler {
   /// (internally synchronized; shared by all shard tasks).
   BufferPool buffer_pool_;
 
-  /// The sharded exchange's steps (handshake snapshot, serve, accept) on
+  /// The anti-entropy and out-of-bound steps (request, serve, accept) on
   /// this node's shards, scheduler and pool; journals accepts when durable.
   ShardedExchange exchange_;
 

@@ -196,6 +196,46 @@ Status ShardedExchange::AcceptFrame(std::string_view frame) {
   return Accept(env.num_shards, env.segments);
 }
 
+OobRequest ShardedExchange::OobRequestFor(std::string_view item) {
+  OobRequest req;
+  sched_.Execute(replica_.ShardOf(item), TaskKind::kSnapshot,
+                 /*mutates=*/false, [this, item, &req](const ShardToken&) {
+                   req = replica_.BuildOobRequest(item);
+                 });
+  return req;
+}
+
+std::string ShardedExchange::ServeOobFrame(const OobRequest& req) {
+  std::string frame;
+  sched_.Execute(replica_.ShardOf(req.item_name), TaskKind::kServe,
+                 /*mutates=*/false,
+                 [this, &req, &frame](const ShardToken& token) {
+                   AssertShardContext(token);
+                   frame = net::Encode(
+                       net::Message(replica_.HandleOobRequest(req)));
+                 });
+  return frame;
+}
+
+Status ShardedExchange::AcceptOobFrame(std::string_view frame) {
+  Result<net::Message> decoded = net::Decode(frame);
+  if (!decoded.ok()) return decoded.status();
+  const auto* resp = std::get_if<OobResponse>(&*decoded);
+  if (resp == nullptr) return Status::Corruption("peer sent a non-OOB reply");
+  // The task runs on the shard the accept routes to: the reply's item,
+  // whatever the request named.
+  Status status;
+  sched_.Execute(replica_.ShardOf(resp->item_name), TaskKind::kAccept,
+                 /*mutates=*/true,
+                 [this, resp, &status](const ShardToken& token) {
+                   AssertShardContext(token);
+                   status = durable_ != nullptr
+                                ? durable_->AcceptOobResponse(*resp)
+                                : replica_.AcceptOobResponse(*resp);
+                 });
+  return status;
+}
+
 Status DecodeReplyFrame(std::string_view frame,
                         wire::ShardedResponseEnvelopeView* env) {
   if (frame.empty() ||
@@ -230,6 +270,12 @@ Result<size_t> PullSharded(ShardedExchange& recipient,
   const uint64_t before = items_adopted();
   EPI_RETURN_NOT_OK(recipient.AcceptFrame(frame));
   return static_cast<size_t>(items_adopted() - before);
+}
+
+Status PullOob(ShardedExchange& recipient, ShardedExchange& source,
+               std::string_view item) {
+  return recipient.AcceptOobFrame(
+      source.ServeOobFrame(recipient.OobRequestFor(item)));
 }
 
 }  // namespace epidemic::server

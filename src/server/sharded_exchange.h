@@ -18,14 +18,16 @@
 
 namespace epidemic::server {
 
-/// The sharded anti-entropy exchange (§5.1 over S shards, wire v3,
-/// DESIGN.md §10-§11), defined once: the handshake snapshot, the serve
-/// (SendPropagation, Fig. 2) and the accept (AcceptPropagation, Figs.
-/// 3-4), each one batch on the scheduler that owns the node's shards.
-/// ReplicaServer runs these steps around its transport call; callers
-/// without a server (the model checker, tests, benches, fuzz seeds) run
-/// them on an inline scheduler through PullSharded, so every in-process
-/// exchange crosses the frame bytes a daemon sends.
+/// The sharded node-to-node exchanges, defined once. Anti-entropy (§5.1
+/// over S shards, wire v3, DESIGN.md §10-§11): the handshake snapshot,
+/// the serve (SendPropagation, Fig. 2) and the accept (AcceptPropagation,
+/// Figs. 3-4), each one batch on the scheduler that owns the node's
+/// shards. Out-of-bound copying (§5.2): the request, the serve and the
+/// accept, each one task on the item's shard. ReplicaServer runs these
+/// steps around its transport calls; callers without a server (the model
+/// checker, tests, benches, fuzz seeds) run them on an inline scheduler
+/// through PullSharded and PullOob, so every in-process exchange crosses
+/// the frame bytes a daemon sends.
 ///
 /// An exchange binds one node's shards to their scheduler and to the pool
 /// its reply pieces come from. It owns nothing else but the [0, S) shard
@@ -85,6 +87,18 @@ class ShardedExchange {
   /// Decodes a reply frame (DecodeReplyFrame) and runs Accept on it.
   Status AcceptFrame(std::string_view frame);
 
+  /// §5.2 step 1: the out-of-bound request for `item`.
+  OobRequest OobRequestFor(std::string_view item);
+
+  /// §5.2 step 2: the reply frame a daemon sends to `req` (an encoded
+  /// OobResponse, tag byte included).
+  std::string ServeOobFrame(const OobRequest& req);
+
+  /// §5.2 step 3: decodes an out-of-bound reply frame and accepts the copy
+  /// on its item's shard (journaled when durable). A frame holding any
+  /// other message is Corruption.
+  Status AcceptOobFrame(std::string_view frame);
+
   ShardedReplica& replica() { return replica_; }
   runtime::ShardScheduler& sched() { return sched_; }
 
@@ -108,6 +122,14 @@ Status DecodeReplyFrame(std::string_view frame,
 /// segments accepted. Returns the number of items the recipient adopted.
 Result<size_t> PullSharded(ShardedExchange& recipient,
                            ShardedExchange& source);
+
+/// One in-process out-of-bound fetch of `item` from `source` into
+/// `recipient` through the daemon's steps and frame bytes: the request on
+/// the recipient, the serve on the source, the accept on the recipient.
+/// NotFound (the source never heard of the item) and Conflict are the
+/// accept's own §5.2 outcomes.
+Status PullOob(ShardedExchange& recipient, ShardedExchange& source,
+               std::string_view item);
 
 }  // namespace epidemic::server
 

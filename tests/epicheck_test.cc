@@ -44,6 +44,10 @@ CheckReport ReplayFixture(const std::string& name) {
 }
 
 // A small exhaustive run over the healthy protocol must be violation-free.
+// One shard per node still runs the daemon's exchange and inline
+// scheduler. The counts are pinned, because a change to the scheduler or
+// the exchange that alters the explored state space must show up here,
+// not pass as "still clean".
 TEST(EpicheckTest, SmallExplorationIsClean) {
   CheckerConfig config;
   config.world.num_nodes = 2;
@@ -52,16 +56,14 @@ TEST(EpicheckTest, SmallExplorationIsClean) {
   CheckReport report = RunCheck(config);
   EXPECT_FALSE(report.violation.has_value())
       << report.violation->description;
-  EXPECT_GT(report.states_explored, 100u);
-  EXPECT_GT(report.transitions, report.states_explored);
+  EXPECT_EQ(report.states_explored, 1537u);
+  EXPECT_EQ(report.transitions, 4628u);
+  EXPECT_EQ(report.dedup_hits, 3092u);
 }
 
-// The sharded core must pass the same bar, through the wire-v3 segments
-// (delta-encoded IVVs, zero-copy decode — tags 17/18) and the daemon's
-// inline scheduler. This is the M1 sharded reference row
-// (EXPERIMENTS.md): its counts are pinned, because a change to the
-// scheduler or the exchange that alters the explored state space must
-// show up here, not pass as "still clean".
+// Two shards must pass the same bar, through the wire-v3 segments
+// (delta-encoded IVVs, zero-copy decode — tags 17/18). This is the M1
+// sharded reference row (EXPERIMENTS.md), pinned for the same reason.
 TEST(EpicheckTest, ShardedExplorationIsClean) {
   CheckerConfig config;
   config.world.num_nodes = 2;
@@ -87,8 +89,8 @@ TEST(EpicheckTest, CleanFixturesReplayClean) {
 
 // Every seeded-defect fixture reproduces its violation deterministically.
 TEST(EpicheckTest, SeededDefectFixturesReproduce) {
-  for (const char* name :
-       {"amnesia.trace", "mute_conflicts.trace", "tamper_ivv.trace"}) {
+  for (const char* name : {"amnesia.trace", "mute_conflicts.trace",
+                           "tamper_ivv.trace", "tamper_ivv_sharded.trace"}) {
     CheckReport report = ReplayFixture(name);
     EXPECT_TRUE(report.violation.has_value())
         << name << " replayed clean — the seeded defect was not reproduced";
@@ -147,6 +149,7 @@ TEST(EpicheckTest, MalformedTraceIsRejected) {
   EXPECT_FALSE(DecodeTrace("launch 0 1\n").ok());
   EXPECT_FALSE(DecodeTrace("sync 0\n").ok());
   EXPECT_FALSE(DecodeTrace("update zero 0\n").ok());
+  EXPECT_FALSE(DecodeTrace("shards 0\n").ok());
 }
 
 }  // namespace

@@ -354,6 +354,30 @@ TEST_F(JournalTest, CheckpointAfterJournalReplacedKeepsTakingWrites) {
   EXPECT_TRUE(updated.ok() || updated.IsIOError()) << updated.ToString();
 }
 
+// A journal removed under the open handle takes every append after it to
+// an unlinked file. The checkpoint covers what was written there and must
+// move the handle to a fresh journal.log, or a write acknowledged after it
+// is gone at the next recovery.
+TEST_F(JournalTest, CheckpointAfterJournalRemovedKeepsLaterWrites) {
+  {
+    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok());
+    ASSERT_TRUE((*jr)->Update("a", "1").ok());
+    std::filesystem::remove(dir_ + "/journal.log");
+    ASSERT_TRUE((*jr)->Update("b", "2").ok());
+    ASSERT_TRUE((*jr)->Checkpoint().ok());
+    ASSERT_TRUE((*jr)->Update("c", "3").ok());
+  }
+  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*(*recovered)->Read("a"), "1");
+  EXPECT_EQ(*(*recovered)->Read("b"), "2");
+  const Result<std::string> c = (*recovered)->Read("c");
+  ASSERT_TRUE(c.ok()) << "acknowledged write lost: " << c.status().ToString();
+  EXPECT_EQ(*c, "3");
+  EXPECT_EQ((*recovered)->records_since_checkpoint(), 1u);
+}
+
 // Replaces `path` with a symlink to itself: it exists, and every open of
 // it fails (ELOOP), as an unreadable file would for a daemon started as
 // another user.

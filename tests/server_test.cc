@@ -226,6 +226,10 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
     ASSERT_TRUE(server.Update("local", "mine").ok());
     ASSERT_TRUE(server.PullFrom(1).ok());
     EXPECT_EQ(*server.Read("remote"), "from-peer");
+    // An out-of-bound copy is journaled by the exchange's accept.
+    ASSERT_TRUE(peer.Update("hot", "fetched").ok());
+    ASSERT_TRUE(server.OobFetch(1, "hot").ok());
+    EXPECT_EQ(*server.Read("hot"), "fetched");
     hub.Register(0, nullptr);
   }  // crash without checkpoint
 
@@ -237,6 +241,7 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
     hub.Register(0, &server);
     EXPECT_EQ(*server.Read("local"), "mine");
     EXPECT_EQ(*server.Read("remote"), "from-peer");
+    EXPECT_EQ(*server.Read("hot"), "fetched");
     // Checkpoint then keep operating.
     ASSERT_TRUE(server.Checkpoint().ok());
     ASSERT_TRUE(server.Update("post", "cp").ok());
@@ -249,6 +254,7 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*(*again)->view().Read("post"), "cp");
     EXPECT_EQ(*(*again)->view().Read("local"), "mine");
+    EXPECT_EQ(*(*again)->view().Read("hot"), "fetched");
     // The shard count is pinned: reopening with a different one is refused.
     EXPECT_TRUE(JournaledShardedReplica::Open(dir, 0, 2, 3)
                     .status()

@@ -101,7 +101,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       return false;
     }
   }
-  if (opts->id < 0 || opts->nodes < 2 || opts->id >= opts->nodes) {
+  if (opts->id < 0 || opts->id >= opts->nodes) {
     std::fprintf(stderr, "--id and --nodes are required (id < nodes)\n");
     return false;
   }

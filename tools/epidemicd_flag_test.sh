@@ -5,8 +5,9 @@
 # to 7123, --id=zero or `sync abc` read as node 0, --depth=-1 read as an
 # unbounded search). The CLI refuses before it opens any connection. The
 # boundary values that stay valid (--port=0 for an ephemeral port,
-# --ae-interval-ms=0 for no anti-entropy thread) must still start the
-# daemon, and epidemic_cli must still reach it.
+# --ae-interval-ms=0 for no anti-entropy thread, a one-node cluster) must
+# still start the daemon, and epidemic_cli must still reach it. epicheck
+# must run its seeded tamper-ivv defect at two shards and report it.
 #
 #   tools/epidemicd_flag_test.sh <epidemicd> <epidemic_cli> <epicheck>
 daemon="$1"
@@ -14,22 +15,26 @@ cli="$2"
 check="$3"
 failed=0
 
-# usage_exit <tool> <args...>: the tool prints the usage text and exits 2.
-usage_exit() {
-  tool="$1"
-  shift
+# expect_exit <code> <text> <tool> <args...>: the tool prints <text> and
+# exits <code>.
+expect_exit() {
+  want="$1"
+  text="$2"
+  tool="$3"
+  shift 3
   out="$("$tool" "$@" 2>&1)"
   code=$?
   case "$out" in
-    *usage:*) ;;
-    *) code=0 ;;
+    *"$text"*) ;;
+    *) code=none ;;
   esac
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: $(basename "$tool") $* did not exit 2 with the usage text:"
+  if [ "$code" != "$want" ]; then
+    echo "FAIL: $(basename "$tool") $* did not exit $want with '$text':"
     echo "$out"
     failed=1
   fi
 }
+usage_exit() { expect_exit 2 usage: "$@"; }
 refuse() { usage_exit "$daemon" "$@"; }
 
 refuse --id=0 --nodes=2 --port=72659
@@ -44,6 +49,8 @@ refuse --id=0 --nodes=2 --ae-interval-ms=-5
 refuse --id=0 --nodes=2 --ae-interval-ms=5ms
 refuse --id=0 --nodes=2 --shards=0
 refuse --id=0 --nodes=2 --ae-workers=+1
+refuse --id=0 --nodes=0
+refuse --id=1 --nodes=1
 
 usage_exit "$cli" --port=72659 stats
 usage_exit "$cli" --port=0 stats
@@ -55,29 +62,34 @@ usage_exit "$check" --depth=+3
 usage_exit "$check" --depth=-1
 usage_exit "$check" --shards=-1
 usage_exit "$check" --nodes two
-if ! "$check" --items=1 --depth 1 > /dev/null 2>&1; then
-  echo "FAIL: epicheck --items=1 --depth 1 did not run clean"
-  failed=1
-fi
+expect_exit 0 "no violations" "$check" --items=1 --depth 1
+expect_exit 1 VIOLATION "$check" --shards 2 --mutate tamper-ivv --depth 1
 
-log="$(mktemp)"
-"$daemon" --id=0 --nodes=2 --port=0 --ae-interval-ms=0 > "$log" 2>&1 &
-pid=$!
-tries=0
-while ! grep -q "serving on" "$log" && [ "$tries" -lt 50 ]; do
-  sleep 0.1
-  tries=$((tries + 1))
-done
-port="$(sed -n 's/.*serving on 127\.0\.0\.1:\([1-9][0-9]*\).*/\1/p' "$log")"
-if [ -z "$port" ]; then
-  echo "FAIL: --port=0 --ae-interval-ms=0 did not start serving:"
-  cat "$log"
-  failed=1
-elif ! "$cli" --port="$port" stats | grep -q "^replica "; then
-  echo "FAIL: epidemic_cli --port=$port stats did not reach the daemon"
-  failed=1
-fi
-kill "$pid" 2> /dev/null
-wait "$pid"
-rm -f "$log"
+# serve <args...>: the daemon serves on an ephemeral port, and
+# epidemic_cli stats reaches it.
+serve() {
+  log="$(mktemp)"
+  "$daemon" "$@" --port=0 --ae-interval-ms=0 > "$log" 2>&1 &
+  pid=$!
+  tries=0
+  while ! grep -q "serving on" "$log" && [ "$tries" -lt 50 ]; do
+    sleep 0.1
+    tries=$((tries + 1))
+  done
+  port="$(sed -n 's/.*serving on 127\.0\.0\.1:\([1-9][0-9]*\).*/\1/p' "$log")"
+  if [ -z "$port" ]; then
+    echo "FAIL: $* --port=0 --ae-interval-ms=0 did not start serving:"
+    cat "$log"
+    failed=1
+  elif ! "$cli" --port="$port" stats | grep -q "^replica "; then
+    echo "FAIL: epidemic_cli --port=$port stats did not reach $*"
+    failed=1
+  fi
+  kill "$pid" 2> /dev/null
+  wait "$pid"
+  rm -f "$log"
+}
+
+serve --id=0 --nodes=2
+serve --id=0 --nodes=1
 exit "$failed"
