@@ -50,7 +50,9 @@ void Preload(Replica& src, Replica& dst, int64_t n) {
 
 // Measures one exchange that ships exactly `m` dirty items.
 void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
-  Replica src(0, 2), dst(1, 2);
+  ShardedReplica src_node(0, 2, /*num_shards=*/1), dst_node(1, 2, 1);
+  Replica& src = src_node.shard(0);
+  Replica& dst = dst_node.shard(0);
   Preload(src, dst, n);
   src.ResetStats();
   int tick = 0;
@@ -77,8 +79,8 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
 
   // Untimed: the wire frame one such exchange would produce, so these rows
   // report frame_bytes like the sharded-wire rows do — the one-shard v3
-  // reply (tag 18) the daemon's serve writes for one-shard views over the
-  // two replicas. The views' scheduler ran no mutating task, so the
+  // reply (tag 18) the daemon's serve writes for the two one-shard nodes.
+  // The exchanges' scheduler ran no mutating task, so the
   // envelope carries epoch 1, one or two bytes shorter than a daemon's.
   // Dirty the same m items again — the replicas are converged after the
   // loop, so a fresh burst reproduces the shape.
@@ -87,10 +89,8 @@ void MeasureExchange(benchmark::State& state, int64_t n, int64_t m) {
     for (int64_t i = 0; i < m; ++i) {
       (void)src.Update("k" + std::to_string(i), value);
     }
-    ShardedReplica src_view(std::vector<Replica*>{&src});
-    ShardedReplica dst_view(std::vector<Replica*>{&dst});
     BufferPool pool;
-    ShardedExchange from(src_view, pool), to(dst_view, pool);
+    ShardedExchange from(src_node, pool), to(dst_node, pool);
     const std::string frame = from.ServeFrame(to.Handshake());
     state.counters["frame_bytes"] = static_cast<double>(frame.size());
   }

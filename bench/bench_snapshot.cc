@@ -16,7 +16,7 @@ namespace {
 
 using epidemic::DecodeSnapshot;
 using epidemic::EncodeSnapshot;
-using epidemic::JournaledReplica;
+using epidemic::Journal;
 using epidemic::Replica;
 
 void Populate(Replica& r, int64_t items) {
@@ -56,7 +56,7 @@ void BM_JournaledUpdate(benchmark::State& state) {
   const std::string dir = "/tmp/epidemic_bench_journal";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  auto jr = JournaledReplica::Open(dir, 0, 4);
+  auto jr = Journal::Open(dir, 0, 4);
   if (!jr.ok()) {
     state.SkipWithError("cannot open journal dir");
     return;
@@ -75,7 +75,7 @@ void BM_JournalRecovery(benchmark::State& state) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   {
-    auto jr = JournaledReplica::Open(dir, 0, 4);
+    auto jr = Journal::Open(dir, 0, 4);
     if (!jr.ok()) {
       state.SkipWithError("cannot open journal dir");
       return;
@@ -85,7 +85,7 @@ void BM_JournalRecovery(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    auto recovered = JournaledReplica::Open(dir, 0, 4);
+    auto recovered = Journal::Open(dir, 0, 4);
     benchmark::DoNotOptimize(recovered.ok());
   }
   state.counters["journal_records"] = static_cast<double>(state.range(0));

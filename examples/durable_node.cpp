@@ -16,7 +16,7 @@
 #include "core/journal.h"
 #include "core/replica.h"
 
-using epidemic::JournaledReplica;
+using epidemic::Journal;
 using epidemic::PropagationRequest;
 using epidemic::PropagationResponseView;
 using epidemic::Replica;
@@ -31,7 +31,7 @@ int main() {
 
   std::string dbvv_at_crash;
   {
-    auto node = JournaledReplica::Open(dir, /*id=*/0, /*num_nodes=*/2);
+    auto node = Journal::Open(dir, /*id=*/0, /*num_nodes=*/2);
     if (!node.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    node.status().ToString().c_str());
@@ -50,15 +50,15 @@ int main() {
     (void)(*node)->Checkpoint();
     (void)(*node)->Update("local/notes", "draft 3 (after checkpoint)");
 
-    dbvv_at_crash = (*node)->replica().dbvv().ToString();
+    dbvv_at_crash = (*node)->dbvv().ToString();
     std::printf("before crash: notes='%s', DBVV=%s, journal records=%llu\n",
                 (*node)->Read("local/notes")->c_str(),
                 dbvv_at_crash.c_str(),
                 static_cast<unsigned long long>(
-                    (*node)->records_since_checkpoint()));
+                    (*node)->journal()->records_since_checkpoint()));
   }  // <- process "crashes" here; only the files in `dir` survive
 
-  auto recovered = JournaledReplica::Open(dir, 0, 2);
+  auto recovered = Journal::Open(dir, 0, 2);
   if (!recovered.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  recovered.status().ToString().c_str());
@@ -67,9 +67,9 @@ int main() {
   std::printf("after recovery: notes='%s', config='%s', DBVV=%s\n",
               (*recovered)->Read("local/notes")->c_str(),
               (*recovered)->Read("shared/config")->c_str(),
-              (*recovered)->replica().dbvv().ToString().c_str());
+              (*recovered)->dbvv().ToString().c_str());
   std::printf("state identical to pre-crash: %s\n",
-              (*recovered)->replica().dbvv().ToString() == dbvv_at_crash
+              (*recovered)->dbvv().ToString() == dbvv_at_crash
                   ? "yes"
                   : "NO");
 

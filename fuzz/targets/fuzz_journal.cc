@@ -6,7 +6,7 @@
 namespace epidemic::fuzz {
 
 /// Boundary: journal recovery — ReplayJournalBytes runs the exact frame
-/// loop JournaledReplica::Open uses (varint length + payload + CRC-32C,
+/// loop Journal::Open uses (varint length + payload + CRC-32C,
 /// torn-tail tolerant) and applies each record through the replica's
 /// ordinary mutation paths.
 ///

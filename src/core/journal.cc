@@ -7,10 +7,12 @@
 #include <cerrno>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "core/sharded_replica.h"
 #include "core/snapshot.h"
 #include "core/wire.h"
 #include "vv/vv_codec.h"
@@ -26,8 +28,8 @@ enum class RecordTag : uint8_t {
   // holding it no longer opens.
   kOob = 4,
   kResolve = 5,
-  // The one propagation record: a raw wire-v3 segment body, journaled
-  // verbatim (so the journal pays the same delta savings as the wire) and
+  // The one propagation record: a wire-v3 segment body (the accepting
+  // replica re-encodes the view it validated, against its own DBVV),
   // replayed through the zero-copy decode + view accept.
   kPropagationSegV3 = 6,
 };
@@ -136,17 +138,15 @@ Result<uint64_t> ReplayJournalBytes(Replica& replica, std::string_view data,
   return replayed;
 }
 
-JournaledReplica::JournaledReplica(std::string dir,
-                                   std::unique_ptr<Replica> replica)
-    : dir_(std::move(dir)), replica_(std::move(replica)) {}
+Journal::Journal(std::string dir, std::FILE* file, uint64_t size,
+                 uint64_t records)
+    : dir_(std::move(dir)), file_(file), size_(size), records_(records) {}
 
-JournaledReplica::~JournaledReplica() {
-  if (journal_ != nullptr) std::fclose(journal_);
-}
+Journal::~Journal() { std::fclose(file_); }
 
-Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
-    const std::string& dir, NodeId id, size_t num_nodes,
-    ConflictListener* listener) {
+Result<std::unique_ptr<Replica>> Journal::Open(const std::string& dir,
+                                               NodeId id, size_t num_nodes,
+                                               ConflictListener* listener) {
   struct stat st;
   if (stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
     return Status::InvalidArgument("'" + dir + "' is not a directory");
@@ -171,16 +171,20 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
     return loaded.status();
   }
 
-  // 2. Replay the journal suffix. A torn final record (crash mid-append)
-  // terminates the replay cleanly; everything before it was applied with
-  // write-ahead discipline. The torn bytes are cut off before appending
-  // resumes: records written after them would be unreachable, lost at the
-  // next recovery although acknowledged.
+  // 2. Replay the journal suffix into the replica, which has no journal
+  // attached yet, so nothing is appended twice. A torn final record (crash
+  // mid-append) terminates the replay cleanly; everything before it was
+  // applied with write-ahead discipline. The torn bytes are cut off before
+  // appending resumes: records written after them would be unreachable,
+  // lost at the next recovery although acknowledged.
   uint64_t replayed = 0;
+  size_t good_prefix = 0;
   const std::string journal_path = JournalPath(dir);
   auto data = ReadFileFully(journal_path);
   if (data.ok()) {
-    size_t good_prefix = 0;
+    // Single-owner escape: the replica is not published yet, so the
+    // recovering thread is its only writer.
+    AssertShardContextHeld();
     auto count = ReplayJournalBytes(*replica, *data, &good_prefix);
     if (!count.ok()) return count.status();
     replayed = *count;
@@ -193,101 +197,84 @@ Result<std::unique_ptr<JournaledReplica>> JournaledReplica::Open(
     return data.status();
   }
 
-  auto jr = std::unique_ptr<JournaledReplica>(
-      new JournaledReplica(dir, std::move(replica)));
-  jr->records_ = replayed;
-  jr->journal_ = std::fopen(journal_path.c_str(), "ab");
-  if (jr->journal_ == nullptr) {
+  std::FILE* file = std::fopen(journal_path.c_str(), "ab");
+  if (file == nullptr) {
     return Status::IOError("cannot open journal in '" + dir + "'");
   }
-  return jr;
+  replica->journal_ = std::unique_ptr<Journal>(
+      new Journal(dir, file, good_prefix, replayed));
+  return replica;
 }
 
-Status JournaledReplica::AppendRecord(std::string payload) {
+Status Journal::Append(std::string_view payload) {
+  if (torn_) {
+    return Status::IOError("journal in '" + dir_ +
+                           "' ends in a torn record; checkpoint first");
+  }
   ByteWriter framed;
   framed.PutVarint64(payload.size());
   framed.PutBytes(payload.data(), payload.size());
   framed.PutFixed32(Crc32c(payload));
   const std::string& frame = framed.data();
-  if (std::fwrite(frame.data(), 1, frame.size(), journal_) != frame.size() ||
-      std::fflush(journal_) != 0) {
+  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
+      std::fflush(file_) != 0) {
+    // Part of the frame may have reached the file. Replay would stop there
+    // and drop every record appended after it, so cut it back off.
+    std::clearerr(file_);
+    torn_ = ftruncate(fileno(file_), static_cast<off_t>(size_)) != 0;
     return Status::IOError("journal append failed");
   }
+  size_ += frame.size();
   ++records_;
   return Status::OK();
 }
 
-// Every input is journaled from the replica's before-apply hook: after the
-// replica has checked it against the current state, before it changes
-// anything. An input the replica rejects therefore never reaches the
-// journal, where it would fail replay and block recovery; a you-are-current
-// reply changes nothing and is not journaled either. Records that are
-// cheap to build are built up front and appended by the hook.
-Status JournaledReplica::Update(std::string_view name,
-                                std::string_view value) {
+// Each record is built and appended by the replica after it has checked
+// the input against its current state, before it changes anything; a
+// you-are-current reply changes nothing and is not journaled.
+Status Journal::AppendUpdate(std::string_view name, std::string_view value) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kUpdate));
   w.PutString(name);
   w.PutString(value);
-  return replica_->Update(name, value,
-                          [this, &w] { return AppendRecord(w.Release()); });
+  return Append(w.data());
 }
 
-Status JournaledReplica::Delete(std::string_view name) {
+Status Journal::AppendDelete(std::string_view name) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kDelete));
   w.PutString(name);
-  return replica_->Delete(name,
-                          [this, &w] { return AppendRecord(w.Release()); });
+  return Append(w.data());
 }
 
-Status JournaledReplica::ResolveConflict(std::string_view name,
-                                         const VersionVector& remote_vv,
-                                         std::string_view value) {
+Status Journal::AppendResolve(std::string_view name,
+                              const VersionVector& remote_vv,
+                              std::string_view value) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kResolve));
   w.PutString(name);
   EncodeVersionVector(&w, remote_vv);
   w.PutString(value);
-  return replica_->ResolveConflict(
-      name, remote_vv, value, [this, &w] { return AppendRecord(w.Release()); });
+  return Append(w.data());
 }
 
-// Both propagation entry points write the same v3 segment record.
-Status JournaledReplica::AcceptPropagation(
-    const PropagationResponseView& resp) {
-  return replica_->AcceptPropagation(resp, [this, &resp] {
-    // Any width-n base encodes the IVVs; the DBVV is at hand.
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
-    wire::EncodeShardSegmentBodyV3Into(w, resp, replica_->dbvv());
-    return AppendRecord(w.Release());
-  });
+Status Journal::AppendPropagation(const PropagationResponseView& resp,
+                                  const VersionVector& base) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
+  wire::EncodeShardSegmentBodyV3Into(w, resp, base);
+  return Append(w.data());
 }
 
-Status JournaledReplica::AcceptPropagationSegmentV3(std::string_view body) {
-  wire::SegmentViewStorage storage;
-  PropagationResponseView view;
-  EPI_RETURN_NOT_OK(wire::DecodeShardSegmentBodyV3(body, &storage, &view));
-  return replica_->AcceptPropagation(view, [this, &body] {
-    ByteWriter w;
-    w.Reserve(body.size() + 1);
-    w.PutU8(static_cast<uint8_t>(RecordTag::kPropagationSegV3));
-    w.PutBytes(body.data(), body.size());
-    return AppendRecord(w.Release());
-  });
-}
-
-Status JournaledReplica::AcceptOobResponse(const OobResponse& resp) {
+Status Journal::AppendOob(const OobResponse& resp) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RecordTag::kOob));
   wire::EncodeOobResponseBody(w, resp);
-  return replica_->AcceptOobResponse(
-      resp, [this, &w] { return AppendRecord(w.Release()); });
+  return Append(w.data());
 }
 
-Status JournaledReplica::Checkpoint() {
-  EPI_RETURN_NOT_OK(SaveSnapshot(*replica_, SnapshotPath(dir_)));
+Status Journal::Checkpoint(const Replica& replica) {
+  EPI_RETURN_NOT_OK(SaveSnapshot(replica, SnapshotPath(dir_)));
   // Truncate the journal: records up to here are covered by the snapshot.
   // Through the open handle, so a failure leaves the journal open and the
   // next append still has a stream to write to. The handle appends, so the
@@ -295,24 +282,26 @@ Status JournaledReplica::Checkpoint() {
   // handle would swallow every later record: then a fresh one is opened at
   // the name, truncated, and takes the handle's place.
   const std::string path = JournalPath(dir_);
-  std::FILE* journal = NamesOpenFile(journal_, path)
-                           ? journal_
+  std::FILE* journal = NamesOpenFile(file_, path)
+                           ? file_
                            : std::fopen(path.c_str(), "ab");
   if (journal == nullptr || std::fflush(journal) != 0 ||
       ftruncate(fileno(journal), 0) != 0) {
-    if (journal != nullptr && journal != journal_) std::fclose(journal);
+    if (journal != nullptr && journal != file_) std::fclose(journal);
     return Status::IOError("cannot truncate journal in '" + dir_ + "'");
   }
-  if (journal != journal_) {
-    std::fclose(journal_);
-    journal_ = journal;
+  if (journal != file_) {
+    std::fclose(file_);
+    file_ = journal;
   }
+  size_ = 0;
   records_ = 0;
+  torn_ = false;
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// JournaledShardedReplica
+// ShardedReplica::Open: the sharded on-disk layout.
 
 namespace {
 
@@ -360,16 +349,7 @@ std::string ShardDir(const std::string& dir, size_t k) {
 
 }  // namespace
 
-JournaledShardedReplica::JournaledShardedReplica(
-    std::vector<std::unique_ptr<JournaledReplica>> shards)
-    : shards_(std::move(shards)) {
-  std::vector<Replica*> raw;
-  raw.reserve(shards_.size());
-  for (auto& shard : shards_) raw.push_back(&shard->replica());
-  view_ = std::make_unique<ShardedReplica>(std::move(raw));
-}
-
-Result<std::unique_ptr<JournaledShardedReplica>> JournaledShardedReplica::Open(
+Result<std::unique_ptr<ShardedReplica>> ShardedReplica::Open(
     const std::string& dir, NodeId id, size_t num_nodes, size_t num_shards,
     ConflictListener* listener) {
   if (num_shards == 0) {
@@ -381,37 +361,21 @@ Result<std::unique_ptr<JournaledShardedReplica>> JournaledShardedReplica::Open(
   }
   EPI_RETURN_NOT_OK(PinShardCount(dir, num_shards));
 
-  std::vector<std::unique_ptr<JournaledReplica>> shards;
+  std::vector<std::unique_ptr<Replica>> shards;
   shards.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
     const std::string shard_dir = ShardDir(dir, k);
     if (mkdir(shard_dir.c_str(), 0755) != 0 && errno != EEXIST) {
       return Status::IOError("cannot create '" + shard_dir + "'");
     }
-    auto shard = JournaledReplica::Open(shard_dir, id, num_nodes, listener);
+    auto shard = Journal::Open(shard_dir, id, num_nodes, listener);
     if (!shard.ok()) {
       return Status(shard.status().code(), "shard " + std::to_string(k) +
                                                ": " + shard.status().message());
     }
     shards.push_back(std::move(*shard));
   }
-  return std::unique_ptr<JournaledShardedReplica>(
-      new JournaledShardedReplica(std::move(shards)));
-}
-
-Status JournaledShardedReplica::Checkpoint() {
-  Status first_error = Status::OK();
-  for (auto& shard : shards_) {
-    Status s = shard->Checkpoint();
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
-}
-
-uint64_t JournaledShardedReplica::records_since_checkpoint() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->records_since_checkpoint();
-  return total;
+  return std::make_unique<ShardedReplica>(std::move(shards));
 }
 
 }  // namespace epidemic

@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "core/journal.h"
 #include "vv/vv_codec.h"
 
 namespace epidemic {
@@ -22,23 +23,26 @@ Replica::Replica(NodeId id, size_t num_nodes, ConflictListener* listener)
                             << num_nodes << " nodes";
 }
 
+Replica::~Replica() = default;
+
 // ---------------------------------------------------------------------------
 // User operations (§5.3).
 
-Status Replica::Update(std::string_view name, std::string_view value,
-                       const BeforeApply& before_apply) {
-  return ApplyUserWrite(name, value, /*deleted=*/false, before_apply);
+Status Replica::Update(std::string_view name, std::string_view value) {
+  return ApplyUserWrite(name, value, /*deleted=*/false);
 }
 
-Status Replica::Delete(std::string_view name,
-                       const BeforeApply& before_apply) {
-  return ApplyUserWrite(name, /*value=*/"", /*deleted=*/true, before_apply);
+Status Replica::Delete(std::string_view name) {
+  return ApplyUserWrite(name, /*value=*/"", /*deleted=*/true);
 }
 
 Status Replica::ApplyUserWrite(std::string_view name, std::string_view value,
-                               bool deleted, const BeforeApply& before_apply) {
+                               bool deleted) {
   if (name.empty()) return Status::InvalidArgument("empty item name");
-  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
+  if (journal_ != nullptr) {
+    EPI_RETURN_NOT_OK(deleted ? journal_->AppendDelete(name)
+                              : journal_->AppendUpdate(name, value));
+  }
   Item& item = store_.GetOrCreate(name);
   if (item.HasAux()) {
     // Out-of-bound item: apply on the auxiliary copy, log a redo record
@@ -74,8 +78,7 @@ Result<std::string> Replica::Read(std::string_view name) {
 
 Status Replica::ResolveConflict(std::string_view name,
                                 const VersionVector& remote_vv,
-                                std::string_view value,
-                                const BeforeApply& before_apply) {
+                                std::string_view value) {
   if (remote_vv.size() != num_nodes_) {
     return Status::InvalidArgument("remote version vector of wrong width");
   }
@@ -92,7 +95,9 @@ Status Replica::ResolveConflict(std::string_view name,
     return Status::InvalidArgument(
         "vectors do not conflict; use Update for ordinary writes");
   }
-  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
+  if (journal_ != nullptr) {
+    EPI_RETURN_NOT_OK(journal_->AppendResolve(name, remote_vv, value));
+  }
 
   // The resolved copy semantically reflects both branches: merge the IVVs
   // (and grow the DBVV by what the remote branch adds), then apply the
@@ -342,8 +347,7 @@ Status Replica::ValidatePropagationResponse(
   return Status::OK();
 }
 
-Status Replica::AcceptPropagation(const PropagationResponseView& resp,
-                                  const BeforeApply& before_apply) {
+Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
   if (resp.you_are_current) return Status::OK();
 
   // Validate the whole response before touching any state, so malformed or
@@ -352,7 +356,9 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp,
   // copy, or nullptr for a name not stored yet.
   std::vector<Item*> copied;
   EPI_RETURN_NOT_OK(ValidatePropagationResponse(resp, &copied));
-  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
+  if (journal_ != nullptr) {
+    EPI_RETURN_NOT_OK(journal_->AppendPropagation(resp, dbvv_));
+  }
   // Tail records at or below the horizon were validated as already held.
   const VersionVector horizon = dbvv_;
 
@@ -496,8 +502,7 @@ OobResponse Replica::HandleOobRequest(const OobRequest& req) {
 // *auxiliary* copy only — §5.2 requires the DBVV, log vector and regular
 // copy untouched so ordering guarantees survive; a later scheduled
 // propagation re-ships the item (footnote 2, §5.1).
-Status Replica::AcceptOobResponse(const OobResponse& resp,
-                                  const BeforeApply& before_apply) {
+Status Replica::AcceptOobResponse(const OobResponse& resp) {
   if (!resp.found) {
     return Status::NotFound("out-of-bound source has no item '" +
                             resp.item_name + "'");
@@ -506,7 +511,7 @@ Status Replica::AcceptOobResponse(const OobResponse& resp,
     return Status::InvalidArgument("received IVV of wrong width for item '" +
                                    resp.item_name + "'");
   }
-  if (before_apply) EPI_RETURN_NOT_OK(before_apply());
+  if (journal_ != nullptr) EPI_RETURN_NOT_OK(journal_->AppendOob(resp));
   Item& item = store_.GetOrCreate(resp.item_name);
   // Compare against the user-visible copy: the auxiliary IVV when an
   // auxiliary copy exists, the regular IVV otherwise.
@@ -533,6 +538,16 @@ Status Replica::AcceptOobResponse(const OobResponse& resp,
                               "' conflicts with the local copy");
   }
   return Status::Internal("unreachable");
+}
+
+// ---------------------------------------------------------------------------
+// Durability.
+
+Status Replica::Checkpoint() {
+  if (journal_ == nullptr) {
+    return Status::FailedPrecondition("replica runs in memory");
+  }
+  return journal_->Checkpoint(*this);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 #define EPIDEMIC_CORE_REPLICA_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +18,8 @@
 #include "vv/version_vector.h"
 
 namespace epidemic {
+
+class Journal;
 
 /// Per-replica protocol counters, primarily for the benchmark harness.
 /// "Work" counters (records examined, IVV comparisons) directly measure the
@@ -111,31 +113,24 @@ class Replica {
   /// servers (§2: the server set is fixed). `listener` may be null; if given
   /// it must outlive the replica.
   Replica(NodeId id, size_t num_nodes, ConflictListener* listener = nullptr);
+  ~Replica();
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
-
-  /// Runs once an input has passed its checks and before it changes
-  /// anything; if it fails, the input returns its status and changes
-  /// nothing. Update, Delete, ResolveConflict, AcceptPropagation and
-  /// AcceptOobResponse take one. The journal appends its write-ahead
-  /// record there, so a rejected input never reaches disk.
-  using BeforeApply = std::function<Status()>;
 
   // ---------------------------------------------------------------------
   // User operations (§5.3).
 
   /// Applies a user update, writing `value` as the item's new contents.
   /// Uses the auxiliary copy when one exists, the regular copy otherwise.
-  Status Update(std::string_view name, std::string_view value,
-                const BeforeApply& before_apply = {}) REQUIRES_SHARD_CONTEXT;
+  Status Update(std::string_view name, std::string_view value)
+      REQUIRES_SHARD_CONTEXT;
 
   /// Deletes the item by writing a tombstone — an ordinary update whose
   /// state is "deleted", so it propagates (and conflicts) exactly like a
   /// value write. The control state persists; a later Update revives the
   /// item.
-  Status Delete(std::string_view name, const BeforeApply& before_apply = {})
-      REQUIRES_SHARD_CONTEXT;
+  Status Delete(std::string_view name) REQUIRES_SHARD_CONTEXT;
 
   /// User-facing read: auxiliary copy when present (it is never older than
   /// the regular copy), regular otherwise. NotFound for unknown or
@@ -158,9 +153,7 @@ class Replica {
   /// out-of-bound (resolve after the auxiliary copy retires).
   Status ResolveConflict(std::string_view name,
                          const VersionVector& remote_vv,
-                         std::string_view value,
-                         const BeforeApply& before_apply = {})
-      REQUIRES_SHARD_CONTEXT;
+                         std::string_view value) REQUIRES_SHARD_CONTEXT;
 
   /// Lists live (non-tombstoned) items whose name starts with `prefix`,
   /// sorted by name, with their user-visible values. `limit` 0 = no limit.
@@ -198,10 +191,7 @@ class Replica {
   /// for the duration of the call. Costs O(m + r): one store lookup per
   /// shipped item, O(1) per tail record, plus the r records of L[k] above
   /// the horizon V_i[k] (non-zero only after conflicts dropped records).
-  /// `before_apply` runs once the whole response has been validated and
-  /// resolved; a you-are-current reply never runs it.
-  Status AcceptPropagation(const PropagationResponseView& resp,
-                           const BeforeApply& before_apply = {})
+  Status AcceptPropagation(const PropagationResponseView& resp)
       REQUIRES_SHARD_CONTEXT;
 
   /// Runs the Fig. 4 intra-node propagation loop over every out-of-bound
@@ -229,10 +219,18 @@ class Replica {
   /// strictly dominates the local user-visible copy; ignores it otherwise;
   /// reports a conflict when the IVVs are concurrent. Never touches the
   /// DBVV, the log vector, or existing auxiliary-log records.
-  /// `before_apply` runs for every found reply of the right width.
-  Status AcceptOobResponse(const OobResponse& resp,
-                           const BeforeApply& before_apply = {})
-      REQUIRES_SHARD_CONTEXT;
+  Status AcceptOobResponse(const OobResponse& resp) REQUIRES_SHARD_CONTEXT;
+
+  // ---------------------------------------------------------------------
+  // Durability (core/journal.h).
+
+  /// The journal this replica appends its inputs to, or null in memory.
+  /// Journal::Open attaches it; the replica owns it.
+  const Journal* journal() const { return journal_.get(); }
+
+  /// Writes a snapshot and truncates the journal (Journal::Checkpoint).
+  /// FailedPrecondition on a replica without a journal.
+  Status Checkpoint() REQUIRES_SHARD_CONTEXT;
 
   // ---------------------------------------------------------------------
   // Introspection.
@@ -308,8 +306,7 @@ class Replica {
  private:
   /// Shared implementation of Update/Delete (§5.3).
   Status ApplyUserWrite(std::string_view name, std::string_view value,
-                        bool deleted, const BeforeApply& before_apply)
-      REQUIRES_SHARD_CONTEXT;
+                        bool deleted) REQUIRES_SHARD_CONTEXT;
 
   /// Validates a propagation response before any state is touched, so
   /// malformed input is rejected atomically, and resolves each item of S
@@ -327,6 +324,7 @@ class Replica {
                       ConflictSource source);
 
   friend class SnapshotCodec;  // snapshot.cc: serializes/restores privates
+  friend class Journal;        // journal.cc: attaches itself after recovery
 
   NodeId id_;
   size_t num_nodes_;
@@ -355,6 +353,11 @@ class Replica {
   PropagationScratch scratch_;
 
   ReplicaStats stats_;
+
+  /// Write-ahead journal of this replica's inputs; null in memory. Each
+  /// input is appended after its checks and before it changes anything,
+  /// so a rejected input leaves no record.
+  std::unique_ptr<Journal> journal_;
 };
 
 /// Runs one full anti-entropy exchange pulling updates from `source` into

@@ -5,37 +5,23 @@
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "core/wire.h"
 
 namespace epidemic {
 
 ShardedReplica::ShardedReplica(NodeId id, size_t num_nodes, size_t num_shards,
                                ConflictListener* listener) {
   EPI_CHECK(num_shards >= 1) << "a replica needs at least one shard";
-  owned_.reserve(num_shards);
   shards_.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
-    owned_.push_back(std::make_unique<Replica>(id, num_nodes, listener));
-    shards_.push_back(owned_.back().get());
+    shards_.push_back(std::make_unique<Replica>(id, num_nodes, listener));
   }
 }
 
 ShardedReplica::ShardedReplica(std::vector<std::unique_ptr<Replica>> shards)
-    : owned_(std::move(shards)) {
-  EPI_CHECK(!owned_.empty()) << "a replica needs at least one shard";
-  shards_.reserve(owned_.size());
-  for (auto& shard : owned_) {
-    EPI_CHECK(shard != nullptr);
-    EPI_CHECK(shard->id() == owned_[0]->id() &&
-              shard->num_nodes() == owned_[0]->num_nodes())
-        << "shards disagree on node identity";
-    shards_.push_back(shard.get());
-  }
-}
-
-ShardedReplica::ShardedReplica(std::vector<Replica*> shards)
     : shards_(std::move(shards)) {
   EPI_CHECK(!shards_.empty()) << "a replica needs at least one shard";
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     EPI_CHECK(shard != nullptr);
     EPI_CHECK(shard->id() == shards_[0]->id() &&
               shard->num_nodes() == shards_[0]->num_nodes())
@@ -51,7 +37,7 @@ size_t ShardedReplica::ShardOf(std::string_view name, size_t num_shards) {
 std::vector<std::pair<std::string, std::string>> ShardedReplica::Scan(
     std::string_view prefix, size_t limit) const {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     auto part = shard->Scan(prefix, /*limit=*/0);
     out.insert(out.end(), std::make_move_iterator(part.begin()),
                std::make_move_iterator(part.end()));
@@ -61,11 +47,19 @@ std::vector<std::pair<std::string, std::string>> ShardedReplica::Scan(
   return out;
 }
 
+Status ShardedReplica::AcceptShardPropagationSegmentV3(size_t shard,
+                                                       std::string_view body) {
+  wire::SegmentViewStorage storage;
+  PropagationResponseView view;
+  EPI_RETURN_NOT_OK(wire::DecodeShardSegmentBodyV3(body, &storage, &view));
+  return AcceptShardPropagation(shard, view);
+}
+
 ShardedPropagationRequest ShardedReplica::BuildPropagationRequestV3() const {
   ShardedPropagationRequest req;
   req.requester = id();
   req.shard_dbvvs.reserve(shards_.size());
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     req.shard_dbvvs.push_back(shard->dbvv());
   }
   return req;
@@ -73,7 +67,7 @@ ShardedPropagationRequest ShardedReplica::BuildPropagationRequestV3() const {
 
 VersionVector ShardedReplica::AggregateDbvv() const {
   VersionVector sum(num_nodes());
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     for (NodeId k = 0; k < num_nodes(); ++k) sum[k] += shard->dbvv()[k];
   }
   return sum;
@@ -81,23 +75,23 @@ VersionVector ShardedReplica::AggregateDbvv() const {
 
 ReplicaStats ShardedReplica::TotalStats() const {
   ReplicaStats total;
-  for (const Replica* shard : shards_) total.Accumulate(shard->stats());
+  for (const auto& shard : shards_) total.Accumulate(shard->stats());
   return total;
 }
 
 void ShardedReplica::ResetStats() {
-  for (Replica* shard : shards_) shard->ResetStats();
+  for (auto& shard : shards_) shard->ResetStats();
 }
 
 size_t ShardedReplica::TotalItems() const {
   size_t n = 0;
-  for (const Replica* shard : shards_) n += shard->items().size();
+  for (const auto& shard : shards_) n += shard->items().size();
   return n;
 }
 
 size_t ShardedReplica::PumpIntraNode() {
   size_t applied = 0;
-  for (Replica* shard : shards_) applied += shard->PumpIntraNode();
+  for (auto& shard : shards_) applied += shard->PumpIntraNode();
   return applied;
 }
 
@@ -127,7 +121,7 @@ Status ShardedReplica::CheckInvariants() const {
 std::string ShardedReplica::CanonicalState() const {
   ByteWriter w;
   w.PutVarint64(shards_.size());
-  for (const Replica* shard : shards_) w.PutString(shard->CanonicalState());
+  for (const auto& shard : shards_) w.PutString(shard->CanonicalState());
   return w.Release();
 }
 
@@ -136,7 +130,7 @@ std::string ShardedReplica::DebugString() const {
   size_t aux_copies = 0;
   size_t log_records = 0;
   size_t aux_records = 0;
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     for (const auto& item : shard->items()) {
       if (item->HasAux()) ++aux_copies;
       if (item->deleted) ++tombstones;
@@ -170,7 +164,7 @@ std::string ShardedReplica::DebugString() const {
   out += " oob_served=" + std::to_string(stats.oob_requests_served);
   out += " intra_node=" + std::to_string(stats.intra_node_ops_applied);
   out += "\nshard items:";
-  for (const Replica* shard : shards_) {
+  for (const auto& shard : shards_) {
     out += " ";
     out += std::to_string(shard->items().size());
   }

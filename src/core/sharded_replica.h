@@ -50,17 +50,21 @@ class ShardedReplica {
                  size_t num_shards = kDefaultShards,
                  ConflictListener* listener = nullptr);
 
-  /// Owning constructor over pre-built shard engines (snapshot restore).
-  /// All shards must agree on id/num_nodes.
+  /// Owning constructor over pre-built shard engines (snapshot restore,
+  /// Open). All shards must agree on id/num_nodes.
   explicit ShardedReplica(std::vector<std::unique_ptr<Replica>> shards);
 
-  /// Non-owning view over externally owned shard engines (the durable
-  /// server: each shard lives inside its own JournaledReplica). All shards
-  /// must agree on id/num_nodes and must outlive the view. Mutating routed
-  /// calls through a view bypass any journaling the owner performs, so
-  /// views are for inspection and the non-journaled protocol steps
-  /// (handshake building/serving) only.
-  explicit ShardedReplica(std::vector<Replica*> shards);
+  /// Recovers (or freshly creates) a durable sharded replica under `dir`,
+  /// which must exist: shard k is recovered by Journal::Open from the
+  /// `shard-NNN/` subdirectory (created as needed) and journals its own
+  /// inputs, and `shards.meta` pins the shard count (the item→shard mapping
+  /// depends on it, so reopening with a different count is refused rather
+  /// than silently misrouting). A shard's error keeps its code, prefixed
+  /// with "shard k: ". Defined in journal.cc, with the rest of the on-disk
+  /// layout.
+  static Result<std::unique_ptr<ShardedReplica>> Open(
+      const std::string& dir, NodeId id, size_t num_nodes, size_t num_shards,
+      ConflictListener* listener = nullptr);
 
   ShardedReplica(const ShardedReplica&) = delete;
   ShardedReplica& operator=(const ShardedReplica&) = delete;
@@ -122,6 +126,12 @@ class ShardedReplica {
       REQUIRES_SHARD_CONTEXT {
     return shards_[shard]->AcceptPropagation(resp);
   }
+
+  /// Fig. 3-4 for one shard over a raw wire-v3 segment body: decoded
+  /// zero-copy into storage local to this call, then accepted. The body
+  /// must stay alive for the call.
+  Status AcceptShardPropagationSegmentV3(size_t shard, std::string_view body)
+      REQUIRES_SHARD_CONTEXT;
 
   /// Runs Replica::PumpIntraNode on every shard (replays pending auxiliary
   /// redo records, retires caught-up auxiliary copies). Touches every
@@ -190,9 +200,11 @@ class ShardedReplica {
     return *shards_[ShardOf(name)];
   }
 
-  std::vector<std::unique_ptr<Replica>> owned_;  // empty for views
-  std::vector<Replica*> shards_;                 // always size num_shards
+  std::vector<std::unique_ptr<Replica>> shards_;  // always size num_shards
 };
+
+/// Kept only because perfbench/src/layers.cc names it.
+using JournaledShardedReplica = ShardedReplica;
 
 }  // namespace epidemic
 

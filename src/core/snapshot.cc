@@ -338,16 +338,4 @@ Result<std::unique_ptr<ShardedReplica>> DecodeShardedSnapshot(
   return std::make_unique<ShardedReplica>(std::move(shards));
 }
 
-Status SaveShardedSnapshot(const ShardedReplica& replica,
-                           const std::string& path) {
-  return WriteFileAtomic(EncodeShardedSnapshot(replica), path);
-}
-
-Result<std::unique_ptr<ShardedReplica>> LoadShardedSnapshot(
-    const std::string& path, ConflictListener* listener) {
-  auto blob = ReadFileFully(path);
-  if (!blob.ok()) return blob.status();
-  return DecodeShardedSnapshot(*blob, listener);
-}
-
 }  // namespace epidemic

@@ -73,14 +73,6 @@ std::string EncodeShardedSnapshot(const ShardedReplica& replica);
 Result<std::unique_ptr<ShardedReplica>> DecodeShardedSnapshot(
     std::string_view blob, ConflictListener* listener = nullptr);
 
-/// EncodeShardedSnapshot + atomic write to `path`.
-Status SaveShardedSnapshot(const ShardedReplica& replica,
-                           const std::string& path);
-
-/// Reads `path` and decodes it as a sharded snapshot.
-Result<std::unique_ptr<ShardedReplica>> LoadShardedSnapshot(
-    const std::string& path, ConflictListener* listener = nullptr);
-
 }  // namespace epidemic
 
 #endif  // EPIDEMIC_CORE_SNAPSHOT_H_

@@ -49,28 +49,21 @@ std::unique_ptr<runtime::ShardScheduler> MakeScheduler(size_t num_shards,
 
 ReplicaServer::ReplicaServer(NodeId id, size_t num_nodes,
                              net::Transport* transport, Options options)
-    : id_(id),
-      transport_(transport),
-      options_(std::move(options)),
-      memory_(std::make_unique<ShardedReplica>(
-          id, num_nodes, options_.num_shards, &listener_)),
-      sched_(MakeScheduler(memory_->num_shards(), options_.ae_workers)),
-      exchange_(*memory_, *sched_, buffer_pool_) {
-  peer_epoch_count_ = num_nodes;
-  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
-}
+    : ReplicaServer(std::make_unique<ShardedReplica>(
+                        id, num_nodes, options.num_shards, &listener_),
+                    transport, options) {}
 
-ReplicaServer::ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
+ReplicaServer::ReplicaServer(std::unique_ptr<ShardedReplica> replica,
                              net::Transport* transport, Options options)
-    : id_(durable->view().id()),
+    : id_(replica->id()),
       transport_(transport),
       options_(std::move(options)),
-      durable_(std::move(durable)),
-      sched_(MakeScheduler(durable_->num_shards(), options_.ae_workers)),
-      exchange_(durable_->view(), *sched_, buffer_pool_, durable_.get()) {
-  peer_epoch_count_ = durable_->view().num_nodes();
-  peer_epoch_ = std::make_unique<std::atomic<uint64_t>[]>(peer_epoch_count_);
-}
+      replica_(std::move(replica)),
+      sched_(MakeScheduler(replica_->num_shards(), options_.ae_workers)),
+      exchange_(*replica_, *sched_, buffer_pool_),
+      peer_epoch_(std::make_unique<std::atomic<uint64_t>[]>(
+          replica_->num_nodes())),
+      peer_epoch_count_(replica_->num_nodes()) {}
 
 ReplicaServer::~ReplicaServer() { Stop(); }
 
@@ -202,7 +195,7 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     // misconfigured peer, not a programming error — reply, don't abort.
     // (Epoch probes carry zero shard DBVVs; the loop is vacuous.)
     for (const VersionVector& vv : sharded_req->shard_dbvvs) {
-      if (vv.size() != sharded().num_nodes()) {
+      if (vv.size() != replica_->num_nodes()) {
         return respond(EncodeStatusReply(
             Status::InvalidArgument("shard DBVV of wrong width")));
       }
@@ -301,37 +294,34 @@ void ReplicaServer::HandleRequestV(std::string_view request,
 }
 
 Status ReplicaServer::Update(std::string_view item, std::string_view value) {
-  const size_t k = sharded().ShardOf(item);
   Status status;
-  sched_->Execute(k, TaskKind::kLocalUpdate, /*mutates=*/true,
+  sched_->Execute(replica_->ShardOf(item), TaskKind::kLocalUpdate,
+                  /*mutates=*/true,
                   [this, item, value, &status](const ShardToken& token) {
                     AssertShardContext(token);
-                    status = durable_ != nullptr
-                                 ? durable_->Update(item, value)
-                                 : memory_->Update(item, value);
+                    status = replica_->Update(item, value);
                   });
   return status;
 }
 
 Status ReplicaServer::Delete(std::string_view item) {
-  const size_t k = sharded().ShardOf(item);
   Status status;
-  sched_->Execute(k, TaskKind::kLocalUpdate, /*mutates=*/true,
+  sched_->Execute(replica_->ShardOf(item), TaskKind::kLocalUpdate,
+                  /*mutates=*/true,
                   [this, item, &status](const ShardToken& token) {
                     AssertShardContext(token);
-                    status = durable_ != nullptr ? durable_->Delete(item)
-                                                 : memory_->Delete(item);
+                    status = replica_->Delete(item);
                   });
   return status;
 }
 
 Result<std::string> ReplicaServer::Read(std::string_view item) {
-  const size_t k = sharded().ShardOf(item);
   Result<std::string> result = Status::Internal("read task did not run");
-  sched_->Execute(k, TaskKind::kRead, /*mutates=*/false,
+  sched_->Execute(replica_->ShardOf(item), TaskKind::kRead,
+                  /*mutates=*/false,
                   [this, item, &result](const ShardToken& token) {
                     AssertShardContext(token);
-                    result = sharded().Read(item);
+                    result = replica_->Read(item);
                   });
   return result;
 }
@@ -339,17 +329,13 @@ Result<std::string> ReplicaServer::Read(std::string_view item) {
 Status ReplicaServer::ResolveConflict(std::string_view item,
                                       const VersionVector& remote_vv,
                                       std::string_view value) {
-  const size_t k = sharded().ShardOf(item);
   Status status;
-  sched_->Execute(k, TaskKind::kLocalUpdate, /*mutates=*/true,
+  sched_->Execute(replica_->ShardOf(item), TaskKind::kLocalUpdate,
+                  /*mutates=*/true,
                   [this, item, &remote_vv, value,
                    &status](const ShardToken& token) {
                     AssertShardContext(token);
-                    status = durable_ != nullptr
-                                 ? durable_->ResolveConflict(item, remote_vv,
-                                                             value)
-                                 : memory_->ResolveConflict(item, remote_vv,
-                                                            value);
+                    status = replica_->ResolveConflict(item, remote_vv, value);
                   });
   return status;
 }
@@ -359,7 +345,7 @@ std::vector<std::pair<std::string, std::string>> ReplicaServer::Scan(
   // One shard at a time: a scan is a convenience listing, not a consistent
   // whole-database snapshot, so it does not stall writers on all shards.
   std::vector<std::pair<std::string, std::string>> out;
-  const ShardedReplica& rep = sharded();
+  const ShardedReplica& rep = *replica_;
   for (size_t k = 0; k < rep.num_shards(); ++k) {
     sched_->Execute(k, TaskKind::kSnapshot, /*mutates=*/false,
                     [&rep, &out, prefix, k](const ShardToken&) {
@@ -412,7 +398,7 @@ void ReplicaServer::AppendNetSummary(std::string* out, bool reset) const {
 }
 
 std::string ReplicaServer::Stats(bool reset) {
-  ShardedReplica& rep = sharded();
+  ShardedReplica& rep = *replica_;
   std::string summary;
   // The shard counters are read and zeroed inside one cross-shard barrier,
   // so no shard task falls between the two. The counters outside the
@@ -429,7 +415,7 @@ std::string ReplicaServer::Stats(bool reset) {
 }
 
 ReplicaStats ReplicaServer::TotalStats() {
-  ShardedReplica& rep = sharded();
+  ShardedReplica& rep = *replica_;
   ReplicaStats total;
   sched_->ExecuteExclusive(
       /*mutates=*/false, [&rep, &total](const ExclusiveToken& token) {
@@ -522,23 +508,21 @@ Status ReplicaServer::OobFetch(NodeId peer, std::string_view item) {
 
 void ReplicaServer::WithReplica(
     const std::function<void(const ShardedReplica&)>& fn) const {
-  const ShardedReplica& rep = sharded();
+  const ShardedReplica& rep = *replica_;
   sched_->ExecuteExclusive(/*mutates=*/false,
                            [&rep, &fn](const ExclusiveToken&) { fn(rep); });
 }
 
 Status ReplicaServer::Checkpoint() {
-  if (durable_ == nullptr) {
-    return Status::FailedPrecondition("server runs in-memory");
-  }
   // Shard by shard: each checkpoint is internally consistent (it is one
-  // shard's whole protocol state), so no global barrier is needed.
+  // shard's whole protocol state), so no global barrier is needed. A shard
+  // without a journal answers FailedPrecondition.
   Status first_error = Status::OK();
-  for (size_t k = 0; k < durable_->num_shards(); ++k) {
+  for (size_t k = 0; k < replica_->num_shards(); ++k) {
     sched_->Execute(k, TaskKind::kSnapshot, /*mutates=*/false,
                     [this, k, &first_error](const ShardToken& token) {
                       AssertShardContext(token);
-                      Status s = durable_->CheckpointShard(k);
+                      Status s = replica_->shard(k).Checkpoint();
                       if (!s.ok() && first_error.ok()) first_error = s;
                     });
   }

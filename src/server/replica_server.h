@@ -15,7 +15,6 @@
 #include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "core/conflict.h"
-#include "core/journal.h"
 #include "core/replica.h"
 #include "core/sharded_replica.h"
 #include "net/transport.h"
@@ -80,8 +79,8 @@ class ReplicaServer : public net::RequestHandler {
     /// PullFrom).
     TimeMicros anti_entropy_interval_micros = 0;
 
-    /// Shard count for the in-memory constructor (ignored by the durable
-    /// one, where JournaledShardedReplica::Open fixes it). Every node of a
+    /// Shard count for the in-memory constructor (ignored by the one that
+    /// takes a replica, whose shard count is fixed). Every node of a
     /// cluster must agree.
     size_t num_shards = ShardedReplica::kDefaultShards;
 
@@ -91,17 +90,17 @@ class ReplicaServer : public net::RequestHandler {
     size_t ae_workers = 0;
   };
 
-  /// In-memory server. `transport` must outlive the server.
+  /// In-memory server over fresh shards that report conflicts to this
+  /// server (TakeConflicts). `transport` must outlive the server.
   ReplicaServer(NodeId id, size_t num_nodes, net::Transport* transport,
                 Options options);
 
-  /// Durable server over recovered journaled shards (core/journal.h):
-  /// every mutating input is journaled to its shard, and `Checkpoint()`
-  /// snapshots + truncates per shard. Create the state with
-  /// JournaledShardedReplica::Open. Conflicts flow through the listener
-  /// given to Open (pass a LockedConflictListener you own if you need
-  /// them); this server's TakeConflicts sees only in-memory-mode events.
-  ReplicaServer(std::unique_ptr<JournaledShardedReplica> durable,
+  /// Server over `replica`. Built by ShardedReplica::Open, every shard
+  /// journals its own inputs and `Checkpoint()` snapshots + truncates per
+  /// shard. Conflicts flow through the listener the replica was built with
+  /// (pass a LockedConflictListener you own if you need them); this
+  /// server's TakeConflicts sees only the in-memory constructor's events.
+  ReplicaServer(std::unique_ptr<ShardedReplica> replica,
                 net::Transport* transport, Options options);
 
   ~ReplicaServer() override;
@@ -168,14 +167,15 @@ class ReplicaServer : public net::RequestHandler {
   /// Drains conflicts recorded since the last call.
   std::vector<ConflictEvent> TakeConflicts() { return listener_.Take(); }
 
-  /// Durable servers only: snapshot + journal truncation, shard by shard.
-  /// For in-memory servers returns FailedPrecondition.
+  /// Snapshot + journal truncation, shard by shard. A server whose shards
+  /// keep no journal returns FailedPrecondition.
   Status Checkpoint();
 
-  bool is_durable() const { return durable_ != nullptr; }
+  /// True when the shards journal their inputs (ShardedReplica::Open).
+  bool is_durable() const { return replica_->shard(0).journal() != nullptr; }
 
   NodeId id() const { return id_; }
-  size_t num_shards() const { return sharded().num_shards(); }
+  size_t num_shards() const { return replica_->num_shards(); }
 
   /// Scheduler health, as surfaced through `epidemic_cli stats`.
   runtime::SchedulerStats SchedulerHealth() const {
@@ -184,14 +184,6 @@ class ReplicaServer : public net::RequestHandler {
 
  private:
   void AntiEntropyLoop() EXCLUDES(thread_mu_);
-
-  /// The sharded state, durable or in-memory. Per-shard access requires
-  /// being inside that shard's single-writer section (hold a ShardToken
-  /// for it).
-  ShardedReplica& sharded() { return durable_ ? durable_->view() : *memory_; }
-  const ShardedReplica& sharded() const {
-    return durable_ ? durable_->view() : *memory_;
-  }
 
   /// Fan-out serve cache. A full serve's reply is a pure function of
   /// (request flags + shard DBVVs, scheduler mutation epoch): the epoch is
@@ -232,11 +224,13 @@ class ReplicaServer : public net::RequestHandler {
   Options options_;
 
   LockedConflictListener listener_;
-  std::unique_ptr<ShardedReplica> memory_;              // in-memory mode
-  std::unique_ptr<JournaledShardedReplica> durable_;    // durable mode
+
+  /// The sharded state. Per-shard access requires being inside that
+  /// shard's single-writer section (hold a ShardToken for it).
+  std::unique_ptr<ShardedReplica> replica_;
 
   /// Single-writer shard runtime. Declared after the replica state so it
-  /// is destroyed (and drained) first — tasks capture `sharded()`.
+  /// is destroyed (and drained) first — tasks capture `replica_`.
   std::unique_ptr<runtime::ShardScheduler> sched_;
 
   /// Recycles reply pieces and receive buffers across exchanges
@@ -244,7 +238,7 @@ class ReplicaServer : public net::RequestHandler {
   BufferPool buffer_pool_;
 
   /// The anti-entropy and out-of-bound steps (request, serve, accept) on
-  /// this node's shards, scheduler and pool; journals accepts when durable.
+  /// this node's shards, scheduler and pool.
   ShardedExchange exchange_;
 
   /// Last mutation epoch observed per peer (0 = never pulled). Lets

@@ -24,6 +24,11 @@ std::unique_ptr<runtime::ShardScheduler> InlineScheduler(size_t num_shards) {
   runtime::ShardScheduler::Options opts;
   opts.num_shards = num_shards;
   opts.workers = 0;
+  // Driven from one thread, an inline scheduler runs every task before the
+  // call returns and never queues one, so its channels stay empty: take the
+  // smallest (the queue rounds up to two cells) rather than initialise 256
+  // cells per shard for every exchange the model checker restores.
+  opts.channel_capacity = 1;
   return std::make_unique<runtime::ShardScheduler>(opts);
 }
 
@@ -31,12 +36,10 @@ std::unique_ptr<runtime::ShardScheduler> InlineScheduler(size_t num_shards) {
 
 ShardedExchange::ShardedExchange(ShardedReplica& replica,
                                  runtime::ShardScheduler& sched,
-                                 BufferPool& pool,
-                                 JournaledShardedReplica* durable)
+                                 BufferPool& pool)
     : replica_(replica),
       sched_(sched),
       pool_(pool),
-      durable_(durable),
       all_shards_(ShardList(sched.num_shards())) {}
 
 ShardedExchange::ShardedExchange(ShardedReplica& replica, BufferPool& pool)
@@ -159,10 +162,9 @@ Status ShardedExchange::Accept(
   // segments name distinct shards (the codec enforces strictly increasing
   // indices), so the tasks share nothing but the join. Segments decode
   // zero-copy: the views (string_views into the segment bytes, IVVs in
-  // the per-segment storage) are consumed by the shard's accept inside
+  // storage local to the task) are consumed by the shard's accept inside
   // the task, so nothing outlives its backing.
   std::vector<Status> statuses(segments.size());
-  std::vector<wire::SegmentViewStorage> storages(segments.size());
   std::vector<size_t> shards;
   shards.reserve(segments.size());
   for (const wire::ShardedSegmentView& seg : segments) {
@@ -170,19 +172,10 @@ Status ShardedExchange::Accept(
   }
   sched_.ExecuteBatchIndexed(
       shards, TaskKind::kAccept, /*mutates=*/true,
-      [this, &rep, &segments, &statuses, &storages](const ShardToken& token,
-                                                    size_t i) {
+      [&rep, &segments, &statuses](const ShardToken& token, size_t i) {
         AssertShardContext(token);
-        const wire::ShardedSegmentView& seg = segments[i];
-        if (durable_ != nullptr) {
-          statuses[i] =
-              durable_->AcceptShardPropagationSegmentV3(seg.shard, seg.body);
-          return;
-        }
-        PropagationResponseView view;
-        Status s =
-            wire::DecodeShardSegmentBodyV3(seg.body, &storages[i], &view);
-        statuses[i] = s.ok() ? rep.AcceptShardPropagation(seg.shard, view) : s;
+        statuses[i] = rep.AcceptShardPropagationSegmentV3(segments[i].shard,
+                                                          segments[i].body);
       });
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
@@ -229,9 +222,7 @@ Status ShardedExchange::AcceptOobFrame(std::string_view frame) {
                  /*mutates=*/true,
                  [this, resp, &status](const ShardToken& token) {
                    AssertShardContext(token);
-                   status = durable_ != nullptr
-                                ? durable_->AcceptOobResponse(*resp)
-                                : replica_.AcceptOobResponse(*resp);
+                   status = replica_.AcceptOobResponse(*resp);
                  });
   return status;
 }

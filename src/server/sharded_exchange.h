@@ -10,7 +10,6 @@
 #include "common/buffer_pool.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "core/journal.h"
 #include "core/messages.h"
 #include "core/sharded_replica.h"
 #include "core/wire.h"
@@ -36,10 +35,9 @@ namespace epidemic::server {
 class ShardedExchange {
  public:
   /// Binds `replica` to `sched`, which must run one scheduler shard per
-  /// replica shard. With `durable` (nullable; its view() is `replica`)
-  /// every accepted segment is journaled before it is applied.
+  /// replica shard.
   ShardedExchange(ShardedReplica& replica, runtime::ShardScheduler& sched,
-                  BufferPool& pool, JournaledShardedReplica* durable = nullptr);
+                  BufferPool& pool);
 
   /// Binds `replica` to an inline scheduler of its own (workers = 0:
   /// every task runs on the calling thread before the call returns).
@@ -78,9 +76,11 @@ class ShardedExchange {
 
   /// Step 3, the accept: refuses a source with another shard count or an
   /// out-of-range segment before any state changes, then decodes each
-  /// segment zero-copy and accepts it as a task on its shard (journaled
-  /// when durable), fanned out as one batch. Segment bodies are views
-  /// into the received frame, which must outlive the call.
+  /// segment zero-copy into task-local storage and accepts it as a task on
+  /// its shard (ShardedReplica::AcceptShardPropagationSegmentV3; a shard
+  /// with a journal appends the accepted view), fanned out as one batch.
+  /// Segment bodies are views into the received frame, which must outlive
+  /// the call.
   Status Accept(uint32_t num_shards,
                 const std::vector<wire::ShardedSegmentView>& segments);
 
@@ -95,8 +95,7 @@ class ShardedExchange {
   std::string ServeOobFrame(const OobRequest& req);
 
   /// §5.2 step 3: decodes an out-of-bound reply frame and accepts the copy
-  /// on its item's shard (journaled when durable). A frame holding any
-  /// other message is Corruption.
+  /// on its item's shard. A frame holding any other message is Corruption.
   Status AcceptOobFrame(std::string_view frame);
 
   ShardedReplica& replica() { return replica_; }
@@ -107,7 +106,6 @@ class ShardedExchange {
   std::unique_ptr<runtime::ShardScheduler> owned_sched_;  // inline form only
   runtime::ShardScheduler& sched_;
   BufferPool& pool_;
-  JournaledShardedReplica* durable_ = nullptr;
   std::vector<size_t> all_shards_;
 };
 

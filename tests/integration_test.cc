@@ -131,7 +131,9 @@ TEST(ScenarioTest, FailureStoryOracleStaysStaleEpidemicHeals) {
 
 TEST(ScenarioTest, PropagationThroughCodecMatchesDirectPropagation) {
   Replica direct_a(0, 3), direct_b(1, 3);
-  Replica coded_a(0, 3), coded_b(1, 3);
+  ShardedReplica node_a(0, 3, /*num_shards=*/1), node_b(1, 3, 1);
+  Replica& coded_a = node_a.shard(0);
+  Replica& coded_b = node_b.shard(0);
   for (int i = 0; i < 20; ++i) {
     std::string item = "k" + std::to_string(i % 7);
     std::string value = "v" + std::to_string(i);
@@ -143,12 +145,10 @@ TEST(ScenarioTest, PropagationThroughCodecMatchesDirectPropagation) {
   ASSERT_TRUE(PropagateOnce(direct_b, direct_a).ok());
 
   // Codec path: request and response cross a serialization boundary as
-  // the daemon's wire-v3 exchange (tags 17/18) of two one-shard views: the
+  // the daemon's wire-v3 exchange (tags 17/18) of two one-shard nodes: the
   // request through the codec, the reply as the frame an epidemicd sends.
-  ShardedReplica view_a(std::vector<Replica*>{&coded_a});
-  ShardedReplica view_b(std::vector<Replica*>{&coded_b});
   BufferPool pool;
-  server::ShardedExchange exchange_a(view_a, pool), exchange_b(view_b, pool);
+  server::ShardedExchange exchange_a(node_a, pool), exchange_b(node_b, pool);
   auto req = net::Decode(net::Encode(net::Message(exchange_a.Handshake())));
   ASSERT_TRUE(req.ok());
   const std::string frame =

@@ -1,7 +1,9 @@
 #include "core/journal.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,11 +15,33 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "core/replica.h"
+#include "core/sharded_replica.h"
 #include "core/wire.h"
 #include "vv/vv_codec.h"
 
 namespace epidemic {
 namespace {
+
+// Records `replica`'s journal holds since its last checkpoint.
+uint64_t Records(const Replica& replica) {
+  return replica.journal()->records_since_checkpoint();
+}
+
+// Over every shard of `replica`.
+uint64_t Records(const ShardedReplica& replica) {
+  uint64_t total = 0;
+  for (size_t k = 0; k < replica.num_shards(); ++k) {
+    total += Records(replica.shard(k));
+  }
+  return total;
+}
+
+Status CheckpointEveryShard(ShardedReplica& replica) {
+  for (size_t k = 0; k < replica.num_shards(); ++k) {
+    EPI_RETURN_NOT_OK(replica.shard(k).Checkpoint());
+  }
+  return Status::OK();
+}
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -34,27 +58,27 @@ class JournalTest : public ::testing::Test {
   // InvalidArgument with no new record; then the journal must reopen with
   // the same DBVV.
   void ExpectRejectedAndNotJournaled(
-      const std::function<Status(JournaledReplica&)>& input) {
+      const std::function<Status(Replica&)>& input) {
     VersionVector dbvv_before;
     {
-      auto jr = JournaledReplica::Open(dir_, 0, 2);
+      auto jr = Journal::Open(dir_, 0, 2);
       ASSERT_TRUE(jr.ok());
       ASSERT_TRUE((*jr)->Update("x", "v").ok());
-      const uint64_t records = (*jr)->records_since_checkpoint();
+      const uint64_t records = Records(**jr);
       EXPECT_TRUE(input(**jr).IsInvalidArgument());
-      EXPECT_EQ((*jr)->records_since_checkpoint(), records);
-      dbvv_before = (*jr)->replica().dbvv();
+      EXPECT_EQ(Records(**jr), records);
+      dbvv_before = (*jr)->dbvv();
     }
-    auto recovered = JournaledReplica::Open(dir_, 0, 2);
+    auto recovered = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    EXPECT_EQ((*recovered)->replica().dbvv(), dbvv_before);
+    EXPECT_EQ((*recovered)->dbvv(), dbvv_before);
   }
 
   std::string dir_;
 };
 
 // Runs one full anti-entropy pull from `source` into the journaled `jr`.
-Status Pull(Replica& source, JournaledReplica& jr) {
+Status Pull(Replica& source, Replica& jr) {
   PropagationRequest req = jr.BuildPropagationRequest();
   return jr.AcceptPropagation(source.HandlePropagationView(req));
 }
@@ -69,51 +93,61 @@ std::string JournalFrame(std::string_view payload) {
   return w.Release();
 }
 
-// The record tag of every frame in `dir`'s journal, in order.
-std::vector<uint8_t> RecordTags(const std::string& dir) {
+// The payload (record tag first) of every frame in `dir`'s journal, in
+// order.
+std::vector<std::string> RecordPayloads(const std::string& dir) {
   std::ifstream in(dir + "/journal.log", std::ios::binary);
   const std::string data{std::istreambuf_iterator<char>(in), {}};
-  std::vector<uint8_t> tags;
+  std::vector<std::string> payloads;
   ByteReader r(data);
   while (!r.AtEnd()) {
     auto len = r.GetVarint64();
     if (!len.ok()) break;
     auto payload = r.GetBytesView(static_cast<size_t>(*len));
     if (!payload.ok() || payload->empty() || !r.GetFixed32().ok()) break;
-    tags.push_back(static_cast<uint8_t>((*payload)[0]));
+    payloads.emplace_back(*payload);
+  }
+  return payloads;
+}
+
+// The record tag of every frame in `dir`'s journal, in order.
+std::vector<uint8_t> RecordTags(const std::string& dir) {
+  std::vector<uint8_t> tags;
+  for (const std::string& payload : RecordPayloads(dir)) {
+    tags.push_back(static_cast<uint8_t>(payload[0]));
   }
   return tags;
 }
 
 TEST_F(JournalTest, OpenFreshDirectory) {
-  auto jr = JournaledReplica::Open(dir_, 0, 3);
+  auto jr = Journal::Open(dir_, 0, 3);
   ASSERT_TRUE(jr.ok()) << jr.status().ToString();
-  EXPECT_EQ((*jr)->replica().id(), 0u);
-  EXPECT_EQ((*jr)->records_since_checkpoint(), 0u);
+  EXPECT_EQ((*jr)->id(), 0u);
+  EXPECT_EQ(Records(**jr), 0u);
 }
 
 TEST_F(JournalTest, OpenNonDirectoryFails) {
-  auto jr = JournaledReplica::Open(dir_ + "/nope", 0, 3);
+  auto jr = Journal::Open(dir_ + "/nope", 0, 3);
   EXPECT_TRUE(jr.status().IsInvalidArgument());
 }
 
 TEST_F(JournalTest, UpdatesSurviveRestart) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("x", "v1").ok());
     ASSERT_TRUE((*jr)->Update("y", "v2").ok());
     ASSERT_TRUE((*jr)->Delete("y").ok());
-    EXPECT_EQ((*jr)->records_since_checkpoint(), 3u);
+    EXPECT_EQ(Records(**jr), 3u);
   }  // "crash": destructor, no checkpoint
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(*(*recovered)->Read("x"), "v1");
   EXPECT_TRUE((*recovered)->Read("y").status().IsNotFound());
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
   // Replay reproduces the exact protocol state, not just user-visible data.
-  EXPECT_EQ((*recovered)->replica().dbvv().Total(), 3u);
+  EXPECT_EQ((*recovered)->dbvv().Total(), 3u);
 }
 
 TEST_F(JournalTest, PropagationInputsSurviveRestart) {
@@ -122,20 +156,20 @@ TEST_F(JournalTest, PropagationInputsSurviveRestart) {
 
   std::string dbvv_before;
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("local", "mine").ok());
     ASSERT_TRUE(Pull(peer, **jr).ok());
-    dbvv_before = (*jr)->replica().dbvv().ToString();
+    dbvv_before = (*jr)->dbvv().ToString();
   }
   // The view accept journals the v3 segment record epidemicd writes.
   EXPECT_EQ(RecordTags(dir_), (std::vector<uint8_t>{1, 6}));
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(*(*recovered)->Read("remote"), "from-peer");
   EXPECT_EQ(*(*recovered)->Read("local"), "mine");
-  EXPECT_EQ((*recovered)->replica().dbvv().ToString(), dbvv_before);
+  EXPECT_EQ((*recovered)->dbvv().ToString(), dbvv_before);
   // Recovered replica resumes anti-entropy exactly where it stopped: an
   // exchange with the unchanged peer is a no-op.
   peer.ResetStats();
@@ -147,20 +181,23 @@ TEST_F(JournalTest, OobInputsSurviveRestart) {
   Replica peer(1, 2);
   ASSERT_TRUE(peer.Update("hot", "h1").ok());
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     OobRequest req = (*jr)->BuildOobRequest("hot");
     OobResponse resp = peer.HandleOobRequest(req);
     ASSERT_TRUE((*jr)->AcceptOobResponse(resp).ok());
     ASSERT_TRUE((*jr)->Update("hot", "h2").ok());  // aux update, journaled
   }
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(*(*recovered)->Read("hot"), "h2");
-  EXPECT_TRUE((*recovered)->replica().FindItem("hot")->HasAux());
-  EXPECT_EQ((*recovered)->replica().aux_log().size(), 1u);
+  EXPECT_TRUE((*recovered)->FindItem("hot")->HasAux());
+  EXPECT_EQ((*recovered)->aux_log().size(), 1u);
 }
 
+// A raw v3 segment body reaches a durable shard the way a daemon's accept
+// delivers it: ShardedReplica::AcceptShardPropagationSegmentV3 on a
+// one-shard node, whose journal is `<dir>/shard-000/journal.log`.
 TEST_F(JournalTest, V3SegmentInputsSurviveRestart) {
   Replica peer(1, 2);
   for (int i = 0; i < 10; ++i) {
@@ -170,47 +207,61 @@ TEST_F(JournalTest, V3SegmentInputsSurviveRestart) {
 
   std::string canonical_before;
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
-    ASSERT_TRUE(jr.ok());
-    ASSERT_TRUE((*jr)->Update("local", "mine").ok());
+    auto node = ShardedReplica::Open(dir_, 0, 2, /*num_shards=*/1);
+    ASSERT_TRUE(node.ok());
+    Replica& jr = (*node)->shard(0);
+    ASSERT_TRUE(jr.Update("local", "mine").ok());
     // A real v3 segment: serve the view at the peer, encode it against the
-    // peer's DBVV, and journal-accept the raw body.
-    PropagationRequest req = (*jr)->BuildPropagationRequest();
-    const PropagationResponseView& view = peer.HandlePropagationView(req);
+    // peer's DBVV, and accept the raw body.
+    const PropagationResponseView& view =
+        peer.HandlePropagationView(jr.BuildPropagationRequest());
     ByteWriter w;
     wire::EncodeShardSegmentBodyV3Into(w, view, peer.dbvv());
-    ASSERT_TRUE((*jr)->AcceptPropagationSegmentV3(w.data()).ok());
-    EXPECT_EQ((*jr)->records_since_checkpoint(), 2u);
-    canonical_before = (*jr)->replica().CanonicalState();
+    const VersionVector dbvv_at_accept = jr.dbvv();
+    ASSERT_TRUE((*node)->AcceptShardPropagationSegmentV3(0, w.data()).ok());
+    EXPECT_EQ(Records(jr), 2u);
+    canonical_before = jr.CanonicalState();
+    // Record 6 is the view the replica validated, encoded against its own
+    // DBVV, not the peer's body copied verbatim.
+    const std::vector<std::string> payloads =
+        RecordPayloads(dir_ + "/shard-000");
+    ASSERT_EQ(payloads.size(), 2u);
+    EXPECT_EQ(static_cast<uint8_t>(payloads[1][0]), 6);
+    ByteWriter expected;
+    expected.PutU8(6);
+    wire::EncodeShardSegmentBodyV3Into(expected, view, dbvv_at_accept);
+    EXPECT_EQ(payloads[1], expected.data());
+    EXPECT_NE(payloads[1].substr(1), w.data());
   }  // "crash": destructor, no checkpoint
 
   // Replay decodes the stored segment body through the same zero-copy
   // path and must land on the identical protocol state.
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = ShardedReplica::Open(dir_, 0, 2, 1);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
+  const Replica& r = (*recovered)->shard(0);
+  EXPECT_EQ(r.CanonicalState(), canonical_before);
   EXPECT_EQ(*(*recovered)->Read("k3"), "v3");
   EXPECT_EQ(*(*recovered)->Read("local"), "mine");
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+  EXPECT_TRUE(r.CheckInvariants().ok());
 }
 
 TEST_F(JournalTest, CorruptV3SegmentIsRejectedBeforeJournaling) {
   Replica peer(1, 2);
   ASSERT_TRUE(peer.Update("x", "v").ok());
-  auto jr = JournaledReplica::Open(dir_, 0, 2);
-  ASSERT_TRUE(jr.ok());
+  auto node = ShardedReplica::Open(dir_, 0, 2, /*num_shards=*/1);
+  ASSERT_TRUE(node.ok());
 
-  PropagationRequest req = (*jr)->BuildPropagationRequest();
-  const PropagationResponseView& view = peer.HandlePropagationView(req);
+  const PropagationResponseView& view =
+      peer.HandlePropagationView((*node)->shard(0).BuildPropagationRequest());
   ByteWriter w;
   wire::EncodeShardSegmentBodyV3Into(w, view, peer.dbvv());
   std::string body = w.Release();
   body[0] = static_cast<char>(body[0] | 0x80);  // unknown flag bit
-  EXPECT_FALSE((*jr)->AcceptPropagationSegmentV3(body).ok());
+  EXPECT_FALSE((*node)->AcceptShardPropagationSegmentV3(0, body).ok());
   // Validation happens before the append: the journal holds no record of
   // the rejected body, so recovery can never trip over it.
-  EXPECT_EQ((*jr)->records_since_checkpoint(), 0u);
-  EXPECT_TRUE((*jr)->Read("x").status().IsNotFound());
+  EXPECT_EQ(Records(**node), 0u);
+  EXPECT_TRUE((*node)->Read("x").status().IsNotFound());
 }
 
 // A body that decodes but that the replica rejects must not be journaled
@@ -218,18 +269,19 @@ TEST_F(JournalTest, CorruptV3SegmentIsRejectedBeforeJournaling) {
 TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
   std::string canonical_before;
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 3);
-    ASSERT_TRUE(jr.ok());
+    auto node = ShardedReplica::Open(dir_, 0, 3, /*num_shards=*/1);
+    ASSERT_TRUE(node.ok());
+    Replica& jr = (*node)->shard(0);
     Replica b(1, 3);
-    ASSERT_TRUE((*jr)->Update("alpha", "a0").ok());
-    ASSERT_TRUE((*jr)->Update("beta", "b0").ok());
+    ASSERT_TRUE(jr.Update("alpha", "a0").ok());
+    ASSERT_TRUE(jr.Update("beta", "b0").ok());
     ASSERT_TRUE(b.Update("beta", "b1").ok());   // conflicts at the journal
     ASSERT_TRUE(b.Update("gamma", "g1").ok());  // origin seq 2
-    ASSERT_TRUE(Pull(b, **jr).ok());
+    ASSERT_TRUE(Pull(b, jr).ok());
     // The dropped beta record leaves the horizon below gamma's seq.
-    ASSERT_EQ((*jr)->replica().dbvv()[1], 1u);
-    const uint64_t records = (*jr)->records_since_checkpoint();
-    canonical_before = (*jr)->replica().CanonicalState();
+    ASSERT_EQ(jr.dbvv()[1], 1u);
+    const uint64_t records = Records(jr);
+    canonical_before = jr.CanonicalState();
 
     // The seq-reuse forgery of TailSeqReuseForDifferentItemRejected
     // (replica_test), as a well-formed v3 segment.
@@ -242,33 +294,34 @@ TEST_F(JournalTest, RejectedV3SegmentIsNotJournaled) {
     wire::MakeResponseView(forged, &view);
     ByteWriter w;
     wire::EncodeShardSegmentBodyV3Into(w, view, b.dbvv());
-    EXPECT_TRUE(
-        (*jr)->AcceptPropagationSegmentV3(w.data()).IsInvalidArgument());
-    EXPECT_TRUE((*jr)->AcceptPropagation(view).IsInvalidArgument());
-    EXPECT_EQ((*jr)->records_since_checkpoint(), records);
+    EXPECT_TRUE((*node)
+                    ->AcceptShardPropagationSegmentV3(0, w.data())
+                    .IsInvalidArgument());
+    EXPECT_TRUE(jr.AcceptPropagation(view).IsInvalidArgument());
+    EXPECT_EQ(Records(jr), records);
   }
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 3);
+  auto recovered = ShardedReplica::Open(dir_, 0, 3, 1);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->replica().CanonicalState(), canonical_before);
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+  EXPECT_EQ((*recovered)->shard(0).CanonicalState(), canonical_before);
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 // Any input the replica rejects must leave no record either: replay would
 // reject it again, and the node could not restart.
 TEST_F(JournalTest, EmptyNameUpdateIsNotJournaled) {
   ExpectRejectedAndNotJournaled(
-      [](JournaledReplica& jr) { return jr.Update("", "v"); });
+      [](Replica& jr) { return jr.Update("", "v"); });
 }
 
 TEST_F(JournalTest, EmptyNameDeleteIsNotJournaled) {
   ExpectRejectedAndNotJournaled(
-      [](JournaledReplica& jr) { return jr.Delete(""); });
+      [](Replica& jr) { return jr.Delete(""); });
 }
 
 // The OOB reply of a peer started with a different node count.
 TEST_F(JournalTest, WrongWidthOobReplyIsNotJournaled) {
-  ExpectRejectedAndNotJournaled([](JournaledReplica& jr) {
+  ExpectRejectedAndNotJournaled([](Replica& jr) {
     return jr.AcceptOobResponse(
         OobResponse{true, "x", "w", false, VersionVector({1, 0, 0})});
   });
@@ -276,10 +329,10 @@ TEST_F(JournalTest, WrongWidthOobReplyIsNotJournaled) {
 
 // Rejections that replay tolerates leave no record either.
 TEST_F(JournalTest, NotFoundOobReplyAndFailedResolveAreNotJournaled) {
-  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  auto jr = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(jr.ok());
   ASSERT_TRUE((*jr)->Update("x", "v").ok());
-  const uint64_t records = (*jr)->records_since_checkpoint();
+  const uint64_t records = Records(**jr);
   OobResponse missing;
   missing.item_name = "ghost";
   EXPECT_TRUE((*jr)->AcceptOobResponse(missing).IsNotFound());
@@ -287,7 +340,7 @@ TEST_F(JournalTest, NotFoundOobReplyAndFailedResolveAreNotJournaled) {
                   .IsNotFound());
   EXPECT_TRUE((*jr)->ResolveConflict("x", VersionVector({0, 0}), "r")
                   .IsInvalidArgument());  // dominated: no conflict
-  EXPECT_EQ((*jr)->records_since_checkpoint(), records);
+  EXPECT_EQ(Records(**jr), records);
 }
 
 // Record number 3 held the retired whole-database v1 propagation body. A
@@ -311,29 +364,29 @@ TEST_F(JournalTest, RetiredV1PropagationRecordRefusesToOpen) {
     std::ofstream out(dir_ + "/journal.log", std::ios::binary);
     out << JournalFrame(record.data());
   }
-  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  auto jr = Journal::Open(dir_, 0, 2);
   EXPECT_TRUE(jr.status().IsCorruption()) << jr.status().ToString();
 }
 
 TEST_F(JournalTest, CheckpointTruncatesJournal) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE((*jr)->Update("k" + std::to_string(i), "v").ok());
     }
     ASSERT_TRUE((*jr)->Checkpoint().ok());
-    EXPECT_EQ((*jr)->records_since_checkpoint(), 0u);
+    EXPECT_EQ(Records(**jr), 0u);
     ASSERT_TRUE((*jr)->Update("post", "checkpoint").ok());
-    EXPECT_EQ((*jr)->records_since_checkpoint(), 1u);
+    EXPECT_EQ(Records(**jr), 1u);
   }
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok());
   // Snapshot carried the first 20; the journal suffix carried the rest.
-  EXPECT_EQ((*recovered)->records_since_checkpoint(), 1u);
+  EXPECT_EQ(Records(**recovered), 1u);
   EXPECT_EQ(*(*recovered)->Read("k7"), "v");
   EXPECT_EQ(*(*recovered)->Read("post"), "checkpoint");
-  EXPECT_EQ((*recovered)->replica().dbvv().Total(), 21u);
+  EXPECT_EQ((*recovered)->dbvv().Total(), 21u);
 }
 
 // A checkpoint must leave the replica able to take the next write, even
@@ -341,7 +394,7 @@ TEST_F(JournalTest, CheckpointTruncatesJournal) {
 // checkpoint that reopens the journal by name fails there, and a replica
 // left without a journal stream would crash at the next append.
 TEST_F(JournalTest, CheckpointAfterJournalReplacedKeepsTakingWrites) {
-  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  auto jr = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(jr.ok());
   ASSERT_TRUE((*jr)->Update("a", "1").ok());
   const std::string path = dir_ + "/journal.log";
@@ -360,7 +413,7 @@ TEST_F(JournalTest, CheckpointAfterJournalReplacedKeepsTakingWrites) {
 // is gone at the next recovery.
 TEST_F(JournalTest, CheckpointAfterJournalRemovedKeepsLaterWrites) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("a", "1").ok());
     std::filesystem::remove(dir_ + "/journal.log");
@@ -368,14 +421,14 @@ TEST_F(JournalTest, CheckpointAfterJournalRemovedKeepsLaterWrites) {
     ASSERT_TRUE((*jr)->Checkpoint().ok());
     ASSERT_TRUE((*jr)->Update("c", "3").ok());
   }
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(*(*recovered)->Read("a"), "1");
   EXPECT_EQ(*(*recovered)->Read("b"), "2");
   const Result<std::string> c = (*recovered)->Read("c");
   ASSERT_TRUE(c.ok()) << "acknowledged write lost: " << c.status().ToString();
   EXPECT_EQ(*c, "3");
-  EXPECT_EQ((*recovered)->records_since_checkpoint(), 1u);
+  EXPECT_EQ(Records(**recovered), 1u);
 }
 
 // Replaces `path` with a symlink to itself: it exists, and every open of
@@ -393,7 +446,7 @@ void MakeUnopenable(const std::string& path) {
 // from 1, onto sequence numbers peers already hold for other items.
 TEST_F(JournalTest, UnreadableSnapshotRefusesToOpen) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE((*jr)->Update("s" + std::to_string(i), "v").ok());
@@ -404,9 +457,9 @@ TEST_F(JournalTest, UnreadableSnapshotRefusesToOpen) {
     }
   }
   MakeUnopenable(dir_ + "/snapshot.bin");
-  auto jr = JournaledReplica::Open(dir_, 0, 2);
+  auto jr = Journal::Open(dir_, 0, 2);
   ASSERT_FALSE(jr.ok()) << "reopened with dbvv "
-                        << (*jr)->replica().dbvv().ToString();
+                        << (*jr)->dbvv().ToString();
   EXPECT_TRUE(jr.status().IsIOError()) << jr.status().ToString();
 }
 
@@ -414,38 +467,38 @@ TEST_F(JournalTest, ShardedUnreadableShardSnapshotRefusesToOpen) {
   constexpr size_t kShards = 4;
   std::string shard_snapshot;
   {
-    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    auto js = ShardedReplica::Open(dir_, 0, 2, kShards);
     ASSERT_TRUE(js.ok());
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE((*js)->Update("s" + std::to_string(i), "v").ok());
     }
-    ASSERT_TRUE((*js)->Checkpoint().ok());
+    ASSERT_TRUE(CheckpointEveryShard(**js).ok());
     ASSERT_TRUE((*js)->Update("j", "v").ok());
     char name[32];
     std::snprintf(name, sizeof(name), "/shard-%03zu/snapshot.bin",
-                  (*js)->view().ShardOf("s0"));
+                  (*js)->ShardOf("s0"));
     shard_snapshot = dir_ + name;
   }
   MakeUnopenable(shard_snapshot);
-  auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+  auto js = ShardedReplica::Open(dir_, 0, 2, kShards);
   ASSERT_FALSE(js.ok());
   EXPECT_TRUE(js.status().IsIOError()) << js.status().ToString();
 }
 
 TEST_F(JournalTest, WrongIdentityRejectedAfterCheckpoint) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("x", "v").ok());
     ASSERT_TRUE((*jr)->Checkpoint().ok());
   }
-  EXPECT_TRUE(JournaledReplica::Open(dir_, 1, 2).status().IsInvalidArgument());
-  EXPECT_TRUE(JournaledReplica::Open(dir_, 0, 5).status().IsInvalidArgument());
+  EXPECT_TRUE(Journal::Open(dir_, 1, 2).status().IsInvalidArgument());
+  EXPECT_TRUE(Journal::Open(dir_, 0, 5).status().IsInvalidArgument());
 }
 
 TEST_F(JournalTest, TornFinalRecordIgnored) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("x", "v1").ok());
     ASSERT_TRUE((*jr)->Update("y", "v2").ok());
@@ -455,12 +508,12 @@ TEST_F(JournalTest, TornFinalRecordIgnored) {
   auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 3);
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(*(*recovered)->Read("x"), "v1");
   // The torn second record is gone, but the replica is consistent.
   EXPECT_TRUE((*recovered)->Read("y").status().IsNotFound());
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 // Appends a frame cut short by a crash: a length prefix promising more
@@ -479,55 +532,95 @@ void AppendTornFrame(const std::string& journal_path) {
 TEST_F(JournalTest, TornTailIsCutBeforeAppending) {
   const std::string path = dir_ + "/journal.log";
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("a", "1").ok());
   }
   const auto good_size = std::filesystem::file_size(path);
   AppendTornFrame(path);
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok()) << jr.status().ToString();
     EXPECT_EQ(std::filesystem::file_size(path), good_size);
     ASSERT_TRUE((*jr)->Update("b", "2").ok());
   }
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(*(*recovered)->Read("a"), "1");
   EXPECT_EQ(*(*recovered)->Read("b"), "2");
-  EXPECT_EQ((*recovered)->records_since_checkpoint(), 2u);
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
+  EXPECT_EQ(Records(**recovered), 2u);
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
+}
+
+// An append the file system cuts short must not leave its partial frame
+// behind: replay stops at a torn frame, so every record appended after it
+// (acknowledged writes) would be lost at the next recovery, and the node's
+// next update would reuse their sequence numbers. The file-size limit
+// (with SIGXFSZ ignored) lets 5 bytes of the second record reach the file.
+TEST_F(JournalTest, FailedAppendCutsItsPartialFrameOff) {
+  const std::string path = dir_ + "/journal.log";
+  {
+    auto jr = Journal::Open(dir_, 0, 2);
+    ASSERT_TRUE(jr.ok());
+    ASSERT_TRUE((*jr)->Update("a", "1").ok());
+    const auto good_size = std::filesystem::file_size(path);
+
+    struct rlimit saved;
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit capped = saved;
+    capped.rlim_cur = good_size + 5;
+    void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    const bool capped_ok = setrlimit(RLIMIT_FSIZE, &capped) == 0;
+    const Status failed = (*jr)->Update("b", "2");
+    const bool restored_ok = setrlimit(RLIMIT_FSIZE, &saved) == 0;
+    std::signal(SIGXFSZ, saved_handler);
+    ASSERT_TRUE(capped_ok && restored_ok);
+
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+    EXPECT_EQ(std::filesystem::file_size(path), good_size);
+    ASSERT_TRUE((*jr)->Update("c", "3").ok());
+    EXPECT_EQ((*jr)->dbvv(), VersionVector({2, 0}));
+  }
+  auto recovered = Journal::Open(dir_, 0, 2);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*(*recovered)->Read("a"), "1");
+  EXPECT_TRUE((*recovered)->Read("b").status().IsNotFound());
+  const Result<std::string> c = (*recovered)->Read("c");
+  ASSERT_TRUE(c.ok()) << "acknowledged write lost: " << c.status().ToString();
+  EXPECT_EQ(*c, "3");
+  EXPECT_EQ((*recovered)->dbvv(), VersionVector({2, 0}));
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 TEST_F(JournalTest, ShardedTornTailIsCutBeforeAppending) {
   constexpr size_t kShards = 4;
   std::string shard_journal;
   {
-    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    auto js = ShardedReplica::Open(dir_, 0, 2, kShards);
     ASSERT_TRUE(js.ok());
     ASSERT_TRUE((*js)->Update("a", "1").ok());
     char name[32];
     std::snprintf(name, sizeof(name), "/shard-%03zu/journal.log",
-                  (*js)->view().ShardOf("b"));
+                  (*js)->ShardOf("b"));
     shard_journal = dir_ + name;
   }
   AppendTornFrame(shard_journal);
   {
-    auto js = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+    auto js = ShardedReplica::Open(dir_, 0, 2, kShards);
     ASSERT_TRUE(js.ok()) << js.status().ToString();
     ASSERT_TRUE((*js)->Update("b", "2").ok());
   }
-  auto recovered = JournaledShardedReplica::Open(dir_, 0, 2, kShards);
+  auto recovered = ShardedReplica::Open(dir_, 0, 2, kShards);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*(*recovered)->view().Read("a"), "1");
-  EXPECT_EQ(*(*recovered)->view().Read("b"), "2");
-  EXPECT_EQ((*recovered)->records_since_checkpoint(), 2u);
-  EXPECT_TRUE((*recovered)->view().CheckInvariants().ok());
+  EXPECT_EQ(*(*recovered)->Read("a"), "1");
+  EXPECT_EQ(*(*recovered)->Read("b"), "2");
+  EXPECT_EQ(Records(**recovered), 2u);
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 TEST_F(JournalTest, CorruptedMiddleRecordStopsReplayAtGoodPrefix) {
   {
-    auto jr = JournaledReplica::Open(dir_, 0, 2);
+    auto jr = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr.ok());
     ASSERT_TRUE((*jr)->Update("a", "1").ok());
     ASSERT_TRUE((*jr)->Update("b", "2").ok());
@@ -545,25 +638,25 @@ TEST_F(JournalTest, CorruptedMiddleRecordStopsReplayAtGoodPrefix) {
   std::fputc(c ^ 0x40, f);
   std::fclose(f);
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   // The prefix before the corrupted record replayed; the rest did not.
   // (The CRC catches the flip no matter which frame byte it hit.)
   EXPECT_EQ(*(*recovered)->Read("a"), "1");
-  EXPECT_TRUE((*recovered)->replica().CheckInvariants().ok());
-  EXPECT_LT((*recovered)->replica().dbvv().Total(), 3u);
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
+  EXPECT_LT((*recovered)->dbvv().Total(), 3u);
 }
 
 TEST_F(JournalTest, RandomizedCrashRecoveryEquivalence) {
   // Mirror every journaled operation on an in-memory twin; at a random
-  // point "crash" (drop the JournaledReplica), recover, and compare.
+  // point "crash" (drop the journaled replica), recover, and compare.
   Rng rng(2024);
   Replica peer(1, 2);
   Replica twin(0, 2);
   {
-    auto jr_or = JournaledReplica::Open(dir_, 0, 2);
+    auto jr_or = Journal::Open(dir_, 0, 2);
     ASSERT_TRUE(jr_or.ok());
-    JournaledReplica& jr = **jr_or;
+    Replica& jr = **jr_or;
     for (int step = 0; step < 120; ++step) {
       double dice = rng.NextDouble();
       if (dice < 0.45) {
@@ -591,9 +684,9 @@ TEST_F(JournalTest, RandomizedCrashRecoveryEquivalence) {
     }
   }  // crash
 
-  auto recovered = JournaledReplica::Open(dir_, 0, 2);
+  auto recovered = Journal::Open(dir_, 0, 2);
   ASSERT_TRUE(recovered.ok());
-  const Replica& r = (*recovered)->replica();
+  const Replica& r = **recovered;
   EXPECT_EQ(r.dbvv(), twin.dbvv());
   EXPECT_EQ(r.items().size(), twin.items().size());
   for (const auto& item : twin.items()) {

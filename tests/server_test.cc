@@ -204,6 +204,10 @@ TEST_F(InProcClusterTest, MalformedRequestYieldsErrorReply) {
   EXPECT_NE(reply->code, 0);
 }
 
+// Every mutating entry point of a durable server (update, delete, a pulled
+// segment, an out-of-bound copy and a conflict resolution) reaches its
+// shard's journal: the recovered protocol state equals the state before
+// the crash, not only the values read back.
 TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
   const std::string dir = ::testing::TempDir() + "/durable_server_test";
   std::filesystem::remove_all(dir);
@@ -214,10 +218,18 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
   ReplicaServer peer(1, 2, &transport, {});
   hub.Register(1, &peer);
   ASSERT_TRUE(peer.Update("remote", "from-peer").ok());
+  const auto canonical_state = [](const ReplicaServer& server) {
+    std::string state;
+    server.WithReplica(
+        [&state](const ShardedReplica& r) { state = r.CanonicalState(); });
+    return state;
+  };
 
+  std::string state_at_crash;
   {
-    auto durable = JournaledShardedReplica::Open(
-        dir, 0, 2, ShardedReplica::kDefaultShards);
+    LockedConflictListener conflicts;
+    auto durable = ShardedReplica::Open(
+        dir, 0, 2, ShardedReplica::kDefaultShards, &conflicts);
     ASSERT_TRUE(durable.ok());
     ReplicaServer server(std::move(*durable), &transport, {});
     EXPECT_TRUE(server.is_durable());
@@ -226,39 +238,54 @@ TEST(DurableServerTest, SurvivesRestartWithReplicatedState) {
     ASSERT_TRUE(server.Update("local", "mine").ok());
     ASSERT_TRUE(server.PullFrom(1).ok());
     EXPECT_EQ(*server.Read("remote"), "from-peer");
-    // An out-of-bound copy is journaled by the exchange's accept.
     ASSERT_TRUE(peer.Update("hot", "fetched").ok());
     ASSERT_TRUE(server.OobFetch(1, "hot").ok());
     EXPECT_EQ(*server.Read("hot"), "fetched");
+    ASSERT_TRUE(server.Update("gone", "soon").ok());
+    ASSERT_TRUE(server.Delete("gone").ok());
+    // Concurrent updates of "doc": the pull reports the conflict through
+    // the listener given to Open, and the resolution supersedes both.
+    ASSERT_TRUE(server.Update("doc", "local").ok());
+    ASSERT_TRUE(peer.Update("doc", "remote").ok());
+    ASSERT_TRUE(server.PullFrom(1).ok());
+    const std::vector<ConflictEvent> events = conflicts.Take();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].item_name, "doc");
+    ASSERT_TRUE(
+        server.ResolveConflict("doc", events[0].remote_vv, "merged").ok());
+    state_at_crash = canonical_state(server);
     hub.Register(0, nullptr);
   }  // crash without checkpoint
 
   {
-    auto recovered = JournaledShardedReplica::Open(
-        dir, 0, 2, ShardedReplica::kDefaultShards);
+    auto recovered =
+        ShardedReplica::Open(dir, 0, 2, ShardedReplica::kDefaultShards);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     ReplicaServer server(std::move(*recovered), &transport, {});
     hub.Register(0, &server);
+    EXPECT_EQ(canonical_state(server), state_at_crash);
     EXPECT_EQ(*server.Read("local"), "mine");
     EXPECT_EQ(*server.Read("remote"), "from-peer");
     EXPECT_EQ(*server.Read("hot"), "fetched");
+    EXPECT_TRUE(server.Read("gone").status().IsNotFound());
+    EXPECT_EQ(*server.Read("doc"), "merged");
     // Checkpoint then keep operating.
     ASSERT_TRUE(server.Checkpoint().ok());
     ASSERT_TRUE(server.Update("post", "cp").ok());
+    state_at_crash = canonical_state(server);
     hub.Register(0, nullptr);
   }
 
   {
-    auto again = JournaledShardedReplica::Open(
-        dir, 0, 2, ShardedReplica::kDefaultShards);
+    auto again =
+        ShardedReplica::Open(dir, 0, 2, ShardedReplica::kDefaultShards);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*(*again)->view().Read("post"), "cp");
-    EXPECT_EQ(*(*again)->view().Read("local"), "mine");
-    EXPECT_EQ(*(*again)->view().Read("hot"), "fetched");
+    EXPECT_EQ((*again)->CanonicalState(), state_at_crash);
+    EXPECT_EQ(*(*again)->Read("post"), "cp");
+    EXPECT_EQ(*(*again)->Read("doc"), "merged");
     // The shard count is pinned: reopening with a different one is refused.
-    EXPECT_TRUE(JournaledShardedReplica::Open(dir, 0, 2, 3)
-                    .status()
-                    .IsInvalidArgument());
+    EXPECT_TRUE(
+        ShardedReplica::Open(dir, 0, 2, 3).status().IsInvalidArgument());
   }
   std::filesystem::remove_all(dir);
 }
@@ -273,7 +300,7 @@ TEST(DurableServerTest, RejectedClientUpdateDoesNotBlockRestart) {
   net::InProcHub hub(1);
   net::InProcTransport transport(&hub);
   {
-    auto durable = JournaledShardedReplica::Open(
+    auto durable = ShardedReplica::Open(
         dir, 0, 1, ShardedReplica::kDefaultShards);
     ASSERT_TRUE(durable.ok());
     ReplicaServer server(std::move(*durable), &transport, {});
@@ -284,10 +311,10 @@ TEST(DurableServerTest, RejectedClientUpdateDoesNotBlockRestart) {
     hub.Register(0, nullptr);
   }
 
-  auto reopened = JournaledShardedReplica::Open(
+  auto reopened = ShardedReplica::Open(
       dir, 0, 1, ShardedReplica::kDefaultShards);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(*(*reopened)->view().Read("kept"), "v");
+  EXPECT_EQ(*(*reopened)->Read("kept"), "v");
   std::filesystem::remove_all(dir);
 }
 

@@ -401,24 +401,6 @@ TEST(ShardedSnapshotTest, CorruptionAndTruncationAreDetected) {
   EXPECT_FALSE(DecodeShardedSnapshot("EPISNAP1not-sharded").ok());
 }
 
-TEST(ShardedSnapshotTest, SaveAndLoadThroughAFile) {
-  std::string dir = ::testing::TempDir() + "/sharded_snapshot_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  std::string path = dir + "/db.snap";
-
-  ShardedReplica original(1, 2, 4);
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(original.Update("f" + std::to_string(i), "v").ok());
-  }
-  ASSERT_TRUE(SaveShardedSnapshot(original, path).ok());
-  auto loaded = LoadShardedSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->Scan(""), original.Scan(""));
-  EXPECT_TRUE((*loaded)->CheckInvariants().ok());
-  std::filesystem::remove_all(dir);
-}
-
 // ---------------------------------------------------------------------------
 // Durable sharded replica: per-shard journals under one directory.
 
@@ -436,7 +418,7 @@ class JournaledShardedTest : public ::testing::Test {
 
 TEST_F(JournaledShardedTest, UpdatesAcrossShardsSurviveRestart) {
   {
-    auto db = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+    auto db = ShardedReplica::Open(dir_, 0, 2, 4);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     for (int i = 0; i < 40; ++i) {
       ASSERT_TRUE(
@@ -446,45 +428,47 @@ TEST_F(JournaledShardedTest, UpdatesAcrossShardsSurviveRestart) {
     ASSERT_TRUE((*db)->Delete("d3").ok());
   }  // crash: no checkpoint
 
-  auto recovered = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+  auto recovered = ShardedReplica::Open(dir_, 0, 2, 4);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*(*recovered)->view().Read("d5"), "v5");
-  EXPECT_FALSE((*recovered)->view().Read("d3").ok());  // tombstoned
-  EXPECT_EQ((*recovered)->view().TotalItems(), 40u);   // tombstone counts
-  EXPECT_TRUE((*recovered)->view().CheckInvariants().ok());
+  EXPECT_EQ(*(*recovered)->Read("d5"), "v5");
+  EXPECT_FALSE((*recovered)->Read("d3").ok());  // tombstoned
+  EXPECT_EQ((*recovered)->TotalItems(), 40u);   // tombstone counts
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 TEST_F(JournaledShardedTest, CheckpointTruncatesAndRecoveryStillWorks) {
   {
-    auto db = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+    auto db = ShardedReplica::Open(dir_, 0, 2, 4);
     ASSERT_TRUE(db.ok());
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE((*db)->Update("c" + std::to_string(i), "v1").ok());
     }
-    ASSERT_TRUE((*db)->Checkpoint().ok());
-    EXPECT_EQ((*db)->records_since_checkpoint(), 0u);
+    for (size_t k = 0; k < (*db)->num_shards(); ++k) {
+      ASSERT_TRUE((*db)->shard(k).Checkpoint().ok());
+      EXPECT_EQ((*db)->shard(k).journal()->records_since_checkpoint(), 0u);
+    }
     ASSERT_TRUE((*db)->Update("c0", "v2").ok());  // post-checkpoint tail
   }
-  auto recovered = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+  auto recovered = ShardedReplica::Open(dir_, 0, 2, 4);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*(*recovered)->view().Read("c0"), "v2");
-  EXPECT_EQ(*(*recovered)->view().Read("c19"), "v1");
-  EXPECT_TRUE((*recovered)->view().CheckInvariants().ok());
+  EXPECT_EQ(*(*recovered)->Read("c0"), "v2");
+  EXPECT_EQ(*(*recovered)->Read("c19"), "v1");
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 TEST_F(JournaledShardedTest, ReopeningWithADifferentShardCountIsRefused) {
   {
-    auto db = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+    auto db = ShardedReplica::Open(dir_, 0, 2, 4);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->Update("x", "v").ok());
   }
-  auto wrong = JournaledShardedReplica::Open(dir_, 0, 2, 8);
+  auto wrong = ShardedReplica::Open(dir_, 0, 2, 8);
   EXPECT_TRUE(wrong.status().IsInvalidArgument())
       << wrong.status().ToString();
   // The pinned count still opens fine.
-  auto right = JournaledShardedReplica::Open(dir_, 0, 2, 4);
+  auto right = ShardedReplica::Open(dir_, 0, 2, 4);
   ASSERT_TRUE(right.ok()) << right.status().ToString();
-  EXPECT_EQ(*(*right)->view().Read("x"), "v");
+  EXPECT_EQ(*(*right)->Read("x"), "v");
 }
 
 TEST_F(JournaledShardedTest, JournaledResolveConflictSurvivesRestart) {
@@ -493,15 +477,15 @@ TEST_F(JournaledShardedTest, JournaledResolveConflictSurvivesRestart) {
   // journal replayed.
   {
     RecordingConflictListener listener;
-    auto db = JournaledShardedReplica::Open(dir_, 0, 2, 2, &listener);
+    auto db = ShardedReplica::Open(dir_, 0, 2, 2, &listener);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ASSERT_TRUE((*db)->Update("doc", "local").ok());
 
     Replica remote(1, 2);
     ASSERT_TRUE(remote.Update("doc", "remote").ok());
-    size_t shard = (*db)->view().ShardOf("doc");
+    size_t shard = (*db)->ShardOf("doc");
     const PropagationResponseView& view = remote.HandlePropagationView(
-        (*db)->view().shard(shard).BuildPropagationRequest());
+        (*db)->shard(shard).BuildPropagationRequest());
     ByteWriter segment;
     wire::EncodeShardSegmentBodyV3Into(segment, view, remote.dbvv());
     ASSERT_TRUE(
@@ -511,12 +495,12 @@ TEST_F(JournaledShardedTest, JournaledResolveConflictSurvivesRestart) {
     Status resolved = (*db)->ResolveConflict(
         "doc", listener.events()[0].remote_vv, "merged");
     ASSERT_TRUE(resolved.ok()) << resolved.ToString();
-    EXPECT_EQ(*(*db)->view().Read("doc"), "merged");
+    EXPECT_EQ(*(*db)->Read("doc"), "merged");
   }
-  auto recovered = JournaledShardedReplica::Open(dir_, 0, 2, 2);
+  auto recovered = ShardedReplica::Open(dir_, 0, 2, 2);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(*(*recovered)->view().Read("doc"), "merged");
-  EXPECT_TRUE((*recovered)->view().CheckInvariants().ok());
+  EXPECT_EQ(*(*recovered)->Read("doc"), "merged");
+  EXPECT_TRUE((*recovered)->CheckInvariants().ok());
 }
 
 }  // namespace

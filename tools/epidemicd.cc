@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
         static_cast<epidemic::NodeId>(opts.id),
         static_cast<size_t>(opts.nodes), &transport, server_opts);
   } else {
-    auto durable = epidemic::JournaledShardedReplica::Open(
+    auto durable = epidemic::ShardedReplica::Open(
         opts.data_dir, static_cast<epidemic::NodeId>(opts.id),
         static_cast<size_t>(opts.nodes), static_cast<size_t>(opts.shards));
     if (!durable.ok()) {

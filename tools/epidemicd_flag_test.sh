@@ -7,7 +7,9 @@
 # boundary values that stay valid (--port=0 for an ephemeral port,
 # --ae-interval-ms=0 for no anti-entropy thread, a one-node cluster) must
 # still start the daemon, and epidemic_cli must still reach it. epicheck
-# must run its seeded tamper-ivv defect at two shards and report it.
+# must run its seeded tamper-ivv defect at two shards and report it. A
+# durable daemon (--data-dir) killed with SIGKILL must restart with every
+# write it acknowledged.
 #
 #   tools/epidemicd_flag_test.sh <epidemicd> <epidemic_cli> <epicheck>
 daemon="$1"
@@ -65,9 +67,10 @@ usage_exit "$check" --nodes two
 expect_exit 0 "no violations" "$check" --items=1 --depth 1
 expect_exit 1 VIOLATION "$check" --shards 2 --mutate tamper-ivv --depth 1
 
-# serve <args...>: the daemon serves on an ephemeral port, and
-# epidemic_cli stats reaches it.
-serve() {
+# start <args...>: starts the daemon on an ephemeral port with no
+# anti-entropy thread and sets pid and port (port is empty when it did not
+# start serving).
+start() {
   log="$(mktemp)"
   "$daemon" "$@" --port=0 --ae-interval-ms=0 > "$log" 2>&1 &
   pid=$!
@@ -81,15 +84,58 @@ serve() {
     echo "FAIL: $* --port=0 --ae-interval-ms=0 did not start serving:"
     cat "$log"
     failed=1
-  elif ! "$cli" --port="$port" stats | grep -q "^replica "; then
+  fi
+  rm -f "$log"
+}
+
+# serve <args...>: the daemon serves, and epidemic_cli stats reaches it.
+serve() {
+  start "$@"
+  if [ -n "$port" ] && ! "$cli" --port="$port" stats | grep -q "^replica "; then
     echo "FAIL: epidemic_cli --port=$port stats did not reach $*"
     failed=1
   fi
   kill "$pid" 2> /dev/null
   wait "$pid"
-  rm -f "$log"
 }
 
 serve --id=0 --nodes=2
 serve --id=0 --nodes=1
+
+# A durable daemon killed with SIGKILL comes back with every acknowledged
+# write: from the journal alone, then from a checkpoint plus the journal.
+data="$(mktemp -d)"
+durable() { start --id=0 --nodes=1 --data-dir="$data"; }
+crash() {
+  kill -9 "$pid" 2> /dev/null
+  wait "$pid" 2> /dev/null
+}
+# cli_ok <args...>: epidemic_cli against the running daemon succeeds.
+cli_ok() {
+  if ! "$cli" --port="$port" "$@" > /dev/null 2>&1; then
+    echo "FAIL: epidemic_cli $* failed against a --data-dir daemon"
+    failed=1
+  fi
+}
+# expect_get <key> <value>: the running daemon reads <value> for <key>.
+expect_get() {
+  got="$("$cli" --port="$port" get "$1" 2>&1)"
+  if [ "$got" != "$2" ]; then
+    echo "FAIL: get $1 after a restart on --data-dir printed '$got', not '$2'"
+    failed=1
+  fi
+}
+durable
+cli_ok put a 1
+crash
+durable
+expect_get a 1
+cli_ok checkpoint
+cli_ok put b 2
+crash
+durable
+expect_get a 1
+expect_get b 2
+crash
+rm -rf "$data"
 exit "$failed"
