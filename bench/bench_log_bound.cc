@@ -5,12 +5,26 @@
 // A naive append-only log grows with the update count; this table shows the
 // paper's log staying at its bound while updates grow by orders of
 // magnitude.
+//
+// A second table measures what the per-item control state costs in bytes:
+// the resident-set growth per item, minus the value itself, of a sharded
+// node loaded with 100k items. `--json` prints only that table, as JSON,
+// for scripts/run_benchmarks.sh (which gates the n = 3 row).
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/random.h"
 #include "core/replica.h"
+#include "core/sharded_replica.h"
+#include "runtime/task.h"
+#include "server/sharded_exchange.h"
 
 namespace {
 
@@ -58,9 +72,99 @@ void RunRow(uint64_t total_updates, uint64_t num_items, size_t num_nodes) {
               max_records <= bound ? "yes" : "NO");
 }
 
+// Resident set size of this process, from /proc/self/statm.
+long ResidentBytes() {
+  long pages = 0;
+  long resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  const int got = std::fscanf(f, "%ld %ld", &pages, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * sysconf(_SC_PAGESIZE) : -1;
+}
+
+struct MemoryRow {
+  size_t nodes;
+  size_t shards;
+  size_t items;
+  size_t value_bytes;
+  double overhead_bytes_per_item;  // RSS growth per item minus value_bytes
+};
+
+// Loads `items` items named q.k<i> with `value_bytes`-byte values into a
+// fresh ShardedReplica through its inline exchange's scheduler, as a
+// daemon's client updates arrive, and reports the RSS growth per item
+// beyond the value. Runs in a child process, so memory an earlier row
+// freed cannot be reused and hide growth.
+MemoryRow MeasureMemoryRow(size_t nodes, size_t shards, size_t items,
+                           size_t value_bytes) {
+  MemoryRow row{nodes, shards, items, value_bytes, -1};
+  int fds[2];
+  if (pipe(fds) != 0) return row;
+  const pid_t child = fork();
+  if (child == 0) {
+    close(fds[0]);
+    epidemic::ShardedReplica replica(0, nodes, shards);
+    epidemic::BufferPool pool;
+    epidemic::server::ShardedExchange exchange(replica, pool);
+    const std::string value(value_bytes, 'v');
+    const long before = ResidentBytes();
+    for (size_t i = 0; i < items; ++i) {
+      const std::string name = "q.k" + std::to_string(i);
+      exchange.sched().Execute(
+          replica.ShardOf(name), epidemic::runtime::TaskKind::kLocalUpdate,
+          /*mutates=*/true,
+          [&](const epidemic::runtime::ShardToken& token) {
+            epidemic::runtime::AssertShardContext(token);
+            (void)replica.Update(name, value);
+          });
+    }
+    const long after = ResidentBytes();
+    const double per_item =
+        before < 0 || after < 0
+            ? -1
+            : static_cast<double>(after - before) / static_cast<double>(items) -
+                  static_cast<double>(value_bytes);
+    const ssize_t written = write(fds[1], &per_item, sizeof(per_item));
+    _exit(written == sizeof(per_item) ? 0 : 1);
+  }
+  close(fds[1]);
+  double per_item = -1;
+  if (child > 0 && read(fds[0], &per_item, sizeof(per_item)) ==
+                       static_cast<ssize_t>(sizeof(per_item))) {
+    row.overhead_bytes_per_item = per_item;
+  }
+  close(fds[0]);
+  if (child > 0) waitpid(child, nullptr, 0);
+  return row;
+}
+
+std::vector<MemoryRow> MemoryRows() {
+  std::vector<MemoryRow> rows;
+  for (size_t nodes : {3u, 8u}) {
+    rows.push_back(MeasureMemoryRow(nodes, /*shards=*/16, /*items=*/100000,
+                                    /*value_bytes=*/256));
+  }
+  return rows;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--json") == 0) {
+    std::printf("{\"memory_rows\": [");
+    const std::vector<MemoryRow> rows = MemoryRows();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const MemoryRow& r = rows[i];
+      std::printf(
+          "%s\n  {\"nodes\": %zu, \"shards\": %zu, \"items\": %zu, "
+          "\"value_bytes\": %zu, \"overhead_bytes_per_item\": %.1f}",
+          i == 0 ? "" : ",", r.nodes, r.shards, r.items, r.value_bytes,
+          r.overhead_bytes_per_item);
+    }
+    std::printf("\n]}\n");
+    return 0;
+  }
   std::printf(
       "E4: log-vector memory stays bounded by n*N records (paper §4.2)\n\n");
   std::printf("%12s %10s %8s %16s %14s %9s\n", "updates", "items", "nodes",
@@ -79,5 +183,14 @@ int main() {
   std::printf(
       "\nshape check: records track min(updates, n*N) and never exceed the\n"
       "bound, while an append-only log would hold one record per update.\n");
+
+  std::printf(
+      "\nE4 memory: RSS growth per item beyond its value, sharded node\n\n");
+  std::printf("%8s %8s %10s %12s %22s\n", "nodes", "shards", "items",
+              "value_bytes", "overhead_B_per_item");
+  for (const MemoryRow& r : MemoryRows()) {
+    std::printf("%8zu %8zu %10zu %12zu %22.1f\n", r.nodes, r.shards, r.items,
+                r.value_bytes, r.overhead_bytes_per_item);
+  }
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 #include "core/replica.h"
 #include "log/log_vector.h"
@@ -14,7 +13,6 @@
 namespace {
 
 using epidemic::ItemId;
-using epidemic::LogRecord;
 using epidemic::OriginLog;
 using epidemic::Replica;
 
@@ -36,15 +34,14 @@ void BM_UpdateExistingItem(benchmark::State& state) {
 }
 
 // Raw AddLogRecord: replacing the latest record for one of `range(0)`
-// items, O(1) by construction (pointer splice through P(x)).
+// items, O(1) by construction (a splice through x's slot P(x)).
 void BM_AddLogRecord(benchmark::State& state) {
   const int64_t num_items = state.range(0);
   OriginLog log;
-  std::vector<LogRecord*> p(static_cast<size_t>(num_items), nullptr);
   epidemic::UpdateCount seq = 0;
   ItemId item = 0;
   for (auto _ : state) {
-    log.AddLogRecord(item, ++seq, &p[item]);
+    log.AddLogRecord(item, ++seq);
     item = static_cast<ItemId>((item + 1) % num_items);
   }
   state.counters["N_items"] = static_cast<double>(num_items);

@@ -11,7 +11,9 @@
 #   scripts/check.sh --model  # build + exhaustive epicheck model runs
 #   scripts/check.sh --bench-smoke  # build + one fast benchmark pass (JSON);
 #                                   # fails if the E2 exchange grows >3x
-#                                   # from N=1,024 to N=262,144
+#                                   # from N=1,024 to N=262,144, or if an
+#                                   # item costs >210 B beyond its value
+#                                   # at n=3 (E4 memory row)
 #   scripts/check.sh --fuzz-smoke   # short fuzz run of every decode target:
 #                                   # libFuzzer+ASan/UBSan under clang,
 #                                   # the deterministic mini fuzzer otherwise
@@ -123,7 +125,8 @@ case "$mode" in
     build_dir=build
     cmake -B "$build_dir" -S . > /dev/null
     cmake --build "$build_dir" -j"$(nproc)" --target \
-        bench_propagation bench_message_size bench_sharded_parallel
+        bench_propagation bench_message_size bench_sharded_parallel \
+        bench_log_bound
     scripts/run_benchmarks.sh --json --smoke "$@"
     exit 0
     ;;

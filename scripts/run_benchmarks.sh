@@ -9,6 +9,8 @@
 #   - bench_message_size     bytes/exchange and control bytes, wire v3 (W1)
 #   - bench_sharded_parallel full pull rounds/sec and update latency under
 #                            write load
+#   - bench_log_bound        E4's memory rows: RSS growth per item beyond
+#                            its value, n = 3 and n = 8, S = 16, 100k items
 # The multi-process cluster (real epidemicd daemons on loopback) is
 # measured by the repo benchmark, perfbench/ (BENCHMARK.json).
 #
@@ -16,7 +18,8 @@
 #   --json   write the merged JSON artifact (default name BENCH_PR10.json)
 #            and exit 1 if the E2 exchange at N=262,144 took more than 3x
 #            the one at N=1,024: the paper's O(m) exchange (§6) must not
-#            grow with the database size
+#            grow with the database size; or if an item costs more than
+#            210 B beyond its value at n = 3 (E4 memory row)
 #   --smoke  cut measurement time (CI shape check, not a measurement)
 #
 # Binaries are expected under $BUILD_DIR/bench (default: build/bench);
@@ -52,7 +55,8 @@ for arg in "$@"; do
   esac
 done
 
-for b in bench_propagation bench_message_size bench_sharded_parallel; do
+for b in bench_propagation bench_message_size bench_sharded_parallel \
+         bench_log_bound; do
   if [ ! -x "$BENCH_DIR/$b" ]; then
     echo "missing $BENCH_DIR/$b — build it first:" >&2
     echo "  cmake --build $BUILD_DIR --target $b" >&2
@@ -80,6 +84,8 @@ if [ "$json" -eq 0 ]; then
   "$BENCH_DIR/bench_message_size"
   echo
   "$BENCH_DIR/bench_sharded_parallel" "$par_seconds"
+  echo
+  "$BENCH_DIR/bench_log_bound"
   exit 0
 fi
 
@@ -90,6 +96,7 @@ trap 'rm -rf "$tmpdir"' EXIT
     --benchmark_format=json > "$tmpdir/prop.json"
 "$BENCH_DIR/bench_message_size" --json > "$tmpdir/msg.json"
 "$BENCH_DIR/bench_sharded_parallel" --json "$par_seconds" > "$tmpdir/par.json"
+"$BENCH_DIR/bench_log_bound" --json > "$tmpdir/mem.json"
 
 SMOKE="$smoke" OUT="$out" TMPDIR_BENCH="$tmpdir" python3 - <<'PY'
 import json, os, sys
@@ -98,6 +105,7 @@ tmp = os.environ["TMPDIR_BENCH"]
 prop = json.load(open(os.path.join(tmp, "prop.json")))
 msg = json.load(open(os.path.join(tmp, "msg.json")))
 par = json.load(open(os.path.join(tmp, "par.json")))
+mem = json.load(open(os.path.join(tmp, "mem.json")))
 
 rows = {b["name"]: b for b in prop["benchmarks"]}
 
@@ -119,6 +127,9 @@ large_db = exchange("BM_SweepDatabaseSize/262144")
 # E2 (§6): an exchange of m=64 items must cost the same whatever N is.
 E2_MAX_GROWTH = 3.0
 e2_growth = round(large_db["us_per_exchange"] / small_db["us_per_exchange"], 2)
+# E4 memory: bytes an item costs beyond its value, n = 3, S = 16.
+E4_MAX_OVERHEAD_N3 = 210
+mem_n3 = next((r for r in mem["memory_rows"] if r["nodes"] == 3), None)
 
 result = {
     "artifact": "BENCH_PR10",
@@ -141,6 +152,10 @@ result = {
         "max_growth_x": E2_MAX_GROWTH,
     },
     "message_size_w1": msg["w1_rows"],
+    "memory_e4": {
+        "rows": mem["memory_rows"],
+        "max_overhead_bytes_per_item_n3": E4_MAX_OVERHEAD_N3,
+    },
     "sharded_parallel": par,
 }
 
@@ -169,9 +184,21 @@ if base and sharded:
           f"update p99 {sharded['update_p99_us']:.0f} us")
 print(f"  E2 exchange (m=64) N=1024 {small_db['us_per_exchange']} us, "
       f"N=262144 {large_db['us_per_exchange']} us ({e2_growth}x)")
+for r in mem["memory_rows"]:
+    print(f"  E4 memory n={r['nodes']} S={r['shards']}: "
+          f"{r['overhead_bytes_per_item']} B/item beyond the value")
+failed = False
 if e2_growth > E2_MAX_GROWTH:
     print(f"E2 gate: the m=64 exchange grew {e2_growth}x from N=1,024 to "
           f"N=262,144 (limit {E2_MAX_GROWTH}x); accept cost depends on N",
           file=sys.stderr)
+    failed = True
+if (mem_n3 is None or mem_n3["overhead_bytes_per_item"] < 0 or
+        mem_n3["overhead_bytes_per_item"] > E4_MAX_OVERHEAD_N3):
+    got = "no row" if mem_n3 is None else mem_n3["overhead_bytes_per_item"]
+    print(f"E4 memory gate: an item costs {got} B beyond its value at n=3 "
+          f"(limit {E4_MAX_OVERHEAD_N3} B)", file=sys.stderr)
+    failed = True
+if failed:
     sys.exit(1)
 PY

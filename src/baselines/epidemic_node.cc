@@ -75,8 +75,8 @@ Status EpidemicNode::OobFetch(ProtocolNode& peer, std::string_view item) {
 std::vector<std::pair<std::string, std::string>> EpidemicNode::Snapshot()
     const {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& item : replica_.items()) {
-    out.emplace_back(item->name, item->value);
+  for (const Item& item : replica_.items()) {
+    out.emplace_back(item.name, item.value);
   }
   std::sort(out.begin(), out.end());
   return out;

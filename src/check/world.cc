@@ -297,8 +297,8 @@ bool World::NodeHasItem(size_t index, std::string_view name) const {
 bool World::NodeHasAux(size_t index) const {
   const ShardedReplica& replica = *nodes_[index]->replica;
   for (size_t k = 0; k < replica.num_shards(); ++k) {
-    for (const auto& item : replica.shard(k).items()) {
-      if (item->HasAux()) return true;
+    for (const Item& item : replica.shard(k).items()) {
+      if (item.HasAux()) return true;
     }
   }
   return false;

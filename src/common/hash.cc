@@ -1,6 +1,11 @@
 #include "common/hash.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace epidemic {
 
@@ -22,9 +27,38 @@ const std::array<uint32_t, 256>& Table() {
   static const std::array<uint32_t, 256> table = BuildTable();
   return table;
 }
+
+#if defined(__x86_64__)
+// SSE4.2's crc32 instruction computes the same reflected CRC-32C, eight
+// bytes per instruction.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                        size_t n,
+                                                        uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = ~seed;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++p) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn ChooseCrc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed) {
   const auto& table = Table();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -32,6 +66,11 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
     crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+  static const Crc32cFn impl = ChooseCrc32c();
+  return impl(data, n, seed);
 }
 
 }  // namespace epidemic

@@ -61,7 +61,7 @@ Status Replica::ApplyUserWrite(std::string_view name, std::string_view value,
     item.deleted = deleted;
     item.ivv.Increment(id_);
     dbvv_.Increment(id_);
-    logs_.ForOrigin(id_).AddLogRecord(item.id, dbvv_[id_], &item.p[id_]);
+    logs_.ForOrigin(id_).AddLogRecord(item.id, dbvv_[id_]);
     ++stats_.updates_regular;
   }
   return Status::OK();
@@ -111,7 +111,7 @@ Status Replica::ResolveConflict(std::string_view name,
   item->deleted = false;
   item->ivv.Increment(id_);
   dbvv_.Increment(id_);
-  logs_.ForOrigin(id_).AddLogRecord(item->id, dbvv_[id_], &item->p[id_]);
+  logs_.ForOrigin(id_).AddLogRecord(item->id, dbvv_[id_]);
   ++stats_.conflicts_resolved;
   return Status::OK();
 }
@@ -119,13 +119,13 @@ Status Replica::ResolveConflict(std::string_view name,
 std::vector<std::pair<std::string, std::string>> Replica::Scan(
     std::string_view prefix, size_t limit) const {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& item : store_) {
-    if (item->UserDeleted()) continue;
-    if (item->name.size() < prefix.size() ||
-        std::string_view(item->name).substr(0, prefix.size()) != prefix) {
+  for (const Item& item : store_) {
+    if (item.UserDeleted()) continue;
+    if (item.name.size() < prefix.size() ||
+        std::string_view(item.name).substr(0, prefix.size()) != prefix) {
       continue;
     }
-    out.emplace_back(item->name, item->UserValue());
+    out.emplace_back(item.name, item.UserValue());
   }
   std::sort(out.begin(), out.end());
   if (limit > 0 && out.size() > limit) out.resize(limit);
@@ -135,9 +135,9 @@ std::vector<std::pair<std::string, std::string>> Replica::Scan(
 std::string Replica::DebugString() const {
   size_t aux_copies = 0;
   size_t tombstones = 0;
-  for (const auto& item : store_) {
-    if (item->HasAux()) ++aux_copies;
-    if (item->deleted) ++tombstones;
+  for (const Item& item : store_) {
+    if (item.HasAux()) ++aux_copies;
+    if (item.deleted) ++tombstones;
   }
   std::string out;
   out += "replica " + std::to_string(id_) + "/" + std::to_string(num_nodes_);
@@ -300,11 +300,12 @@ Status Replica::ValidatePropagationResponse(
   // so the merge-scan of the sorted log against the sorted tail starts
   // there, found by walking back from the log's tail.
   for (NodeId k = 0; k < num_nodes_; ++k) {
+    const OriginLog& log = logs_.ForOrigin(k);
     const UpdateCount horizon = dbvv_[k];
-    const LogRecord* existing = nullptr;
-    for (const LogRecord* r = logs_.ForOrigin(k).tail();
-         r != nullptr && r->seq > horizon; r = r->prev) {
-      existing = r;
+    ItemId existing = kNoItem;
+    for (ItemId x = log.tail(); x != kNoItem && log.seq(x) > horizon;
+         x = log.prev(x)) {
+      existing = x;
     }
     UpdateCount prev = 0;
     for (const WireLogRecordView& rec : resp.tails[k]) {
@@ -322,8 +323,8 @@ Status Replica::ValidatePropagationResponse(
       }
       const Item* item = (*resolved)[rec.item_index];
       if (rec.seq <= horizon) {
-        const LogRecord* held = item != nullptr ? item->p[k] : nullptr;
-        if (held == nullptr || held->seq < rec.seq) {
+        const UpdateCount held = item != nullptr ? log.seq(item->id) : 0;
+        if (held < rec.seq) {
           return Status::InvalidArgument(
               "tail for origin " + std::to_string(k) + " re-ships seq " +
               std::to_string(rec.seq) + " of item '" +
@@ -332,15 +333,15 @@ Status Replica::ValidatePropagationResponse(
         }
         continue;
       }
-      while (existing != nullptr && existing->seq < rec.seq) {
-        existing = existing->next;
+      while (existing != kNoItem && log.seq(existing) < rec.seq) {
+        existing = log.next(existing);
       }
-      if (existing != nullptr && existing->seq == rec.seq &&
-          (item == nullptr || existing->item != item->id)) {
+      if (existing != kNoItem && log.seq(existing) == rec.seq &&
+          (item == nullptr || existing != item->id)) {
         return Status::InvalidArgument(
             "tail record for origin " + std::to_string(k) + " reuses seq " +
             std::to_string(rec.seq) + " held by item '" +
-            store_.Get(existing->item).name + "'");
+            store_.Get(existing).name + "'");
       }
     }
   }
@@ -412,7 +413,7 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
     for (const WireLogRecordView& rec : resp.tails[k]) {
       Item* item = copied[rec.item_index];
       if (item == nullptr || rec.seq <= horizon[k]) continue;
-      logs_.ForOrigin(k).AddLogRecord(item->id, rec.seq, &item->p[k]);
+      logs_.ForOrigin(k).AddLogRecord(item->id, rec.seq);
       ++stats_.records_appended;
     }
   }
@@ -426,8 +427,9 @@ Status Replica::AcceptPropagation(const PropagationResponseView& resp) {
 
 size_t Replica::PumpIntraNode() {
   const uint64_t before = stats_.intra_node_ops_applied;
-  for (const auto& item : store_) {
-    if (item->HasAux()) IntraNodePropagation(*item);
+  for (ItemId id = 0; id < store_.size(); ++id) {
+    Item& item = store_.Get(id);
+    if (item.HasAux()) IntraNodePropagation(item);
   }
   return static_cast<size_t>(stats_.intra_node_ops_applied - before);
 }
@@ -445,7 +447,7 @@ void Replica::IntraNodePropagation(Item& item) {
     item.deleted = e->op.deleted;
     item.ivv.Increment(id_);
     dbvv_.Increment(id_);
-    logs_.ForOrigin(id_).AddLogRecord(item.id, dbvv_[id_], &item.p[id_]);
+    logs_.ForOrigin(id_).AddLogRecord(item.id, dbvv_[id_]);
     ++stats_.intra_node_ops_applied;
     aux_log_.Remove(e);
     e = aux_log_.Earliest(item.id);
@@ -576,14 +578,14 @@ Replica::StabilityInfo Replica::CountStable() const {
   // One frontier computation for the whole pass.
   VersionVector frontier = StabilityFrontier();
   StabilityInfo info;
-  for (const auto& item : store_) {
+  for (const Item& item : store_) {
     bool stable = true;
     for (NodeId k = 0; k < num_nodes_ && stable; ++k) {
-      stable = item->ivv[k] <= frontier[k];
+      stable = item.ivv[k] <= frontier[k];
     }
     if (!stable) continue;
     ++info.stable_items;
-    if (item->deleted) ++info.stable_tombstones;
+    if (item.deleted) ++info.stable_tombstones;
   }
   return info;
 }
@@ -607,13 +609,22 @@ void Replica::ReportConflict(const Item& item, const VersionVector& remote,
 
 Status Replica::CheckInvariants() const {
   // DBVV invariant: V_i[k] == Σ_x ivv_i(x)[k] over regular copies (§4.1).
+  // Every item must also resolve through the name index to itself.
   VersionVector sum(num_nodes_);
-  for (const auto& item : store_) {
-    if (item->ivv.size() != num_nodes_) {
-      return Status::Internal("item '" + item->name + "' has IVV of width " +
-                              std::to_string(item->ivv.size()));
+  for (const Item& item : store_) {
+    if (item.ivv.size() != num_nodes_) {
+      return Status::Internal("item '" + item.name + "' has IVV of width " +
+                              std::to_string(item.ivv.size()));
     }
-    for (NodeId k = 0; k < num_nodes_; ++k) sum[k] += item->ivv[k];
+    for (NodeId k = 0; k < num_nodes_; ++k) sum[k] += item.ivv[k];
+    if (store_.Find(item.name) != &item) {
+      return Status::Internal("item '" + item.name +
+                              "' does not resolve to itself by name");
+    }
+    if (item.is_selected) {
+      return Status::Internal("item '" + item.name +
+                              "' has IsSelected left set");
+    }
   }
   if (!(sum == dbvv_)) {
     return Status::Internal("DBVV invariant violated: sum of IVVs is " +
@@ -622,40 +633,44 @@ Status Replica::CheckInvariants() const {
   }
 
   // Log invariants per component: strictly increasing seq (origin order),
-  // and P(x) back-pointer agreement (which implies ≤ 1 record per item).
+  // every record's item exists, the links agree in both directions, and
+  // the list holds exactly the items whose P(x) slot has a record — which
+  // with one slot per item means ≤ 1 record per item.
   for (NodeId k = 0; k < num_nodes_; ++k) {
     const OriginLog& log = logs_.ForOrigin(k);
+    const std::string where = "log L[" + std::to_string(k) + "]";
     UpdateCount prev_seq = 0;
+    ItemId prev = kNoItem;
     size_t walked = 0;
-    for (const LogRecord* r = log.head(); r != nullptr; r = r->next) {
-      ++walked;
-      if (r->seq <= prev_seq && walked > 1) {
-        return Status::Internal("log L[" + std::to_string(k) +
-                                "] not in origin order");
+    for (ItemId x = log.head(); x != kNoItem; x = log.next(x)) {
+      if (x >= store_.size()) {
+        return Status::Internal(where + " holds a record for unknown item " +
+                                std::to_string(x));
       }
-      prev_seq = r->seq;
-      const Item& item = store_.Get(r->item);
-      if (item.p[k] != r) {
-        return Status::Internal("P(x) back-pointer mismatch for item '" +
-                                item.name + "' origin " + std::to_string(k));
+      if (++walked > log.size()) {
+        return Status::Internal(where + " holds more records than its size");
       }
-    }
-    if (walked != log.size()) {
-      return Status::Internal("log L[" + std::to_string(k) +
-                              "] size mismatch");
-    }
-  }
-  // And the reverse direction: every non-null P(x) points at a record for x.
-  for (const auto& item : store_) {
-    for (NodeId k = 0; k < num_nodes_; ++k) {
-      if (item->p[k] != nullptr && item->p[k]->item != item->id) {
-        return Status::Internal("item '" + item->name +
-                                "' P(x) points at a foreign record");
+      if (log.seq(x) <= prev_seq) {
+        return Status::Internal(where + " not in origin order");
       }
+      if (log.prev(x) != prev) {
+        return Status::Internal(where + " links of item '" +
+                                store_.Get(x).name + "' disagree");
+      }
+      prev_seq = log.seq(x);
+      prev = x;
     }
-    if (item->is_selected) {
-      return Status::Internal("item '" + item->name +
-                              "' has IsSelected left set");
+    if (walked != log.size() || log.tail() != prev) {
+      return Status::Internal(where + " size or tail mismatch");
+    }
+    size_t with_record = 0;
+    for (ItemId x = 0; x < store_.size(); ++x) {
+      if (log.seq(x) != 0) ++with_record;
+    }
+    if (with_record != walked) {
+      return Status::Internal(where + " has " + std::to_string(with_record) +
+                              " P(x) slots with a record but " +
+                              std::to_string(walked) + " records linked");
     }
   }
 
@@ -677,11 +692,11 @@ Status Replica::CheckInvariants() const {
   }
 
   // §5.2 auxiliary-structure invariants, per out-of-bound item.
-  for (const auto& item : store_) {
-    if (!item->HasAux()) continue;
-    const VersionVector& aux_ivv = item->aux->ivv;
+  for (const Item& item : store_) {
+    if (!item.HasAux()) continue;
+    const VersionVector& aux_ivv = item.aux->ivv;
     if (aux_ivv.size() != num_nodes_) {
-      return Status::Internal("item '" + item->name +
+      return Status::Internal("item '" + item.name +
                               "' has aux IVV of width " +
                               std::to_string(aux_ivv.size()));
     }
@@ -691,7 +706,7 @@ Status Replica::CheckInvariants() const {
     // regular copy dominating (or equalling) the auxiliary one is
     // impossible — intra-node propagation retires the auxiliary copy the
     // moment the regular copy catches up.
-    switch (VersionVector::Compare(aux_ivv, item->ivv)) {
+    switch (VersionVector::Compare(aux_ivv, item.ivv)) {
       case VvOrder::kDominates:
       case VvOrder::kConcurrent:
         break;
@@ -699,29 +714,29 @@ Status Replica::CheckInvariants() const {
       case VvOrder::kDominatedBy:
         return Status::Internal(
             "auxiliary IVV " + aux_ivv.ToString() + " of item '" +
-            item->name + "' does not exceed the regular IVV " +
-            item->ivv.ToString() + " — the auxiliary copy should have "
+            item.name + "' does not exceed the regular IVV " +
+            item.ivv.ToString() + " — the auxiliary copy should have "
             "retired");
     }
     // Redo records for this item replay in origin order: strictly growing
     // pre-update IVVs (mirrors the regular-log seq check), all strictly
     // below the current auxiliary IVV they led up to.
     const AuxRecord* prev = nullptr;
-    for (const AuxRecord* r = aux_log_.Earliest(item->id); r != nullptr;
+    for (const AuxRecord* r = aux_log_.Earliest(item.id); r != nullptr;
          r = r->item_next) {
       if (r->vv.size() != num_nodes_) {
-        return Status::Internal("aux record for item '" + item->name +
+        return Status::Internal("aux record for item '" + item.name +
                                 "' has IVV of width " +
                                 std::to_string(r->vv.size()));
       }
       if (prev != nullptr && !VersionVector::Dominates(r->vv, prev->vv)) {
-        return Status::Internal("aux log for item '" + item->name +
+        return Status::Internal("aux log for item '" + item.name +
                                 "' not in origin order");
       }
       if (!VersionVector::Dominates(aux_ivv, r->vv)) {
         return Status::Internal(
             "aux record pre-IVV " + r->vv.ToString() + " for item '" +
-            item->name + "' is not reflected in the aux IVV " +
+            item.name + "' is not reflected in the aux IVV " +
             aux_ivv.ToString());
       }
       prev = r;
@@ -743,9 +758,9 @@ std::string Replica::CanonicalState() const {
   // indistinguishable from one that never heard the name.
   std::vector<const Item*> sorted;
   sorted.reserve(store_.size());
-  for (const auto& item : store_) {
-    if (item->ivv.Total() == 0 && !item->HasAux()) continue;
-    sorted.push_back(item.get());
+  for (const Item& item : store_) {
+    if (item.ivv.Total() == 0 && !item.HasAux()) continue;
+    sorted.push_back(&item);
   }
   std::sort(sorted.begin(), sorted.end(),
             [](const Item* a, const Item* b) { return a->name < b->name; });
@@ -768,9 +783,9 @@ std::string Replica::CanonicalState() const {
   for (NodeId k = 0; k < num_nodes_; ++k) {
     const OriginLog& log = logs_.ForOrigin(k);
     w.PutVarint64(log.size());
-    for (const LogRecord* rec = log.head(); rec != nullptr; rec = rec->next) {
-      w.PutString(store_.Get(rec->item).name);
-      w.PutVarint64(rec->seq);
+    for (ItemId x = log.head(); x != kNoItem; x = log.next(x)) {
+      w.PutString(store_.Get(x).name);
+      w.PutVarint64(log.seq(x));
     }
   }
 

@@ -283,9 +283,11 @@ class Replica {
   };
   StabilityInfo CountStable() const;
 
-  /// Checks the DBVV invariant `V_i[k] == Σ_x ivv_i(x)[k]` (§4.1), the
-  /// log invariants (≤ 1 record per item per component, origin-ordered,
-  /// P(x) back-pointers consistent), and the §5.2 auxiliary-structure
+  /// Checks the DBVV invariant `V_i[k] == Σ_x ivv_i(x)[k]` (§4.1), that
+  /// every item resolves by name to itself, the log invariants (≤ 1 record
+  /// per item per component, origin-ordered, links symmetric, every record's
+  /// item stored, as many P(x) slots with a record as records linked), and
+  /// the §5.2 auxiliary-structure
   /// invariants (the auxiliary IVV is never dominated by the regular one,
   /// redo records replay in origin order below the auxiliary IVV, the
   /// auxiliary log preserves append order). Returns OK or Internal with a

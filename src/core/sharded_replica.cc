@@ -103,8 +103,8 @@ Status ShardedReplica::CheckInvariants() const {
       return Status::Internal("shard " + std::to_string(k) + ": " +
                               s.message());
     }
-    for (const auto& item : shards_[k]->items()) {
-      for (NodeId j = 0; j < num_nodes(); ++j) ivv_sum[j] += item->ivv[j];
+    for (const Item& item : shards_[k]->items()) {
+      for (NodeId j = 0; j < num_nodes(); ++j) ivv_sum[j] += item.ivv[j];
     }
   }
   // Aggregate §4.1: the reconstructed whole-database vector must equal the
@@ -131,9 +131,9 @@ std::string ShardedReplica::DebugString() const {
   size_t log_records = 0;
   size_t aux_records = 0;
   for (const auto& shard : shards_) {
-    for (const auto& item : shard->items()) {
-      if (item->HasAux()) ++aux_copies;
-      if (item->deleted) ++tombstones;
+    for (const Item& item : shard->items()) {
+      if (item.HasAux()) ++aux_copies;
+      if (item.deleted) ++tombstones;
     }
     log_records += shard->log_vector().TotalRecords();
     aux_records += shard->aux_log().size();

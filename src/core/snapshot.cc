@@ -70,16 +70,16 @@ class SnapshotCodec {
     // Items in creation order, so ItemIds are reproduced exactly on load
     // and the log sections can reference them by id.
     w.PutVarint64(r.store_.size());
-    for (const auto& item : r.store_) {
-      w.PutString(item->name);
-      w.PutString(item->value);
-      w.PutU8(item->deleted ? 1 : 0);
-      EncodeVersionVector(&w, item->ivv);
-      w.PutU8(item->HasAux() ? 1 : 0);
-      if (item->HasAux()) {
-        w.PutString(item->aux->value);
-        w.PutU8(item->aux->deleted ? 1 : 0);
-        EncodeVersionVector(&w, item->aux->ivv);
+    for (const Item& item : r.store_) {
+      w.PutString(item.name);
+      w.PutString(item.value);
+      w.PutU8(item.deleted ? 1 : 0);
+      EncodeVersionVector(&w, item.ivv);
+      w.PutU8(item.HasAux() ? 1 : 0);
+      if (item.HasAux()) {
+        w.PutString(item.aux->value);
+        w.PutU8(item.aux->deleted ? 1 : 0);
+        EncodeVersionVector(&w, item.aux->ivv);
       }
     }
 
@@ -87,10 +87,9 @@ class SnapshotCodec {
     for (NodeId k = 0; k < r.num_nodes_; ++k) {
       const OriginLog& log = r.logs_.ForOrigin(k);
       w.PutVarint64(log.size());
-      for (const LogRecord* rec = log.head(); rec != nullptr;
-           rec = rec->next) {
-        w.PutVarint64(rec->item);
-        w.PutVarint64(rec->seq);
+      for (ItemId x = log.head(); x != kNoItem; x = log.next(x)) {
+        w.PutVarint64(x);
+        w.PutVarint64(log.seq(x));
       }
     }
 
@@ -206,12 +205,16 @@ class SnapshotCodec {
         if (*item_id >= replica->store_.size()) {
           return Status::Corruption("log record references unknown item");
         }
-        Item& item = replica->store_.Get(static_cast<ItemId>(*item_id));
-        if (item.p[k] != nullptr) {
-          return Status::Corruption("duplicate log record for item '" +
-                                    item.name + "'");
+        if (*seq == 0) {
+          return Status::Corruption("log record with sequence number 0");
         }
-        replica->logs_.ForOrigin(k).AddLogRecord(item.id, *seq, &item.p[k]);
+        const auto id = static_cast<ItemId>(*item_id);
+        OriginLog& log = replica->logs_.ForOrigin(k);
+        if (log.seq(id) != 0) {
+          return Status::Corruption("duplicate log record for item '" +
+                                    replica->store_.Get(id).name + "'");
+        }
+        log.AddLogRecord(id, *seq);
       }
     }
 
@@ -327,9 +330,9 @@ Result<std::unique_ptr<ShardedReplica>> DecodeShardedSnapshot(
   // Every item must live in the shard the name hash assigns it to —
   // otherwise the snapshot was taken under a different shard count.
   for (uint64_t k = 0; k < shards.size(); ++k) {
-    for (const auto& item : shards[k]->items()) {
-      if (ShardedReplica::ShardOf(item->name, shards.size()) != k) {
-        return Status::Internal("item '" + item->name + "' found in shard " +
+    for (const Item& item : shards[k]->items()) {
+      if (ShardedReplica::ShardOf(item.name, shards.size()) != k) {
+        return Status::Internal("item '" + item.name + "' found in shard " +
                                 std::to_string(k) +
                                 " but hashes elsewhere; shard count changed?");
       }

@@ -1,53 +1,26 @@
 #include "log/log_vector.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace epidemic {
 
-OriginLog::OriginLog() = default;
-
-OriginLog::~OriginLog() { FreeAll(); }
-
 OriginLog::OriginLog(OriginLog&& other) noexcept
-    : head_(other.head_), tail_(other.tail_), size_(other.size_) {
-  other.head_ = other.tail_ = nullptr;
-  other.size_ = 0;
-}
+    : slots_(std::move(other.slots_)),
+      head_(std::exchange(other.head_, kNoItem)),
+      tail_(std::exchange(other.tail_, kNoItem)),
+      size_(std::exchange(other.size_, 0)) {}
 
-OriginLog& OriginLog::operator=(OriginLog&& other) noexcept {
-  if (this != &other) {
-    FreeAll();
-    head_ = other.head_;
-    tail_ = other.tail_;
-    size_ = other.size_;
-    other.head_ = other.tail_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-void OriginLog::FreeAll() {
-  LogRecord* r = head_;
-  while (r != nullptr) {
-    LogRecord* next = r->next;
-    delete r;
-    r = next;
-  }
-  head_ = tail_ = nullptr;
-  size_ = 0;
-}
-
-void OriginLog::AddLogRecord(ItemId item, UpdateCount seq, LogRecord** slot) {
-  // Unlink the superseded record for the same item first — found in O(1) via
-  // the P_j(x) pointer — so it cannot get in the way of the position search
-  // below. A dominating copy always carries an equal-or-newer record for its
-  // item, so this never removes a record newer than the incoming one.
-  if (*slot != nullptr) {
-    EPI_DCHECK((*slot)->item == item);
-    Unlink(*slot);
-    delete *slot;
-    *slot = nullptr;
-  }
+void OriginLog::AddLogRecord(ItemId item, UpdateCount seq) {
+  EPI_DCHECK(seq > 0 && item != kNoItem);
+  if (item >= slots_.size()) slots_.resize(static_cast<size_t>(item) + 1);
+  // Unlink the superseded record for the same item first — found in O(1) in
+  // x's slot, the P_j(x) pointer — so it cannot get in the way of the
+  // position search below. A dominating copy always carries an
+  // equal-or-newer record for its item, so this never removes a record
+  // newer than the incoming one.
+  if (slots_[item].seq != 0) Unlink(item);
 
   // Insert in sequence order. The paper's AddLogRecord appends at the tail,
   // which is right while received tails are contiguous suffixes of the
@@ -57,46 +30,49 @@ void OriginLog::AddLogRecord(ItemId item, UpdateCount seq, LogRecord** slot) {
   // break the strictly-increasing order CollectTail's suffix walk and the
   // recipient-side tail validation both depend on. Walking back from the
   // tail keeps the common in-order case O(1).
-  LogRecord* after = tail_;
-  while (after != nullptr && after->seq > seq) after = after->prev;
+  ItemId after = tail_;
+  while (after != kNoItem && slots_[after].seq > seq) {
+    after = slots_[after].prev;
+  }
   // Each origin sequence number names exactly one update of one item, so no
   // two records may ever claim the same seq.
-  EPI_DCHECK(after == nullptr || after->seq != seq);
-  LogRecord* rec = new LogRecord{item, seq, after, nullptr};
-  rec->next = after != nullptr ? after->next : head_;
-  if (rec->next != nullptr) {
-    rec->next->prev = rec;
+  EPI_DCHECK(after == kNoItem || slots_[after].seq != seq);
+  Slot& slot = slots_[item];
+  slot.seq = seq;
+  slot.prev = after;
+  slot.next = after != kNoItem ? slots_[after].next : head_;
+  if (slot.next != kNoItem) {
+    slots_[slot.next].prev = item;
   } else {
-    tail_ = rec;
+    tail_ = item;
   }
-  if (after != nullptr) {
-    after->next = rec;
+  if (after != kNoItem) {
+    slots_[after].next = item;
   } else {
-    head_ = rec;
+    head_ = item;
   }
   ++size_;
-  *slot = rec;
 }
 
-void OriginLog::Remove(LogRecord* record, LogRecord** slot) {
-  EPI_CHECK(*slot == record) << "Remove: P(x) pointer does not match record";
-  Unlink(record);
-  delete record;
-  *slot = nullptr;
+void OriginLog::Remove(ItemId item) {
+  EPI_CHECK(seq(item) != 0) << "Remove: item " << item
+                            << " has no record in this log";
+  Unlink(item);
 }
 
-void OriginLog::Unlink(LogRecord* record) {
-  if (record->prev != nullptr) {
-    record->prev->next = record->next;
+void OriginLog::Unlink(ItemId item) {
+  Slot& slot = slots_[item];
+  if (slot.prev != kNoItem) {
+    slots_[slot.prev].next = slot.next;
   } else {
-    head_ = record->next;
+    head_ = slot.next;
   }
-  if (record->next != nullptr) {
-    record->next->prev = record->prev;
+  if (slot.next != kNoItem) {
+    slots_[slot.next].prev = slot.prev;
   } else {
-    tail_ = record->prev;
+    tail_ = slot.prev;
   }
-  record->prev = record->next = nullptr;
+  slot = Slot{};
   --size_;
 }
 
@@ -105,13 +81,14 @@ size_t OriginLog::CollectTail(UpdateCount after,
   // Records are in origin order, i.e. strictly increasing seq, so the
   // matching records form a suffix. Walk back from the tail to find its
   // start, then emit oldest-first.
-  LogRecord* first = nullptr;
-  for (LogRecord* r = tail_; r != nullptr && r->seq > after; r = r->prev) {
-    first = r;
+  ItemId first = kNoItem;
+  for (ItemId x = tail_; x != kNoItem && slots_[x].seq > after;
+       x = slots_[x].prev) {
+    first = x;
   }
   size_t count = 0;
-  for (LogRecord* r = first; r != nullptr; r = r->next) {
-    out->push_back(LogRecord{r->item, r->seq, nullptr, nullptr});
+  for (ItemId x = first; x != kNoItem; x = slots_[x].next) {
+    out->push_back(LogRecord{x, slots_[x].seq});
     ++count;
   }
   return count;

@@ -2,7 +2,7 @@
 #define EPIDEMIC_LOG_LOG_VECTOR_H_
 
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -14,8 +14,12 @@ namespace epidemic {
 /// Ids are local to a node; the wire format always carries item *names*.
 using ItemId = uint32_t;
 
+/// "No item": the end of a log list, an empty index slot.
+inline constexpr ItemId kNoItem = std::numeric_limits<ItemId>::max();
+
 /// One record of the log vector (paper §4.2): "data item x was updated by
-/// the origin node; the update's sequence number there was `seq`".
+/// the origin node; the update's sequence number there was `seq`", as
+/// CollectTail reports it.
 ///
 /// Records register only the *fact* of an update, never redo information, so
 /// they are constant-size — the property §6 relies on when bounding message
@@ -23,44 +27,52 @@ using ItemId = uint32_t;
 struct LogRecord {
   ItemId item = 0;
   UpdateCount seq = 0;  // value of V_jj at the origin j, including this update
-  LogRecord* prev = nullptr;
-  LogRecord* next = nullptr;
 };
 
 /// One component L_ij of the log vector: updates originated at one node `j`,
 /// in j's execution order, with **at most one record per data item** — when a
-/// newer record for x arrives, the older one is unlinked in O(1) through the
-/// caller-supplied back-pointer P_j(x) (Fig. 1).
+/// newer record for x arrives, the older one is unlinked in O(1) (Fig. 1).
 ///
-/// The list is intrusive and pool-allocated; head is the oldest record.
+/// The pointer P_j(x) of the paper is x's slot in this component: a dense
+/// array indexed by ItemId holds, per item, the seq of its record (0 = no
+/// record; origin sequence numbers start at 1) and the ItemIds of its
+/// neighbours in the list, which is ordered by seq with the oldest record at
+/// the head. A record costs no allocation of its own; the array grows to
+/// the highest ItemId the component has held a record for.
 class OriginLog {
  public:
-  OriginLog();
-  ~OriginLog();
+  OriginLog() = default;
 
   OriginLog(const OriginLog&) = delete;
   OriginLog& operator=(const OriginLog&) = delete;
-  OriginLog(OriginLog&&) noexcept;
-  OriginLog& operator=(OriginLog&&) noexcept;
+  OriginLog(OriginLog&& other) noexcept;
 
   /// AddLogRecord (§4.2): inserts (item, seq) at its seq-ordered position —
   /// the tail in the common case — and unlinks the previous record for the
-  /// same item, passed via `*slot` — the P_j(x) pointer owned by the item's
-  /// control state. On return `*slot` points at the new record. O(1) when
-  /// records arrive in origin order; linear in the displacement when a
+  /// same item, found in x's slot. `seq` must be positive. O(1) when records
+  /// arrive in origin order; linear in the displacement when a
   /// conflict-induced record drop at a third party delivered them out of
   /// order (post-§5.1 executions only).
-  void AddLogRecord(ItemId item, UpdateCount seq, LogRecord** slot)
-      REQUIRES_SHARD_CONTEXT;
+  void AddLogRecord(ItemId item, UpdateCount seq) REQUIRES_SHARD_CONTEXT;
 
-  /// Removes a record (used when conflict handling drops records referring
+  /// Removes x's record (used when conflict handling drops records referring
   /// to a conflicting item from a received tail — §5.1 step 2 — and by
-  /// tests). `*slot` must equal `record`; it is reset to null. O(1).
-  void Remove(LogRecord* record, LogRecord** slot) REQUIRES_SHARD_CONTEXT;
+  /// tests). Aborts when x has no record here. O(1).
+  void Remove(ItemId item) REQUIRES_SHARD_CONTEXT;
 
-  /// Oldest / newest records, or nullptr when empty.
-  LogRecord* head() const { return head_; }
-  LogRecord* tail() const { return tail_; }
+  /// Seq of x's record in this component, or 0 when it has none.
+  UpdateCount seq(ItemId item) const {
+    return item < slots_.size() ? slots_[item].seq : 0;
+  }
+
+  /// Oldest / newest record's item, or kNoItem when empty.
+  ItemId head() const { return head_; }
+  ItemId tail() const { return tail_; }
+
+  /// Neighbours of the record of `item`, which must have one: the next
+  /// newer / older record's item, or kNoItem at the ends.
+  ItemId next(ItemId item) const { return slots_[item].next; }
+  ItemId prev(ItemId item) const { return slots_[item].prev; }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -74,11 +86,17 @@ class OriginLog {
   size_t CollectTail(UpdateCount after, std::vector<LogRecord>* out) const;
 
  private:
-  void Unlink(LogRecord* record);
-  void FreeAll();
+  struct Slot {
+    UpdateCount seq = 0;
+    ItemId prev = kNoItem;
+    ItemId next = kNoItem;
+  };
 
-  LogRecord* head_ = nullptr;
-  LogRecord* tail_ = nullptr;
+  void Unlink(ItemId item);
+
+  std::vector<Slot> slots_;
+  ItemId head_ = kNoItem;
+  ItemId tail_ = kNoItem;
   size_t size_ = 0;
 };
 

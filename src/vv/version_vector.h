@@ -35,19 +35,24 @@ class VersionVector {
   VersionVector() = default;
 
   /// Zero vector for a system of `n` nodes (maintenance rule 1, §4.1).
-  explicit VersionVector(size_t n) : counts_(n, 0) {}
+  explicit VersionVector(size_t n);
 
   /// From explicit components, mainly for tests.
-  explicit VersionVector(std::vector<UpdateCount> counts)
-      : counts_(std::move(counts)) {}
+  explicit VersionVector(const std::vector<UpdateCount>& counts);
 
-  size_t size() const { return counts_.size(); }
+  VersionVector(const VersionVector& other);
+  VersionVector(VersionVector&& other) noexcept;
+  VersionVector& operator=(const VersionVector& other);
+  VersionVector& operator=(VersionVector&& other) noexcept;
+  ~VersionVector() { FreeHeap(); }
 
-  UpdateCount operator[](NodeId j) const { return counts_[j]; }
-  UpdateCount& operator[](NodeId j) { return counts_[j]; }
+  size_t size() const { return size_; }
+
+  UpdateCount operator[](NodeId j) const { return data()[j]; }
+  UpdateCount& operator[](NodeId j) { return data()[j]; }
 
   /// Records one more local update by node `j` (rule 2, §4.1).
-  void Increment(NodeId j) { ++counts_[j]; }
+  void Increment(NodeId j) { ++data()[j]; }
 
   /// Component-wise maximum with `other` — the merge applied when missing
   /// updates are obtained from another replica (§3).
@@ -78,15 +83,32 @@ class VersionVector {
   /// and metrics.
   UpdateCount Total() const;
 
-  bool operator==(const VersionVector& other) const = default;
+  bool operator==(const VersionVector& other) const;
 
   /// "[3,0,7]" — for logs and test failure messages.
   std::string ToString() const;
 
-  const std::vector<UpdateCount>& counts() const { return counts_; }
-
  private:
-  std::vector<UpdateCount> counts_;
+  /// Vectors of up to kInline components live inside the object, so an
+  /// item's IVV costs no heap block of its own in clusters of up to four
+  /// nodes; wider vectors own a heap array.
+  static constexpr size_t kInline = 4;
+
+  bool IsInline() const { return size_ <= kInline; }
+  UpdateCount* data() { return IsInline() ? inline_ : heap_; }
+  const UpdateCount* data() const { return IsInline() ? inline_ : heap_; }
+
+  /// Gives this vector `n` components, contents unspecified.
+  void Resize(size_t n);
+  void FreeHeap() {
+    if (!IsInline()) delete[] heap_;
+  }
+
+  size_t size_ = 0;
+  union {
+    UpdateCount inline_[kInline] = {};
+    UpdateCount* heap_;
+  };
 };
 
 }  // namespace epidemic

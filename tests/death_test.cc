@@ -35,14 +35,14 @@ TEST(EventQueueDeathTest, SchedulingInThePastAborts) {
   EXPECT_DEATH(q.At(50, [] {}), "in the past");
 }
 
-TEST(LogDeathTest, RemoveWithWrongSlotAborts) {
+TEST(LogDeathTest, RemoveWithoutRecordAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   OriginLog log;
-  LogRecord* p1 = nullptr;
-  LogRecord* p2 = nullptr;
-  log.AddLogRecord(1, 1, &p1);
-  log.AddLogRecord(2, 2, &p2);
-  EXPECT_DEATH(log.Remove(p1, &p2), "does not match");
+  log.AddLogRecord(1, 1);
+  log.AddLogRecord(2, 2);
+  log.Remove(1);
+  EXPECT_DEATH(log.Remove(1), "has no record");  // already removed
+  EXPECT_DEATH(log.Remove(7), "has no record");  // beyond every slot
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace epidemic {
 namespace {
@@ -16,6 +17,30 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Crc32c(zeros), 0x8a9136aau);
   std::string ffs(32, '\xff');
   EXPECT_EQ(Crc32c(ffs), 0x62a8ab43u);
+}
+
+TEST(Crc32cTest, PortablePathGivesKnownVectors) {
+  EXPECT_EQ(Crc32cPortable("", 0), 0x00000000u);
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xe3069283u);
+}
+
+// Crc32c picks the SSE4.2 instruction where the CPU has it; whichever path
+// it took must agree with the portable table at every length, alignment
+// and seed.
+TEST(Crc32cTest, DispatchedEqualsPortable) {
+  std::vector<unsigned char> buf(1040 + 8);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + (i >> 3));
+  }
+  for (uint32_t seed : {0u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 1040; ++len) {
+        ASSERT_EQ(Crc32c(buf.data() + offset, len, seed),
+                  Crc32cPortable(buf.data() + offset, len, seed))
+            << "len=" << len << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, DifferentInputsDiffer) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/sharded_replica.h"
+
 namespace epidemic {
 namespace {
+
+// The per-item budget: an item's record, IVV included for up to four nodes,
+// fits in 128 bytes of its chunk.
+static_assert(sizeof(Item) <= 128);
 
 TEST(ItemStoreTest, StartsEmpty) {
   ItemStore store(3);
@@ -19,8 +28,7 @@ TEST(ItemStoreTest, GetOrCreateMakesFreshReplica) {
   EXPECT_EQ(item.id, 0u);
   EXPECT_EQ(item.value, "");
   EXPECT_EQ(item.ivv, VersionVector(3));  // zero IVV per §3
-  EXPECT_EQ(item.p.size(), 3u);
-  for (LogRecord* slot : item.p) EXPECT_EQ(slot, nullptr);
+  EXPECT_FALSE(item.deleted);
   EXPECT_FALSE(item.is_selected);
   EXPECT_FALSE(item.HasAux());
 }
@@ -68,7 +76,7 @@ TEST(ItemStoreTest, IterationInCreationOrder) {
   store.GetOrCreate("c");
   store.GetOrCreate("a");
   std::vector<std::string> names;
-  for (const auto& item : store) names.push_back(item->name);
+  for (const Item& item : store) names.push_back(item.name);
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "c");
   EXPECT_EQ(names[1], "a");
@@ -92,6 +100,72 @@ TEST(ItemTest, UserValuePrefersAuxCopy) {
 
   item.aux.reset();
   EXPECT_EQ(item.UserValue(), "regular");
+}
+
+TEST(ItemStoreTest, ReferencesStayValidAcrossGrowth) {
+  ItemStore store(3);
+  Item& first = store.GetOrCreate("first");
+  first.value = "kept";
+  for (int i = 0; i < 10000; ++i) {
+    store.GetOrCreate("item" + std::to_string(i));
+  }
+  EXPECT_EQ(&store.GetOrCreate("first"), &first);
+  EXPECT_EQ(&store.Get(0), &first);
+  EXPECT_EQ(first.id, 0u);
+  EXPECT_EQ(first.name, "first");
+  EXPECT_EQ(first.value, "kept");
+}
+
+// The first `count` names resolve to their ids; absent names do not.
+void ExpectIndexed(const ItemStore& store,
+                   const std::vector<std::string>& names, size_t count,
+                   const std::vector<std::string>& absent) {
+  for (size_t i = 0; i < count; ++i) {
+    const Item* item = store.Find(names[i]);
+    ASSERT_NE(item, nullptr) << names[i];
+    ASSERT_EQ(item->id, i) << names[i];
+  }
+  for (const std::string& name : absent) {
+    EXPECT_EQ(store.Find(name), nullptr) << name;
+  }
+}
+
+void IndexAll(const std::vector<std::string>& names,
+              const std::vector<std::string>& absent) {
+  ItemStore store(3);
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(store.GetOrCreate(names[i]).id, i) << names[i];
+    // Creating item 2^k grows the index; check everything right after.
+    if ((i & (i - 1)) == 0) ExpectIndexed(store, names, i + 1, absent);
+  }
+  EXPECT_EQ(store.size(), names.size());
+  ExpectIndexed(store, names, names.size(), absent);
+}
+
+TEST(ItemStoreTest, IndexFindsEveryNameThroughGrowth) {
+  // Every third name is longer than std::string's 15-byte inline buffer.
+  std::vector<std::string> names;
+  for (int i = 0; i < 100000; ++i) {
+    names.push_back(i % 3 == 0 ? "a-name-past-the-inline-buffer-" +
+                                     std::to_string(i)
+                               : "k" + std::to_string(i));
+  }
+  IndexAll(names, {"", "absent", "k100000", "k3",
+                   "a-name-past-the-inline-buffer-1",
+                   "a-name-past-the-inline-buffer-100002"});
+}
+
+TEST(ItemStoreTest, IndexFindsNamesThatShareOneShard) {
+  // A shard stores only names with one ShardOf value, so the index must not
+  // take its slots from the bits of that hash.
+  std::vector<std::string> names;
+  std::vector<std::string> absent;
+  for (int i = 0; names.size() < 20000; ++i) {
+    std::string name = "q.k" + std::to_string(i);
+    if (ShardedReplica::ShardOf(name, 16) != 5) continue;
+    (i % 7 == 0 ? absent : names).push_back(std::move(name));
+  }
+  IndexAll(names, absent);
 }
 
 TEST(ItemStoreTest, ManyItems) {

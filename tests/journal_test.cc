@@ -689,12 +689,12 @@ TEST_F(JournalTest, RandomizedCrashRecoveryEquivalence) {
   const Replica& r = **recovered;
   EXPECT_EQ(r.dbvv(), twin.dbvv());
   EXPECT_EQ(r.items().size(), twin.items().size());
-  for (const auto& item : twin.items()) {
-    const Item* mine = r.FindItem(item->name);
-    ASSERT_NE(mine, nullptr) << item->name;
-    EXPECT_EQ(mine->value, item->value) << item->name;
-    EXPECT_EQ(mine->deleted, item->deleted) << item->name;
-    EXPECT_EQ(mine->ivv, item->ivv) << item->name;
+  for (const Item& item : twin.items()) {
+    const Item* mine = r.FindItem(item.name);
+    ASSERT_NE(mine, nullptr) << item.name;
+    EXPECT_EQ(mine->value, item.value) << item.name;
+    EXPECT_EQ(mine->deleted, item.deleted) << item.name;
+    EXPECT_EQ(mine->ivv, item.ivv) << item.name;
   }
   EXPECT_TRUE(r.CheckInvariants().ok());
 }

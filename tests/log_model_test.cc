@@ -1,6 +1,6 @@
 // Model-based testing of OriginLog against a trivially-correct reference
 // implementation: a map item -> seq plus a sorted view. After thousands of
-// random operations the intrusive list must agree with the model exactly.
+// random operations the slot-linked list must agree with the model exactly.
 
 #include <gtest/gtest.h>
 
@@ -46,8 +46,8 @@ class ModelLog {
 
 std::vector<std::pair<ItemId, UpdateCount>> Walk(const OriginLog& log) {
   std::vector<std::pair<ItemId, UpdateCount>> out;
-  for (const LogRecord* r = log.head(); r != nullptr; r = r->next) {
-    out.emplace_back(r->item, r->seq);
+  for (ItemId x = log.head(); x != kNoItem; x = log.next(x)) {
+    out.emplace_back(x, log.seq(x));
   }
   return out;
 }
@@ -61,20 +61,19 @@ TEST_P(LogModelTest, AgreesWithReferenceUnderRandomOps) {
 
   OriginLog log;
   ModelLog model;
-  std::vector<LogRecord*> p(num_items, nullptr);
   UpdateCount seq = 0;
 
   for (int step = 0; step < 3000; ++step) {
     double dice = rng.NextDouble();
     if (dice < 0.75 || model.size() == 0) {
       ItemId item = static_cast<ItemId>(rng.Uniform(num_items));
-      log.AddLogRecord(item, ++seq, &p[item]);
+      log.AddLogRecord(item, ++seq);
       model.Add(item, seq);
     } else {
       // Remove a random present record (the conflict-drop path).
       auto ordered = model.Ordered();
       ItemId item = ordered[rng.Uniform(ordered.size())].first;
-      log.Remove(p[item], &p[item]);
+      log.Remove(item);
       model.Remove(item);
     }
 

@@ -145,7 +145,8 @@ TEST(AuxUpdateTest, IntraNodeReplayAppliesAuxUpdatesInOrder) {
   EXPECT_EQ(a.stats().intra_node_ops_applied, 2u);
   // Replays appended a log record for the latest local update.
   EXPECT_EQ(a.log_vector().ForOrigin(0).size(), 1u);
-  EXPECT_EQ(a.log_vector().ForOrigin(0).head()->seq, 2u);
+  const OriginLog& own = a.log_vector().ForOrigin(0);
+  EXPECT_EQ(own.seq(own.head()), 2u);
   EXPECT_TRUE(a.CheckInvariants().ok());
 }
 

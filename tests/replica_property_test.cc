@@ -112,10 +112,10 @@ TEST_P(ConflictFreeScheduleTest, RandomScheduleConvergesWithoutConflicts) {
           << "seed=" << seed << " node=" << i << " item=" << item;
     }
     // Every deleted item reads NotFound everywhere (tombstones won).
-    for (const auto& item : nodes[0]->items()) {
-      if (item->deleted) {
-        EXPECT_TRUE(nodes[i]->Read(item->name).status().IsNotFound())
-            << "seed=" << seed << " node=" << i << " item=" << item->name;
+    for (const Item& item : nodes[0]->items()) {
+      if (item.deleted) {
+        EXPECT_TRUE(nodes[i]->Read(item.name).status().IsNotFound())
+            << "seed=" << seed << " node=" << i << " item=" << item.name;
       }
     }
   }

@@ -26,12 +26,13 @@ TEST(ReplicaUpdateTest, FirstUpdateBookkeeping) {
   EXPECT_EQ(item->ivv, Vv({1, 0, 0}));
   EXPECT_EQ(r.dbvv(), Vv({1, 0, 0}));
 
-  // L_00 got one record (x, V_00 = 1).
+  // L_00 got one record (x, V_00 = 1), held in x's slot P_0(x).
   const OriginLog& own = r.log_vector().ForOrigin(0);
   ASSERT_EQ(own.size(), 1u);
-  EXPECT_EQ(own.head()->seq, 1u);
-  EXPECT_EQ(own.head()->item, item->id);
-  EXPECT_EQ(item->p[0], own.head());
+  EXPECT_EQ(own.head(), item->id);
+  EXPECT_EQ(own.tail(), item->id);
+  EXPECT_EQ(own.seq(item->id), 1u);
+  EXPECT_EQ(r.log_vector().ForOrigin(1).seq(item->id), 0u);
 }
 
 TEST(ReplicaUpdateTest, RepeatedUpdatesKeepOneLogRecord) {
@@ -44,7 +45,7 @@ TEST(ReplicaUpdateTest, RepeatedUpdatesKeepOneLogRecord) {
   // Only the latest record survives (§4.2).
   const OriginLog& own = r.log_vector().ForOrigin(1);
   EXPECT_EQ(own.size(), 1u);
-  EXPECT_EQ(own.head()->seq, 5u);
+  EXPECT_EQ(own.seq(own.head()), 5u);
   EXPECT_TRUE(r.CheckInvariants().ok());
 }
 

@@ -44,6 +44,31 @@ TEST(ShardOfTest, StableInRangeAndDegenerateForOneShard) {
   }
 }
 
+// The shard map decides which shard directory and snapshot section holds
+// an item, so it must never change: these are the values the table CRC-32C
+// gave before Crc32c used the SSE4.2 instruction.
+TEST(ShardOfTest, ShardMapIsPinned) {
+  const std::vector<std::pair<std::string, size_t>> pinned = {
+      {"a", 0},
+      {"greet", 14},
+      {"x", 3},
+      {"hot", 11},
+      {"k0", 4},
+      {"q.k0", 14},
+      {"q.k1", 13},
+      {"q.k99999", 11},
+      {"b.k1234", 9},
+      {"z.k42", 11},
+      {"item-7", 0},
+      {"123456789", 3},
+      {"a-name-longer-than-fifteen-bytes", 11},
+      {"a name of exactly 24 B..", 10},
+  };
+  for (const auto& [name, shard] : pinned) {
+    EXPECT_EQ(ShardedReplica::ShardOf(name, 16), shard) << name;
+  }
+}
+
 TEST(ShardOfTest, SpreadsKeysAcrossAllShards) {
   constexpr size_t kShards = 16;
   std::vector<size_t> count(kShards, 0);

@@ -5,9 +5,14 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/replica.h"
+#include "vv/vv_codec.h"
 
 namespace epidemic {
 namespace {
@@ -41,17 +46,17 @@ void ExpectEquivalent(const Replica& a, const Replica& b) {
   EXPECT_EQ(a.num_nodes(), b.num_nodes());
   EXPECT_EQ(a.dbvv(), b.dbvv());
   EXPECT_EQ(a.items().size(), b.items().size());
-  for (const auto& item : a.items()) {
-    const Item* other = b.FindItem(item->name);
-    ASSERT_NE(other, nullptr) << item->name;
-    EXPECT_EQ(item->value, other->value) << item->name;
-    EXPECT_EQ(item->deleted, other->deleted) << item->name;
-    EXPECT_EQ(item->ivv, other->ivv) << item->name;
-    EXPECT_EQ(item->HasAux(), other->HasAux()) << item->name;
-    if (item->HasAux() && other->HasAux()) {
-      EXPECT_EQ(item->aux->value, other->aux->value);
-      EXPECT_EQ(item->aux->deleted, other->aux->deleted);
-      EXPECT_EQ(item->aux->ivv, other->aux->ivv);
+  for (const Item& item : a.items()) {
+    const Item* other = b.FindItem(item.name);
+    ASSERT_NE(other, nullptr) << item.name;
+    EXPECT_EQ(item.value, other->value) << item.name;
+    EXPECT_EQ(item.deleted, other->deleted) << item.name;
+    EXPECT_EQ(item.ivv, other->ivv) << item.name;
+    EXPECT_EQ(item.HasAux(), other->HasAux()) << item.name;
+    if (item.HasAux() && other->HasAux()) {
+      EXPECT_EQ(item.aux->value, other->aux->value);
+      EXPECT_EQ(item.aux->deleted, other->aux->deleted);
+      EXPECT_EQ(item.aux->ivv, other->aux->ivv);
     }
   }
   EXPECT_EQ(a.log_vector().TotalRecords(), b.log_vector().TotalRecords());
@@ -173,6 +178,50 @@ TEST(SnapshotTest, EveryByteFlipCaughtByChecksum) {
     if (!restored.ok()) {
       EXPECT_TRUE(restored.status().IsCorruption());
     }
+  }
+}
+
+// A one-node snapshot of item "x" (IVV [1]) whose L[0] holds `records`,
+// (item id, seq) pairs, laid out and checksummed as EncodeSnapshot does.
+std::string SnapshotWithLog(
+    const std::vector<std::pair<uint64_t, uint64_t>>& records) {
+  const VersionVector one(std::vector<UpdateCount>{1});
+  ByteWriter w;
+  w.PutBytes("EPISNAP1", 8);
+  w.PutVarint64(0);  // node id
+  w.PutVarint64(1);  // nodes
+  EncodeVersionVector(&w, one);
+  w.PutVarint64(1);  // items
+  w.PutString("x");
+  w.PutString("v");
+  w.PutU8(0);  // not deleted
+  EncodeVersionVector(&w, one);
+  w.PutU8(0);  // no auxiliary copy
+  w.PutVarint64(records.size());
+  for (const auto& [item, seq] : records) {
+    w.PutVarint64(item);
+    w.PutVarint64(seq);
+  }
+  w.PutVarint64(0);  // auxiliary log
+  std::string body = w.Release();
+  ByteWriter out;
+  out.PutBytes(body.data(), body.size());
+  out.PutFixed32(Crc32c(body));
+  return out.Release();
+}
+
+TEST(SnapshotTest, MalformedLogRecordsRejected) {
+  ASSERT_TRUE(DecodeSnapshot(SnapshotWithLog({{0, 1}})).ok());
+  const std::pair<std::vector<std::pair<uint64_t, uint64_t>>, std::string>
+      cases[] = {
+          {{{0, 1}, {0, 1}}, "duplicate log record for item 'x'"},
+          {{{0, 0}}, "log record with sequence number 0"},
+          {{{1, 1}}, "log record references unknown item"},
+      };
+  for (const auto& [records, message] : cases) {
+    auto restored = DecodeSnapshot(SnapshotWithLog(records));
+    EXPECT_TRUE(restored.status().IsCorruption()) << message;
+    EXPECT_EQ(restored.status().message(), message);
   }
 }
 
