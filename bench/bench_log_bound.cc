@@ -8,14 +8,20 @@
 //
 // A second table measures what the per-item control state costs in bytes:
 // the resident-set growth per item, minus the value itself, of a sharded
-// node loaded with 100k items. `--json` prints only that table, as JSON,
-// for scripts/run_benchmarks.sh (which gates the n = 3 row).
+// node loaded with 100k items. A third row measures a catch-up: the peak
+// resident set of copying those 100k items into an empty node with one
+// complete pull, per item beyond the value — the recipient's store plus
+// whatever the pull holds at once (the reply pieces and the frame). `--json`
+// prints only these two, as JSON, for scripts/run_benchmarks.sh (which
+// gates the n = 3 row and the catch-up row).
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -72,15 +78,64 @@ void RunRow(uint64_t total_updates, uint64_t num_items, size_t num_nodes) {
               max_records <= bound ? "yes" : "NO");
 }
 
-// Resident set size of this process, from /proc/self/statm.
-long ResidentBytes() {
-  long pages = 0;
-  long resident = 0;
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
+// The value of `key` ("VmRSS:", "VmHWM:") in /proc/self/status, in
+// bytes, or -1 when unavailable.
+long StatusBytes(const char* key) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return -1;
-  const int got = std::fscanf(f, "%ld %ld", &pages, &resident);
+  char line[256];
+  long kb = -1;
+  const size_t key_len = std::strlen(key);
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, key, key_len) == 0) {
+      kb = std::strtol(line + key_len, nullptr, 10);
+      break;
+    }
+  }
   std::fclose(f);
-  return got == 2 ? resident * sysconf(_SC_PAGESIZE) : -1;
+  return kb < 0 ? -1 : kb * 1024;
+}
+
+// Runs `measure` in a forked child and returns its result (-1 on failure),
+// so memory an earlier row freed cannot be reused and hide growth, and the
+// child's high-water mark is its own.
+double InChild(const std::function<double()>& measure) {
+  int fds[2];
+  if (pipe(fds) != 0) return -1;
+  const pid_t child = fork();
+  if (child == 0) {
+    close(fds[0]);
+    const double result = measure();
+    const ssize_t written = write(fds[1], &result, sizeof(result));
+    _exit(written == sizeof(result) ? 0 : 1);
+  }
+  close(fds[1]);
+  double result = -1;
+  if (child > 0 && read(fds[0], &result, sizeof(result)) !=
+                       static_cast<ssize_t>(sizeof(result))) {
+    result = -1;
+  }
+  close(fds[0]);
+  if (child > 0) waitpid(child, nullptr, 0);
+  return result;
+}
+
+// Loads `items` items named q.k<i> with `value_bytes`-byte values into
+// `replica` through `exchange`'s scheduler, as a daemon's client updates
+// arrive.
+void Load(epidemic::ShardedReplica& replica,
+          epidemic::server::ShardedExchange& exchange, size_t items,
+          size_t value_bytes) {
+  const std::string value(value_bytes, 'v');
+  for (size_t i = 0; i < items; ++i) {
+    const std::string name = "q.k" + std::to_string(i);
+    exchange.sched().Execute(
+        replica.ShardOf(name), epidemic::runtime::TaskKind::kLocalUpdate,
+        /*mutates=*/true, [&](const epidemic::runtime::ShardToken& token) {
+          epidemic::runtime::AssertShardContext(token);
+          (void)replica.Update(name, value);
+        });
+  }
 }
 
 struct MemoryRow {
@@ -91,52 +146,22 @@ struct MemoryRow {
   double overhead_bytes_per_item;  // RSS growth per item minus value_bytes
 };
 
-// Loads `items` items named q.k<i> with `value_bytes`-byte values into a
-// fresh ShardedReplica through its inline exchange's scheduler, as a
-// daemon's client updates arrive, and reports the RSS growth per item
-// beyond the value. Runs in a child process, so memory an earlier row
-// freed cannot be reused and hide growth.
+// Loads `items` items into a fresh ShardedReplica and reports the RSS
+// growth per item beyond the value.
 MemoryRow MeasureMemoryRow(size_t nodes, size_t shards, size_t items,
                            size_t value_bytes) {
-  MemoryRow row{nodes, shards, items, value_bytes, -1};
-  int fds[2];
-  if (pipe(fds) != 0) return row;
-  const pid_t child = fork();
-  if (child == 0) {
-    close(fds[0]);
+  const double per_item = InChild([=] {
     epidemic::ShardedReplica replica(0, nodes, shards);
     epidemic::BufferPool pool;
     epidemic::server::ShardedExchange exchange(replica, pool);
-    const std::string value(value_bytes, 'v');
-    const long before = ResidentBytes();
-    for (size_t i = 0; i < items; ++i) {
-      const std::string name = "q.k" + std::to_string(i);
-      exchange.sched().Execute(
-          replica.ShardOf(name), epidemic::runtime::TaskKind::kLocalUpdate,
-          /*mutates=*/true,
-          [&](const epidemic::runtime::ShardToken& token) {
-            epidemic::runtime::AssertShardContext(token);
-            (void)replica.Update(name, value);
-          });
-    }
-    const long after = ResidentBytes();
-    const double per_item =
-        before < 0 || after < 0
-            ? -1
-            : static_cast<double>(after - before) / static_cast<double>(items) -
-                  static_cast<double>(value_bytes);
-    const ssize_t written = write(fds[1], &per_item, sizeof(per_item));
-    _exit(written == sizeof(per_item) ? 0 : 1);
-  }
-  close(fds[1]);
-  double per_item = -1;
-  if (child > 0 && read(fds[0], &per_item, sizeof(per_item)) ==
-                       static_cast<ssize_t>(sizeof(per_item))) {
-    row.overhead_bytes_per_item = per_item;
-  }
-  close(fds[0]);
-  if (child > 0) waitpid(child, nullptr, 0);
-  return row;
+    const long before = StatusBytes("VmRSS:");
+    Load(replica, exchange, items, value_bytes);
+    const long after = StatusBytes("VmRSS:");
+    if (before < 0 || after < 0) return -1.0;
+    return static_cast<double>(after - before) / static_cast<double>(items) -
+           static_cast<double>(value_bytes);
+  });
+  return MemoryRow{nodes, shards, items, value_bytes, per_item};
 }
 
 std::vector<MemoryRow> MemoryRows() {
@@ -148,6 +173,40 @@ std::vector<MemoryRow> MemoryRows() {
   return rows;
 }
 
+// Loads `items` items into a source node, then copies them into an empty
+// node with one PullSharded, and reports (VmHWM after the pull − VmRSS
+// before it) per item beyond the value: the recipient's store plus the
+// pull's peak in flight. Without a serve budget that peak holds the whole
+// reply twice, as pieces and as the flattened frame.
+MemoryRow MeasureCatchUpRow(size_t nodes, size_t shards, size_t items,
+                            size_t value_bytes) {
+  const double per_item = InChild([=] {
+    epidemic::ShardedReplica source(0, nodes, shards);
+    epidemic::ShardedReplica recipient(1, nodes, shards);
+    epidemic::BufferPool pool;
+    epidemic::server::ShardedExchange from(source, pool);
+    epidemic::server::ShardedExchange to(recipient, pool);
+    Load(source, from, items, value_bytes);
+    const long before = StatusBytes("VmRSS:");
+    auto copied = epidemic::server::PullSharded(to, from);
+    const long peak = StatusBytes("VmHWM:");
+    if (!copied.ok() || *copied != items || before < 0 || peak < 0) {
+      return -1.0;
+    }
+    return static_cast<double>(peak - before) / static_cast<double>(items) -
+           static_cast<double>(value_bytes);
+  });
+  return MemoryRow{nodes, shards, items, value_bytes, per_item};
+}
+
+void PrintJsonRow(const MemoryRow& r, const char* key) {
+  std::printf(
+      "{\"nodes\": %zu, \"shards\": %zu, \"items\": %zu, "
+      "\"value_bytes\": %zu, \"%s\": %.1f}",
+      r.nodes, r.shards, r.items, r.value_bytes, key,
+      r.overhead_bytes_per_item);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -155,14 +214,14 @@ int main(int argc, char** argv) {
     std::printf("{\"memory_rows\": [");
     const std::vector<MemoryRow> rows = MemoryRows();
     for (size_t i = 0; i < rows.size(); ++i) {
-      const MemoryRow& r = rows[i];
-      std::printf(
-          "%s\n  {\"nodes\": %zu, \"shards\": %zu, \"items\": %zu, "
-          "\"value_bytes\": %zu, \"overhead_bytes_per_item\": %.1f}",
-          i == 0 ? "" : ",", r.nodes, r.shards, r.items, r.value_bytes,
-          r.overhead_bytes_per_item);
+      std::printf("%s\n  ", i == 0 ? "" : ",");
+      PrintJsonRow(rows[i], "overhead_bytes_per_item");
     }
-    std::printf("\n]}\n");
+    std::printf("\n],\n\"catchup_row\": ");
+    PrintJsonRow(MeasureCatchUpRow(/*nodes=*/3, /*shards=*/16,
+                                   /*items=*/100000, /*value_bytes=*/256),
+                 "peak_bytes_per_item");
+    std::printf("}\n");
     return 0;
   }
   std::printf(
@@ -192,5 +251,13 @@ int main(int argc, char** argv) {
     std::printf("%8zu %8zu %10zu %12zu %22.1f\n", r.nodes, r.shards, r.items,
                 r.value_bytes, r.overhead_bytes_per_item);
   }
+  std::printf(
+      "\nE4 catch-up: peak RSS per item beyond its value while one pull\n"
+      "copies the node into an empty one\n\n");
+  std::printf("%8s %8s %10s %12s %22s\n", "nodes", "shards", "items",
+              "value_bytes", "peak_B_per_item");
+  const MemoryRow c = MeasureCatchUpRow(3, 16, 100000, 256);
+  std::printf("%8zu %8zu %10zu %12zu %22.1f\n", c.nodes, c.shards, c.items,
+              c.value_bytes, c.overhead_bytes_per_item);
   return 0;
 }

@@ -50,7 +50,8 @@ std::string JournalFrame(std::string_view payload) {
   return framed.Release();
 }
 
-std::vector<SeedInput> CodecSeeds() {
+/// Every message of the codec, as the daemon's encoders write it.
+std::vector<SeedInput> MessageSeeds() {
   std::vector<SeedInput> out;
   auto replica = MakeSeededReplica();
   auto sharded = MakeSeededShardedReplica();
@@ -98,6 +99,40 @@ std::vector<SeedInput> CodecSeeds() {
   EPI_CHECK(source.Update("gamma", "g1").ok());
   Add(&out, "sharded_response_v3",
       server::ShardedExchange(source, pool).ServeFrame(req_v3));
+  return out;
+}
+
+/// Partial replies (response flag 0x02): the one a source with a one-byte
+/// serve budget writes to an empty node's handshake, and one carrying no
+/// segment, which every decoder refuses.
+std::vector<SeedInput> PartialReplySeeds() {
+  std::vector<SeedInput> out;
+  ShardedReplica empty(0, kFuzzNodes, kFuzzShards);
+  ShardedReplica source(1, kFuzzNodes, kFuzzShards);
+  for (const char* name : {"alpha", "beta", "gamma", "delta"}) {
+    EPI_CHECK(source.Update(name, name).ok());
+  }
+  BufferPool pool;
+  const std::string partial =
+      server::ShardedExchange(source, pool, /*serve_budget=*/1)
+          .ServeFrame(server::ShardedExchange(empty, pool).Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  EPI_CHECK(server::DecodeReplyFrame(partial, &env).ok());
+  EPI_CHECK(env.partial() && env.segments.size() == 1);
+  Add(&out, "sharded_response_v3_partial", partial);
+
+  ShardedPropagationResponse empty_partial;
+  empty_partial.num_shards = kFuzzShards;
+  empty_partial.resp_flags = kPropRespFlagPartial;
+  empty_partial.epoch = 1;
+  Add(&out, "sharded_response_v3_partial_empty",
+      net::Encode(net::Message(empty_partial)));
+  return out;
+}
+
+std::vector<SeedInput> CodecSeeds() {
+  std::vector<SeedInput> out = MessageSeeds();
+  for (SeedInput& seed : PartialReplySeeds()) out.push_back(std::move(seed));
   return out;
 }
 
@@ -225,8 +260,9 @@ std::vector<SeedInput> JournalSeeds() {
 
 std::vector<SeedInput> ServerFrameSeeds() {
   // The server consumes codec frames; reuse them and add a v3 exchange
-  // captured from a live server (the direct-to-frame serve reply).
-  std::vector<SeedInput> out = CodecSeeds();
+  // captured from a live server (the direct-to-frame serve reply), then
+  // the partial replies.
+  std::vector<SeedInput> out = MessageSeeds();
 
   net::InProcHub hub(kFuzzNodes);
   net::InProcTransport transport(&hub);
@@ -242,6 +278,7 @@ std::vector<SeedInput> ServerFrameSeeds() {
   std::string reply = server.HandleRequest(net::Encode(
       net::Message(server::ShardedExchange(requester, pool).Handshake())));
   Add(&out, "served_v3_response_frame", reply);
+  for (SeedInput& seed : PartialReplySeeds()) out.push_back(std::move(seed));
   return out;
 }
 

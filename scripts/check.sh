@@ -11,9 +11,11 @@
 #   scripts/check.sh --model  # build + exhaustive epicheck model runs
 #   scripts/check.sh --bench-smoke  # build + one fast benchmark pass (JSON);
 #                                   # fails if the E2 exchange grows >3x
-#                                   # from N=1,024 to N=262,144, or if an
+#                                   # from N=1,024 to N=262,144, if an
 #                                   # item costs >210 B beyond its value
-#                                   # at n=3 (E4 memory row)
+#                                   # at n=3 (E4 memory row), or if a
+#                                   # 100k-item catch-up peaks >500 B per
+#                                   # item beyond its value (E4 catch-up)
 #   scripts/check.sh --fuzz-smoke   # short fuzz run of every decode target:
 #                                   # libFuzzer+ASan/UBSan under clang,
 #                                   # the deterministic mini fuzzer otherwise
@@ -84,7 +86,8 @@ case "$mode" in
     # The reference configurations from DESIGN.md §9: every interleaving
     # of the action alphabet up to the stated depth, against the real
     # replica code. Every row runs the daemon's exchange and its wire-v3
-    # segments (tags 17/18). Each row must explore exactly the counts of
+    # segments (tags 17/18); the last gives every reply a one-byte serve
+    # budget, so each sync accepts one partial reply. Each row must explore exactly the counts of
     # EXPERIMENTS.md M1 ("states transitions deduplicated"); keep this
     # block and that table in step. Extra arguments change the
     # configuration, so with them the counts are printed, not compared.
@@ -94,6 +97,7 @@ case "$mode" in
       "--nodes 2 --items 2 --depth 8|50091 196670 146580"
       "--nodes 3 --items 2 --depth 6|59111 249927 190817"
       "--nodes 2 --items 2 --depth 6 --shards 2|2669 10374 7706"
+      "--nodes 2 --items 2 --depth 6 --shards 2 --serve-budget 1|2386 9562 7177"
     )
     for row in "${model_rows[@]}"; do
       read -r -a config <<< "${row%%|*}"

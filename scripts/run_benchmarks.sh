@@ -10,7 +10,10 @@
 #   - bench_sharded_parallel full pull rounds/sec and update latency under
 #                            write load
 #   - bench_log_bound        E4's memory rows: RSS growth per item beyond
-#                            its value, n = 3 and n = 8, S = 16, 100k items
+#                            its value, n = 3 and n = 8, S = 16, 100k items;
+#                            and the catch-up row: the peak RSS per item
+#                            beyond its value while one pull copies those
+#                            100k items (n = 3) into an empty node
 # The multi-process cluster (real epidemicd daemons on loopback) is
 # measured by the repo benchmark, perfbench/ (BENCHMARK.json).
 #
@@ -19,7 +22,9 @@
 #            and exit 1 if the E2 exchange at N=262,144 took more than 3x
 #            the one at N=1,024: the paper's O(m) exchange (§6) must not
 #            grow with the database size; or if an item costs more than
-#            210 B beyond its value at n = 3 (E4 memory row)
+#            210 B beyond its value at n = 3 (E4 memory row); or if the
+#            catch-up peaks above 500 B per item beyond its value (E4
+#            catch-up row: a pull must not hold its whole reply)
 #   --smoke  cut measurement time (CI shape check, not a measurement)
 #
 # Binaries are expected under $BUILD_DIR/bench (default: build/bench);
@@ -130,6 +135,12 @@ e2_growth = round(large_db["us_per_exchange"] / small_db["us_per_exchange"], 2)
 # E4 memory: bytes an item costs beyond its value, n = 3, S = 16.
 E4_MAX_OVERHEAD_N3 = 210
 mem_n3 = next((r for r in mem["memory_rows"] if r["nodes"] == 3), None)
+# E4 catch-up: the peak bytes per item beyond its value while one pull
+# copies 100k items into an empty node. A reply that held the whole
+# catch-up measured about 833 B; replies bounded by the serve budget about
+# 357 B.
+E4_MAX_CATCHUP_PEAK = 500
+catchup = mem.get("catchup_row")
 
 result = {
     "artifact": "BENCH_PR10",
@@ -155,6 +166,8 @@ result = {
     "memory_e4": {
         "rows": mem["memory_rows"],
         "max_overhead_bytes_per_item_n3": E4_MAX_OVERHEAD_N3,
+        "catchup": catchup,
+        "max_catchup_peak_bytes_per_item": E4_MAX_CATCHUP_PEAK,
     },
     "sharded_parallel": par,
 }
@@ -187,6 +200,9 @@ print(f"  E2 exchange (m=64) N=1024 {small_db['us_per_exchange']} us, "
 for r in mem["memory_rows"]:
     print(f"  E4 memory n={r['nodes']} S={r['shards']}: "
           f"{r['overhead_bytes_per_item']} B/item beyond the value")
+if catchup is not None:
+    print(f"  E4 catch-up n={catchup['nodes']} S={catchup['shards']}: "
+          f"peak {catchup['peak_bytes_per_item']} B/item beyond the value")
 failed = False
 if e2_growth > E2_MAX_GROWTH:
     print(f"E2 gate: the m=64 exchange grew {e2_growth}x from N=1,024 to "
@@ -198,6 +214,12 @@ if (mem_n3 is None or mem_n3["overhead_bytes_per_item"] < 0 or
     got = "no row" if mem_n3 is None else mem_n3["overhead_bytes_per_item"]
     print(f"E4 memory gate: an item costs {got} B beyond its value at n=3 "
           f"(limit {E4_MAX_OVERHEAD_N3} B)", file=sys.stderr)
+    failed = True
+if (catchup is None or catchup["peak_bytes_per_item"] < 0 or
+        catchup["peak_bytes_per_item"] > E4_MAX_CATCHUP_PEAK):
+    got = "no row" if catchup is None else catchup["peak_bytes_per_item"]
+    print(f"E4 catch-up gate: one pull peaked at {got} B per item beyond "
+          f"its value (limit {E4_MAX_CATCHUP_PEAK} B)", file=sys.stderr)
     failed = True
 if failed:
     sys.exit(1)

@@ -1,5 +1,6 @@
 #include "check/action.h"
 
+#include <charconv>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,6 +128,9 @@ std::string EncodeTrace(const TraceFile& trace) {
   out += "nodes " + std::to_string(trace.nodes) + "\n";
   out += "items " + std::to_string(trace.items) + "\n";
   out += "shards " + std::to_string(trace.shards) + "\n";
+  if (trace.serve_budget != server::kServeBudgetBytes) {
+    out += "serve-budget " + std::to_string(trace.serve_budget) + "\n";
+  }
   out += "mutate " + trace.mutation + "\n";
   for (const Action& action : trace.actions) {
     out += FormatAction(action) + "\n";
@@ -159,6 +163,18 @@ Result<TraceFile> DecodeTrace(std::string_view text) {
       if (verb == "nodes") trace.nodes = *v;
       if (verb == "items") trace.items = *v;
       if (verb == "shards") trace.shards = *v;
+      continue;
+    }
+    if (verb == "serve-budget") {
+      uint64_t v = 0;
+      const std::string tok = tokens.size() == 2 ? tokens[1] : "";
+      const auto [end, ec] =
+          std::from_chars(tok.data(), tok.data() + tok.size(), v);
+      if (ec != std::errc() || end != tok.data() + tok.size() || v == 0) {
+        return Status::InvalidArgument(
+            "'serve-budget' takes one number, at least 1");
+      }
+      trace.serve_budget = v;
       continue;
     }
     if (verb == "mutate") {

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "server/sharded_exchange.h"
 
 namespace epidemic::check {
 
@@ -53,16 +54,20 @@ struct TraceFile {
   uint32_t nodes = 2;
   uint32_t items = 2;
   uint32_t shards = 1;
+  /// The serve budget; written only when it is not the default.
+  uint64_t serve_budget = server::kServeBudgetBytes;
   std::string mutation = "none";
   std::vector<Action> actions;
 };
 
 /// Renders a trace file: `#`-comment header, `nodes/items/shards/mutate`
-/// directives, then one action per line.
+/// directives (and `serve-budget` when it is not the default), then one
+/// action per line.
 std::string EncodeTrace(const TraceFile& trace);
 
 /// Parses EncodeTrace output. Blank lines and `#` comments are ignored;
-/// unknown directives and `shards 0` are errors so stale files fail loudly.
+/// unknown directives, `shards 0` and `serve-budget 0` are errors so
+/// stale files fail loudly.
 Result<TraceFile> DecodeTrace(std::string_view text);
 
 }  // namespace epidemic::check

@@ -10,12 +10,13 @@
 namespace epidemic::check {
 namespace {
 
-/// How many full sync+pump sweeps the quiescence oracle runs before
-/// declaring that the system does not quiesce. With n ≤ 3 honest replicas,
-/// n-1 sweeps reach every node transitively (Theorem 5's premise) and a
-/// couple more retire auxiliary chains; 16 leaves a wide margin, so hitting
-/// the cap means a genuine livelock (e.g. an update loop planted by a
-/// mutation).
+/// How many full sync+pump sweeps per shard the quiescence oracle runs
+/// before declaring that the system does not quiesce. With n ≤ 3 honest
+/// replicas, n-1 sweeps reach every node transitively (Theorem 5's
+/// premise) and a couple more retire auxiliary chains; 16 leaves a wide
+/// margin, so hitting the cap means a genuine livelock (e.g. an update
+/// loop planted by a mutation). Per shard, because a serve budget can
+/// make each sync carry a single shard.
 constexpr size_t kMaxClosureSweeps = 16;
 
 /// One DFS state: the production snapshot of every node, plus the two
@@ -184,9 +185,17 @@ std::string CheckQuiescence(const WorldConfig& config, const Bundle& at) {
     return all;
   };
 
+  // A sync accepts one reply, and a partial reply's continuation is the
+  // next sync of the same pair, which the source resumes where the last
+  // one stopped (server::ShardedExchange::Serve). So S sweeps in a row
+  // that change nothing have offered every shard of every source to every
+  // recipient, and only then is the closure at its fixpoint. With one
+  // shard, or replies that are never partial, that is one quiet sweep.
+  const size_t max_sweeps = kMaxClosureSweeps * config.num_shards;
   std::string prev;
   bool fixpoint = false;
-  for (size_t sweep = 0; sweep < kMaxClosureSweeps; ++sweep) {
+  size_t quiet_sweeps = 0;
+  for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     for (uint32_t a = 0; a < world.num_nodes(); ++a) {
       for (uint32_t b = 0; b < world.num_nodes(); ++b) {
         if (a == b) continue;
@@ -202,7 +211,8 @@ std::string CheckQuiescence(const WorldConfig& config, const Bundle& at) {
       conflicted.insert(event.item_name);
     }
     std::string canon = canon_all();
-    if (canon == prev) {
+    quiet_sweeps = canon == prev ? quiet_sweeps + 1 : 0;
+    if (quiet_sweeps == config.num_shards) {
       fixpoint = true;
       break;
     }
@@ -210,7 +220,7 @@ std::string CheckQuiescence(const WorldConfig& config, const Bundle& at) {
   }
   if (!fixpoint) {
     return "no quiescence: sync/pump closure still changing state after " +
-           std::to_string(kMaxClosureSweeps) + " sweeps";
+           std::to_string(max_sweeps) + " sweeps";
   }
 
   bool identical = true;

@@ -73,8 +73,8 @@ ConflictListener* World::listener_for(Node& node) {
 void World::Bind(Node& node, std::unique_ptr<ShardedReplica> replica) {
   node.exchange.reset();  // it borrows the replica being replaced
   node.replica = std::move(replica);
-  node.exchange =
-      std::make_unique<server::ShardedExchange>(*node.replica, buffer_pool_);
+  node.exchange = std::make_unique<server::ShardedExchange>(
+      *node.replica, buffer_pool_, config_.serve_budget);
 }
 
 Status World::Apply(const Action& action) {
@@ -159,17 +159,17 @@ Status World::Apply(const Action& action) {
 }
 
 Status World::ApplySync(size_t recipient, size_t source) {
-  // The daemon's exchange (server/sharded_exchange.h) on each node's
-  // inline scheduler — the handshake snapshot as one batch on the
-  // recipient, the serve as one batch on the source (the real wire-v3
-  // reply frame, tag 18), then the envelope decode and one accept batch
-  // on the recipient. The inline scheduler runs every batch in the order
-  // of its shard list, so the whole exchange is a pure function of the
-  // schedule.
+  // One round trip of the daemon's exchange (server/sharded_exchange.h)
+  // on each node's inline scheduler — the handshake snapshot as one batch
+  // on the recipient, the serve as one batch on the source (the real
+  // wire-v3 reply frame, tag 18), then the envelope decode and one accept
+  // batch on the recipient. The inline scheduler runs every batch in the
+  // order of its shard list, so the whole exchange is a pure function of
+  // the schedule. A partial reply's continuation is the next sync.
   server::ShardedExchange& to = *nodes_[recipient]->exchange;
   server::ShardedExchange& from = *nodes_[source]->exchange;
   if (config_.mutation != Mutation::kTamperIvv || tampered_) {
-    return server::PullSharded(to, from).status();
+    return server::PullStep(to, from).status();
   }
   // kTamperIvv: the source lies on the wire. The first segment that ships
   // items is re-encoded with its first item's IVV raised by one at the

@@ -50,6 +50,10 @@ struct WorldConfig {
   /// its serve, wire-v3 reply frame, zero-copy envelope decode and accept;
   /// the oob is its §5.2 request, serve and accept over codec frames.
   size_t num_shards = 1;
+  /// Every node's serve budget (server::ShardedExchange). A budget smaller
+  /// than a reply makes it partial, and one sync accepts one reply, so
+  /// other actions interleave between the steps of a catch-up.
+  size_t serve_budget = server::kServeBudgetBytes;
   /// Include tombstone writes in the alphabet.
   bool with_deletes = false;
   Mutation mutation = Mutation::kNone;

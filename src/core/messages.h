@@ -39,6 +39,13 @@ inline constexpr uint8_t kPropFlagEpochProbe = 0x02;
 /// not cache the attached epoch (no data was served under it).
 inline constexpr uint8_t kPropRespFlagResend = 0x01;
 
+/// Response flag: the reply is partial — the source stopped at its serve
+/// budget and left at least one stale shard out. It carries at least one
+/// segment and never kPropRespFlagResend. The requester accepts it and
+/// handshakes again at once for the rest; it must not cache the attached
+/// epoch (the reply did not answer every shard).
+inline constexpr uint8_t kPropRespFlagPartial = 0x02;
+
 /// Step (1) of update propagation (§5.1): recipient i sends its DBVV to the
 /// prospective source j.
 struct PropagationRequest {

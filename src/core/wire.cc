@@ -104,8 +104,11 @@ Status DecodeShardedPropagationResponseEnvelopeV3(
   out->segments.clear();
   auto resp_flags = r.GetU8();
   if (!resp_flags.ok()) return resp_flags.status();
-  if ((*resp_flags & ~kPropRespFlagResend) != 0) {
+  if ((*resp_flags & ~(kPropRespFlagResend | kPropRespFlagPartial)) != 0) {
     return Status::Corruption("unknown sharded response flags");
+  }
+  if (*resp_flags == (kPropRespFlagResend | kPropRespFlagPartial)) {
+    return Status::Corruption("reply both partial and resend");
   }
   auto epoch = r.GetVarint64();
   if (!epoch.ok()) return epoch.status();
@@ -122,6 +125,11 @@ Status DecodeShardedPropagationResponseEnvelopeV3(
   }
   if ((*resp_flags & kPropRespFlagResend) != 0 && *count != 0) {
     return Status::Corruption("resend reply carrying segments");
+  }
+  // A partial reply with nothing in it would let a source keep a puller
+  // handshaking without ever making progress.
+  if ((*resp_flags & kPropRespFlagPartial) != 0 && *count == 0) {
+    return Status::Corruption("partial reply carrying no segments");
   }
   out->resp_flags = *resp_flags;
   out->epoch = *epoch;

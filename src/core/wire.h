@@ -71,6 +71,7 @@ struct ShardedResponseEnvelopeView {
   bool resend_requested() const {
     return (resp_flags & kPropRespFlagResend) != 0;
   }
+  bool partial() const { return (resp_flags & kPropRespFlagPartial) != 0; }
 };
 /// View-decoding twin of DecodeShardedResponseBodyV3: same
 /// layout, same validations, no segment-body copies.

@@ -210,9 +210,11 @@ void ReplicaServer::HandleRequestV(std::string_view request,
       reply->recycle_pool = &buffer_pool_;
       return;
     }
-    // Fan-out serve cache: a full serve's reply is a pure function of
+    // Fan-out serve cache: a complete serve's reply is a pure function of
     // (request flags + shard DBVVs, mutation epoch) — serves are read-only
-    // tasks, so they never bump the epoch, and every mutation does. A hit
+    // tasks, so they never bump the epoch, and every mutation does (a
+    // partial reply also depends on where the serve started, and is never
+    // cached). A hit
     // skips the serve entirely, which also skips the §4.1
     // requester-frontier recording the serve would have done — that only
     // *lags* the peer-DBVV frontier (stability detection, Theorem 5), it
@@ -229,8 +231,8 @@ void ReplicaServer::HandleRequestV(std::string_view request,
     auto entry = std::make_shared<CachedServeFrame>();
     entry->digest = digest;
     entry->epoch = epoch0;
-    exchange_.Serve(*sharded_req, epoch0, &entry->parts);
-    if (sched_->MutationEpoch() == epoch0) {
+    const bool partial = exchange_.Serve(*sharded_req, epoch0, &entry->parts);
+    if (!partial && sched_->MutationEpoch() == epoch0) {
       // No mutating task completed across the serve: the pieces are the
       // epoch0 reply, byte for byte (the epoch is monotonic, so equal
       // endpoints pin every sample in between). Publish for replay.
@@ -239,9 +241,12 @@ void ReplicaServer::HandleRequestV(std::string_view request,
           std::shared_ptr<const std::vector<std::string>>(entry, parts);
       InsertServeCache(std::move(entry));
     } else {
-      // A mutation raced the serve; the reply is still a correct snapshot
-      // to send once, but caching it under epoch0 would be wrong and under
-      // the new epoch unverifiable. Send and recycle.
+      // A mutation raced the serve, or the reply is partial. Either is a
+      // correct reply to send once. Caching the first under epoch0 would
+      // be wrong and under the new epoch unverifiable. Caching partial
+      // replies would pin every step of a catch-up here: the steps share
+      // one epoch and differ in digest, so they would fill the slots with
+      // up to a budget each. Send and recycle.
       reply->owned = std::move(entry->parts);
       reply->recycle_pool = &buffer_pool_;
     }
@@ -451,11 +456,18 @@ Status ReplicaServer::PullFrom(NodeId peer) {
     req = exchange_.Handshake();
   }
   // Response frames land in a pooled buffer reused across pulls (and
-  // across the probe→resend retry inside this call) through CallInto, so
-  // the steady-state round never allocates a fresh frame-sized string per
+  // across the round trips inside this call) through CallInto, so the
+  // steady-state round never allocates a fresh frame-sized string per
   // round trip. The zero-copy accept below borrows views into it; the
   // buffer outlives them (returned to the pool only at scope exit).
   PooledBuffer wire(&buffer_pool_);
+  // A partial reply stopped at the source's serve budget; each one is
+  // followed at once by a fresh handshake for the shards it left out. An
+  // honest source needs at most S continuations (each reply ships at
+  // least one stale shard), unless it keeps writing into shards it has
+  // already shipped; past that the pull gives up, so a lying source costs
+  // S + 1 handshakes, not a loop, and the next round starts afresh.
+  size_t continuations = 0;
   for (;;) {
     Status call_status =
         transport_->CallInto(peer, net::Encode(Message(req)), &*wire);
@@ -490,12 +502,23 @@ Status ReplicaServer::PullFrom(NodeId peer) {
       continue;
     }
     if (probing) return Status::OK();  // current by epoch; nothing to apply
-    Status s = exchange_.Accept(env.num_shards, env.segments);
-    if (s.ok() && env.epoch != 0 && peer < peer_epoch_count_) {
-      // relaxed: conservative epoch cache; stale probes re-pull.
-      peer_epoch_[peer].store(env.epoch, std::memory_order_relaxed);
+    EPI_RETURN_NOT_OK(exchange_.Accept(env.num_shards, env.segments));
+    if (!env.partial()) {
+      // The reply compared every shard against the latest handshake, so
+      // its epoch vouches for the whole database. A partial one does not.
+      if (env.epoch != 0 && peer < peer_epoch_count_) {
+        // relaxed: conservative epoch cache; stale probes re-pull.
+        peer_epoch_[peer].store(env.epoch, std::memory_order_relaxed);
+      }
+      return Status::OK();
     }
-    return s;
+    if (continuations == replica_->num_shards()) {
+      return Status::Unavailable(
+          "peer " + std::to_string(peer) + " still partial after " +
+          std::to_string(continuations) + " continuations");
+    }
+    ++continuations;
+    req = exchange_.Handshake();
   }
 }
 

@@ -154,6 +154,9 @@ class ReplicaServer : public net::RequestHandler {
 
   /// One anti-entropy exchange pulling from `peer` over the transport —
   /// all shards in one round trip, unchanged shards skipped by the peer.
+  /// A reply the peer marked partial (its serve budget was spent) is
+  /// accepted and followed at once by a fresh handshake, up to S
+  /// continuations; a reply still partial after that is Unavailable.
   Status PullFrom(NodeId peer);
 
   /// Out-of-bound fetch of `item` from `peer` over the transport (§5.2):
@@ -185,13 +188,14 @@ class ReplicaServer : public net::RequestHandler {
  private:
   void AntiEntropyLoop() EXCLUDES(thread_mu_);
 
-  /// Fan-out serve cache. A full serve's reply is a pure function of
+  /// Fan-out serve cache. A complete serve's reply is a pure function of
   /// (request flags + shard DBVVs, scheduler mutation epoch): the epoch is
   /// bumped by every mutating task, so equal epochs mean bytewise-equal
   /// replies. When N peers pull the same tail from a quiescent node, the
   /// first request encodes it and the other N-1 replay the cached pieces.
   /// Entries are immutable once published (shared_ptr<const>); the cache
-  /// is direct-mapped by digest and invalidated by epoch mismatch.
+  /// is direct-mapped by digest and invalidated by epoch mismatch. Partial
+  /// replies are never published.
   struct CachedServeFrame {
     uint64_t digest = 0;
     uint64_t epoch = 0;

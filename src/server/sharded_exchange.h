@@ -1,6 +1,8 @@
 #ifndef EPIDEMIC_SERVER_SHARDED_EXCHANGE_H_
 #define EPIDEMIC_SERVER_SHARDED_EXCHANGE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,20 +30,32 @@ namespace epidemic::server {
 /// through PullSharded and PullOob, so every in-process exchange crosses
 /// the frame bytes a daemon sends.
 ///
+/// The serve budget: a reply carries whole stale shards until their pieces
+/// reach this many bytes, and leaves the rest for a continuation
+/// (kPropRespFlagPartial). With inline tasks a reply is at most the budget
+/// plus one shard's piece; with owner workers, one piece more per worker
+/// that checked the total at the same time. 4 MiB keeps a reply far below
+/// the 256 MiB frame limit and its receive buffer within BufferPool's
+/// 8 MiB cap, and bulk catch-up rounds of a few hundred KB never split.
+inline constexpr size_t kServeBudgetBytes = size_t{4} << 20;
+
 /// An exchange binds one node's shards to their scheduler and to the pool
-/// its reply pieces come from. It owns nothing else but the [0, S) shard
-/// list its all-shard batches fan out over, built once so no round
-/// re-materializes it.
+/// its reply pieces come from. It owns nothing else but its serve budget,
+/// the [0, S) shard list its all-shard batches fan out over (built once so
+/// no round re-materializes it), and per requester the shard its next
+/// serve starts at.
 class ShardedExchange {
  public:
   /// Binds `replica` to `sched`, which must run one scheduler shard per
-  /// replica shard.
+  /// replica shard. Only tests and the model checker pass another
+  /// `serve_budget`, which must be at least 1.
   ShardedExchange(ShardedReplica& replica, runtime::ShardScheduler& sched,
-                  BufferPool& pool);
+                  BufferPool& pool, size_t serve_budget = kServeBudgetBytes);
 
   /// Binds `replica` to an inline scheduler of its own (workers = 0:
   /// every task runs on the calling thread before the call returns).
-  ShardedExchange(ShardedReplica& replica, BufferPool& pool);
+  ShardedExchange(ShardedReplica& replica, BufferPool& pool,
+                  size_t serve_budget = kServeBudgetBytes);
 
   /// True when `req` asks for segments: not an epoch probe, and one DBVV
   /// per local shard. Only such serves touch the shards.
@@ -62,11 +76,17 @@ class ShardedExchange {
   /// every stale shard encodes its self-contained piece ([shard
   /// varint][padded length slot][body]) into its own pooled slot inside
   /// one ExecuteBatchIndexed fan-out — disjoint slots, so owner workers
-  /// fill them in parallel — and after the join the empty slots are
-  /// dropped and the padded segment count is backpatched. A vectored
-  /// transport sends the pieces as-is; their concatenation is the frame.
-  /// Every piece comes from the pool.
-  void Serve(const ShardedPropagationRequest& req, uint64_t epoch,
+  /// fill them in parallel — until the pieces reach the serve budget. A
+  /// shard task that finds the budget spent serves nothing and only
+  /// compares DBVVs; if its shard is stale, the reply is partial. The
+  /// batch starts at the shard where the last partial reply to the same
+  /// requester stopped (shard 0 otherwise) and wraps around, so the first
+  /// stale shard from there always ships. After the join the empty slots
+  /// are dropped and the envelope is written with the segment count. A
+  /// vectored transport sends the pieces as-is; their concatenation is
+  /// the frame, segments in shard order. Every piece comes from the pool.
+  /// Returns true when the reply is partial.
+  bool Serve(const ShardedPropagationRequest& req, uint64_t epoch,
              std::vector<std::string>* parts);
 
   /// Serve stamped with the scheduler's current mutation epoch, as one
@@ -106,7 +126,10 @@ class ShardedExchange {
   std::unique_ptr<runtime::ShardScheduler> owned_sched_;  // inline form only
   runtime::ShardScheduler& sched_;
   BufferPool& pool_;
+  size_t serve_budget_;
   std::vector<size_t> all_shards_;
+  /// Indexed by requester id: where its next full serve starts.
+  std::unique_ptr<std::atomic<size_t>[]> resume_;
 };
 
 /// Decodes a whole v3 reply frame (tag byte included) as views into
@@ -114,10 +137,18 @@ class ShardedExchange {
 Status DecodeReplyFrame(std::string_view frame,
                         wire::ShardedResponseEnvelopeView* env);
 
-/// One in-process pull of `source` into `recipient` through the daemon's
-/// steps and frame bytes: handshake on the recipient, serve on the source,
-/// the pieces concatenated into one frame, the envelope decoded, the
-/// segments accepted. Returns the number of items the recipient adopted.
+/// One round trip of an in-process pull through the daemon's steps and
+/// frame bytes: handshake on the recipient, serve on the source, the
+/// pieces concatenated into one frame, the envelope decoded, the segments
+/// accepted. Returns true when the reply was partial: the source left
+/// stale shards for another step.
+Result<bool> PullStep(ShardedExchange& recipient, ShardedExchange& source);
+
+/// One complete in-process pull of `source` into `recipient`: PullStep,
+/// repeated at once while replies are partial, as ReplicaServer::PullFrom
+/// continues. An honest source finishes within S continuations; a reply
+/// still partial after that returns Unavailable. Returns the number of
+/// items the recipient adopted.
 Result<size_t> PullSharded(ShardedExchange& recipient,
                            ShardedExchange& source);
 

@@ -37,6 +37,7 @@ CheckReport ReplayFixture(const std::string& name) {
   world.num_nodes = trace->nodes;
   world.num_items = trace->items;
   world.num_shards = trace->shards;
+  world.serve_budget = trace->serve_budget;
   auto mutation = ParseMutation(trace->mutation);
   EXPECT_TRUE(mutation.ok()) << mutation.status().message();
   world.mutation = *mutation;
@@ -78,9 +79,31 @@ TEST(EpicheckTest, ShardedExplorationIsClean) {
   EXPECT_EQ(report.dedup_hits, 7706u);
 }
 
+// A one-byte serve budget: every sync accepts one partial reply, so the
+// steps of a catch-up interleave with every other action. Pinned like the
+// row above (EXPERIMENTS.md M1).
+TEST(EpicheckTest, OneSegmentRepliesExplorationIsClean) {
+  CheckerConfig config;
+  config.world.num_nodes = 2;
+  config.world.num_items = 2;
+  config.world.num_shards = 2;
+  config.world.serve_budget = 1;
+  config.max_depth = 6;
+  CheckReport report = RunCheck(config);
+  EXPECT_FALSE(report.violation.has_value())
+      << report.violation->description;
+  EXPECT_EQ(report.states_explored, 2386u);
+  EXPECT_EQ(report.transitions, 9562u);
+  EXPECT_EQ(report.dedup_hits, 7177u);
+}
+
 // The healthy-schedule fixtures replay with zero violations.
+// serve_budget_conflict.trace is the schedule that starved a shard when
+// every serve began at shard 0: the conflict on k0 kept its shard stale
+// and took each one-segment reply, so k1 never shipped.
 TEST(EpicheckTest, CleanFixturesReplayClean) {
-  for (const char* name : {"clean.trace", "clean_sharded.trace"}) {
+  for (const char* name : {"clean.trace", "clean_sharded.trace",
+                           "serve_budget_conflict.trace"}) {
     CheckReport report = ReplayFixture(name);
     EXPECT_FALSE(report.violation.has_value())
         << name << ": " << report.violation->description;
@@ -127,6 +150,7 @@ TEST(EpicheckTest, TraceFileRoundTrips) {
   file.nodes = 3;
   file.items = 2;
   file.shards = 2;
+  file.serve_budget = 1;
   file.mutation = "amnesia";
   file.actions.push_back(*ParseAction("update 2 1"));
   file.actions.push_back(*ParseAction("oob 0 2 1"));
@@ -137,6 +161,7 @@ TEST(EpicheckTest, TraceFileRoundTrips) {
   EXPECT_EQ(decoded->nodes, file.nodes);
   EXPECT_EQ(decoded->items, file.items);
   EXPECT_EQ(decoded->shards, file.shards);
+  EXPECT_EQ(decoded->serve_budget, file.serve_budget);
   EXPECT_EQ(decoded->mutation, file.mutation);
   ASSERT_EQ(decoded->actions.size(), file.actions.size());
   for (size_t i = 0; i < file.actions.size(); ++i) {
@@ -150,6 +175,17 @@ TEST(EpicheckTest, MalformedTraceIsRejected) {
   EXPECT_FALSE(DecodeTrace("sync 0\n").ok());
   EXPECT_FALSE(DecodeTrace("update zero 0\n").ok());
   EXPECT_FALSE(DecodeTrace("shards 0\n").ok());
+  EXPECT_FALSE(DecodeTrace("serve-budget 0\n").ok());
+  EXPECT_FALSE(DecodeTrace("serve-budget 4x\n").ok());
+}
+
+// The default serve budget is not written, so traces from before the
+// budget existed encode and replay as they did.
+TEST(EpicheckTest, DefaultServeBudgetIsNotWritten) {
+  TraceFile file;
+  EXPECT_EQ(EncodeTrace(file).find("serve-budget"), std::string::npos);
+  file.serve_budget = 7;
+  EXPECT_NE(EncodeTrace(file).find("serve-budget 7\n"), std::string::npos);
 }
 
 }  // namespace

@@ -398,6 +398,170 @@ TEST(ShardedServerTest, ResendAnsweringAFullHandshakeIsRejected) {
   hub.Register(0, nullptr);
 }
 
+/// A source that answers every request with the same frame and counts
+/// the full handshakes and the epoch probes it got.
+class FixedReplySource : public net::RequestHandler {
+ public:
+  explicit FixedReplySource(std::string frame) : frame_(std::move(frame)) {}
+  std::string HandleRequest(std::string_view request) override {
+    auto decoded = net::Decode(request);
+    const auto* req = decoded.ok()
+                          ? std::get_if<ShardedPropagationRequest>(&*decoded)
+                          : nullptr;
+    if (req != nullptr && (req->flags & kPropFlagEpochProbe) != 0) {
+      ++probes_;
+    } else if (req != nullptr) {
+      ++handshakes_;
+    }
+    return frame_;
+  }
+  size_t handshakes() const { return handshakes_; }
+  size_t probes() const { return probes_; }
+
+ private:
+  std::string frame_;
+  size_t handshakes_ = 0;
+  size_t probes_ = 0;
+};
+
+/// A full handshake from `requester` that holds nothing.
+ShardedPropagationRequest EmptyHandshake(NodeId requester, size_t num_nodes) {
+  ShardedPropagationRequest req;
+  req.requester = requester;
+  req.shard_dbvvs.assign(ShardedReplica::kDefaultShards,
+                         VersionVector(num_nodes));
+  return req;
+}
+
+/// The `serve_cache:` line of `server`'s stats.
+std::string ServeCacheLine(ReplicaServer& server) {
+  const std::string stats = server.Stats();
+  const size_t at = stats.find("serve_cache:");
+  return at == std::string::npos ? stats : stats.substr(at);
+}
+
+// A lying source (Malkhi–Mansour–Reiter) answers every full handshake with
+// a partial reply that carries one segment the puller already holds. The
+// pull gives up after S + 1 handshakes, adopts nothing and caches no
+// epoch, so the next pull opens with a full handshake again, not a probe.
+TEST(ShardedServerTest, LyingPartialSourceCannotPinAPuller) {
+  net::InProcHub hub(3);
+  net::InProcTransport transport(&hub);
+  ReplicaServer honest(2, 3, &transport, {});
+  ReplicaServer puller(1, 3, &transport, {});
+  hub.Register(2, &honest);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(honest.Update("k" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(puller.PullFrom(2).ok());
+
+  // The honest node's reply to an empty handshake, cut to its first
+  // segment and marked partial: data the puller already holds.
+  const std::string full =
+      honest.HandleRequest(net::Encode(net::Message(EmptyHandshake(0, 3))));
+  wire::ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(DecodeReplyFrame(full, &env).ok());
+  ASSERT_GT(env.segments.size(), 1u);
+  ShardedPropagationResponse lie;
+  lie.num_shards = env.num_shards;
+  lie.epoch = env.epoch;
+  lie.resp_flags = kPropRespFlagPartial;
+  lie.segments.push_back(ShardedPropagationSegment{
+      env.segments[0].shard, std::string(env.segments[0].body)});
+  FixedReplySource liar(net::Encode(net::Message(lie)));
+  hub.Register(0, &liar);
+
+  (void)puller.Stats(/*reset=*/true);
+  const auto held = puller.Scan("");
+  Status s = puller.PullFrom(0);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  const size_t handshakes = ShardedReplica::kDefaultShards + 1;
+  EXPECT_NE(puller.Stats().find("net: calls=" + std::to_string(handshakes) +
+                                " "),
+            std::string::npos)
+      << puller.Stats();
+  EXPECT_EQ(liar.handshakes(), handshakes);
+  EXPECT_EQ(liar.probes(), 0u);
+  EXPECT_EQ(puller.TotalStats().items_adopted, 0u);
+  EXPECT_EQ(puller.Scan(""), held);
+
+  s = puller.PullFrom(0);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_EQ(liar.probes(), 0u) << "a partial reply's epoch was cached";
+  EXPECT_EQ(liar.handshakes(), 2 * handshakes);
+  hub.Register(0, nullptr);
+  hub.Register(2, nullptr);
+}
+
+// A catch-up larger than the serve budget is one PullFrom: each partial
+// reply is followed at once by a fresh handshake. Only the last reply's
+// epoch is cached, so the next quiescent pull is one probe.
+TEST(ShardedServerTest, PullFromContinuesPartialRepliesInOneCall) {
+  net::InProcHub hub(2);
+  net::InProcTransport inner(&hub);
+  CountingTransport transport(&inner);
+  ReplicaServer source(0, 2, &transport, {});
+  ReplicaServer puller(1, 2, &transport, {});
+  hub.Register(0, &source);
+  // About 6 MB of values: more than one reply's budget.
+  const std::string value(4096, 'v');
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(source.Update("big" + std::to_string(i), value).ok());
+  }
+  transport.Reset();
+  Status s = puller.PullFrom(0);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(transport.calls(), 1u);
+  EXPECT_LE(transport.calls(), ShardedReplica::kDefaultShards);
+  EXPECT_EQ(puller.Scan(""), source.Scan(""));
+  EXPECT_EQ(puller.TotalStats().items_adopted, 1500u);
+
+  transport.Reset();
+  ASSERT_TRUE(puller.PullFrom(0).ok());
+  EXPECT_EQ(transport.calls(), 1u);  // the epoch probe
+  hub.Register(0, nullptr);
+}
+
+// Partial replies are never published in the serve cache: the steps of a
+// catch-up would pin up to a budget each at the source. Sending the same
+// request twice costs two serves. A reply that is not partial is still
+// served once and replayed once.
+TEST(ShardedServerTest, PartialRepliesBypassTheServeCache) {
+  net::InProcHub hub(2);
+  net::InProcTransport transport(&hub);
+  ReplicaServer source(0, 2, &transport, {});
+  const std::string value(4096, 'v');
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(source.Update("big" + std::to_string(i), value).ok());
+  }
+  const std::string everything =
+      net::Encode(net::Message(EmptyHandshake(1, 2)));
+  for (int i = 0; i < 2; ++i) {
+    wire::ShardedResponseEnvelopeView env;
+    const std::string reply = source.HandleRequest(everything);
+    ASSERT_TRUE(DecodeReplyFrame(reply, &env).ok());
+    EXPECT_TRUE(env.partial()) << "reply " << i;
+  }
+  EXPECT_EQ(ServeCacheLine(source), "serve_cache: hits=0 misses=2");
+
+  // Behind on one shard only: the reply fits the budget.
+  ShardedPropagationRequest one_shard = EmptyHandshake(1, 2);
+  source.WithReplica([&one_shard](const ShardedReplica& rep) {
+    for (size_t k = 1; k < rep.num_shards(); ++k) {
+      one_shard.shard_dbvvs[k] = rep.shard(k).dbvv();
+    }
+  });
+  const std::string request = net::Encode(net::Message(one_shard));
+  for (int i = 0; i < 2; ++i) {
+    wire::ShardedResponseEnvelopeView env;
+    const std::string reply = source.HandleRequest(request);
+    ASSERT_TRUE(DecodeReplyFrame(reply, &env).ok());
+    EXPECT_FALSE(env.partial()) << "reply " << i;
+    EXPECT_EQ(env.segments.size(), 1u);
+  }
+  EXPECT_EQ(ServeCacheLine(source), "serve_cache: hits=1 misses=3");
+}
+
 // A pull is one round trip, served by the zero-copy view serve (the only
 // Fig. 2 serve there is).
 TEST(ShardedServerTest, ServesZeroCopyInOneCall) {

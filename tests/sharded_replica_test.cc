@@ -28,6 +28,7 @@ namespace epidemic {
 namespace {
 
 using server::DecodeReplyFrame;
+using server::kServeBudgetBytes;
 using server::PullSharded;
 using server::ShardedExchange;
 
@@ -317,6 +318,137 @@ TEST(ShardedReplicaTest, UnchangedShardsAreOmittedFromTheReply) {
   ASSERT_TRUE(DecodeReplyFrame(frame, &env).ok());
   ASSERT_EQ(env.segments.size(), 1u);
   EXPECT_EQ(env.segments[0].shard, static_cast<uint32_t>(a.ShardOf("solo")));
+}
+
+// ---------------------------------------------------------------------------
+// The serve budget: replies carry whole shards and continue.
+
+// Accepts one reply of `source` to `recipient`'s handshake and checks it
+// against the budget: every segment is a whole shard (its shard at the
+// recipient ends equal to the source's), and the pieces before the last
+// stay below `budget`. Returns the reply's partial flag.
+bool AcceptOneBudgetedReply(ShardedExchange& recipient,
+                            ShardedExchange& source, size_t budget) {
+  const std::string frame = source.ServeFrame(recipient.Handshake());
+  wire::ShardedResponseEnvelopeView env;
+  EXPECT_TRUE(DecodeReplyFrame(frame, &env).ok());
+  EXPECT_FALSE(env.segments.empty());
+  size_t before_last = 0;
+  for (size_t i = 0; i + 1 < env.segments.size(); ++i) {
+    // A piece is [shard varint][5-byte padded length][body].
+    before_last += 1 + 5 + env.segments[i].body.size();
+  }
+  EXPECT_LT(before_last, budget);
+  EXPECT_TRUE(recipient.Accept(env.num_shards, env.segments).ok());
+  for (const wire::ShardedSegmentView& seg : env.segments) {
+    EXPECT_EQ(recipient.replica().shard(seg.shard).dbvv(),
+              source.replica().shard(seg.shard).dbvv())
+        << "shard " << seg.shard << " arrived in part";
+  }
+  EXPECT_TRUE(recipient.replica().CheckInvariants().ok());
+  return env.partial();
+}
+
+TEST(ServeBudgetTest, OneByteBudgetShipsOneWholeShardPerReply) {
+  ShardedReplica a(0, 2, 16), b(1, 2, 16);
+  BufferPool pool;
+  ShardedExchange ea(a, pool, /*serve_budget=*/1), eb(b, pool);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(a.Update("a/" + std::to_string(i), "v").ok());
+  }
+  size_t stale = 0;
+  for (size_t k = 0; k < a.num_shards(); ++k) {
+    if (a.shard(k).dbvv() != b.shard(k).dbvv()) ++stale;
+  }
+  ASSERT_GT(stale, 1u);
+  // Every reply but the last is partial and carries exactly one segment.
+  size_t replies = 0;
+  bool partial = true;
+  while (partial) {
+    ASSERT_LT(replies, stale) << "more replies than stale shards";
+    const std::string frame = ea.ServeFrame(eb.Handshake());
+    wire::ShardedResponseEnvelopeView env;
+    ASSERT_TRUE(DecodeReplyFrame(frame, &env).ok());
+    ASSERT_EQ(env.segments.size(), 1u);
+    ASSERT_TRUE(eb.Accept(env.num_shards, env.segments).ok());
+    ASSERT_TRUE(b.CheckInvariants().ok());
+    partial = env.partial();
+    ++replies;
+  }
+  EXPECT_EQ(replies, stale);
+  EXPECT_EQ(a.AggregateDbvv(), b.AggregateDbvv());
+  EXPECT_EQ(a.Scan(""), b.Scan(""));
+
+  // PullSharded continues on its own: one call is one complete pull.
+  ShardedReplica c(1, 2, 16);
+  ShardedExchange ec(c, pool);
+  auto copied = PullSharded(ec, ea);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(*copied, 200u);
+  EXPECT_EQ(c.Scan(""), a.Scan(""));
+}
+
+TEST(ServeBudgetTest, LargeCatchUpRepliesStayWithinTheDefaultBudget) {
+  // 100 000 items of 256 B: about 27 MB of tails, so the default budget
+  // splits the catch-up into several replies.
+  ShardedReplica a(0, 3, 16), b(1, 3, 16);
+  BufferPool pool;
+  ShardedExchange ea(a, pool), eb(b, pool);
+  const std::string value(256, 'v');
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(a.Update("q.k" + std::to_string(i), value).ok());
+  }
+  size_t replies = 0;
+  bool partial = true;
+  while (partial) {
+    ASSERT_LT(replies, a.num_shards());
+    partial = AcceptOneBudgetedReply(eb, ea, kServeBudgetBytes);
+    if (::testing::Test::HasFailure()) return;
+    ++replies;
+  }
+  EXPECT_GT(replies, 1u);
+  EXPECT_EQ(a.AggregateDbvv(), b.AggregateDbvv());
+  EXPECT_EQ(b.TotalItems(), 100000u);
+}
+
+TEST(ServeBudgetTest, SkippedShardsWaitForTheNextHandshake) {
+  // A shard written between two steps is served by a later step: the
+  // budget only delays it.
+  ShardedReplica a(0, 2, 4), b(1, 2, 4);
+  BufferPool pool;
+  ShardedExchange ea(a, pool, /*serve_budget=*/1), eb(b, pool);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(a.Update("k" + std::to_string(i), "v1").ok());
+  }
+  ASSERT_TRUE(AcceptOneBudgetedReply(eb, ea, 1));
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(a.Update("k" + std::to_string(i), "v2").ok());
+  }
+  ASSERT_TRUE(PullSharded(eb, ea).ok());
+  EXPECT_EQ(a.AggregateDbvv(), b.AggregateDbvv());
+  EXPECT_EQ(a.Scan(""), b.Scan(""));
+  EXPECT_TRUE(b.CheckInvariants().ok());
+}
+
+// A shard that stays stale however often it ships — an unresolved
+// conflict (Fig. 3) — does not starve the shards after it: the next serve
+// to the same requester resumes where the partial reply stopped.
+TEST(ServeBudgetTest, ConflictedShardDoesNotStarveTheShardsAfterIt) {
+  ShardedReplica a(0, 2, 16), b(1, 2, 16);
+  BufferPool pool;
+  ShardedExchange ea(a, pool, /*serve_budget=*/1), eb(b, pool);
+  ASSERT_EQ(a.ShardOf("a"), 0u);
+  ASSERT_EQ(a.ShardOf("x"), 3u);
+  ASSERT_TRUE(a.Update("a", "from-a").ok());
+  ASSERT_TRUE(b.Update("a", "from-b").ok());  // concurrent: a conflict
+  ASSERT_TRUE(a.Update("x", "v").ok());
+  auto copied = PullSharded(eb, ea);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_EQ(*copied, 1u);
+  EXPECT_EQ(*b.Read("x"), "v");
+  EXPECT_EQ(*b.Read("a"), "from-b");
+  EXPECT_GT(b.TotalStats().conflicts_detected, 0u);
+  EXPECT_TRUE(b.CheckInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -395,5 +395,52 @@ TEST(WireV3Test, ResponseEnvelopeRejectsBadFlagCombos) {
   }
 }
 
+// Decodes a response envelope with `flags` and `segments` one-byte
+// segments (shards 0, 1, ...) through the zero-copy decoder.
+Status DecodeEnvelopeWith(uint8_t flags, uint32_t segments,
+                          ShardedResponseEnvelopeView* env) {
+  ShardedPropagationResponse m;
+  m.num_shards = 4;
+  m.epoch = 9;
+  m.resp_flags = flags;
+  for (uint32_t k = 0; k < segments; ++k) {
+    m.segments.push_back(ShardedPropagationSegment{k, "x"});
+  }
+  ByteWriter w;
+  EncodeShardedResponseBodyV3(w, m);
+  ByteReader r(w.data());
+  return DecodeShardedPropagationResponseEnvelopeV3(r, env);
+}
+
+TEST(WireV3Test, PartialReplyCarriesItsSegments) {
+  ShardedResponseEnvelopeView env;
+  ASSERT_TRUE(DecodeEnvelopeWith(kPropRespFlagPartial, 2, &env).ok());
+  EXPECT_TRUE(env.partial());
+  EXPECT_FALSE(env.resend_requested());
+  EXPECT_EQ(env.epoch, 9u);
+  EXPECT_EQ(env.segments.size(), 2u);
+  ASSERT_TRUE(DecodeEnvelopeWith(0, 2, &env).ok());
+  EXPECT_FALSE(env.partial());
+}
+
+TEST(WireV3Test, PartialReplyFlagCombosAreCorruption) {
+  ShardedResponseEnvelopeView env;
+  // An empty partial reply would keep a puller handshaking for nothing.
+  Status s = DecodeEnvelopeWith(kPropRespFlagPartial, 0, &env);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(s.message(), "partial reply carrying no segments");
+  // Partial answers a handshake; resend answers a probe. Not both.
+  for (uint32_t segments : {0u, 1u}) {
+    s = DecodeEnvelopeWith(kPropRespFlagPartial | kPropRespFlagResend,
+                           segments, &env);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(s.message(), "reply both partial and resend");
+  }
+  // The next bit is still unknown.
+  s = DecodeEnvelopeWith(0x04, 1, &env);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(s.message(), "unknown sharded response flags");
+}
+
 }  // namespace
 }  // namespace epidemic::wire

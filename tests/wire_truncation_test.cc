@@ -114,6 +114,30 @@ TEST(WireTruncationTest, EveryPrefixOfEveryMessageIsRejected) {
   }
 }
 
+// A partial reply (response flag 0x02) cut anywhere, including between
+// its segments, is refused: a prefix never passes for a smaller reply.
+TEST(WireTruncationTest, EveryPrefixOfAPartialReplyIsRejected) {
+  ShardedPropagationResponse partial;
+  partial.num_shards = 4;
+  partial.epoch = 300;
+  partial.resp_flags = kPropRespFlagPartial;
+  partial.segments.push_back(
+      ShardedPropagationSegment{1, EncodeV3SegmentBody()});
+  partial.segments.push_back(
+      ShardedPropagationSegment{2, EncodeV3SegmentBody()});
+  const std::string frame = net::Encode(net::Message(partial));
+  auto full = net::Decode(frame);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const auto& decoded = std::get<ShardedPropagationResponse>(*full);
+  EXPECT_EQ(decoded.resp_flags, kPropRespFlagPartial);
+  EXPECT_EQ(decoded.segments.size(), 2u);
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    EXPECT_FALSE(net::Decode(std::string_view(frame.data(), cut)).ok())
+        << "decoded OK from a " << cut << "-byte prefix of "
+        << frame.size();
+  }
+}
+
 // Flipping the tag byte to an unknown value must be rejected cleanly —
 // including the retired numbers: 1 and 2 (whole-database wire v1), 14 and
 // 15 (sharded wire v2).

@@ -2,6 +2,8 @@
 //
 //   epicheck --nodes 2 --items 2 --depth 8            # explore, expect clean
 //   epicheck --nodes 3 --items 2 --depth 6 --shards 2 # two shards per node
+//   epicheck --nodes 2 --items 2 --depth 6 --shards 2 --serve-budget 1
+//                                                     # one segment per sync
 //   epicheck --nodes 2 --items 1 --depth 4 --mutate amnesia
 //            --trace-out amnesia.trace                # seeded-defect self-test
 //   epicheck --replay amnesia.trace                   # deterministic replay
@@ -43,6 +45,9 @@ void Usage(const char* argv0) {
       "  --depth <D>        max schedule length (default 8)\n"
       "  --shards <S>       shards per replica (default 1); every count runs\n"
       "                     the daemon's exchange over its wire frames\n"
+      "  --serve-budget <B> bytes of whole shards a reply carries before it\n"
+      "                     goes partial (default 4194304); 1 ships one\n"
+      "                     segment per sync\n"
       "  --mutate <m>       seeded defect for checker self-test:\n"
       "                     none | amnesia | mute-conflicts | tamper-ivv\n"
       "  --actions <list>   comma list of optional actions to enable:\n"
@@ -84,6 +89,7 @@ int ReportResult(const CheckReport& report, const WorldConfig& world,
   file.nodes = static_cast<uint32_t>(world.num_nodes);
   file.items = static_cast<uint32_t>(world.num_items);
   file.shards = static_cast<uint32_t>(world.num_shards);
+  file.serve_budget = world.serve_budget;
   file.mutation = std::string(epidemic::check::MutationName(world.mutation));
   file.actions = trace;
   PrintTrace(file);
@@ -147,6 +153,8 @@ int main(int argc, char** argv) {
       ok = number(&config.max_depth);
     } else if (flag == "--shards") {
       ok = number(&config.world.num_shards);
+    } else if (flag == "--serve-budget") {
+      ok = number(&config.world.serve_budget);
     } else if (flag == "--mutate") {
       const char* v = value();
       if (v == nullptr) {
@@ -219,6 +227,7 @@ int main(int argc, char** argv) {
     world.num_nodes = trace->nodes;
     world.num_items = trace->items;
     world.num_shards = trace->shards;
+    world.serve_budget = trace->serve_budget;
     auto m = epidemic::check::ParseMutation(trace->mutation);
     if (!m.ok()) {
       std::fprintf(stderr, "bad trace file: %s\n",
@@ -237,17 +246,22 @@ int main(int argc, char** argv) {
 
   if (config.world.num_nodes < 2 || config.world.num_nodes > 4 ||
       config.world.num_items < 1 || config.world.num_items > 4 ||
-      config.world.num_shards < 1 || config.max_depth < 1) {
+      config.world.num_shards < 1 || config.world.serve_budget < 1 ||
+      config.max_depth < 1) {
     Usage(argv[0]);
     return 2;
   }
 
   std::printf("epicheck: nodes=%zu items=%zu depth=%zu shards=%zu "
-              "mutate=%s\n",
+              "mutate=%s",
               config.world.num_nodes, config.world.num_items,
               config.max_depth, config.world.num_shards,
               std::string(epidemic::check::MutationName(config.world.mutation))
                   .c_str());
+  if (config.world.serve_budget != epidemic::server::kServeBudgetBytes) {
+    std::printf(" serve-budget=%zu", config.world.serve_budget);
+  }
+  std::printf("\n");
   CheckReport report = epidemic::check::RunCheck(config);
   return ReportResult(report, config.world, trace_out, /*minimize=*/true);
 }
